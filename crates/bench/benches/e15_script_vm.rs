@@ -14,8 +14,8 @@ use std::hint::black_box;
 
 use mrom_bench::bench_ids;
 use mrom_core::{
-    invoke, set_script_engine, DataItem, Method, MethodBody, MromObject, NoWorld, ObjectBuilder,
-    ScriptEngine,
+    invoke_with_limits, invoke_with_reference_evaluator, DataItem, InvokeLimits, Method,
+    MethodBody, MromObject, NoWorld, ObjectBuilder,
 };
 use mrom_script::{Evaluator, NullHost, Program, Vm};
 use mrom_value::Value;
@@ -98,28 +98,22 @@ fn bench_script_vm(c: &mut Criterion) {
     });
 
     // Full invoke round-trip: Lookup → Match → Apply with the body's
-    // `self.get`/`self.set` loop hitting (VM) or bypassing (interp) the
-    // inline data caches. Fresh object per iteration so `count` growth
-    // never changes the arithmetic between engines.
-    for (label, engine) in [("interp", ScriptEngine::Interp), ("vm", ScriptEngine::Vm)] {
+    // `self.get`/`self.set` loop hitting (VM) or bypassing (the reference
+    // evaluator) the inline data caches. Fresh object per iteration so
+    // `count` growth never changes the arithmetic between engines.
+    let engines = [invoke_with_reference_evaluator, invoke_with_limits];
+    for (label, run) in ["interp", "vm"].into_iter().zip(engines) {
         group.bench_function(BenchmarkId::new("invoke_ic_loop100", label), |b| {
-            set_script_engine(engine);
             let mut ids = bench_ids();
             let caller = ids.next_id();
+            let limits = InvokeLimits::default();
             b.iter(|| {
                 let mut obj = counter_object();
-                let out = invoke(
-                    &mut obj,
-                    &mut NoWorld,
-                    caller,
-                    "tally",
-                    black_box(&[Value::Int(100)]),
-                )
-                .expect("runs");
-                black_box(out)
+                let args = black_box([Value::Int(100)]);
+                let out = run(&mut obj, &mut NoWorld, caller, "tally", &args, &limits);
+                black_box(out.expect("runs"))
             });
         });
-        set_script_engine(ScriptEngine::Vm);
     }
 
     group.finish();

@@ -11,7 +11,8 @@ use hadas::{AmbassadorSpec, Federation, UpdateOp};
 use mrom_baselines::{capability_matrix, StaticCounter};
 use mrom_bench::*;
 use mrom_core::{
-    invoke, set_script_engine, DataItem, Method, MethodBody, NoWorld, ObjectBuilder, ScriptEngine,
+    invoke, invoke_with_limits, invoke_with_reference_evaluator, DataItem, InvokeLimits, Method,
+    MethodBody, NoWorld, ObjectBuilder,
 };
 use mrom_net::{LinkConfig, NetworkConfig, SimTime};
 use mrom_persist::{Depot, FileStore, MemStore};
@@ -638,7 +639,7 @@ fn e15_script_vm() {
     header(
         "E15",
         "register bytecode VM for script bodies (PR 6)",
-        "admitted bodies compile once to register bytecode; the tree-walker stays selectable and equivalent",
+        "admitted bodies compile once to register bytecode; the tree-walker stays as the equivalent reference oracle",
     );
     println!(
         "  {:<36} {:>10} {:>10} {:>8}",
@@ -701,13 +702,11 @@ fn e15_script_vm() {
                           } \
                           return self.get(\"count\");";
     let mut by_engine = [0.0f64; 2];
-    for (slot, engine) in [ScriptEngine::Interp, ScriptEngine::Vm]
-        .into_iter()
-        .enumerate()
-    {
-        set_script_engine(engine);
+    let engines = [invoke_with_reference_evaluator, invoke_with_limits];
+    for (slot, run) in engines.into_iter().enumerate() {
         let mut ids = bench_ids();
         let caller = ids.next_id();
+        let limits = InvokeLimits::default();
         by_engine[slot] = time_ns(SLOW * 10, || {
             let mut ids = bench_ids();
             let mut obj = ObjectBuilder::new(ids.next_id())
@@ -715,10 +714,10 @@ fn e15_script_vm() {
                 .fixed_data("count", DataItem::public(Value::Int(0)))
                 .fixed_method("tally", Method::public(MethodBody::script(IC_SRC).unwrap()))
                 .build();
-            invoke(&mut obj, &mut NoWorld, caller, "tally", &[Value::Int(100)]).unwrap();
+            let args = [Value::Int(100)];
+            run(&mut obj, &mut NoWorld, caller, "tally", &args, &limits).unwrap();
         });
     }
-    set_script_engine(ScriptEngine::Vm);
     speedup_row(
         "invoke: 100x self.get/self.set loop",
         by_engine[0],

@@ -28,13 +28,13 @@
 //! An [`AdmissionPolicy`] decides what happens at each boundary:
 //! `Off` skips analysis entirely (byte-for-byte today's behaviour),
 //! `Warn` pays the analysis cost but always admits, and `Strict` rejects
-//! error-severity findings with [`MromError::AdmissionRejected`]. The
-//! process-wide default policy (used by [`MromObject::from_image`],
-//! `add_method`, and `set_method`) starts `Off` and is changed with
-//! [`set_default_admission_policy`]; migration boundaries also have
-//! explicit `*_with_policy` entry points.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! error-severity findings with [`MromError::AdmissionRejected`]. Every
+//! site decides for itself. The plain entry points
+//! ([`MromObject::from_image`], `add_method`, `set_method`) serve trusted
+//! host-local input and mean `Off`; each trust boundary passes its policy
+//! to the matching `*_with_policy` variant. A runtime carries its policy
+//! in [`InvokeLimits::admission`](crate::InvokeLimits), which is what
+//! script-driven `addMethod`/`setMethod` are admitted under.
 
 use mrom_script::analyze::{
     analyze_with_budget, Diagnostic, DiagnosticKind, HostManifest, ResourceBudget,
@@ -59,40 +59,6 @@ pub enum AdmissionPolicy {
     /// Reject error-severity findings with
     /// [`MromError::AdmissionRejected`]. Warnings never block.
     Strict,
-}
-
-impl AdmissionPolicy {
-    fn from_u8(v: u8) -> AdmissionPolicy {
-        match v {
-            1 => AdmissionPolicy::Warn,
-            2 => AdmissionPolicy::Strict,
-            _ => AdmissionPolicy::Off,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            AdmissionPolicy::Off => 0,
-            AdmissionPolicy::Warn => 1,
-            AdmissionPolicy::Strict => 2,
-        }
-    }
-}
-
-/// Process-wide default policy; `Off` until configured.
-static DEFAULT_POLICY: AtomicU8 = AtomicU8::new(0);
-
-/// The process-wide default [`AdmissionPolicy`], consulted by
-/// [`MromObject::from_image`], [`MromObject::from_image_value`],
-/// `add_method`, and `set_method`.
-pub fn default_admission_policy() -> AdmissionPolicy {
-    AdmissionPolicy::from_u8(DEFAULT_POLICY.load(Ordering::Relaxed))
-}
-
-/// Sets the process-wide default [`AdmissionPolicy`], returning the
-/// previous one.
-pub fn set_default_admission_policy(policy: AdmissionPolicy) -> AdmissionPolicy {
-    AdmissionPolicy::from_u8(DEFAULT_POLICY.swap(policy.as_u8(), Ordering::Relaxed))
 }
 
 /// Host-surface names whose implementation goes through the *object* meta
@@ -138,6 +104,17 @@ impl MromObject {
             &mut out,
         );
         out
+    }
+
+    /// Enforces `policy` over this whole object at `boundary`, the name a
+    /// rejection and its admission event carry (`"from_image"`, ...).
+    ///
+    /// # Errors
+    ///
+    /// [`MromError::AdmissionRejected`] when `policy` is strict and any
+    /// body has an error-severity finding.
+    pub fn admit(&self, policy: AdmissionPolicy, boundary: &str) -> Result<(), MromError> {
+        enforce(policy, self, boundary, MromObject::analyze)
     }
 }
 
@@ -307,29 +284,9 @@ fn missing_method(name: &str, via: &str, context: &str) -> Diagnostic {
     }
 }
 
-/// Enforces a policy over a fully-built object (migration / persistence
-/// admission).
-pub(crate) fn admit_object(
-    policy: AdmissionPolicy,
-    obj: &MromObject,
-    boundary: &str,
-) -> Result<(), MromError> {
-    enforce(policy, obj, boundary, MromObject::analyze)
-}
-
-/// Enforces a policy over a candidate method (`add_method`/`set_method`
-/// admission).
-pub(crate) fn admit_method(
-    policy: AdmissionPolicy,
-    obj: &MromObject,
-    name: &str,
-    method: &Method,
-    boundary: &str,
-) -> Result<(), MromError> {
-    enforce(policy, obj, boundary, |o| o.analyze_method(name, method))
-}
-
-fn enforce(
+/// Enforces `policy` at `boundary` over the findings `analyze` reports
+/// for `obj`, recording the verdict.
+pub(crate) fn enforce(
     policy: AdmissionPolicy,
     obj: &MromObject,
     boundary: &str,

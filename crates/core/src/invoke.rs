@@ -30,65 +30,26 @@
 //! a host hostage; each script body is additionally bounded by the ledger
 //! value at its entry, and cross-object nesting is bounded by
 //! [`InvokeLimits::max_call_depth`].
+//!
+//! ## Engines
+//!
+//! Script bodies run on the register-bytecode [`Vm`]. The tree-walking
+//! [`Evaluator`], the differential batteries' reference, is reachable only
+//! through [`invoke_with_reference_evaluator`]: the engine is a type
+//! parameter of the dispatch path, so production carries no engine branch.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::marker::PhantomData;
 
-use mrom_script::{Evaluator, HostContext, ScriptError, Vm};
+use mrom_script::{Evaluator, HostContext, Program, ScriptError, Vm};
 use mrom_value::{ObjectId, Value};
 
+use crate::admission::AdmissionPolicy;
 use crate::error::MromError;
 use crate::method::{MetaOp, Method, MethodBody};
 use crate::object::MromObject;
 
-/// Which engine executes mobile (script) method bodies.
-///
-/// Both engines are observationally identical — same results, same
-/// errors, same fuel accounting, same host-call sequences — so this is a
-/// pure performance switch. The default is [`ScriptEngine::Vm`]; set the
-/// `MROM_SCRIPT_ENGINE` environment variable to `interp` (or call
-/// [`set_script_engine`]) to fall back to the tree-walking interpreter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScriptEngine {
-    /// The original fuel-metered AST-walking interpreter.
-    Interp,
-    /// The register-bytecode VM, running bodies compiled at admission
-    /// time (or lazily on first invocation) and cached on the `Program`.
-    Vm,
-}
-
-/// 0 = undecided, 1 = interpreter, 2 = VM.
-static SCRIPT_ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// The engine currently executing script bodies. Resolved once from
-/// `MROM_SCRIPT_ENGINE` (`interp`/`vm`) on first use; defaults to
-/// [`ScriptEngine::Vm`].
-pub fn script_engine() -> ScriptEngine {
-    match SCRIPT_ENGINE.load(Ordering::Relaxed) {
-        1 => ScriptEngine::Interp,
-        2 => ScriptEngine::Vm,
-        _ => {
-            let engine = match std::env::var("MROM_SCRIPT_ENGINE").as_deref() {
-                Ok("interp") | Ok("interpreter") => ScriptEngine::Interp,
-                _ => ScriptEngine::Vm,
-            };
-            set_script_engine(engine);
-            engine
-        }
-    }
-}
-
-/// Selects the script engine for the whole process, overriding the
-/// environment. Safe to call at any time; running invocations finish on
-/// the engine they started with.
-pub fn set_script_engine(engine: ScriptEngine) {
-    let code = match engine {
-        ScriptEngine::Interp => 1,
-        ScriptEngine::Vm => 2,
-    };
-    SCRIPT_ENGINE.store(code, Ordering::Relaxed);
-}
-
-/// Resource bounds applied to an invocation and everything nested in it.
+/// Per-runtime configuration applied to an invocation and everything
+/// nested in it: resource bounds plus the site's admission policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvokeLimits {
     /// Script fuel ledger shared by the whole invocation tree.
@@ -97,6 +58,9 @@ pub struct InvokeLimits {
     pub max_tower: usize,
     /// Maximum nesting of method application (tower levels + self-calls).
     pub max_call_depth: usize,
+    /// Policy under which the `addMethod`/`setMethod` meta-operations
+    /// admit the method bodies they install. Defaults to `Off`.
+    pub admission: AdmissionPolicy,
 }
 
 impl Default for InvokeLimits {
@@ -105,9 +69,56 @@ impl Default for InvokeLimits {
             fuel: mrom_script::DEFAULT_FUEL,
             max_tower: 8,
             max_call_depth: 32,
+            admission: AdmissionPolicy::Off,
         }
     }
 }
+
+/// One script run: its outcome, the fuel the engine itself burned, and
+/// its host-call count.
+type Run = (Result<Value, ScriptError>, u64, u64);
+
+/// Executes script bodies; the type parameter of the dispatch path.
+trait Engine: Sized {
+    fn run(program: &Program, host: &mut ScriptHost<'_, Self>, fuel: u64, args: &[Value]) -> Run;
+}
+
+/// The production engine: bytecode compiled at admission (or on first
+/// run) and cached on the `Program`.
+enum Bytecode {}
+
+impl Engine for Bytecode {
+    fn run(program: &Program, host: &mut ScriptHost<'_, Self>, fuel: u64, args: &[Value]) -> Run {
+        let mut vm = Vm::with_fuel(host, fuel);
+        let outcome = vm.run(&program.compiled(), args);
+        (outcome, vm.fuel_used(), vm.host_calls())
+    }
+}
+
+/// The reference engine: the fuel-metered AST-walking evaluator.
+enum Reference {}
+
+impl Engine for Reference {
+    fn run(program: &Program, host: &mut ScriptHost<'_, Self>, fuel: u64, args: &[Value]) -> Run {
+        let mut evaluator = Evaluator::with_fuel(host, fuel);
+        let outcome = evaluator.run(program, args);
+        (outcome, evaluator.fuel_used(), evaluator.host_calls())
+    }
+}
+
+/// [`dispatch`] monomorphised for one engine; lets a [`CallEnv`] re-enter
+/// the engine its native body was applied under.
+type DispatchFn = fn(
+    &mut MromObject,
+    &mut dyn WorldHook,
+    ObjectId,
+    &str,
+    &[Value],
+    usize,
+    usize,
+    &mut u64,
+    &InvokeLimits,
+) -> Result<Value, MromError>;
 
 /// Node-level services available to running method bodies: inter-object
 /// invocation, logging, clocks — whatever the embedding substrate offers.
@@ -161,6 +172,7 @@ pub struct CallEnv<'a> {
     depth: usize,
     fuel: &'a mut u64,
     limits: &'a InvokeLimits,
+    dispatch: DispatchFn,
 }
 
 impl<'a> CallEnv<'a> {
@@ -193,7 +205,7 @@ impl<'a> CallEnv<'a> {
     /// Any invocation error.
     pub fn invoke(&mut self, method: &str, args: &[Value]) -> Result<Value, MromError> {
         let self_id = self.object.id();
-        dispatch(
+        (self.dispatch)(
             self.object,
             self.world,
             self_id,
@@ -279,19 +291,49 @@ pub fn invoke_with_limits(
     args: &[Value],
     limits: &InvokeLimits,
 ) -> Result<Value, MromError> {
+    invoke_on::<Bytecode>(object, world, caller, method, args, limits)
+}
+
+/// [`invoke_with_limits`] with script bodies run by the tree-walking
+/// reference [`Evaluator`]; everything else is the production path. The
+/// differential battery's oracle, not an execution mode.
+///
+/// # Errors
+///
+/// As [`invoke_with_limits`].
+#[doc(hidden)]
+pub fn invoke_with_reference_evaluator(
+    object: &mut MromObject,
+    world: &mut dyn WorldHook,
+    caller: ObjectId,
+    method: &str,
+    args: &[Value],
+    limits: &InvokeLimits,
+) -> Result<Value, MromError> {
+    invoke_on::<Reference>(object, world, caller, method, args, limits)
+}
+
+fn invoke_on<E: Engine>(
+    object: &mut MromObject,
+    world: &mut dyn WorldHook,
+    caller: ObjectId,
+    method: &str,
+    args: &[Value],
+    limits: &InvokeLimits,
+) -> Result<Value, MromError> {
     let level = object.tower().len();
     if level > limits.max_tower {
         return Err(MromError::TowerDepthExceeded(limits.max_tower));
     }
     let mut fuel = limits.fuel;
-    dispatch(
+    dispatch::<E>(
         object, world, caller, method, args, level, 0, &mut fuel, limits,
     )
 }
 
 /// Core dispatch: enter at `level`; levels > 0 route through the tower.
 #[allow(clippy::too_many_arguments)]
-fn dispatch(
+fn dispatch<E: Engine>(
     object: &mut MromObject,
     world: &mut dyn WorldHook,
     caller: ObjectId,
@@ -321,7 +363,7 @@ fn dispatch(
             &meta_name,
         );
         let meta_args = [Value::Str(method.to_owned()), Value::List(args.to_vec())];
-        apply_method(
+        apply_method::<E>(
             object,
             world,
             caller,
@@ -336,7 +378,7 @@ fn dispatch(
         // The level-0 target: its nested invokes re-enter the full tower,
         // so every invocation — external or internal — is wrapped.
         let nested_level = object.tower().len();
-        apply_method(
+        apply_method::<E>(
             object,
             world,
             caller,
@@ -368,7 +410,7 @@ const fn pack_levels(nested: usize, tower: usize) -> u64 {
 /// the outcome and fuel delta on close. When off, the single
 /// [`mrom_obs::enabled`] byte-check is the entire overhead.
 #[allow(clippy::too_many_arguments)]
-fn apply_method(
+fn apply_method<E: Engine>(
     object: &mut MromObject,
     world: &mut dyn WorldHook,
     caller: ObjectId,
@@ -384,7 +426,7 @@ fn apply_method(
     // this check is the entire disabled-path overhead. The traced variant
     // is outlined to keep the hot function small.
     if !mrom_obs::enabled() {
-        return apply_phases(
+        return apply_phases::<E>(
             object,
             world,
             caller,
@@ -397,7 +439,7 @@ fn apply_method(
             false,
         );
     }
-    apply_method_traced(
+    apply_method_traced::<E>(
         object, world, caller, name, args, levels, depth, fuel, limits,
     )
 }
@@ -408,7 +450,7 @@ fn apply_method(
 #[allow(clippy::too_many_arguments)]
 #[cold]
 #[inline(never)]
-fn apply_method_traced(
+fn apply_method_traced<E: Engine>(
     object: &mut MromObject,
     world: &mut dyn WorldHook,
     caller: ObjectId,
@@ -423,7 +465,7 @@ fn apply_method_traced(
     let tower_level = (levels >> 32) as u32;
     let span = mrom_obs::invoke_start(object.id(), name, caller, tower_level);
     let fuel_entry = *fuel;
-    let result = apply_phases(
+    let result = apply_phases::<E>(
         object,
         world,
         caller,
@@ -457,7 +499,7 @@ fn apply_method_traced(
 /// was before instrumentation.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn apply_phases(
+fn apply_phases<E: Engine>(
     object: &mut MromObject,
     world: &mut dyn WorldHook,
     caller: ObjectId,
@@ -501,12 +543,11 @@ fn apply_phases(
     // Phase 3: Apply.
     // 3.1 Pre-procedure: falsy return prevents the body from running.
     if let Some(pre) = method.pre() {
-        let verdict = run_body(
+        let verdict = run_body::<E>(
             pre,
             object,
             world,
             caller,
-            name,
             args,
             nested_level,
             depth,
@@ -526,12 +567,11 @@ fn apply_phases(
     }
 
     // 3.2 Body.
-    let result = run_body(
+    let result = run_body::<E>(
         method.body(),
         object,
         world,
         caller,
-        name,
         args,
         nested_level,
         depth,
@@ -546,12 +586,11 @@ fn apply_phases(
         let mut post_args = Vec::with_capacity(args.len() + 1);
         post_args.push(result);
         post_args.extend_from_slice(args);
-        let verdict = run_body(
+        let verdict = run_body::<E>(
             post,
             object,
             world,
             caller,
-            name,
             &post_args,
             nested_level,
             depth,
@@ -575,12 +614,11 @@ fn apply_phases(
 
 /// Executes one body (native, script, or meta) in the object's context.
 #[allow(clippy::too_many_arguments)]
-fn run_body(
+fn run_body<E: Engine>(
     body: &MethodBody,
     object: &mut MromObject,
     world: &mut dyn WorldHook,
     caller: ObjectId,
-    method_name: &str,
     args: &[Value],
     level: usize,
     depth: usize,
@@ -597,6 +635,7 @@ fn run_body(
                 depth,
                 fuel,
                 limits,
+                dispatch: dispatch::<E>,
             };
             f(&mut env, args)
         }
@@ -618,27 +657,10 @@ fn run_body(
                 ics: Vec::new(),
                 ic_hits: 0,
                 ic_misses: 0,
+                rejection: None,
+                engine: PhantomData,
             };
-            let (outcome, used, host_calls) = match script_engine() {
-                ScriptEngine::Interp => {
-                    let mut evaluator = Evaluator::with_fuel(&mut host, entry_budget);
-                    let outcome = evaluator.run(program, args);
-                    let used = evaluator.fuel_used();
-                    let host_calls = evaluator.host_calls();
-                    (outcome, used, host_calls)
-                }
-                ScriptEngine::Vm => {
-                    // Admission normally precompiles; `compiled()` is then
-                    // a cache read. Bodies that skipped admission compile
-                    // here once and reuse the cache thereafter.
-                    let compiled = program.compiled();
-                    let mut vm = Vm::with_fuel(&mut host, entry_budget);
-                    let outcome = vm.run(&compiled, args);
-                    let used = vm.fuel_used();
-                    let host_calls = vm.host_calls();
-                    (outcome, used, host_calls)
-                }
-            };
+            let (outcome, used, host_calls) = E::run(program, &mut host, entry_budget, args);
             // Nested dispatches already deducted their share from the
             // ledger during the run; deduct the evaluator's own steps now.
             *host.fuel = host.fuel.saturating_sub(used);
@@ -646,20 +668,14 @@ fn run_body(
             if host.ic_hits + host.ic_misses > 0 {
                 mrom_obs::script_ic(host.ic_hits, host.ic_misses);
             }
-            outcome.map_err(MromError::from)
+            match (outcome, host.rejection) {
+                (Err(ScriptError::Host(_)), Some(rejection)) => Err(rejection),
+                (outcome, _) => outcome.map_err(MromError::from),
+            }
         }
-        MethodBody::Meta(op) => perform_meta(
-            object,
-            world,
-            caller,
-            *op,
-            method_name,
-            args,
-            level,
-            depth,
-            fuel,
-            limits,
-        ),
+        MethodBody::Meta(op) => {
+            perform_meta::<E>(object, world, caller, *op, args, level, depth, fuel, limits)
+        }
     }
 }
 
@@ -692,12 +708,11 @@ fn want_name(op: MetaOp, args: &[Value], i: usize) -> Result<&str, MromError> {
 /// Executes one of the nine reflective meta-operations with `principal`'s
 /// authority.
 #[allow(clippy::too_many_arguments)]
-fn perform_meta(
+fn perform_meta<E: Engine>(
     object: &mut MromObject,
     world: &mut dyn WorldHook,
     principal: ObjectId,
     op: MetaOp,
-    _method_name: &str,
     args: &[Value],
     level: usize,
     depth: usize,
@@ -741,14 +756,14 @@ fn perform_meta(
         MetaOp::SetMethod => {
             want_arity(op, args, &[2])?;
             let name = want_name(op, args, 0)?;
-            object.set_method(principal, name, &args[1])?;
+            object.set_method_with_policy(principal, name, &args[1], limits.admission)?;
             Ok(Value::Null)
         }
         MetaOp::AddMethod => {
             want_arity(op, args, &[2])?;
             let name = want_name(op, args, 0)?;
             let method = method_from_arg(&args[1])?;
-            object.add_method(principal, name, method)?;
+            object.add_method_with_policy(principal, name, method, limits.admission)?;
             Ok(Value::Null)
         }
         MetaOp::DeleteMethod => {
@@ -772,7 +787,7 @@ fn perform_meta(
                     )))
                 }
             };
-            dispatch(
+            dispatch::<E>(
                 object,
                 world,
                 principal,
@@ -853,8 +868,9 @@ enum IcEntry {
 }
 
 /// Bridges `self.*` host calls from a running script body into the object
-/// model. All calls execute with the authority of the object itself.
-struct ScriptHost<'a> {
+/// model. All calls execute with the authority of the object itself;
+/// nested invocations stay on engine `E`.
+struct ScriptHost<'a, E> {
     object: &'a mut MromObject,
     world: &'a mut dyn WorldHook,
     invocation_caller: ObjectId,
@@ -867,17 +883,20 @@ struct ScriptHost<'a> {
     ics: Vec<IcEntry>,
     ic_hits: u64,
     ic_misses: u64,
+    /// An admission refusal that aborted the run: the runtime's verdict,
+    /// so it leaves the body structured, not as a host-error string.
+    rejection: Option<MromError>,
+    engine: PhantomData<E>,
 }
 
-impl ScriptHost<'_> {
+impl<E: Engine> ScriptHost<'_, E> {
     fn meta(&mut self, op: MetaOp, args: &[Value]) -> Result<Value, MromError> {
         let self_id = self.object.id();
-        perform_meta(
+        perform_meta::<E>(
             self.object,
             self.world,
             self_id,
             op,
-            op.method_name(),
             args,
             self.level,
             self.depth,
@@ -887,7 +906,7 @@ impl ScriptHost<'_> {
     }
 }
 
-impl HostContext for ScriptHost<'_> {
+impl<E: Engine> HostContext for ScriptHost<'_, E> {
     fn host_call(&mut self, name: &str, args: &[Value]) -> Result<Value, ScriptError> {
         let self_id = self.object.id();
         let result: Result<Value, MromError> = match name {
@@ -972,6 +991,11 @@ impl HostContext for ScriptHost<'_> {
             // Everything else goes to the world.
             other => self.world.world_call(self_id, other, args),
         };
+        if let Err(e @ MromError::AdmissionRejected { .. }) = result {
+            let lossy = ScriptError::Host(e.to_string());
+            self.rejection = Some(e);
+            return Err(lossy);
+        }
         result.map_err(ScriptError::from)
     }
 

@@ -82,14 +82,14 @@ mod security;
 mod shared;
 mod stats;
 
-pub use admission::{default_admission_policy, set_default_admission_policy, AdmissionPolicy};
+pub use admission::AdmissionPolicy;
 pub use class::{ClassRegistry, ClassSpec};
 pub use container::{ExtensibleContainer, FixedContainer, Section};
 pub use effects::{effects_value, object_effects, signatures_disjoint};
 pub use error::MromError;
 pub use invoke::{
-    invoke, invoke_with_limits, script_engine, set_script_engine, CallEnv, InvokeLimits, NoWorld,
-    ScriptEngine, WorldHook,
+    invoke, invoke_with_limits, invoke_with_reference_evaluator, CallEnv, InvokeLimits, NoWorld,
+    WorldHook,
 };
 pub use item::DataItem;
 pub use method::{MetaOp, Method, MethodBody, NativeFn};

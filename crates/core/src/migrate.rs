@@ -99,21 +99,22 @@ impl MromObject {
         ]))
     }
 
-    /// Reconstructs an object from image bytes under the process-wide
-    /// default [`AdmissionPolicy`].
+    /// Reconstructs an object from trusted, host-local image bytes (a
+    /// depot record, a test fixture) without admission analysis — policy
+    /// [`AdmissionPolicy::Off`]. Bytes that crossed a trust boundary go
+    /// through [`MromObject::from_image_with_policy`].
     ///
     /// # Errors
     ///
-    /// [`MromError::BadImage`] for framing/validation failures;
-    /// [`MromError::AdmissionRejected`] under a strict admission policy.
+    /// [`MromError::BadImage`] for framing/validation failures.
     ///
-    /// [`AdmissionPolicy`]: crate::AdmissionPolicy
+    /// [`AdmissionPolicy::Off`]: crate::AdmissionPolicy::Off
     pub fn from_image(bytes: &[u8]) -> Result<MromObject, MromError> {
-        MromObject::from_image_with_policy(bytes, crate::admission::default_admission_policy())
+        MromObject::from_image_with_policy(bytes, crate::AdmissionPolicy::Off)
     }
 
     /// Reconstructs an object from image bytes under an explicit
-    /// [`AdmissionPolicy`], overriding the process-wide default.
+    /// [`AdmissionPolicy`] — the receiving site's own.
     ///
     /// # Errors
     ///
@@ -138,18 +139,17 @@ impl MromObject {
         result
     }
 
-    /// Reconstructs an object from an image [`Value`] tree under the
-    /// process-wide default [`AdmissionPolicy`].
+    /// Reconstructs an object from a trusted image [`Value`] tree without
+    /// admission analysis — policy [`AdmissionPolicy::Off`].
     ///
     /// # Errors
     ///
     /// [`MromError::BadImage`] when the tree does not follow the image
-    /// schema, references unknown fields, or contains invalid descriptors;
-    /// [`MromError::AdmissionRejected`] under a strict admission policy.
+    /// schema, references unknown fields, or contains invalid descriptors.
     ///
-    /// [`AdmissionPolicy`]: crate::AdmissionPolicy
+    /// [`AdmissionPolicy::Off`]: crate::AdmissionPolicy::Off
     pub fn from_image_value(v: &Value) -> Result<MromObject, MromError> {
-        MromObject::from_image_value_with_policy(v, crate::admission::default_admission_policy())
+        MromObject::from_image_value_with_policy(v, crate::AdmissionPolicy::Off)
     }
 
     /// Reconstructs an object from an image [`Value`] tree under an
@@ -262,7 +262,7 @@ impl MromObject {
             tower,
             meta_acl,
         );
-        crate::admission::admit_object(policy, &obj, "from_image")?;
+        obj.admit(policy, "from_image")?;
         // Effect signatures are deliberately NOT primed here: the first
         // consumer (a retry policy, a Strict dispatch check, `getEffects`)
         // pays one memoized solve instead, keeping admission itself at

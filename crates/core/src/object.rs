@@ -7,6 +7,7 @@ use std::sync::Arc;
 use mrom_script::EffectSignature;
 use mrom_value::{ObjectId, Value};
 
+use crate::admission::{enforce, AdmissionPolicy};
 use crate::container::{ExtensibleContainer, FixedContainer, Section};
 use crate::error::MromError;
 use crate::item::DataItem;
@@ -670,6 +671,7 @@ impl MromObject {
     /// The `setMethod` meta-operation: replaces the body, attaches or
     /// detaches pre-/post-procedures, changes ACLs, or renames (via the
     /// `rename` key). Extensible only; guarded by the method's meta ACL.
+    /// Trusted host-local input: no admission analysis.
     ///
     /// # Errors
     ///
@@ -680,6 +682,23 @@ impl MromObject {
         caller: ObjectId,
         name: &str,
         desc: &Value,
+    ) -> Result<(), MromError> {
+        self.set_method_with_policy(caller, name, desc, AdmissionPolicy::Off)
+    }
+
+    /// [`MromObject::set_method`] admitting the new method under `policy`
+    /// first — for descriptors that crossed a trust boundary.
+    ///
+    /// # Errors
+    ///
+    /// As [`MromObject::set_method`], plus [`MromError::AdmissionRejected`]
+    /// (the old method then stays installed).
+    pub fn set_method_with_policy(
+        &mut self,
+        caller: ObjectId,
+        name: &str,
+        desc: &Value,
+        policy: AdmissionPolicy,
     ) -> Result<(), MromError> {
         let (method, section) = self
             .find_method(name)
@@ -719,13 +738,10 @@ impl MromObject {
             .expect("section checked extensible")
             .clone();
         method.apply_descriptor(&desc_rest)?;
-        crate::admission::admit_method(
-            crate::admission::default_admission_policy(),
-            self,
-            rename.as_deref().unwrap_or(name),
-            &method,
-            "set_method",
-        )?;
+        let candidate = rename.as_deref().unwrap_or(name);
+        enforce(policy, self, "set_method", |o| {
+            o.analyze_method(candidate, &method)
+        })?;
         if let Some(new_name) = rename {
             if new_name != name
                 && (self.fixed_methods.contains(&new_name) || self.ext_methods.contains(&new_name))
@@ -752,7 +768,7 @@ impl MromObject {
     }
 
     /// The `addMethod` meta-operation. Extensible only; guarded by the
-    /// object meta ACL.
+    /// object meta ACL. Trusted host-local input: no admission analysis.
     ///
     /// # Errors
     ///
@@ -763,6 +779,23 @@ impl MromObject {
         name: &str,
         method: Method,
     ) -> Result<(), MromError> {
+        self.add_method_with_policy(caller, name, method, AdmissionPolicy::Off)
+    }
+
+    /// [`MromObject::add_method`] admitting the candidate under `policy`
+    /// first — for methods that crossed a trust boundary.
+    ///
+    /// # Errors
+    ///
+    /// As [`MromObject::add_method`], plus [`MromError::AdmissionRejected`]
+    /// (the object then stays untouched).
+    pub fn add_method_with_policy(
+        &mut self,
+        caller: ObjectId,
+        name: &str,
+        method: Method,
+        policy: AdmissionPolicy,
+    ) -> Result<(), MromError> {
         self.check_meta(caller, name)?;
         if self.fixed_methods.contains(name) || self.ext_methods.contains(name) {
             return Err(MromError::DuplicateItem {
@@ -770,13 +803,9 @@ impl MromObject {
                 item: name.to_owned(),
             });
         }
-        crate::admission::admit_method(
-            crate::admission::default_admission_policy(),
-            self,
-            name,
-            &method,
-            "add_method",
-        )?;
+        enforce(policy, self, "add_method", |o| {
+            o.analyze_method(name, &method)
+        })?;
         self.ext_methods.insert(name.to_owned(), method);
         self.touch_structure();
         Ok(())

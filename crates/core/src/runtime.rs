@@ -101,7 +101,7 @@ impl Runtime {
         self.shared.classes_mut()
     }
 
-    /// Replaces the invocation limits applied to every call on this node.
+    /// Replaces this node's own invocation limits, admission policy included.
     pub fn set_limits(&mut self, limits: InvokeLimits) {
         self.shared.set_limits(limits);
     }

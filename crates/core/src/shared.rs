@@ -262,7 +262,7 @@ impl SharedRuntime {
         self.classes.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Replaces the invocation limits applied to every call on this node.
+    /// Replaces this node's own invocation limits, admission policy included.
     pub fn set_limits(&self, limits: InvokeLimits) {
         *self
             .limits

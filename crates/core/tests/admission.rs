@@ -2,34 +2,16 @@
 //! enforcement at every trust boundary (`from_image`, `add_method`,
 //! `set_method`).
 //!
-//! Global-policy tests serialize on a local mutex and restore
-//! [`AdmissionPolicy::Off`] before releasing it, so the rest of the suite
-//! never observes a strict default.
+//! Every policy is passed explicitly — through a `*_with_policy` entry
+//! point or a runtime's own limits — so these tests share no state.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Barrier};
 
 use mrom_core::{
-    set_default_admission_policy, Acl, AdmissionPolicy, DataItem, DiagnosticKind, Method,
-    MethodBody, MromError, MromObject, ObjectBuilder, Severity,
+    Acl, AdmissionPolicy, DataItem, DiagnosticKind, InvokeLimits, Method, MethodBody, MromError,
+    MromObject, ObjectBuilder, Runtime, Severity,
 };
 use mrom_value::{IdGenerator, NodeId, Value};
-
-static GLOBAL_POLICY: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with the process-wide default policy set to `policy`,
-/// restoring `Off` afterwards even on panic.
-fn with_global_policy<R>(policy: AdmissionPolicy, f: impl FnOnce() -> R) -> R {
-    let _guard = GLOBAL_POLICY.lock().unwrap();
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_default_admission_policy(AdmissionPolicy::Off);
-        }
-    }
-    let _restore = Restore;
-    set_default_admission_policy(policy);
-    f()
-}
 
 fn ids() -> IdGenerator {
     IdGenerator::new(NodeId(21))
@@ -282,69 +264,127 @@ fn warnings_never_block_strict_admission() {
 }
 
 #[test]
-fn strict_default_gates_add_method() {
-    with_global_policy(AdmissionPolicy::Strict, || {
-        let mut gen = ids();
-        let mut obj = clean_object(&mut gen);
-        let me = obj.id();
-        // Clean methods still install.
-        obj.add_method(me, "ok", script_method("return self.get(\"count\");"))
-            .unwrap();
-        // Defective ones are rejected before touching the object.
-        let err = obj
-            .add_method(me, "bad", script_method("return self.get(\"absent\");"))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            MromError::AdmissionRejected { ref context, .. } if context == "add_method"
-        ));
-        assert!(obj.find_method("bad").is_none());
-    });
+fn strict_gates_add_method() {
+    let strict = AdmissionPolicy::Strict;
+    let mut gen = ids();
+    let mut obj = clean_object(&mut gen);
+    let me = obj.id();
+    // Clean methods still install.
+    let ok = script_method("return self.get(\"count\");");
+    obj.add_method_with_policy(me, "ok", ok, strict).unwrap();
+    // Defective ones are rejected before touching the object.
+    let bad = script_method("return self.get(\"absent\");");
+    let err = obj
+        .add_method_with_policy(me, "bad", bad, strict)
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        MromError::AdmissionRejected { ref context, .. } if context == "add_method"
+    ));
+    assert!(obj.find_method("bad").is_none());
 }
 
 #[test]
-fn strict_default_gates_set_method() {
-    with_global_policy(AdmissionPolicy::Strict, || {
-        let mut gen = ids();
-        let mut obj = clean_object(&mut gen);
-        let me = obj.id();
-        obj.add_method(me, "mut", script_method("return 1;"))
-            .unwrap();
-        // Swapping in a defective body is rejected; the old body stays.
-        let bad_body = mrom_value::Value::map([(
-            "body",
-            mrom_value::Value::from("return self.get(\"absent\");"),
-        )]);
-        let err = obj.set_method(me, "mut", &bad_body).unwrap_err();
-        assert!(matches!(
-            err,
-            MromError::AdmissionRejected { ref context, .. } if context == "set_method"
-        ));
-        let mut world = mrom_core::NoWorld;
-        assert_eq!(
-            mrom_core::invoke(&mut obj, &mut world, me, "mut", &[]).unwrap(),
-            Value::Int(1)
-        );
-    });
+fn strict_gates_set_method() {
+    let mut gen = ids();
+    let mut obj = clean_object(&mut gen);
+    let me = obj.id();
+    obj.add_method(me, "mut", script_method("return 1;"))
+        .unwrap();
+    // Swapping in a defective body is rejected; the old body stays.
+    let bad_body = Value::map([("body", Value::from("return self.get(\"absent\");"))]);
+    let err = obj
+        .set_method_with_policy(me, "mut", &bad_body, AdmissionPolicy::Strict)
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        MromError::AdmissionRejected { ref context, .. } if context == "set_method"
+    ));
+    let mut world = mrom_core::NoWorld;
+    assert_eq!(
+        mrom_core::invoke(&mut obj, &mut world, me, "mut", &[]).unwrap(),
+        Value::Int(1)
+    );
 }
 
 #[test]
 fn candidate_methods_may_recurse() {
-    with_global_policy(AdmissionPolicy::Strict, || {
-        let mut gen = ids();
-        let mut obj = clean_object(&mut gen);
-        let me = obj.id();
-        // The candidate references itself through self.invoke: its own
-        // name counts as present during admission.
-        obj.add_method(
-            me,
-            "countdown",
+    let mut gen = ids();
+    let mut obj = clean_object(&mut gen);
+    let me = obj.id();
+    // The candidate references itself through self.invoke: its own
+    // name counts as present during admission.
+    let countdown = script_method(
+        "param n; if (n <= 0) { return 0; } return self.invoke(\"countdown\", [n - 1]);",
+    );
+    obj.add_method_with_policy(me, "countdown", countdown, AdmissionPolicy::Strict)
+        .unwrap();
+}
+
+/// A runtime at `node` whose limits carry `policy`, hosting one object
+/// whose `grow` method installs a body that reads a missing data item.
+fn runtime_with_grower(node: u64, policy: AdmissionPolicy) -> (Runtime, mrom_value::ObjectId) {
+    let mut rt = Runtime::new(NodeId(node));
+    rt.set_limits(InvokeLimits {
+        admission: policy,
+        ..InvokeLimits::default()
+    });
+    let grower = ObjectBuilder::new(rt.ids_mut().next_id())
+        .class("grower")
+        .fixed_method(
+            "grow",
             script_method(
-                "param n; if (n <= 0) { return 0; } return self.invoke(\"countdown\", [n - 1]);",
+                "param name; self.add_method(name, \"return self.get(\\\"absent\\\");\"); \
+                 return true;",
             ),
         )
+        .build();
+    let id = grower.id();
+    rt.adopt(grower).unwrap();
+    (rt, id)
+}
+
+#[test]
+fn script_add_method_follows_the_runtime_policy() {
+    let (mut strict, id) = runtime_with_grower(31, AdmissionPolicy::Strict);
+    let err = strict
+        .invoke_as_system(id, "grow", &[Value::from("bad")])
+        .unwrap_err();
+    assert!(
+        matches!(err, MromError::AdmissionRejected { ref context, .. } if context == "add_method"),
+        "{err}"
+    );
+    assert!(strict.object(id).unwrap().find_method("bad").is_none());
+
+    let (mut off, id) = runtime_with_grower(32, AdmissionPolicy::Off);
+    off.invoke_as_system(id, "grow", &[Value::from("bad")])
         .unwrap();
-    });
+    assert!(off.object(id).unwrap().find_method("bad").is_some());
+}
+
+#[test]
+fn runtimes_with_opposite_policies_admit_concurrently() {
+    // Two runtimes admit the same defective method at the same moment
+    // from two threads; each follows its own policy, every round.
+    const ROUNDS: usize = 200;
+    let barrier = Arc::new(Barrier::new(2));
+    let spawn = |node: u64, policy: AdmissionPolicy| {
+        let barrier = Arc::clone(&barrier);
+        std::thread::spawn(move || {
+            let (mut rt, id) = runtime_with_grower(node, policy);
+            (0..ROUNDS)
+                .map(|round| {
+                    barrier.wait();
+                    let name = Value::from(format!("bad{round}"));
+                    rt.invoke_as_system(id, "grow", &[name]).is_ok()
+                })
+                .collect::<Vec<bool>>()
+        })
+    };
+    let strict = spawn(41, AdmissionPolicy::Strict);
+    let off = spawn(42, AdmissionPolicy::Off);
+    assert_eq!(strict.join().unwrap(), vec![false; ROUNDS]);
+    assert_eq!(off.join().unwrap(), vec![true; ROUNDS]);
 }
 
 #[test]

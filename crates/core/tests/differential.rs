@@ -3,34 +3,28 @@
 //! results, errors, and post-state under the tree-walking interpreter and
 //! the bytecode VM — including at every fuel-exhaustion point.
 //!
-//! The process-wide engine selector is an atomic, so every test in this
-//! file funnels through [`with_engine`], which serializes on a mutex and
-//! restores the VM default before releasing it.
-
-use std::sync::Mutex;
+//! The interpreter side runs through [`invoke_with_reference_evaluator`],
+//! which shares Lookup/Match/Apply with production and swaps only the
+//! engine, so the tests need no shared state and run in parallel.
 
 use mrom_core::{
-    invoke, invoke_with_limits, set_script_engine, Acl, DataItem, InvokeLimits, Method, MethodBody,
-    MromError, MromObject, NoWorld, ObjectBuilder, ScriptEngine,
+    invoke, invoke_with_limits, invoke_with_reference_evaluator, Acl, DataItem, InvokeLimits,
+    Method, MethodBody, MromError, MromObject, NoWorld, ObjectBuilder, WorldHook,
 };
-use mrom_value::{IdGenerator, NodeId, Value};
+use mrom_value::{IdGenerator, NodeId, ObjectId, Value};
 
-static ENGINE: Mutex<()> = Mutex::new(());
+/// One invocation entry point: the production VM or the reference oracle.
+type Engine = fn(
+    &mut MromObject,
+    &mut dyn WorldHook,
+    ObjectId,
+    &str,
+    &[Value],
+    &InvokeLimits,
+) -> Result<Value, MromError>;
 
-/// Runs `f` with the process-wide script engine pinned to `engine`,
-/// restoring the VM default afterwards even on panic.
-fn with_engine<R>(engine: ScriptEngine, f: impl FnOnce() -> R) -> R {
-    let _guard = ENGINE.lock().unwrap();
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_script_engine(ScriptEngine::Vm);
-        }
-    }
-    let _restore = Restore;
-    set_script_engine(engine);
-    f()
-}
+const INTERP: Engine = invoke_with_reference_evaluator;
+const VM: Engine = invoke_with_limits;
 
 fn ids() -> IdGenerator {
     IdGenerator::new(NodeId(42))
@@ -77,45 +71,43 @@ fn specimen(gen: &mut IdGenerator) -> MromObject {
 /// (captured as the canonical migration image, so *any* state divergence —
 /// data values, methods, generation-visible structure — shows up).
 fn observe(
-    engine: ScriptEngine,
+    engine: Engine,
     method: &str,
     args: &[Value],
     fuel: u64,
     extra: impl Fn(&mut MromObject),
 ) -> (Result<Value, MromError>, Vec<u8>) {
-    with_engine(engine, || {
-        let mut gen = ids();
-        let mut obj = specimen(&mut gen);
-        extra(&mut obj);
-        let caller = gen.next_id();
-        let mut world = NoWorld;
-        let limits = InvokeLimits {
-            fuel,
-            ..InvokeLimits::default()
-        };
-        let out = invoke_with_limits(&mut obj, &mut world, caller, method, args, &limits);
-        let me = obj.id();
-        let image = obj
-            .migration_image(me)
-            .expect("self can always image itself");
-        (out, image)
-    })
+    let mut gen = ids();
+    let mut obj = specimen(&mut gen);
+    extra(&mut obj);
+    let caller = gen.next_id();
+    let mut world = NoWorld;
+    let limits = InvokeLimits {
+        fuel,
+        ..InvokeLimits::default()
+    };
+    let out = engine(&mut obj, &mut world, caller, method, args, &limits);
+    let me = obj.id();
+    let image = obj
+        .migration_image(me)
+        .expect("self can always image itself");
+    (out, image)
 }
 
 /// Asserts both engines agree on outcome and post-state for one call shape,
 /// at a generous budget and across a fuel sweep up to that call's real cost.
 fn agree(method: &str, args: &[Value], extra: impl Fn(&mut MromObject) + Copy) {
     let generous = 200_000;
-    let (out_i, img_i) = observe(ScriptEngine::Interp, method, args, generous, extra);
-    let (out_v, img_v) = observe(ScriptEngine::Vm, method, args, generous, extra);
+    let (out_i, img_i) = observe(INTERP, method, args, generous, extra);
+    let (out_v, img_v) = observe(VM, method, args, generous, extra);
     assert_eq!(out_i, out_v, "[{method}] outcome drift at full budget");
     assert_eq!(img_i, img_v, "[{method}] post-state drift at full budget");
 
     // Exhaustion sweep: sampled budgets below the generous one must fail
     // (or succeed) identically, with identical partial side effects.
     for fuel in (0..400).step_by(7).chain([500, 1000, 5000, 20_000]) {
-        let (a, ia) = observe(ScriptEngine::Interp, method, args, fuel, extra);
-        let (b, ib) = observe(ScriptEngine::Vm, method, args, fuel, extra);
+        let (a, ia) = observe(INTERP, method, args, fuel, extra);
+        let (b, ib) = observe(VM, method, args, fuel, extra);
         assert_eq!(a, b, "[{method}] outcome drift at fuel {fuel}");
         assert_eq!(ia, ib, "[{method}] post-state drift at fuel {fuel}");
     }
@@ -201,14 +193,18 @@ fn nested_invocations_share_the_fuel_ledger_identically() {
 }
 
 #[test]
-fn interp_engine_is_selectable_and_equivalent() {
-    // Plain `invoke` (default limits) under an explicit Interp pin — the
-    // switch itself must not change behaviour.
-    let out = with_engine(ScriptEngine::Interp, || {
-        let mut gen = ids();
-        let mut obj = specimen(&mut gen);
-        let caller = gen.next_id();
-        invoke(&mut obj, &mut NoWorld, caller, "spin", &[Value::Int(5)])
-    });
+fn reference_evaluator_matches_plain_invoke() {
+    // Default limits through the oracle entry and through plain `invoke`:
+    // the entry point itself must not change behaviour.
+    let mut gen = ids();
+    let mut obj = specimen(&mut gen);
+    let caller = gen.next_id();
+    let limits = InvokeLimits::default();
+    let args = [Value::Int(5)];
+    let out =
+        invoke_with_reference_evaluator(&mut obj, &mut NoWorld, caller, "spin", &args, &limits);
     assert_eq!(out, Ok(Value::Int(5)));
+    let mut gen = ids();
+    let mut obj = specimen(&mut gen);
+    assert_eq!(invoke(&mut obj, &mut NoWorld, caller, "spin", &args), out);
 }

@@ -10,9 +10,7 @@
 //! decisions are data, they can be revisited at runtime — see
 //! [`crate::Federation::migrate_method`].
 
-use mrom_core::{
-    Acl, AdmissionPolicy, DataItem, Method, MromError, MromObject, ObjectBuilder, Severity,
-};
+use mrom_core::{Acl, AdmissionPolicy, DataItem, Method, MromError, MromObject, ObjectBuilder};
 use mrom_value::{IdGenerator, NodeId, ObjectId, Value};
 
 use crate::error::HadasError;
@@ -154,7 +152,8 @@ pub struct GuestInfo {
     pub remote_methods: Vec<String>,
 }
 
-/// Instantiates an Ambassador for `apo` according to `spec`.
+/// Instantiates an Ambassador for `apo` according to `spec`, without
+/// admission analysis (policy [`AdmissionPolicy::Off`]).
 ///
 /// Returns the Ambassador object plus the list of the APO's public methods
 /// that did **not** migrate (the relay set). The Ambassador's `origin`
@@ -165,9 +164,7 @@ pub struct GuestInfo {
 /// # Errors
 ///
 /// [`HadasError::Model`] when a named method/data item does not exist or
-/// is not mobile; [`HadasError::AdmissionRefused`] when the process-wide
-/// default admission policy is strict and a copied body fails static
-/// analysis against the ambassador.
+/// is not mobile.
 pub fn instantiate_ambassador(
     apo: &MromObject,
     apo_name: &str,
@@ -175,14 +172,8 @@ pub fn instantiate_ambassador(
     spec: &AmbassadorSpec,
     ids: &mut IdGenerator,
 ) -> Result<(MromObject, Vec<String>), HadasError> {
-    instantiate_ambassador_with_policy(
-        apo,
-        apo_name,
-        origin_node,
-        spec,
-        ids,
-        mrom_core::default_admission_policy(),
-    )
+    let policy = AdmissionPolicy::Off;
+    instantiate_ambassador_with_policy(apo, apo_name, origin_node, spec, ids, policy)
 }
 
 /// [`instantiate_ambassador`] under an explicit [`AdmissionPolicy`]: the
@@ -192,8 +183,9 @@ pub fn instantiate_ambassador(
 ///
 /// # Errors
 ///
-/// As [`instantiate_ambassador`]; admission failures surface as
-/// [`HadasError::AdmissionRefused`] naming `origin_node`.
+/// As [`instantiate_ambassador`]; [`HadasError::AdmissionRefused`] naming
+/// `origin_node` when `policy` is strict and a copied body fails static
+/// analysis against the ambassador.
 pub fn instantiate_ambassador_with_policy(
     apo: &MromObject,
     apo_name: &str,
@@ -281,26 +273,12 @@ pub fn instantiate_ambassador_as(
     builder = builder.ext_method("install", install);
 
     let ambassador = builder.build();
-
-    match policy {
-        AdmissionPolicy::Off => {}
-        AdmissionPolicy::Warn => {
-            let _ = ambassador.analyze();
-        }
-        AdmissionPolicy::Strict => {
-            let diagnostics = ambassador.analyze();
-            if diagnostics.iter().any(|d| d.severity == Severity::Error) {
-                return Err(HadasError::AdmissionRefused {
-                    at: origin_node,
-                    rejection: MromError::AdmissionRejected {
-                        object: ambassador.id(),
-                        context: "instantiate_ambassador".to_owned(),
-                        diagnostics,
-                    },
-                });
-            }
-        }
-    }
+    ambassador
+        .admit(policy, "instantiate_ambassador")
+        .map_err(|rejection| HadasError::AdmissionRefused {
+            at: origin_node,
+            rejection,
+        })?;
 
     // The relay set: the APO's publicly invocable methods that did not
     // migrate (meta-methods excluded — they must never be relayed to the

@@ -271,10 +271,27 @@ enum PumpOutcome {
     BoundExceeded,
 }
 
+/// A model error raised at site `at`; admission rejections name the site.
+fn at_site(at: NodeId, e: MromError) -> HadasError {
+    match e {
+        rejection @ MromError::AdmissionRejected { .. } => {
+            HadasError::AdmissionRefused { at, rejection }
+        }
+        e => HadasError::Model(e),
+    }
+}
+
+/// Writes `policy` into a site runtime's limits, keeping its other bounds.
+fn set_runtime_admission(runtime: &mut Runtime, policy: AdmissionPolicy) {
+    let mut limits = runtime.limits();
+    limits.admission = policy;
+    runtime.set_limits(limits);
+}
+
 impl Federation {
     /// Creates an empty federation over a simulator with `config`.
-    /// Admission starts [`AdmissionPolicy::Off`] — the pre-admission
-    /// behaviour.
+    /// Admission starts [`AdmissionPolicy::Off`]; it is this federation's
+    /// own setting, written into each site runtime it creates.
     pub fn new(config: NetworkConfig) -> Federation {
         // Decorrelate from the simulator's stream while staying a pure
         // function of the configured seed.
@@ -310,8 +327,12 @@ impl Federation {
     }
 
     /// Sets the federation-wide [`AdmissionPolicy`], returning the
-    /// previous one.
+    /// previous one. Every site runtime's limits follow it, so scripts'
+    /// `addMethod`/`setMethod` are admitted under it too.
     pub fn set_admission_policy(&mut self, policy: AdmissionPolicy) -> AdmissionPolicy {
+        for site in self.sites.values_mut() {
+            set_runtime_admission(&mut site.runtime, policy);
+        }
         std::mem::replace(&mut self.admission, policy)
     }
 
@@ -336,13 +357,7 @@ impl Federation {
     /// converting strict rejections into [`HadasError::AdmissionRefused`]
     /// naming the receiving site.
     fn admit_image(&self, at: NodeId, image: &[u8]) -> Result<MromObject, HadasError> {
-        match MromObject::from_image_with_policy(image, self.admission) {
-            Ok(obj) => Ok(obj),
-            Err(rejection @ MromError::AdmissionRejected { .. }) => {
-                Err(HadasError::AdmissionRefused { at, rejection })
-            }
-            Err(e) => Err(HadasError::Model(e)),
-        }
+        MromObject::from_image_with_policy(image, self.admission).map_err(|e| at_site(at, e))
     }
 
     /// Adds a site at `node`, creating its runtime and IOO. Returns the
@@ -357,6 +372,7 @@ impl Federation {
         }
         self.net.add_node(node)?;
         let mut runtime = Runtime::new(node);
+        set_runtime_admission(&mut runtime, self.admission);
         let ioo_obj = crate::ioo::build_ioo_as(runtime.ids_mut().next_id(), node);
         let ioo = ioo_obj.id();
         let mut depot = Depot::new(MemStore::new());
@@ -1147,6 +1163,7 @@ impl Federation {
         target: ObjectId,
         ops: &[UpdateOp],
     ) -> Result<usize, HadasError> {
+        let policy = self.admission;
         let site = self.sites.get_mut(&at).ok_or(HadasError::UnknownSite(at))?;
         if !site.guests.contains_key(&target) {
             return Err(HadasError::UnknownAmbassador(target));
@@ -1159,38 +1176,22 @@ impl Federation {
         for op in ops {
             // Each op runs with the claimed origin principal; the object's
             // own ACLs decide whether that principal is honoured, so a
-            // forged origin gains nothing it could not do anyway.
-            match op {
-                UpdateOp::AddMethod(name, desc) => {
-                    let method =
-                        mrom_core::Method::from_descriptor(desc).map_err(HadasError::Model)?;
-                    obj.add_method(origin, name, method)
-                        .map_err(HadasError::Model)?;
-                }
+            // forged origin gains nothing it could not do anyway. Method
+            // bodies are foreign code, admitted under the federation's
+            // policy like any arriving image.
+            let done = match op {
+                UpdateOp::AddMethod(name, desc) => mrom_core::Method::from_descriptor(desc)
+                    .and_then(|method| obj.add_method_with_policy(origin, name, method, policy)),
                 UpdateOp::SetMethod(name, desc) => {
-                    obj.set_method(origin, name, desc)
-                        .map_err(HadasError::Model)?;
+                    obj.set_method_with_policy(origin, name, desc, policy)
                 }
-                UpdateOp::DeleteMethod(name) => {
-                    obj.delete_method(origin, name).map_err(HadasError::Model)?;
-                }
-                UpdateOp::AddData(name, value) => {
-                    obj.add_data(origin, name, value.clone())
-                        .map_err(HadasError::Model)?;
-                }
-                UpdateOp::SetData(name, value) => {
-                    obj.write_data(origin, name, value.clone())
-                        .map_err(HadasError::Model)?;
-                }
-                UpdateOp::InstallMetaInvoke(name) => {
-                    obj.install_meta_invoke(origin, name)
-                        .map_err(HadasError::Model)?;
-                }
-                UpdateOp::UninstallMetaInvoke => {
-                    obj.uninstall_meta_invoke(origin)
-                        .map_err(HadasError::Model)?;
-                }
-            }
+                UpdateOp::DeleteMethod(name) => obj.delete_method(origin, name),
+                UpdateOp::AddData(name, value) => obj.add_data(origin, name, value.clone()),
+                UpdateOp::SetData(name, value) => obj.write_data(origin, name, value.clone()),
+                UpdateOp::InstallMetaInvoke(name) => obj.install_meta_invoke(origin, name),
+                UpdateOp::UninstallMetaInvoke => obj.uninstall_meta_invoke(origin).map(drop),
+            };
+            done.map_err(|e| at_site(at, e))?;
             applied += 1;
             // Migrated methods stop being relayed.
             if let UpdateOp::AddMethod(name, _) = op {

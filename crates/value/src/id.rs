@@ -213,62 +213,45 @@ impl IdGenerator {
 }
 
 /// A thread-safe [`IdGenerator`]: mints identities through `&self`, so a
-/// shared (multi-worker) runtime can create objects without a lock around
-/// the generator.
+/// shared (multi-worker) runtime can create objects concurrently.
 ///
-/// Used **sequentially**, the stream is identical to [`IdGenerator`] with
-/// the same seed: the sequence counter and the xorshift entropy stream
-/// advance exactly once per mint. Under concurrent minting the pairing of
-/// sequence numbers with entropy draws depends on thread interleaving —
-/// ids stay globally unique either way (uniqueness comes from `(node,
-/// seq)`; entropy only guards against node-id reuse).
+/// The stream is identical to [`IdGenerator`] with the same seed under
+/// any interleaving: each mint takes the next sequence number *and* its
+/// entropy draw together, under one short lock, so N concurrent mints
+/// yield exactly the ids of N sequential ones.
 #[derive(Debug)]
 pub struct AtomicIdGenerator {
-    node: NodeId,
-    next_seq: std::sync::atomic::AtomicU32,
-    rng_state: std::sync::atomic::AtomicU64,
+    inner: std::sync::Mutex<IdGenerator>,
 }
 
 impl AtomicIdGenerator {
     /// Creates a generator for `node` with a seed derived from the node id
     /// (same derivation as [`IdGenerator::new`]).
     pub fn new(node: NodeId) -> Self {
-        Self::with_seed(node, node.0 ^ 0x9e37_79b9_7f4a_7c15)
+        Self::from_generator(&IdGenerator::new(node))
     }
 
     /// Creates a generator with an explicit entropy seed.
     pub fn with_seed(node: NodeId, seed: u64) -> Self {
-        AtomicIdGenerator {
-            node,
-            next_seq: std::sync::atomic::AtomicU32::new(1),
-            // xorshift must not start at 0
-            rng_state: std::sync::atomic::AtomicU64::new(seed | 1),
-        }
+        Self::from_generator(&IdGenerator::with_seed(node, seed))
     }
 
     /// Adopts the exact state of a sequential generator, continuing its
     /// stream where it left off.
     pub fn from_generator(gen: &IdGenerator) -> Self {
         AtomicIdGenerator {
-            node: gen.node,
-            next_seq: std::sync::atomic::AtomicU32::new(gen.next_seq),
-            rng_state: std::sync::atomic::AtomicU64::new(gen.rng_state),
+            inner: std::sync::Mutex::new(gen.clone()),
         }
     }
 
     /// Snapshots the current state as a sequential [`IdGenerator`].
     pub fn to_generator(&self) -> IdGenerator {
-        use std::sync::atomic::Ordering;
-        IdGenerator {
-            node: self.node,
-            next_seq: self.next_seq.load(Ordering::Relaxed),
-            rng_state: self.rng_state.load(Ordering::Relaxed),
-        }
+        self.lock().clone()
     }
 
     /// The node this generator mints identities for.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.lock().node()
     }
 
     /// Mints the next identity. Safe to call from any number of threads.
@@ -278,25 +261,16 @@ impl AtomicIdGenerator {
     /// Panics if more than `u32::MAX - 1` identities are minted from one
     /// generator, matching [`IdGenerator::next_id`].
     pub fn next_id(&self) -> ObjectId {
-        use std::sync::atomic::Ordering;
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        assert!(seq != u32::MAX, "object id sequence exhausted on this node");
-        // xorshift64 advanced by compare-exchange: each mint consumes
-        // exactly one step of the stream, whatever the interleaving.
-        let mut cur = self.rng_state.load(Ordering::Relaxed);
-        loop {
-            let mut x = cur;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            match self
-                .rng_state
-                .compare_exchange_weak(cur, x, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return ObjectId::from_parts(self.node, seq, (x >> 32) as u32),
-                Err(seen) => cur = seen,
-            }
-        }
+        self.lock().next_id()
+    }
+
+    /// The generator under its lock. A mint that panics (sequence
+    /// exhaustion) does so before changing any field, so a poisoned lock
+    /// still guards a consistent generator and is recovered.
+    fn lock(&self) -> std::sync::MutexGuard<'_, IdGenerator> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -386,6 +360,11 @@ mod tests {
         });
         let distinct: HashSet<_> = all.iter().copied().collect();
         assert_eq!(distinct.len(), 8000);
+        // Exactly the ids a sequential generator mints: every sequence
+        // number keeps its own entropy draw whatever the interleaving.
+        let mut seq = IdGenerator::new(NodeId(12));
+        let sequential: HashSet<_> = (0..8000).map(|_| seq.next_id()).collect();
+        assert_eq!(distinct, sequential);
     }
 
     #[test]

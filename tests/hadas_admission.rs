@@ -5,11 +5,14 @@
 //! methods reference state that did not travel with it is refused at the
 //! *receiving* site (and survives intact at the sender), and an exported
 //! ambassador whose copied methods were sliced away from their data is
-//! refused before it ever ships.
+//! refused before it ever ships. Method bodies pushed as updates, and
+//! bodies a script installs on a strict site, are admitted the same way.
 
-use mrom::core::{Acl, AdmissionPolicy, DataItem, Method, MethodBody, ObjectBuilder};
+use mrom::core::{Acl, AdmissionPolicy, DataItem, Method, MethodBody, MromError, ObjectBuilder};
 use mrom::hadas::scenarios::star_federation;
-use mrom::hadas::{instantiate_ambassador_with_policy, AmbassadorSpec, Federation, HadasError};
+use mrom::hadas::{
+    instantiate_ambassador_with_policy, AmbassadorSpec, Federation, HadasError, UpdateOp,
+};
 use mrom::net::LinkConfig;
 use mrom::value::{IdGenerator, NodeId, ObjectId, Value};
 
@@ -185,4 +188,94 @@ fn strict_federation_blocks_import_of_an_incoherent_export() {
         .call_through_ambassador(spoke, client, amb, "count", &[])
         .unwrap_err();
     assert!(crash.to_string().contains("employees"), "crash: {crash}");
+}
+
+#[test]
+fn strict_federation_refuses_a_pushed_method_that_dangles() {
+    let (mut fed, nodes) = star_federation(46, 2, LinkConfig::lan()).unwrap();
+    let (hub, spoke) = (nodes[0], nodes[1]);
+    let apo = build_apo(&mut fed, hub);
+    let coherent = AmbassadorSpec::relay_only()
+        .with_methods(["count"])
+        .with_data(["employees"]);
+    fed.integrate_apo(hub, "directory", apo, coherent).unwrap();
+    let amb = fed.import_apo(spoke, hub, "directory").unwrap();
+    let image = |fed: &Federation| {
+        let rt = fed.runtime(spoke).unwrap();
+        rt.object(amb).unwrap().image_value().unwrap()
+    };
+    let before = image(&fed);
+
+    // The pushed body reads a data item the Ambassador does not carry.
+    let leak = Value::map([("body", Value::from("return self.get(\"left_behind\");"))]);
+    let push = [UpdateOp::AddMethod("leak".into(), leak)];
+    fed.set_admission_policy(AdmissionPolicy::Strict);
+    match fed.push_update(hub, "directory", &push) {
+        Err(HadasError::Remote(reason)) => {
+            assert!(reason.contains("refused admission"), "reason: {reason}");
+            assert!(reason.contains("dangling-data-item"), "reason: {reason}");
+        }
+        other => panic!("expected remote admission refusal, got {other:?}"),
+    }
+    assert_eq!(
+        image(&fed),
+        before,
+        "a refused update leaves the Ambassador as it was"
+    );
+
+    // Off installs the very same update.
+    fed.set_admission_policy(AdmissionPolicy::Off);
+    assert_eq!(fed.push_update(hub, "directory", &push).unwrap(), 1);
+    assert_ne!(image(&fed), before);
+}
+
+#[test]
+fn strict_site_refuses_a_script_installing_a_dangling_method() {
+    let (mut fed, nodes) = star_federation(47, 2, LinkConfig::lan()).unwrap();
+    let spoke = nodes[1];
+    fed.set_admission_policy(AdmissionPolicy::Strict);
+    let rt = fed.runtime_mut(spoke).unwrap();
+    let grower = ObjectBuilder::new(rt.ids_mut().next_id())
+        .class("grower")
+        .fixed_method(
+            "grow",
+            Method::public(
+                MethodBody::script(
+                    "self.add_method(\"leak\", \"return self.get(\\\"left_behind\\\");\"); \
+                     return true;",
+                )
+                .unwrap(),
+            ),
+        )
+        .build();
+    let id = grower.id();
+    rt.adopt(grower).unwrap();
+    match rt.invoke_as_system(id, "grow", &[]) {
+        Err(MromError::AdmissionRejected { context, .. }) => assert_eq!(context, "add_method"),
+        other => panic!("expected AdmissionRejected, got {other:?}"),
+    }
+    assert!(rt.object(id).unwrap().find_method("leak").is_none());
+}
+
+#[test]
+fn every_site_runtime_follows_the_federation_policy() {
+    let (mut fed, _) = star_federation(48, 3, LinkConfig::lan()).unwrap();
+    let in_step = |fed: &Federation| {
+        fed.site_nodes()
+            .into_iter()
+            .all(|n| fed.runtime(n).unwrap().limits().admission == fed.admission_policy())
+    };
+    assert!(in_step(&fed));
+    fed.set_admission_policy(AdmissionPolicy::Strict);
+    fed.add_site(NodeId(9)).unwrap();
+    assert_eq!(
+        fed.runtime(NodeId(9)).unwrap().limits().admission,
+        AdmissionPolicy::Strict
+    );
+    assert!(in_step(&fed));
+    // The fleet Advisor's shed toggle: back to Off, then Warn.
+    for policy in [AdmissionPolicy::Off, AdmissionPolicy::Warn] {
+        fed.set_admission_policy(policy);
+        assert!(in_step(&fed), "sites drifted from {policy:?}");
+    }
 }
