@@ -687,7 +687,7 @@ impl Federation {
                     return finish(
                         self,
                         Err(HadasError::Timeout {
-                            operation: format!("request {msg:?}"),
+                            operation: format!("request {}", msg.kind()),
                             attempts: attempt,
                             elapsed: self.net.now().saturating_sub(started),
                         }),

@@ -1,10 +1,13 @@
 //! The HADAS wire protocol.
 //!
-//! Every cross-site exchange is a [`ProtocolMsg`] lowered to a
-//! [`mrom_value::Value`] map and encoded with the standard wire format, so
-//! protocol traffic and mobile objects share one self-contained encoding.
+//! Every cross-site exchange is a [`ProtocolMsg`] encoded as one framed
+//! map of the standard wire format, so protocol traffic and mobile objects
+//! share one self-contained encoding. The codec writes and reads that map
+//! straight from and into the message's fields ([`wire::MapWriter`],
+//! [`wire::MapReader`]) without building a [`Value`] tree.
 
-use mrom_value::{wire, NodeId, ObjectId, Value};
+use mrom_value::wire::{self, MapReader, MapWriter};
+use mrom_value::{NodeId, ObjectId, Value, ValueError};
 
 use crate::error::HadasError;
 
@@ -269,66 +272,74 @@ impl ProtocolMsg {
         }
     }
 
-    /// Lowers the message to a value map.
-    pub fn to_value(&self) -> Value {
+    /// Encodes the message to wire bytes: a framed map written straight
+    /// from the fields, entries in canonical (sorted) key order.
+    pub fn encode(&self) -> Vec<u8> {
+        use wire::{write_bytes_value, write_int_value, write_object_ref_value, write_str_value};
         match self {
             ProtocolMsg::LinkReq {
                 req_id,
                 from,
                 from_ioo,
-            } => Value::map([
-                ("op", Value::from("link_req")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("from", Value::Int(from.0 as i64)),
-                ("from_ioo", Value::ObjectRef(*from_ioo)),
-            ]),
+            } => {
+                let mut m = MapWriter::framed(4, 64);
+                write_int_value(from.0 as i64, m.entry("from"));
+                write_object_ref_value(*from_ioo, m.entry("from_ioo"));
+                write_str_value(self.kind(), m.entry("op"));
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                m.finish()
+            }
             ProtocolMsg::LinkAck {
                 req_id,
                 ioo,
                 ambassador_image,
-            } => Value::map([
-                ("op", Value::from("link_ack")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("ioo", Value::ObjectRef(*ioo)),
-                ("image", Value::Bytes(ambassador_image.clone())),
-            ]),
+            } => {
+                let mut m = MapWriter::framed(4, 64 + ambassador_image.len());
+                write_bytes_value(ambassador_image, m.entry("image"));
+                write_object_ref_value(*ioo, m.entry("ioo"));
+                write_str_value(self.kind(), m.entry("op"));
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                m.finish()
+            }
             ProtocolMsg::ImportReq {
                 req_id,
                 from,
                 from_ioo,
                 apo_name,
-            } => Value::map([
-                ("op", Value::from("import_req")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("from", Value::Int(from.0 as i64)),
-                ("from_ioo", Value::ObjectRef(*from_ioo)),
-                ("apo", Value::Str(apo_name.clone())),
-            ]),
+            } => {
+                let mut m = MapWriter::framed(5, 64 + apo_name.len());
+                write_str_value(apo_name, m.entry("apo"));
+                write_int_value(from.0 as i64, m.entry("from"));
+                write_object_ref_value(*from_ioo, m.entry("from_ioo"));
+                write_str_value(self.kind(), m.entry("op"));
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                m.finish()
+            }
             ProtocolMsg::ExportAck {
                 req_id,
                 ambassador_image,
                 origin_apo,
                 remote_methods,
-            } => Value::map([
-                ("op", Value::from("export_ack")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("image", Value::Bytes(ambassador_image.clone())),
-                ("origin_apo", Value::ObjectRef(*origin_apo)),
-                (
-                    "remote_methods",
-                    Value::List(
-                        remote_methods
-                            .iter()
-                            .map(|m| Value::Str(m.clone()))
-                            .collect(),
-                    ),
-                ),
-            ]),
-            ProtocolMsg::Error { req_id, reason } => Value::map([
-                ("op", Value::from("error")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("reason", Value::Str(reason.clone())),
-            ]),
+            } => {
+                let mut m = MapWriter::framed(5, 128 + ambassador_image.len());
+                write_bytes_value(ambassador_image, m.entry("image"));
+                write_str_value(self.kind(), m.entry("op"));
+                write_object_ref_value(*origin_apo, m.entry("origin_apo"));
+                let out = m.entry("remote_methods");
+                wire::write_list_header(remote_methods.len(), out);
+                for method in remote_methods {
+                    write_str_value(method, out);
+                }
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                m.finish()
+            }
+            ProtocolMsg::Error { req_id, reason } => {
+                let mut m = MapWriter::framed(3, 32 + reason.len());
+                write_str_value(self.kind(), m.entry("op"));
+                write_str_value(reason, m.entry("reason"));
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                m.finish()
+            }
             ProtocolMsg::InvokeReq {
                 req_id,
                 caller,
@@ -337,228 +348,273 @@ impl ProtocolMsg {
                 args,
                 trace,
                 parent_span,
-            } => Value::map([
-                ("op", Value::from("invoke_req")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("caller", Value::ObjectRef(*caller)),
-                ("target", Value::ObjectRef(*target)),
-                ("method", Value::Str(method.clone())),
-                ("args", Value::List(args.clone())),
-                ("trace", Value::Int(*trace as i64)),
-                ("parent_span", Value::Int(*parent_span as i64)),
-            ]),
-            ProtocolMsg::InvokeResp { req_id, result } => Value::map([
-                ("op", Value::from("invoke_resp")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("result", result.clone()),
-            ]),
+            } => {
+                let mut m = MapWriter::framed(8, 128 + method.len());
+                let out = m.entry("args");
+                wire::write_list_header(args.len(), out);
+                for arg in args {
+                    wire::encode_value(arg, out);
+                }
+                write_object_ref_value(*caller, m.entry("caller"));
+                write_str_value(method, m.entry("method"));
+                write_str_value(self.kind(), m.entry("op"));
+                write_int_value(*parent_span as i64, m.entry("parent_span"));
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                write_object_ref_value(*target, m.entry("target"));
+                write_int_value(*trace as i64, m.entry("trace"));
+                m.finish()
+            }
+            ProtocolMsg::InvokeResp { req_id, result } => {
+                let mut m = MapWriter::framed(3, 64);
+                write_str_value(self.kind(), m.entry("op"));
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                wire::encode_value(result, m.entry("result"));
+                m.finish()
+            }
             ProtocolMsg::UpdateReq {
                 req_id,
                 origin,
                 target,
                 ops,
-            } => Value::map([
-                ("op", Value::from("update_req")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("origin", Value::ObjectRef(*origin)),
-                ("target", Value::ObjectRef(*target)),
-                (
-                    "ops",
-                    Value::List(ops.iter().map(UpdateOp::to_value).collect()),
-                ),
-            ]),
-            ProtocolMsg::UpdateAck { req_id, applied } => Value::map([
-                ("op", Value::from("update_ack")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("applied", Value::Int(*applied as i64)),
-            ]),
+            } => {
+                let mut m = MapWriter::framed(5, 128);
+                write_str_value(self.kind(), m.entry("op"));
+                let out = m.entry("ops");
+                wire::write_list_header(ops.len(), out);
+                for op in ops {
+                    wire::encode_value(&op.to_value(), out);
+                }
+                write_object_ref_value(*origin, m.entry("origin"));
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                write_object_ref_value(*target, m.entry("target"));
+                m.finish()
+            }
+            ProtocolMsg::UpdateAck { req_id, applied } => {
+                let mut m = MapWriter::framed(3, 48);
+                write_int_value(*applied as i64, m.entry("applied"));
+                write_str_value(self.kind(), m.entry("op"));
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                m.finish()
+            }
             ProtocolMsg::MoveObject {
                 req_id,
                 image,
                 trace,
                 parent_span,
-            } => Value::map([
-                ("op", Value::from("move_object")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("image", Value::Bytes(image.clone())),
-                ("trace", Value::Int(*trace as i64)),
-                ("parent_span", Value::Int(*parent_span as i64)),
-            ]),
-            ProtocolMsg::MoveAck { req_id, adopted } => Value::map([
-                ("op", Value::from("move_ack")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("adopted", Value::ObjectRef(*adopted)),
-            ]),
-            ProtocolMsg::QueryObject { req_id, object } => Value::map([
-                ("op", Value::from("query_object")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("object", Value::ObjectRef(*object)),
-            ]),
-            ProtocolMsg::QueryAck { req_id, hosted } => Value::map([
-                ("op", Value::from("query_ack")),
-                ("req_id", Value::Int(*req_id as i64)),
-                ("hosted", Value::Bool(*hosted)),
-            ]),
+            } => {
+                let mut m = MapWriter::framed(5, 80 + image.len());
+                write_bytes_value(image, m.entry("image"));
+                write_str_value(self.kind(), m.entry("op"));
+                write_int_value(*parent_span as i64, m.entry("parent_span"));
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                write_int_value(*trace as i64, m.entry("trace"));
+                m.finish()
+            }
+            ProtocolMsg::MoveAck { req_id, adopted } => {
+                let mut m = MapWriter::framed(3, 64);
+                write_object_ref_value(*adopted, m.entry("adopted"));
+                write_str_value(self.kind(), m.entry("op"));
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                m.finish()
+            }
+            ProtocolMsg::QueryObject { req_id, object } => {
+                let mut m = MapWriter::framed(3, 64);
+                write_object_ref_value(*object, m.entry("object"));
+                write_str_value(self.kind(), m.entry("op"));
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                m.finish()
+            }
+            ProtocolMsg::QueryAck { req_id, hosted } => {
+                let mut m = MapWriter::framed(3, 48);
+                wire::encode_value(&Value::Bool(*hosted), m.entry("hosted"));
+                write_str_value(self.kind(), m.entry("op"));
+                write_int_value(*req_id as i64, m.entry("req_id"));
+                m.finish()
+            }
         }
     }
 
-    /// Encodes the message to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        wire::encode(&self.to_value())
-    }
-
     /// Decodes a message from wire bytes.
+    ///
+    /// Accepts what the framed map encoding allows: keys in any order, the
+    /// last of duplicate keys winning, unknown keys ignored, and absent or
+    /// non-integer `trace`/`parent_span` read as 0 ("no active trace", so
+    /// pre-trace buffers still decode). Every byte of the frame is
+    /// validated, including values that end up ignored.
     ///
     /// # Errors
     ///
     /// [`HadasError::BadMessage`] for undecodable or malformed buffers.
     pub fn decode(bytes: &[u8]) -> Result<ProtocolMsg, HadasError> {
-        let v = wire::decode(bytes).map_err(|e| bad(&e.to_string()))?;
-        ProtocolMsg::from_value(&v)
+        let mut fields = Fields::default();
+        fields.read(bytes).map_err(|e| bad(&e.to_string()))?;
+        fields.build()
+    }
+}
+
+/// The last occurrence of every key any message uses, each `None` when
+/// absent or of the wrong kind.
+#[derive(Default)]
+struct Fields<'a> {
+    op: Option<&'a str>,
+    req_id: Option<i64>,
+    from: Option<i64>,
+    from_ioo: Option<ObjectId>,
+    ioo: Option<ObjectId>,
+    image: Option<&'a [u8]>,
+    apo: Option<&'a str>,
+    origin_apo: Option<ObjectId>,
+    remote_methods: Option<Vec<String>>,
+    reason: Option<&'a str>,
+    caller: Option<ObjectId>,
+    target: Option<ObjectId>,
+    method: Option<&'a str>,
+    args: Option<Vec<Value>>,
+    trace: Option<i64>,
+    parent_span: Option<i64>,
+    result: Option<Value>,
+    origin: Option<ObjectId>,
+    ops: Option<Value>,
+    applied: Option<i64>,
+    adopted: Option<ObjectId>,
+    object: Option<ObjectId>,
+    hosted: Option<bool>,
+}
+
+impl<'a> Fields<'a> {
+    fn read(&mut self, bytes: &'a [u8]) -> Result<(), ValueError> {
+        let mut map = MapReader::framed(bytes)?;
+        while let Some((key, v)) = map.next_entry()? {
+            match key {
+                "op" => self.op = v.str()?,
+                "req_id" => self.req_id = v.int()?,
+                "from" => self.from = v.int()?,
+                "from_ioo" => self.from_ioo = v.object_ref()?,
+                "ioo" => self.ioo = v.object_ref()?,
+                "image" => self.image = v.bytes()?,
+                "apo" => self.apo = v.str()?,
+                "origin_apo" => self.origin_apo = v.object_ref()?,
+                "remote_methods" => {
+                    self.remote_methods = match v.value()? {
+                        Value::List(items) => items
+                            .into_iter()
+                            .map(|m| match m {
+                                Value::Str(s) => Some(s),
+                                _ => None,
+                            })
+                            .collect(),
+                        _ => None,
+                    }
+                }
+                "reason" => self.reason = v.str()?,
+                "caller" => self.caller = v.object_ref()?,
+                "target" => self.target = v.object_ref()?,
+                "method" => self.method = v.str()?,
+                "args" => {
+                    self.args = match v.value()? {
+                        Value::List(items) => Some(items),
+                        _ => None,
+                    }
+                }
+                "trace" => self.trace = v.int()?,
+                "parent_span" => self.parent_span = v.int()?,
+                "result" => self.result = Some(v.value()?),
+                "origin" => self.origin = v.object_ref()?,
+                "ops" => self.ops = Some(v.value()?),
+                "applied" => self.applied = v.int()?,
+                "adopted" => self.adopted = v.object_ref()?,
+                "object" => self.object = v.object_ref()?,
+                "hosted" => self.hosted = v.value()?.as_bool(),
+                _ => {} // validated by `next_entry`, then ignored
+            }
+        }
+        Ok(())
     }
 
-    /// Rebuilds a message from its value form.
-    ///
-    /// # Errors
-    ///
-    /// [`HadasError::BadMessage`].
-    pub fn from_value(v: &Value) -> Result<ProtocolMsg, HadasError> {
-        let m = v.as_map().ok_or_else(|| bad("message must be a map"))?;
-        let op = m
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or_else(|| bad("missing op"))?;
-        let req_id = m
-            .get("req_id")
-            .and_then(Value::as_int)
-            .ok_or_else(|| bad("missing req_id"))? as u64;
-        let get_ref = |key: &str| -> Result<ObjectId, HadasError> {
-            m.get(key)
-                .and_then(Value::as_object_ref)
-                .ok_or_else(|| bad(&format!("missing object ref {key:?}")))
-        };
-        let get_str = |key: &str| -> Result<String, HadasError> {
-            m.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| bad(&format!("missing string {key:?}")))
-        };
-        let get_bytes = |key: &str| -> Result<Vec<u8>, HadasError> {
-            m.get(key)
-                .and_then(Value::as_bytes)
-                .map(<[u8]>::to_vec)
-                .ok_or_else(|| bad(&format!("missing bytes {key:?}")))
-        };
-        let get_node = |key: &str| -> Result<NodeId, HadasError> {
-            m.get(key)
-                .and_then(Value::as_int)
-                .map(|n| NodeId(n as u64))
-                .ok_or_else(|| bad(&format!("missing node {key:?}")))
-        };
-        // Trace fields are carried by newer peers only; absent means "no
-        // active trace", so pre-trace buffers still decode.
-        let get_u64_or_zero =
-            |key: &str| -> u64 { m.get(key).and_then(Value::as_int).unwrap_or(0) as u64 };
+    fn build(self) -> Result<ProtocolMsg, HadasError> {
+        let op = need(self.op, "string", "op")?;
+        let req_id = need(self.req_id, "int", "req_id")? as u64;
+        let node = |n: Option<i64>| need(n, "node", "from").map(|n| NodeId(n as u64));
+        let owned = |s: Option<&str>, key| need(s, "string", key).map(str::to_owned);
+        let image = || need(self.image, "bytes", "image").map(<[u8]>::to_vec);
         Ok(match op {
             "link_req" => ProtocolMsg::LinkReq {
                 req_id,
-                from: get_node("from")?,
-                from_ioo: get_ref("from_ioo")?,
+                from: node(self.from)?,
+                from_ioo: need(self.from_ioo, "object ref", "from_ioo")?,
             },
             "link_ack" => ProtocolMsg::LinkAck {
                 req_id,
-                ioo: get_ref("ioo")?,
-                ambassador_image: get_bytes("image")?,
+                ioo: need(self.ioo, "object ref", "ioo")?,
+                ambassador_image: image()?,
             },
             "import_req" => ProtocolMsg::ImportReq {
                 req_id,
-                from: get_node("from")?,
-                from_ioo: get_ref("from_ioo")?,
-                apo_name: get_str("apo")?,
+                from: node(self.from)?,
+                from_ioo: need(self.from_ioo, "object ref", "from_ioo")?,
+                apo_name: owned(self.apo, "apo")?,
             },
             "export_ack" => ProtocolMsg::ExportAck {
                 req_id,
-                ambassador_image: get_bytes("image")?,
-                origin_apo: get_ref("origin_apo")?,
-                remote_methods: m
-                    .get("remote_methods")
-                    .and_then(Value::as_list)
-                    .ok_or_else(|| bad("missing remote_methods"))?
-                    .iter()
-                    .map(|x| {
-                        x.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| bad("remote_methods entries must be strings"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
+                ambassador_image: image()?,
+                origin_apo: need(self.origin_apo, "object ref", "origin_apo")?,
+                remote_methods: need(self.remote_methods, "string list", "remote_methods")?,
             },
             "error" => ProtocolMsg::Error {
                 req_id,
-                reason: get_str("reason")?,
+                reason: owned(self.reason, "reason")?,
             },
             "invoke_req" => ProtocolMsg::InvokeReq {
                 req_id,
-                caller: get_ref("caller")?,
-                target: get_ref("target")?,
-                method: get_str("method")?,
-                args: m
-                    .get("args")
-                    .and_then(Value::as_list)
-                    .ok_or_else(|| bad("missing args"))?
-                    .to_vec(),
-                trace: get_u64_or_zero("trace"),
-                parent_span: get_u64_or_zero("parent_span"),
+                caller: need(self.caller, "object ref", "caller")?,
+                target: need(self.target, "object ref", "target")?,
+                method: owned(self.method, "method")?,
+                args: need(self.args, "list", "args")?,
+                trace: self.trace.unwrap_or(0) as u64,
+                parent_span: self.parent_span.unwrap_or(0) as u64,
             },
             "invoke_resp" => ProtocolMsg::InvokeResp {
                 req_id,
-                result: m
-                    .get("result")
-                    .cloned()
-                    .ok_or_else(|| bad("missing result"))?,
+                result: need(self.result, "value", "result")?,
             },
             "update_req" => ProtocolMsg::UpdateReq {
                 req_id,
-                origin: get_ref("origin")?,
-                target: get_ref("target")?,
-                ops: m
-                    .get("ops")
-                    .and_then(Value::as_list)
-                    .ok_or_else(|| bad("missing ops"))?
+                origin: need(self.origin, "object ref", "origin")?,
+                target: need(self.target, "object ref", "target")?,
+                ops: need(self.ops.as_ref().and_then(Value::as_list), "list", "ops")?
                     .iter()
                     .map(UpdateOp::from_value)
                     .collect::<Result<Vec<_>, _>>()?,
             },
             "update_ack" => ProtocolMsg::UpdateAck {
                 req_id,
-                applied: m
-                    .get("applied")
-                    .and_then(Value::as_int)
-                    .ok_or_else(|| bad("missing applied"))? as usize,
+                applied: need(self.applied, "int", "applied")? as usize,
             },
             "move_object" => ProtocolMsg::MoveObject {
                 req_id,
-                image: get_bytes("image")?,
-                trace: get_u64_or_zero("trace"),
-                parent_span: get_u64_or_zero("parent_span"),
+                image: image()?,
+                trace: self.trace.unwrap_or(0) as u64,
+                parent_span: self.parent_span.unwrap_or(0) as u64,
             },
             "move_ack" => ProtocolMsg::MoveAck {
                 req_id,
-                adopted: get_ref("adopted")?,
+                adopted: need(self.adopted, "object ref", "adopted")?,
             },
             "query_object" => ProtocolMsg::QueryObject {
                 req_id,
-                object: get_ref("object")?,
+                object: need(self.object, "object ref", "object")?,
             },
             "query_ack" => ProtocolMsg::QueryAck {
                 req_id,
-                hosted: m
-                    .get("hosted")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| bad("missing hosted"))?,
+                hosted: need(self.hosted, "bool", "hosted")?,
             },
             other => return Err(bad(&format!("unknown op {other:?}"))),
         })
     }
+}
+
+fn need<T>(field: Option<T>, kind: &str, key: &str) -> Result<T, HadasError> {
+    field.ok_or_else(|| bad(&format!("missing {kind} {key:?}")))
 }
 
 #[cfg(test)]
@@ -673,7 +729,7 @@ mod tests {
             ("req_id", Value::Int(6)),
             ("image", Value::Bytes(vec![1, 2, 3])),
         ]);
-        match ProtocolMsg::from_value(&v).unwrap() {
+        match ProtocolMsg::decode(&wire::encode(&v)).unwrap() {
             ProtocolMsg::MoveObject {
                 trace, parent_span, ..
             } => {
@@ -688,11 +744,11 @@ mod tests {
     fn hostile_buffers_are_rejected() {
         assert!(ProtocolMsg::decode(b"junk").is_err());
         let v = Value::map([("op", Value::from("link_req"))]); // no req_id
-        assert!(ProtocolMsg::from_value(&v).is_err());
+        assert!(ProtocolMsg::decode(&wire::encode(&v)).is_err());
         let v = Value::map([("op", Value::from("who_knows")), ("req_id", Value::Int(1))]);
-        assert!(ProtocolMsg::from_value(&v).is_err());
+        assert!(ProtocolMsg::decode(&wire::encode(&v)).is_err());
         let v = Value::Int(7);
-        assert!(ProtocolMsg::from_value(&v).is_err());
+        assert!(ProtocolMsg::decode(&wire::encode(&v)).is_err());
     }
 
     #[test]

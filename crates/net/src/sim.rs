@@ -238,17 +238,20 @@ impl SimNet {
             *front = arrival;
         }
 
+        // Only a duplicated message needs its payload copied.
+        let copy = (link.duplication() > 0.0 && self.rng.random::<f64>() < link.duplication())
+            .then(|| payload.clone());
         self.seq += 1;
         self.queue.push(Reverse(InFlight {
             at: arrival,
             seq: self.seq,
             src,
             dst,
-            payload: payload.clone(),
+            payload,
             sent_at: self.now,
         }));
 
-        if link.duplication() > 0.0 && self.rng.random::<f64>() < link.duplication() {
+        if let Some(payload) = copy {
             // A retransmitting transport delivers a second copy slightly
             // later; the copy does not advance the FIFO front.
             self.stats.record_duplicate();

@@ -85,27 +85,15 @@ pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
             out.push(TAG_BOOL);
             out.push(u8::from(*b));
         }
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            write_varint(zigzag(*i), out);
-        }
+        Value::Int(i) => write_int_value(*i, out),
         Value::Float(x) => {
             out.push(TAG_FLOAT);
             out.extend_from_slice(&x.to_be_bytes());
         }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            write_varint(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Bytes(b) => {
-            out.push(TAG_BYTES);
-            write_varint(b.len() as u64, out);
-            out.extend_from_slice(b);
-        }
+        Value::Str(s) => write_str_value(s, out),
+        Value::Bytes(b) => write_bytes_value(b, out),
         Value::List(items) => {
-            out.push(TAG_LIST);
-            write_varint(items.len() as u64, out);
+            write_list_header(items.len(), out);
             for item in items {
                 encode_value(item, out);
             }
@@ -114,15 +102,111 @@ pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
             out.push(TAG_MAP);
             write_varint(m.len() as u64, out);
             for (k, v) in m {
-                write_varint(k.len() as u64, out);
-                out.extend_from_slice(k.as_bytes());
+                write_str(k, out);
                 encode_value(v, out);
             }
         }
-        Value::ObjectRef(id) => {
-            out.push(TAG_OBJREF);
-            out.extend_from_slice(&id.to_bytes());
+        Value::ObjectRef(id) => write_object_ref_value(*id, out),
+    }
+}
+
+/// Appends the body encoding of `Value::Int(i)` without building it.
+pub fn write_int_value(i: i64, out: &mut Vec<u8>) {
+    out.push(TAG_INT);
+    write_varint(zigzag(i), out);
+}
+
+/// Appends the body encoding of `Value::Str(s)` without building it.
+pub fn write_str_value(s: &str, out: &mut Vec<u8>) {
+    out.push(TAG_STR);
+    write_str(s, out);
+}
+
+/// Appends the body encoding of `Value::Bytes(b)` without building it.
+pub fn write_bytes_value(b: &[u8], out: &mut Vec<u8>) {
+    out.push(TAG_BYTES);
+    write_varint(b.len() as u64, out);
+    out.extend_from_slice(b);
+}
+
+/// Appends the body encoding of `Value::ObjectRef(id)` without building it.
+pub fn write_object_ref_value(id: ObjectId, out: &mut Vec<u8>) {
+    out.push(TAG_OBJREF);
+    out.extend_from_slice(&id.to_bytes());
+}
+
+/// Appends the header of a `Value::List` of `len` items; the caller then
+/// appends exactly `len` item bodies.
+pub fn write_list_header(len: usize, out: &mut Vec<u8>) {
+    out.push(TAG_LIST);
+    write_varint(len as u64, out);
+}
+
+/// Writes one framed map (magic + version + map body) entry by entry,
+/// straight from borrowed fields: the output is byte-identical to
+/// [`encode`] of the equivalent `Value::Map`, without building that map.
+///
+/// Entries go in strictly increasing key order — the order in which a
+/// `Value::Map` iterates, which is what makes the encoding canonical —
+/// and exactly as many as announced. Debug builds assert both.
+///
+/// ```
+/// use mrom_value::{wire, Value};
+///
+/// let mut m = wire::MapWriter::framed(2, 32);
+/// wire::write_int_value(7, m.entry("a"));
+/// wire::write_str_value("x", m.entry("b"));
+/// let v = Value::map([("a", Value::Int(7)), ("b", Value::from("x"))]);
+/// assert_eq!(m.finish(), wire::encode(&v));
+/// ```
+#[derive(Debug)]
+pub struct MapWriter {
+    out: Vec<u8>,
+    left: usize,
+    /// Where the previous key sits in `out`, for the order assertion.
+    last_key: Option<(usize, usize)>,
+}
+
+impl MapWriter {
+    /// Starts a framed map of `entries` entries in a buffer of
+    /// `capacity` bytes (a hint; the buffer grows as needed).
+    pub fn framed(entries: usize, capacity: usize) -> MapWriter {
+        let mut out = Vec::with_capacity(capacity);
+        out.extend_from_slice(&MAGIC);
+        out.push(VERSION);
+        out.push(TAG_MAP);
+        write_varint(entries as u64, &mut out);
+        MapWriter {
+            out,
+            left: entries,
+            last_key: None,
         }
+    }
+
+    /// Writes the next key and returns the buffer to which the caller
+    /// appends exactly one value body (with the `write_*_value` functions
+    /// or [`encode_value`]).
+    pub fn entry(&mut self, key: &str) -> &mut Vec<u8> {
+        debug_assert!(
+            self.left > 0,
+            "map entry {key:?} beyond the announced count"
+        );
+        debug_assert!(
+            self.last_key
+                .is_none_or(|(at, len)| &self.out[at..at + len] < key.as_bytes()),
+            "map key {key:?} out of canonical order"
+        );
+        self.left = self.left.saturating_sub(1);
+        write_varint(key.len() as u64, &mut self.out);
+        self.last_key = Some((self.out.len(), key.len()));
+        self.out.extend_from_slice(key.as_bytes());
+        &mut self.out
+    }
+
+    /// The finished buffer.
+    pub fn finish(self) -> Vec<u8> {
+        debug_assert_eq!(self.left, 0, "map finished with entries missing");
+        self.out
     }
 }
 
@@ -134,6 +218,18 @@ pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
 /// from an unknown version, too deep, or has trailing bytes.
 pub fn decode(buf: &[u8]) -> Result<Value, ValueError> {
     let mut reader = Reader::new(buf);
+    read_frame_header(&mut reader)?;
+    let value = decode_value(&mut reader)?;
+    expect_end(&reader)?;
+    Ok(value)
+}
+
+/// Decodes one body value from a [`Reader`], advancing it.
+pub fn decode_value(reader: &mut Reader<'_>) -> Result<Value, ValueError> {
+    decode_value_at(reader, 0)
+}
+
+fn read_frame_header(reader: &mut Reader<'_>) -> Result<(), ValueError> {
     let magic = reader.take(2)?;
     if magic != MAGIC {
         return Err(ValueError::Malformed(format!(
@@ -144,16 +240,27 @@ pub fn decode(buf: &[u8]) -> Result<Value, ValueError> {
     if version != VERSION {
         return Err(ValueError::UnsupportedVersion(version));
     }
-    let value = decode_value(&mut reader)?;
-    if reader.remaining() > 0 {
-        return Err(ValueError::TrailingBytes(reader.remaining()));
-    }
-    Ok(value)
+    Ok(())
 }
 
-/// Decodes one body value from a [`Reader`], advancing it.
-pub fn decode_value(reader: &mut Reader<'_>) -> Result<Value, ValueError> {
-    decode_value_at(reader, 0)
+fn expect_end(reader: &Reader<'_>) -> Result<(), ValueError> {
+    match reader.remaining() {
+        0 => Ok(()),
+        n => Err(ValueError::TrailingBytes(n)),
+    }
+}
+
+/// Reads a list or map count. A value needs at least one tag byte, so a
+/// count beyond the remaining bytes is malformed and must not pre-allocate.
+fn read_count(reader: &mut Reader<'_>, what: &str, unit: &str) -> Result<usize, ValueError> {
+    let count = reader.read_len()?;
+    if count > reader.remaining() {
+        return Err(ValueError::Malformed(format!(
+            "{what} announces {count} {unit} with {} bytes left",
+            reader.remaining()
+        )));
+    }
+    Ok(count)
 }
 
 fn decode_value_at(reader: &mut Reader<'_>, depth: usize) -> Result<Value, ValueError> {
@@ -175,26 +282,10 @@ fn decode_value_at(reader: &mut Reader<'_>, depth: usize) -> Result<Value, Value
                 raw.try_into().expect("8 bytes"),
             )))
         }
-        TAG_STR => {
-            let len = reader.read_len()?;
-            let raw = reader.take(len)?;
-            let s = std::str::from_utf8(raw).map_err(|_| ValueError::InvalidUtf8)?;
-            Ok(Value::Str(s.to_owned()))
-        }
-        TAG_BYTES => {
-            let len = reader.read_len()?;
-            Ok(Value::Bytes(reader.take(len)?.to_vec()))
-        }
+        TAG_STR => Ok(Value::Str(read_str_ref(reader)?.to_owned())),
+        TAG_BYTES => Ok(Value::Bytes(read_bytes_ref(reader)?.to_vec())),
         TAG_LIST => {
-            let count = reader.read_len()?;
-            // A value needs at least one tag byte: a count beyond the
-            // remaining bytes is malformed and must not pre-allocate.
-            if count > reader.remaining() {
-                return Err(ValueError::Malformed(format!(
-                    "list announces {count} items with {} bytes left",
-                    reader.remaining()
-                )));
-            }
+            let count = read_count(reader, "list", "items")?;
             let mut items = Vec::with_capacity(count);
             for _ in 0..count {
                 items.push(decode_value_at(reader, depth + 1)?);
@@ -202,20 +293,10 @@ fn decode_value_at(reader: &mut Reader<'_>, depth: usize) -> Result<Value, Value
             Ok(Value::List(items))
         }
         TAG_MAP => {
-            let count = reader.read_len()?;
-            if count > reader.remaining() {
-                return Err(ValueError::Malformed(format!(
-                    "map announces {count} entries with {} bytes left",
-                    reader.remaining()
-                )));
-            }
+            let count = read_count(reader, "map", "entries")?;
             let mut m = BTreeMap::new();
             for _ in 0..count {
-                let klen = reader.read_len()?;
-                let kraw = reader.take(klen)?;
-                let k = std::str::from_utf8(kraw)
-                    .map_err(|_| ValueError::InvalidUtf8)?
-                    .to_owned();
+                let k = read_str_ref(reader)?.to_owned();
                 let v = decode_value_at(reader, depth + 1)?;
                 m.insert(k, v);
             }
@@ -228,6 +309,186 @@ fn decode_value_at(reader: &mut Reader<'_>, depth: usize) -> Result<Value, Value
             )))
         }
         other => Err(ValueError::UnknownTag(other)),
+    }
+}
+
+/// Reads one framed map (magic + version + map body) entry by entry,
+/// borrowing keys and string and byte values from the buffer, so a caller
+/// decodes each value in place instead of building a `Value::Map`.
+///
+/// It accepts exactly the buffers [`decode`] accepts whose top-level value
+/// is a map. Every value is validated under the same depth budget (the map
+/// sits at depth 0, its values at depth 1), including values the caller
+/// leaves unread, and [`MapReader::next_entry`] reports the end only when
+/// no trailing bytes remain. Entries come in buffer order, duplicates
+/// included: a caller that keeps the last occurrence of a key sees what the
+/// decoded `Value::Map` would hold.
+///
+/// ```
+/// use mrom_value::{wire, Value};
+///
+/// # fn main() -> Result<(), mrom_value::ValueError> {
+/// let buf = wire::encode(&Value::map([("n", Value::Int(7)), ("s", Value::from("x"))]));
+/// let mut map = wire::MapReader::framed(&buf)?;
+/// let (mut n, mut s) = (None, None);
+/// while let Some((key, value)) = map.next_entry()? {
+///     match key {
+///         "n" => n = value.value()?.as_int(),
+///         "s" => s = value.str()?,
+///         _ => {} // validated and skipped
+///     }
+/// }
+/// assert_eq!((n, s), (Some(7), Some("x")));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct MapReader<'a> {
+    reader: Reader<'a>,
+    left: usize,
+    /// A key has been yielded whose value is still unread.
+    pending: bool,
+}
+
+impl<'a> MapReader<'a> {
+    /// Checks the frame header and opens the top-level map.
+    ///
+    /// # Errors
+    ///
+    /// [`ValueError`] for a bad frame, a top-level value that is not a map,
+    /// or a hostile entry count.
+    pub fn framed(buf: &'a [u8]) -> Result<MapReader<'a>, ValueError> {
+        let mut reader = Reader::new(buf);
+        read_frame_header(&mut reader)?;
+        match reader.take_u8()? {
+            TAG_MAP => {}
+            tag => {
+                return Err(ValueError::Malformed(format!(
+                    "expected a map, found tag {tag:#04x}"
+                )))
+            }
+        }
+        let left = read_count(&mut reader, "map", "entries")?;
+        Ok(MapReader {
+            reader,
+            left,
+            pending: false,
+        })
+    }
+
+    /// The next entry's key and value, or `None` once the map and the
+    /// buffer are both exhausted. A value left unread is decoded and
+    /// dropped first, so it is validated like any other.
+    ///
+    /// # Errors
+    ///
+    /// [`ValueError`] for a malformed key or skipped value, or trailing
+    /// bytes after the map.
+    #[inline]
+    pub fn next_entry(&mut self) -> Result<Option<(&'a str, MapValue<'_, 'a>)>, ValueError> {
+        if self.pending {
+            decode_value_at(&mut self.reader, 1)?;
+            self.pending = false;
+        }
+        if self.left == 0 {
+            expect_end(&self.reader)?;
+            return Ok(None);
+        }
+        self.left -= 1;
+        let key = read_str_ref(&mut self.reader)?;
+        self.pending = true;
+        Ok(Some((key, MapValue { map: self })))
+    }
+}
+
+/// The value of the entry [`MapReader::next_entry`] just yielded. Read it
+/// with one of the methods below; left unread, it is validated and skipped.
+#[derive(Debug)]
+pub struct MapValue<'r, 'a> {
+    map: &'r mut MapReader<'a>,
+}
+
+impl<'a> MapValue<'_, 'a> {
+    /// Decodes the value.
+    ///
+    /// # Errors
+    ///
+    /// [`ValueError`] for a malformed or too deep value.
+    #[inline]
+    pub fn value(self) -> Result<Value, ValueError> {
+        let value = decode_value_at(&mut self.map.reader, 1)?;
+        self.map.pending = false;
+        Ok(value)
+    }
+
+    /// The value if it is an `Int`; any other value is validated and yields
+    /// `None`.
+    ///
+    /// # Errors
+    ///
+    /// [`ValueError`] for a malformed or too deep value.
+    #[inline]
+    pub fn int(self) -> Result<Option<i64>, ValueError> {
+        if self.map.reader.peek_u8() != Some(TAG_INT) {
+            return self.value().map(|_| None);
+        }
+        self.map.reader.take_u8()?;
+        let i = unzigzag(self.map.reader.read_varint()?);
+        self.map.pending = false;
+        Ok(Some(i))
+    }
+
+    /// The value if it is an `ObjectRef`; any other value is validated and
+    /// yields `None`.
+    ///
+    /// # Errors
+    ///
+    /// [`ValueError`] for a malformed or too deep value.
+    #[inline]
+    pub fn object_ref(self) -> Result<Option<ObjectId>, ValueError> {
+        if self.map.reader.peek_u8() != Some(TAG_OBJREF) {
+            return self.value().map(|_| None);
+        }
+        self.map.reader.take_u8()?;
+        let raw = self.map.reader.take(16)?;
+        self.map.pending = false;
+        Ok(Some(ObjectId::from_bytes(
+            raw.try_into().expect("16 bytes"),
+        )))
+    }
+
+    /// Borrows the value if it is a `Str`; any other value is validated and
+    /// yields `None`.
+    ///
+    /// # Errors
+    ///
+    /// [`ValueError`] for a malformed or too deep value.
+    #[inline]
+    pub fn str(self) -> Result<Option<&'a str>, ValueError> {
+        if self.map.reader.peek_u8() != Some(TAG_STR) {
+            return self.value().map(|_| None);
+        }
+        self.map.reader.take_u8()?;
+        let s = read_str_ref(&mut self.map.reader)?;
+        self.map.pending = false;
+        Ok(Some(s))
+    }
+
+    /// Borrows the value if it is a `Bytes`; any other value is validated
+    /// and yields `None`.
+    ///
+    /// # Errors
+    ///
+    /// [`ValueError`] for a malformed or too deep value.
+    #[inline]
+    pub fn bytes(self) -> Result<Option<&'a [u8]>, ValueError> {
+        if self.map.reader.peek_u8() != Some(TAG_BYTES) {
+            return self.value().map(|_| None);
+        }
+        self.map.reader.take_u8()?;
+        let b = read_bytes_ref(&mut self.map.reader)?;
+        self.map.pending = false;
+        Ok(Some(b))
     }
 }
 
@@ -261,6 +522,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`ValueError::Truncated`] if fewer than `n` bytes remain.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], ValueError> {
         if self.remaining() < n {
             return Err(ValueError::Truncated {
@@ -273,11 +535,17 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    #[inline]
+    fn peek_u8(&self) -> Option<u8> {
+        self.buf.get(self.pos).copied()
+    }
+
     /// Takes a single byte.
     ///
     /// # Errors
     ///
     /// [`ValueError::Truncated`] at end of buffer.
+    #[inline]
     pub fn take_u8(&mut self) -> Result<u8, ValueError> {
         Ok(self.take(1)?[0])
     }
@@ -288,7 +556,15 @@ impl<'a> Reader<'a> {
     ///
     /// [`ValueError::Malformed`] for varints longer than 10 bytes and
     /// [`ValueError::Truncated`] at end of buffer.
+    #[inline]
     pub fn read_varint(&mut self) -> Result<u64, ValueError> {
+        // Fast path: lengths, counts and small integers fit one byte.
+        if let Some(&byte) = self.buf.get(self.pos) {
+            if byte & 0x80 == 0 {
+                self.pos += 1;
+                return Ok(u64::from(byte));
+            }
+        }
         let mut shift = 0u32;
         let mut out = 0u64;
         loop {
@@ -310,6 +586,7 @@ impl<'a> Reader<'a> {
     ///
     /// Same as [`Reader::read_varint`] plus [`ValueError::Malformed`] on
     /// overflow.
+    #[inline]
     pub fn read_len(&mut self) -> Result<usize, ValueError> {
         let raw = self.read_varint()?;
         usize::try_from(raw)
@@ -351,11 +628,16 @@ pub fn write_str(s: &str, out: &mut Vec<u8>) {
 ///
 /// [`ValueError`] on truncation or invalid UTF-8.
 pub fn read_str(reader: &mut Reader<'_>) -> Result<String, ValueError> {
+    read_str_ref(reader).map(str::to_owned)
+}
+
+fn read_str_ref<'a>(reader: &mut Reader<'a>) -> Result<&'a str, ValueError> {
+    std::str::from_utf8(read_bytes_ref(reader)?).map_err(|_| ValueError::InvalidUtf8)
+}
+
+fn read_bytes_ref<'a>(reader: &mut Reader<'a>) -> Result<&'a [u8], ValueError> {
     let len = reader.read_len()?;
-    let raw = reader.take(len)?;
-    std::str::from_utf8(raw)
-        .map(str::to_owned)
-        .map_err(|_| ValueError::InvalidUtf8)
+    reader.take(len)
 }
 
 #[cfg(test)]
@@ -553,5 +835,156 @@ mod tests {
         let a = Value::map([("x", Value::Int(1)), ("a", Value::Int(2))]);
         let b = Value::map([("a", Value::Int(2)), ("x", Value::Int(1))]);
         assert_eq!(encode(&a), encode(&b));
+    }
+
+    #[test]
+    fn map_writer_matches_encode() {
+        let id = IdGenerator::new(NodeId(5)).next_id();
+        let mut m = MapWriter::framed(6, 0);
+        write_bytes_value(&[1, 2, 3], m.entry(""));
+        write_int_value(-300, m.entry("a"));
+        let out = m.entry("ab");
+        write_list_header(2, out);
+        write_str_value("x", out);
+        encode_value(&Value::Float(1.5), out);
+        write_object_ref_value(id, m.entry("b"));
+        write_str_value("héllo", m.entry("s"));
+        encode_value(&Value::Bool(true), m.entry("t"));
+        let v = Value::map([
+            ("", Value::Bytes(vec![1, 2, 3])),
+            ("a", Value::Int(-300)),
+            ("ab", Value::list([Value::from("x"), Value::Float(1.5)])),
+            ("b", Value::ObjectRef(id)),
+            ("s", Value::from("héllo")),
+            ("t", Value::Bool(true)),
+        ]);
+        assert_eq!(m.finish(), encode(&v));
+        let empty: [(&str, Value); 0] = [];
+        assert_eq!(MapWriter::framed(0, 0).finish(), encode(&Value::map(empty)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "canonical order")]
+    fn map_writer_asserts_key_order() {
+        let mut m = MapWriter::framed(2, 0);
+        write_int_value(1, m.entry("b"));
+        write_int_value(2, m.entry("a"));
+    }
+
+    /// A framed map of hand-written `(key, value body)` entries.
+    fn hand_map(entries: &[(&str, &[u8])]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.push(VERSION);
+        out.push(TAG_MAP);
+        write_varint(entries.len() as u64, &mut out);
+        for (k, body) in entries {
+            write_str(k, &mut out);
+            out.extend_from_slice(body);
+        }
+        out
+    }
+
+    fn nested_lists(n: usize) -> Vec<u8> {
+        let mut body = [TAG_LIST, 1].repeat(n);
+        body.push(TAG_NULL);
+        body
+    }
+
+    #[test]
+    fn map_reader_yields_buffer_order_and_borrows() {
+        let buf = hand_map(&[
+            ("s", &[TAG_STR, 1, b'y']),
+            ("b", &[TAG_BYTES, 2, 7, 8]),
+            ("s", &[TAG_INT, 2]),
+            ("n", &[TAG_INT, 3]),
+            ("skip", &[TAG_LIST, 1, TAG_NULL]),
+        ]);
+        let mut map = MapReader::framed(&buf).unwrap();
+        let mut seen = Vec::new();
+        while let Some((key, value)) = map.next_entry().unwrap() {
+            let got = match key {
+                "s" => format!("{:?}", value.str().unwrap()),
+                "b" => format!("{:?}", value.bytes().unwrap()),
+                "n" => format!("{:?}", value.value().unwrap()),
+                _ => "skipped".into(),
+            };
+            seen.push(format!("{key}={got}"));
+        }
+        assert_eq!(
+            seen,
+            [
+                "s=Some(\"y\")",
+                "b=Some([7, 8])",
+                "s=None",
+                "n=Int(-2)",
+                "skip=skipped"
+            ]
+        );
+        // A mismatched kind is still consumed: the next entry follows it.
+        let buf = hand_map(&[("a", &[TAG_STR, 1, b'z']), ("b", &[TAG_INT, 4])]);
+        let mut map = MapReader::framed(&buf).unwrap();
+        let (_, value) = map.next_entry().unwrap().unwrap();
+        assert_eq!(value.bytes().unwrap(), None);
+        let (key, value) = map.next_entry().unwrap().unwrap();
+        assert_eq!((key, value.value().unwrap()), ("b", Value::Int(2)));
+        assert!(map.next_entry().unwrap().is_none());
+    }
+
+    /// Reads every entry, decoding the value of `read` and leaving the
+    /// rest unread.
+    fn read_all(buf: &[u8], read: &str) -> Result<(), ValueError> {
+        let mut map = MapReader::framed(buf)?;
+        while let Some((key, value)) = map.next_entry()? {
+            if key == read {
+                value.value()?;
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn map_reader_validates_what_decode_validates() {
+        let deep = nested_lists(MAX_DEPTH - 1);
+        let too_deep = nested_lists(MAX_DEPTH);
+        let cases: [(&[u8], bool); 6] = [
+            (&deep, true),
+            (&too_deep, false),
+            (&[TAG_STR, 1, 0xff], false),
+            (&[TAG_BOOL, 7], false),
+            (&[0x7e], false),
+            (&[TAG_MAP, 1, 1, 0xff, TAG_NULL], false),
+        ];
+        for (body, ok) in cases {
+            let buf = hand_map(&[("k", body)]);
+            assert_eq!(decode(&buf).is_ok(), ok, "{body:02x?}");
+            // Read, skipped, and read through a mismatched typed accessor.
+            assert_eq!(read_all(&buf, "k").is_ok(), ok, "{body:02x?} read");
+            assert_eq!(read_all(&buf, "other").is_ok(), ok, "{body:02x?} skipped");
+            let typed = MapReader::framed(&buf).and_then(|mut map| {
+                let (_, value) = map.next_entry()?.expect("one entry");
+                value.str()?;
+                map.next_entry().map(|_| ())
+            });
+            assert_eq!(typed.is_ok(), ok, "{body:02x?} typed");
+        }
+    }
+
+    #[test]
+    fn map_reader_rejects_bad_frames() {
+        let mut trailing = hand_map(&[("k", &[TAG_NULL])]);
+        trailing.push(0);
+        assert_eq!(read_all(&trailing, "k"), Err(ValueError::TrailingBytes(1)));
+        let not_a_map = encode(&Value::list([]));
+        assert!(MapReader::framed(&not_a_map).is_err());
+        let mut hostile = MAGIC.to_vec();
+        hostile.extend([VERSION, TAG_MAP]);
+        write_varint(1 << 40, &mut hostile);
+        assert!(MapReader::framed(&hostile).is_err());
+        let truncated = hand_map(&[("k", &[TAG_STR, 4, b'a'])]);
+        assert!(read_all(&truncated, "k").is_err());
+        assert!(read_all(&truncated, "other").is_err());
+        let short = hand_map(&[("k", &[TAG_NULL])]);
+        assert!(read_all(&short[..short.len() - 1], "k").is_err());
     }
 }

@@ -465,3 +465,28 @@ fn integrate_db_like(fed: &mut Federation, at: NodeId) {
     )
     .unwrap();
 }
+
+#[test]
+fn timed_out_dispatch_names_the_message_kind_not_its_bytes() {
+    let (mut fed, nodes) = star_federation(3, 2, LinkConfig::lan()).unwrap();
+    let (hub, spoke) = (nodes[0], nodes[1]);
+    let rt = fed.runtime_mut(spoke).unwrap();
+    let agent = mrom::core::ObjectBuilder::new(rt.ids_mut().next_id())
+        .class("agent")
+        .meta_acl(mrom::core::Acl::Public)
+        .ext_data(
+            "cargo",
+            DataItem::public(Value::Bytes(vec![0xAB; 64 * 1024])),
+        )
+        .build();
+    let id = agent.id();
+    rt.adopt(agent).unwrap();
+
+    fed.net_config_mut().partition(spoke, hub);
+    let err = fed.dispatch_object(spoke, hub, id).unwrap_err();
+    assert!(matches!(err, HadasError::Timeout { .. }), "{err:?}");
+    let text = err.to_string();
+    assert!(text.len() < 200, "{} bytes: {text}", text.len());
+    assert!(text.contains("move_object"), "{text}");
+    assert!(fed.runtime(spoke).unwrap().object(id).is_some());
+}
