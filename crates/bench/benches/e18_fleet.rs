@@ -39,7 +39,6 @@ fn small(topology: Topology, migration_every: usize) -> FleetConfig {
         churn_events: 0,
         migration_every,
         zipf_permille: 1100,
-        workers: 1,
         ..FleetConfig::smoke()
     }
 }

@@ -6,9 +6,8 @@
 //! is a thin `&mut self` wrapper over the concurrent
 //! [`SharedRuntime`](crate::SharedRuntime) — same semantics, same error
 //! surface, exclusive access enforced by the borrow checker instead of
-//! locks. Callers that want intra-node parallelism use
-//! [`Runtime::shared`] (or construct a `SharedRuntime` directly) and
-//! drive it from multiple threads.
+//! locks. Callers that want intra-node parallelism construct a
+//! `SharedRuntime` directly and drive it from multiple threads.
 //!
 //! Cross-node communication is *not* here — it belongs to the network
 //! substrate and HADAS, which wrap a runtime per simulated node.
@@ -54,26 +53,6 @@ impl Runtime {
         Runtime {
             shared: SharedRuntime::new(node),
         }
-    }
-
-    /// The concurrent runtime underneath: hand this to worker threads for
-    /// parallel invocations (see `DESIGN.md` §12). All state is shared —
-    /// an object created through the wrapper is visible through the
-    /// shared view and vice versa.
-    pub fn shared(&self) -> &SharedRuntime {
-        &self.shared
-    }
-
-    /// Unwraps into the concurrent runtime.
-    #[must_use]
-    pub fn into_shared(self) -> SharedRuntime {
-        self.shared
-    }
-
-    /// Wraps an existing concurrent runtime in the single-threaded view.
-    #[must_use]
-    pub fn from_shared(shared: SharedRuntime) -> Runtime {
-        Runtime { shared }
     }
 
     /// The node this runtime represents.
@@ -172,8 +151,7 @@ impl Runtime {
     ///
     /// [`MromError::NoSuchObject`]; [`MromError::ObjectBusy`] for objects
     /// checked out by an in-flight invocation or poisoned by a panicked
-    /// one (impossible to hit through `&mut self` alone, but the shared
-    /// view underneath may be driven by workers).
+    /// one (through `&mut self` only the latter can happen).
     pub fn evict(&mut self, id: ObjectId) -> Result<MromObject, MromError> {
         self.shared.evict(id)
     }
@@ -521,27 +499,5 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, MromError::AccessDenied { .. }));
-    }
-
-    #[test]
-    fn wrapper_and_shared_view_see_one_table() {
-        let mut rt = runtime_with_classes();
-        let id = rt.create("calc").unwrap();
-        // Invoke through the shared view; read through the wrapper.
-        rt.shared()
-            .invoke_as_system(id, "add", &[Value::Int(7)])
-            .unwrap();
-        assert_eq!(
-            rt.object(id)
-                .unwrap()
-                .read_data(ObjectId::SYSTEM, "acc")
-                .unwrap(),
-            Value::Int(7)
-        );
-        // Round trip through into_shared/from_shared keeps everything.
-        let shared = rt.into_shared();
-        assert_eq!(shared.object_count(), 1);
-        let rt = Runtime::from_shared(shared);
-        assert_eq!(rt.object_count(), 1);
     }
 }

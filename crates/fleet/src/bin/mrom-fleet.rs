@@ -5,7 +5,7 @@
 //!                                     topology + a marketplace round, all
 //!                                     invariants asserted (seconds, not minutes)
 //! mrom-fleet run [--topology T] [--sites N] [--objects N] [--invocations N]
-//!                [--churn N] [--migrate-every N] [--workers N] [--seed N] [--json]
+//!                [--churn N] [--migrate-every N] [--seed N] [--json]
 //!                                     one parameterized fleet run
 //! mrom-fleet flagship [--seed N] [--json]
 //!                                     the acceptance run: 1000 sites, 100k objects
@@ -15,8 +15,8 @@
 //!                                     E19: advisor-off vs advisor-on arms of the
 //!                                     caller-affinity scenario; fails unless the
 //!                                     advisor-on arm's late p95 converged >=2x
-//! mrom-fleet bench [--out PATH]       capacity bench (star + hierarchical,
-//!                                     workers 1 and 4) -> BENCH_FLEET.json
+//! mrom-fleet bench [--out PATH]       capacity bench (star + hierarchical)
+//!                                     -> BENCH_FLEET.json
 //! ```
 //!
 //! `run` also accepts `--advisor` (standard self-tuning config),
@@ -81,7 +81,7 @@ fn usage() -> ExitCode {
          | marketplace [--seed N] [--json] | converge [--topology T] [--seed N] [--json] \
          | bench [--out PATH]>\n\
          run flags: --topology star|mesh[:K]|hier[:K]  --sites N  --objects N\n\
-         \x20          --invocations N  --churn N  --migrate-every N  --workers N\n\
+         \x20          --invocations N  --churn N  --migrate-every N\n\
          \x20          --affinity PERMILLE  --flip-every N  --advisor  --seed N  --json"
     );
     ExitCode::from(2)
@@ -109,14 +109,13 @@ fn parse_run(rest: &[&str], mut cfg: FleetConfig) -> Option<(FleetConfig, u64, b
             "--invocations" => cfg.invocations = value.parse().ok()?,
             "--churn" => cfg.churn_events = value.parse().ok()?,
             "--migrate-every" => cfg.migration_every = value.parse().ok()?,
-            "--workers" => cfg.workers = value.parse().ok()?,
             "--affinity" => cfg.caller_affinity_permille = value.parse().ok()?,
             "--flip-every" => cfg.affinity_flip_every = value.parse().ok()?,
             "--seed" => seed = value.parse().ok()?,
             _ => return None,
         }
     }
-    (cfg.sites > 0 && cfg.objects_per_site > 0 && cfg.workers > 0).then_some((cfg, seed, json))
+    (cfg.sites > 0 && cfg.objects_per_site > 0).then_some((cfg, seed, json))
 }
 
 fn parse_seed_json(rest: &[&str]) -> Option<(u64, bool)> {
@@ -228,7 +227,7 @@ fn cmd_run(cfg: &FleetConfig, seed: u64, json: bool) -> Result<String, String> {
 fn render_run(run: &FleetRun, elapsed: std::time::Duration) -> String {
     let r = &run.report;
     format!(
-        "fleet {} seed {}: {} sites, {} objects, workers {} — all invariants ok in {:?}\n\
+        "fleet {} seed {}: {} sites, {} objects — all invariants ok in {:?}\n\
          ops      bump {}/{}/{} peek {}/{}/{} (ok/ambiguous/rejected), {} distinct targets\n\
          moves    {} ok, {} in-doubt (settled), {} skipped; churn {} crashes / {} restarts\n\
          state    counter total {}, telemetry {} applications, fold {}\n\
@@ -237,7 +236,6 @@ fn render_run(run: &FleetRun, elapsed: std::time::Duration) -> String {
         r.seed,
         r.sites,
         r.objects,
-        r.workers,
         elapsed,
         r.ops_ok,
         r.ops_failed,
@@ -335,7 +333,7 @@ fn cmd_marketplace(seed: u64, json: bool) -> Result<String, String> {
     clippy::cast_precision_loss,
     clippy::cast_sign_loss
 )]
-fn bench_cell(topology: Topology, workers: usize) -> Result<(String, Value), String> {
+fn bench_cell(topology: Topology) -> Result<(String, Value), String> {
     let cfg = FleetConfig {
         topology,
         sites: 64,
@@ -344,7 +342,6 @@ fn bench_cell(topology: Topology, workers: usize) -> Result<(String, Value), Str
         churn_events: 0,
         migration_every: 8,
         zipf_permille: 1100,
-        workers,
         ..FleetConfig::smoke()
     };
     let mut best: Option<(std::time::Duration, FleetRun)> = None;
@@ -365,12 +362,11 @@ fn bench_cell(topology: Topology, workers: usize) -> Result<(String, Value), Str
     let secs = elapsed.as_secs_f64().max(1e-9);
     let inv_per_sec = (cfg.invocations as f64 / secs) as i64;
     let migrations = run.report.migrations_ok + run.report.migrations_failed;
-    let key = format!("{}/workers{}", topology.name(), workers);
+    let key = topology.name().to_owned();
     let cell = Value::map([
         ("sites", Value::Int(cfg.sites as i64)),
         ("objects", Value::Int(cfg.total_objects() as i64)),
         ("invocations", Value::Int(cfg.invocations as i64)),
-        ("workers", Value::Int(workers as i64)),
         ("elapsed_ms", Value::Int(elapsed.as_millis() as i64)),
         ("invocations_per_sec", Value::Int(inv_per_sec)),
         (
@@ -392,12 +388,9 @@ fn bench_cell(topology: Topology, workers: usize) -> Result<(String, Value), Str
 
 #[allow(clippy::cast_possible_wrap)]
 fn cmd_bench(out_path: &str) -> Result<String, String> {
-    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let mut benches = Vec::new();
     for topology in [Topology::Star, Topology::Hierarchical { cluster_size: 8 }] {
-        for workers in [1usize, 4] {
-            benches.push(bench_cell(topology, workers)?);
-        }
+        benches.push(bench_cell(topology)?);
     }
     let date = std::env::var("MROM_BENCH_DATE").unwrap_or_else(|_| "unspecified".to_owned());
     let doc = Value::map([
@@ -405,8 +398,7 @@ fn cmd_bench(out_path: &str) -> Result<String, String> {
             "description",
             Value::from(
                 "mrom-fleet capacity bench: seeded Zipf workload (s=1.1) with \
-                 migration traffic over 64-site star and hierarchical topologies, \
-                 per-site worker pools at 1 and 4 threads",
+                 migration traffic over 64-site star and hierarchical topologies",
             ),
         ),
         (
@@ -419,14 +411,6 @@ fn cmd_bench(out_path: &str) -> Result<String, String> {
             ),
         ),
         ("date", Value::from(date)),
-        (
-            "host_note",
-            Value::from(format!(
-                "nproc={nproc} container; with a single hardware thread the \
-                 workers=4 rows measure pool overhead, not speedup (single-element \
-                 inbox batches run inline, so the engine stays deterministic)"
-            )),
-        ),
         ("bytes_per_object", Value::Int(cell_image_bytes() as i64)),
         ("benches", Value::map(benches)),
     ]);

@@ -179,7 +179,6 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
         fed.add_site(s)?;
     }
     fed.set_retry_policy(RetryPolicy::standard());
-    fed.set_site_workers(cfg.workers);
     let mut adj: BTreeMap<NodeId, Vec<NodeId>> = sites.iter().map(|&s| (s, Vec::new())).collect();
     for &TopologyEdge { a, b, tier } in &edges {
         fed.net_config_mut().set_symmetric_link(a, b, tier.link());
@@ -283,7 +282,6 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
         sites: n as u64,
         objects: total as u64,
         invocations: cfg.invocations as u64,
-        workers: cfg.workers as u64,
         ops_ok: 0,
         ops_failed: 0,
         ops_rejected: 0,
@@ -447,7 +445,7 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
         report.restarts += 1;
     }
     fed.pump_all();
-    settle_in_doubt(&mut fed)?;
+    fed.settle_in_doubt()?;
     fed.pump_all();
 
     // -- final state scan --------------------------------------------------
@@ -484,7 +482,7 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
             _ => report.duplicated_objects += 1,
         }
     }
-    report.parked_in_doubt = parked_total(&fed) as u64;
+    report.parked_in_doubt = fed.in_doubt_total() as u64;
     report.in_flight = fed.in_flight() as u64;
     report.stats = fed.net_stats().clone();
     if cfg.advisor.enabled {
@@ -634,31 +632,6 @@ fn advisor_pass(
     advisor_report.epochs += 1;
     advisor.commit(&input, &pass);
     Ok(())
-}
-
-/// Heals every parked migration at every site, retrying a few passes in
-/// case the first query races residual traffic.
-fn settle_in_doubt(fed: &mut Federation) -> Result<(), HadasError> {
-    for _ in 0..3 {
-        let mut parked = 0;
-        for node in fed.site_nodes() {
-            parked += fed.in_doubt(node)?.len();
-            fed.resolve_in_doubt(node)?;
-        }
-        if parked == 0 {
-            return Ok(());
-        }
-    }
-    Ok(())
-}
-
-/// Total in-doubt entries across the federation.
-fn parked_total(fed: &Federation) -> usize {
-    fed.site_nodes()
-        .into_iter()
-        .filter_map(|n| fed.in_doubt(n).ok())
-        .map(|v| v.len())
-        .sum()
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! End-of-run fleet report: every counter the harness tallied plus the
 //! global invariants a run must uphold *regardless of seed, topology,
-//! churn schedule, or worker-pool width*.
+//! or churn schedule*.
 //!
 //! The report is integers-only (plus stable name strings), so its JSON
 //! rendering is byte-identical across runs of the same seed — the
@@ -91,8 +91,6 @@ pub struct FleetReport {
     pub objects: u64,
     /// Workload operations issued.
     pub invocations: u64,
-    /// Per-site worker pool width.
-    pub workers: u64,
     /// Non-idempotent `bump` calls acknowledged.
     pub ops_ok: u64,
     /// `bump` calls that timed out after every retry (ambiguous: the
@@ -268,7 +266,6 @@ impl FleetReport {
                     ("sites", int(self.sites)),
                     ("objects", int(self.objects)),
                     ("invocations", int(self.invocations)),
-                    ("workers", int(self.workers)),
                 ]),
             ),
             (
@@ -358,7 +355,6 @@ mod tests {
             sites: 2,
             objects: 4,
             invocations: 10,
-            workers: 1,
             ops_ok: 6,
             ops_failed: 1,
             ops_rejected: 0,

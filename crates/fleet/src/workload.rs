@@ -32,8 +32,6 @@ pub struct FleetConfig {
     pub migration_every: usize,
     /// Zipf exponent ×1000 (1000 = classic `1/r`; 0 = uniform).
     pub zipf_permille: u64,
-    /// Per-site worker pool width (1 = byte-for-byte classic engine).
-    pub workers: usize,
     /// Caller-affinity strength ×1000. 0 (the default) keeps the classic
     /// neighbor-of-host workload byte-for-byte. When positive, every
     /// object is assigned a seeded *home caller* site and that fraction
@@ -63,7 +61,6 @@ impl FleetConfig {
             churn_events: 2,
             migration_every: 20,
             zipf_permille: 1100,
-            workers: 1,
             caller_affinity_permille: 0,
             affinity_flip_every: 0,
             advisor: AdvisorConfig::off(),
@@ -82,7 +79,6 @@ impl FleetConfig {
             churn_events: 10,
             migration_every: 50,
             zipf_permille: 1100,
-            workers: 1,
             caller_affinity_permille: 0,
             affinity_flip_every: 0,
             advisor: AdvisorConfig::off(),
@@ -105,7 +101,6 @@ impl FleetConfig {
             churn_events: 0,
             migration_every: 0,
             zipf_permille: 1100,
-            workers: 1,
             caller_affinity_permille: 900,
             affinity_flip_every: 0,
             advisor: AdvisorConfig::off(),
@@ -144,7 +139,6 @@ impl FleetConfig {
             churn_events: 0,
             migration_every: 0,
             zipf_permille: 1100,
-            workers: 1,
             caller_affinity_permille: 950,
             affinity_flip_every: 150,
             advisor: AdvisorConfig {

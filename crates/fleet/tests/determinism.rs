@@ -78,27 +78,19 @@ fn advisor_on_runs_sweep_deterministically() {
 }
 
 #[test]
-fn determinism_holds_across_topologies_and_worker_pools() {
+fn determinism_holds_across_topologies() {
     for topology in [
         Topology::Star,
         Topology::Mesh { degree: 2 },
         Topology::Hierarchical { cluster_size: 4 },
     ] {
-        for workers in [1usize, 4] {
-            let cfg = FleetConfig {
-                topology,
-                workers,
-                ..FleetConfig::smoke()
-            };
-            let first = run_fleet(&cfg, 42).expect("first run");
-            let second = run_fleet(&cfg, 42).expect("second run");
-            assert_eq!(
-                first,
-                second,
-                "{} workers={workers} must be deterministic",
-                topology.name()
-            );
-        }
+        let cfg = FleetConfig {
+            topology,
+            ..FleetConfig::smoke()
+        };
+        let first = run_fleet(&cfg, 42).expect("first run");
+        let second = run_fleet(&cfg, 42).expect("second run");
+        assert_eq!(first, second, "{} must be deterministic", topology.name());
     }
 }
 
@@ -112,21 +104,4 @@ fn different_seeds_shuffle_the_traffic() {
         b.report.to_json(),
         "distinct seeds must produce distinct runs"
     );
-}
-
-#[test]
-fn worker_pool_width_does_not_change_the_run() {
-    // The fleet driver is synchronous, so every site inbox drains in
-    // single-element batches and the pooled engine executes them inline:
-    // widening the pool must not change a single report byte.
-    let classic = FleetConfig::smoke();
-    let pooled = FleetConfig {
-        workers: 4,
-        ..classic
-    };
-    let classic_report = run_fleet(&classic, 11).expect("classic").report;
-    let mut pooled_report = run_fleet(&pooled, 11).expect("pooled").report;
-    assert_eq!(pooled_report.workers, 4);
-    pooled_report.workers = classic_report.workers;
-    assert_eq!(classic_report, pooled_report);
 }

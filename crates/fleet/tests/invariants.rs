@@ -1,5 +1,5 @@
-//! The fleet invariant matrix: every topology shape × churn on/off ×
-//! worker-pool width, smoke-sized so the whole matrix runs in CI. Each
+//! The fleet invariant matrix: every topology shape × churn on/off,
+//! smoke-sized so the whole matrix runs in CI. Each
 //! cell must uphold all of the [`mrom_fleet::FleetReport`] invariants —
 //! single host per object, exactly-once counter windows, clean
 //! recovery, balanced simulator accounting, and telemetry accounting.
@@ -47,19 +47,6 @@ fn every_topology_upholds_invariants_without_churn() {
             "{}: exact counters without churn",
             topology.name()
         );
-    }
-}
-
-#[test]
-fn concurrent_site_pools_uphold_invariants() {
-    for topology in TOPOLOGIES {
-        let cfg = FleetConfig {
-            topology,
-            workers: 4,
-            ..FleetConfig::smoke()
-        };
-        let run = run_fleet(&cfg, 42).expect("fleet runs");
-        run.report.assert_invariants();
     }
 }
 

@@ -256,31 +256,6 @@ fn bump(
     Ok(())
 }
 
-/// Heals every parked migration at every site, retrying a few passes in
-/// case the first query races residual traffic.
-fn settle_in_doubt(fed: &mut Federation) -> Result<(), HadasError> {
-    for _ in 0..3 {
-        let mut parked = 0;
-        for node in fed.site_nodes() {
-            parked += fed.in_doubt(node)?.len();
-            fed.resolve_in_doubt(node)?;
-        }
-        if parked == 0 {
-            return Ok(());
-        }
-    }
-    Ok(())
-}
-
-/// Total in-doubt entries across the federation.
-fn parked_total(fed: &Federation) -> usize {
-    fed.site_nodes()
-        .into_iter()
-        .filter_map(|n| fed.in_doubt(n).ok())
-        .map(|v| v.len())
-        .sum()
-}
-
 /// Runs one scenario under one seed and reports the final state. The
 /// run itself never asserts; callers check [`ChaosReport::violations`]
 /// so a failing seed reports *what* broke instead of where it panicked.
@@ -290,27 +265,7 @@ fn parked_total(fed: &Federation) -> usize {
 /// Setup failures and non-fault protocol errors (a fault-induced
 /// timeout is an expected outcome, not an error).
 pub fn run_scenario(scenario: ChaosScenario, seed: u64) -> Result<ChaosReport, HadasError> {
-    run_scenario_with_site_workers(scenario, seed, 1)
-}
-
-/// The ConcurrentSite harness: [`run_scenario`] with every site draining
-/// its invocation inbox on a `workers`-thread pool (see
-/// [`Federation::set_site_workers`]). `workers == 1` is exactly the
-/// classic single-threaded run. Every fault schedule and every
-/// [`ChaosReport`] invariant is unchanged — concurrency must not weaken
-/// exactly-once delivery, single-copy migration, or recovery.
-///
-/// # Errors
-///
-/// Setup failures and non-fault protocol errors (a fault-induced
-/// timeout is an expected outcome, not an error).
-pub fn run_scenario_with_site_workers(
-    scenario: ChaosScenario,
-    seed: u64,
-    workers: usize,
-) -> Result<ChaosReport, HadasError> {
     let (mut fed, a, b, id) = fixture(seed)?;
-    fed.set_site_workers(workers);
     let mut ops_ok = 0u32;
     let mut ops_failed = 0u32;
 
@@ -357,7 +312,7 @@ pub fn run_scenario_with_site_workers(
                 ops_failed += 1;
             }
             fed.net_config_mut().heal(a, b);
-            settle_in_doubt(&mut fed)?;
+            fed.settle_in_doubt()?;
             // Recovered from the depot at the origin; resume the move.
             fed.dispatch_object(a, b, id)?;
             bump(&mut fed, a, b, id, &mut ops_ok, &mut ops_failed)?;
@@ -372,7 +327,7 @@ pub fn run_scenario_with_site_workers(
             }
             fed.net_config_mut().set_link(b, a, LinkConfig::lan());
             // Resolution must discover the destination owns the object.
-            settle_in_doubt(&mut fed)?;
+            fed.settle_in_doubt()?;
             for _ in 0..3 {
                 bump(&mut fed, a, b, id, &mut ops_ok, &mut ops_failed)?;
             }
@@ -383,7 +338,7 @@ pub fn run_scenario_with_site_workers(
                 ops_failed += 1;
             }
             fed.restart_site(b)?;
-            settle_in_doubt(&mut fed)?;
+            fed.settle_in_doubt()?;
             fed.dispatch_object(a, b, id)?;
             bump(&mut fed, a, b, id, &mut ops_ok, &mut ops_failed)?;
             // Persist the parcel's *current* state, then crash the host:
@@ -416,7 +371,7 @@ pub fn run_scenario_with_site_workers(
             fed.net_config_mut().heal(a, b);
             fed.net_config_mut()
                 .set_symmetric_link(a, b, LinkConfig::lan());
-            settle_in_doubt(&mut fed)?;
+            fed.settle_in_doubt()?;
             for _ in 0..2 {
                 if let Some(host) = host_of(&fed, id) {
                     let from = if host == a { b } else { a };
@@ -428,7 +383,7 @@ pub fn run_scenario_with_site_workers(
 
     // Final drain: nothing may stay on the wire, nothing in doubt.
     fed.pump_all();
-    settle_in_doubt(&mut fed)?;
+    fed.settle_in_doubt()?;
     fed.pump_all();
 
     Ok(ChaosReport {
@@ -437,7 +392,7 @@ pub fn run_scenario_with_site_workers(
         stats: fed.net_stats().clone(),
         in_flight: fed.in_flight(),
         live_copies: live_copies(&fed, id),
-        parked_in_doubt: parked_total(&fed),
+        parked_in_doubt: fed.in_doubt_total(),
         ops_ok,
         ops_failed,
         final_count: read_count(&fed, id),
@@ -463,35 +418,6 @@ mod tests {
             let first = run_scenario(scenario, 7).unwrap();
             let second = run_scenario(scenario, 7).unwrap();
             assert_eq!(first, second, "{} must be deterministic", scenario.name());
-        }
-    }
-
-    #[test]
-    fn concurrent_site_upholds_invariants_on_a_smoke_seed() {
-        for scenario in ChaosScenario::ALL {
-            let report = run_scenario_with_site_workers(scenario, 42, 4).expect("scenario runs");
-            report.assert_invariants();
-        }
-    }
-
-    #[test]
-    fn concurrent_site_is_deterministic_per_seed() {
-        for scenario in [
-            ChaosScenario::LossAndRetry,
-            ChaosScenario::DuplicateDelivery,
-        ] {
-            let first = run_scenario_with_site_workers(scenario, 7, 4).unwrap();
-            let second = run_scenario_with_site_workers(scenario, 7, 4).unwrap();
-            assert_eq!(first, second, "{} must be deterministic", scenario.name());
-        }
-    }
-
-    #[test]
-    fn single_worker_pool_matches_classic_run() {
-        for scenario in ChaosScenario::ALL {
-            let classic = run_scenario(scenario, 11).unwrap();
-            let pooled = run_scenario_with_site_workers(scenario, 11, 1).unwrap();
-            assert_eq!(classic, pooled, "workers=1 is byte-for-byte classic");
         }
     }
 

@@ -4,9 +4,8 @@
 //! network.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mrom_core::{AdmissionPolicy, MromError, MromObject, Runtime, SharedRuntime};
+use mrom_core::{AdmissionPolicy, MromError, MromObject, Runtime};
 use mrom_net::{Delivery, NetStats, NetworkConfig, SimNet, SimTime};
 use mrom_persist::{BlobStore, Depot, MemStore};
 use mrom_value::{NodeId, ObjectId, Value};
@@ -24,33 +23,6 @@ use crate::retry::RetryPolicy;
 /// the replies least likely to be retried.
 const REPLY_CACHE_CAP: usize = 1024;
 
-/// One invocation in a [`Federation::remote_invoke_batch`] — the batched
-/// form of the `remote_invoke` argument list.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InvokeCall {
-    /// Principal the invocation is attributed to.
-    pub caller: ObjectId,
-    /// Object to invoke on the destination site.
-    pub target: ObjectId,
-    /// Method name.
-    pub method: String,
-    /// Positional arguments.
-    pub args: Vec<Value>,
-}
-
-impl InvokeCall {
-    /// Convenience constructor mirroring `remote_invoke`'s parameters.
-    #[must_use]
-    pub fn new(caller: ObjectId, target: ObjectId, method: &str, args: &[Value]) -> InvokeCall {
-        InvokeCall {
-            caller,
-            target,
-            method: method.to_owned(),
-            args: args.to_vec(),
-        }
-    }
-}
-
 /// Who may import an APO — the access check the paper's Export performs
 /// ("Export verifies that the requested APO is accessible to the
 /// requesting IOO").
@@ -64,87 +36,6 @@ pub enum ExportPolicy {
     Sites(BTreeSet<NodeId>),
     /// Nobody may import.
     Nobody,
-}
-
-/// One remote invocation parked in a site's inbox, awaiting a
-/// worker-pool drain (only used when `site_workers > 1`).
-struct QueuedInvoke {
-    /// Reply destination (the requesting site).
-    src: NodeId,
-    req_id: u64,
-    caller: ObjectId,
-    target: ObjectId,
-    method: String,
-    args: Vec<Value>,
-    /// Trace context that travelled with the request, re-installed on
-    /// whichever worker thread executes it.
-    trace: u64,
-    parent_span: u64,
-}
-
-/// Executes one inbox batch over a site's shared runtime. With one
-/// worker (or a single-element batch) this runs inline on the calling
-/// thread; otherwise `workers` scoped threads pull requests off a shared
-/// cursor, each labelling itself and re-joining the request's travelled
-/// trace context. Replies come back in batch order regardless of which
-/// thread ran which request, so the wire stays deterministic even though
-/// execution interleaves.
-fn run_site_batch(
-    shared: &SharedRuntime,
-    node: NodeId,
-    batch: &[QueuedInvoke],
-    workers: usize,
-) -> Vec<ProtocolMsg> {
-    let execute = |q: &QueuedInvoke| -> ProtocolMsg {
-        let _scope = mrom_obs::continue_trace(q.trace, q.parent_span);
-        match shared.invoke(q.caller, q.target, &q.method, &q.args) {
-            Ok(result) => ProtocolMsg::InvokeResp {
-                req_id: q.req_id,
-                result,
-            },
-            Err(e) => ProtocolMsg::Error {
-                req_id: q.req_id,
-                reason: HadasError::Model(e).to_string(),
-            },
-        }
-    };
-    let workers = workers.min(batch.len());
-    if workers <= 1 {
-        return batch.iter().map(execute).collect();
-    }
-    let mode = mrom_obs::mode();
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, ProtocolMsg)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let execute = &execute;
-                let next = &next;
-                s.spawn(move || {
-                    // Worker threads carry their own thread-local
-                    // recorder: inherit the driver's mode and label the
-                    // thread so emitted events stay attributable.
-                    mrom_obs::set_mode(mode);
-                    mrom_obs::set_thread_label(Some(&format!("site-{node}-w{w}")));
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= batch.len() {
-                            break;
-                        }
-                        out.push((i, execute(&batch[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("invoke worker panicked"))
-            .collect()
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(indexed.len(), batch.len());
-    indexed.into_iter().map(|(_, reply)| reply).collect()
 }
 
 /// One logical site: a node runtime, its IOO, and the bookkeeping the
@@ -178,12 +69,6 @@ struct Site {
     /// destination. The object's image stays in the depot until
     /// [`Federation::resolve_in_doubt`] learns which side owns it.
     in_doubt: BTreeMap<ObjectId, NodeId>,
-    /// Remote invocations queued for the worker pool (empty whenever
-    /// `site_workers == 1`). Drained — executed and replied to — before
-    /// any other protocol message touches this site and whenever the
-    /// network goes quiet, so queueing never reorders an invoke past a
-    /// migration or update that arrived after it.
-    inbox: Vec<QueuedInvoke>,
 }
 
 impl Site {
@@ -253,12 +138,6 @@ pub struct Federation {
     /// seed so retry schedules reproduce per seed without perturbing the
     /// simulator's own stream.
     retry_rng: StdRng,
-    /// Threads each site drains its invocation inbox with. `1` (the
-    /// default) keeps the historical fully-inline single-threaded path;
-    /// `> 1` parks arriving `InvokeReq`s in the site inbox and executes
-    /// each batch on a scoped worker pool over the site's
-    /// [`mrom_core::SharedRuntime`].
-    site_workers: usize,
 }
 
 /// How one pass of the protocol pump ended.
@@ -279,6 +158,12 @@ fn at_site(at: NodeId, e: MromError) -> HadasError {
         }
         e => HadasError::Model(e),
     }
+}
+
+/// A reply of the wrong kind for `operation`. Names the reply's kind,
+/// never its contents: a stray `ExportAck` can carry a whole image.
+fn unexpected_reply(operation: &str, kind: &str) -> HadasError {
+    HadasError::BadMessage(format!("unexpected reply to {operation}: {kind}"))
 }
 
 /// Writes `policy` into a site runtime's limits, keeping its other bounds.
@@ -306,24 +191,7 @@ impl Federation {
             admission: AdmissionPolicy::Off,
             retry: RetryPolicy::Off,
             retry_rng,
-            site_workers: 1,
         }
-    }
-
-    /// Sets how many threads every site uses to drain its invocation
-    /// inbox, returning the previous value. `1` (the default) is the
-    /// historical inline path — byte-for-byte identical behaviour;
-    /// values above `1` execute batched remote invocations concurrently
-    /// over each site's shared runtime, where same-object collisions
-    /// surface as [`MromError::ObjectBusy`]. Clamped to at least 1.
-    pub fn set_site_workers(&mut self, workers: usize) -> usize {
-        std::mem::replace(&mut self.site_workers, workers.max(1))
-    }
-
-    /// Threads each site drains its invocation inbox with.
-    #[must_use]
-    pub fn site_workers(&self) -> usize {
-        self.site_workers
     }
 
     /// Sets the federation-wide [`AdmissionPolicy`], returning the
@@ -395,7 +263,6 @@ impl Federation {
                 depot,
                 replies: BTreeMap::new(),
                 in_doubt: BTreeMap::new(),
-                inbox: Vec::new(),
             },
         );
         Ok(ioo)
@@ -704,12 +571,6 @@ impl Federation {
         let mut steps = 0;
         while !req_ids.iter().all(|id| self.completed.contains_key(id)) {
             let Some(delivery) = self.net.step() else {
-                // Quiet wire: flush every queued invocation. Replies the
-                // drain posts are new traffic, so only a drain that moved
-                // nothing means the network is truly dry.
-                if self.drain_all_inboxes() {
-                    continue;
-                }
                 return PumpOutcome::Dry;
             };
             self.handle(delivery);
@@ -743,13 +604,8 @@ impl Federation {
 
     /// Drains every in-flight message (fire-and-forget flows, tests).
     pub fn pump_all(&mut self) {
-        loop {
-            while let Some(delivery) = self.net.step() {
-                self.handle(delivery);
-            }
-            if !self.drain_all_inboxes() {
-                return;
-            }
+        while let Some(delivery) = self.net.step() {
+            self.handle(delivery);
         }
     }
 
@@ -781,12 +637,6 @@ impl Federation {
         // Keep every site's virtual clock in step with the network.
         if let Some(site) = self.sites.get_mut(&delivery.dst) {
             site.runtime.set_now(delivery.at.as_millis());
-        }
-        // Anything other than another invocation flushes the receiving
-        // site's queued invocations first, so worker-pool batching never
-        // reorders an invoke past a later migration, update, or query.
-        if self.site_workers > 1 && !matches!(msg, ProtocolMsg::InvokeReq { .. }) {
-            self.drain_inbox(delivery.dst);
         }
         // Receiver-side dedup: a request whose id was already served —
         // a network duplicate or a sender retry racing a slow reply — is
@@ -831,22 +681,6 @@ impl Federation {
                 trace,
                 parent_span,
             } => {
-                if self.site_workers > 1 {
-                    self.enqueue_invoke(
-                        delivery.dst,
-                        QueuedInvoke {
-                            src: delivery.src,
-                            req_id,
-                            caller,
-                            target,
-                            method,
-                            args,
-                            trace,
-                            parent_span,
-                        },
-                    );
-                    return;
-                }
                 // Continue the sender's trace for the duration of the
                 // remote invocation: both halves of the cross-site call
                 // share one causally-linked timeline.
@@ -946,57 +780,6 @@ impl Federation {
             site.remember_reply(req_id, reply);
         }
         let _ = self.post(at, to, reply);
-    }
-
-    /// Parks an arriving `InvokeReq` in the destination site's inbox.
-    /// A request already queued under the same id (a network duplicate
-    /// or a sender retry racing the drain) is dropped — the eventual
-    /// single execution answers both copies via the reply cache.
-    fn enqueue_invoke(&mut self, dst: NodeId, q: QueuedInvoke) {
-        let Some(site) = self.sites.get_mut(&dst) else {
-            let reply = ProtocolMsg::Error {
-                req_id: q.req_id,
-                reason: HadasError::UnknownSite(dst).to_string(),
-            };
-            let _ = self.post(dst, q.src, &reply);
-            return;
-        };
-        if site.inbox.iter().any(|p| p.req_id == q.req_id) {
-            mrom_obs::fed_dedup(dst, "invoke_req");
-            return;
-        }
-        site.inbox.push(q);
-    }
-
-    /// Flushes every site's invocation inbox; returns whether any
-    /// invocation ran (i.e. whether new replies hit the wire).
-    fn drain_all_inboxes(&mut self) -> bool {
-        let nodes: Vec<NodeId> = self.sites.keys().copied().collect();
-        let mut moved = false;
-        for node in nodes {
-            moved |= self.drain_inbox(node);
-        }
-        moved
-    }
-
-    /// Executes a site's queued invocations on the worker pool and posts
-    /// their replies in arrival order (execution interleaves across
-    /// threads; reply traffic stays deterministic per batch). Returns
-    /// whether anything ran.
-    fn drain_inbox(&mut self, node: NodeId) -> bool {
-        let workers = self.site_workers;
-        let Some(site) = self.sites.get_mut(&node) else {
-            return false;
-        };
-        if site.inbox.is_empty() {
-            return false;
-        }
-        let batch = std::mem::take(&mut site.inbox);
-        let replies = run_site_batch(site.runtime.shared(), node, &batch, workers);
-        for (q, reply) in batch.iter().zip(&replies) {
-            self.reply_to(node, q.src, q.req_id, reply);
-        }
-        true
     }
 
     fn handle_link_req(
@@ -1247,9 +1030,7 @@ impl Federation {
                 Ok(())
             }
             ProtocolMsg::Error { reason, .. } => Err(HadasError::Remote(reason)),
-            other => Err(HadasError::BadMessage(format!(
-                "unexpected reply to link: {other:?}"
-            ))),
+            other => Err(unexpected_reply("link", other.kind())),
         }
     }
 
@@ -1336,9 +1117,7 @@ impl Federation {
                 Ok(amb_id)
             }
             ProtocolMsg::Error { reason, .. } => Err(HadasError::Remote(reason)),
-            other => Err(HadasError::BadMessage(format!(
-                "unexpected reply to import: {other:?}"
-            ))),
+            other => Err(unexpected_reply("import", other.kind())),
         }
     }
 
@@ -1419,86 +1198,8 @@ impl Federation {
         match reply {
             ProtocolMsg::InvokeResp { result, .. } => Ok(result),
             ProtocolMsg::Error { reason, .. } => Err(HadasError::Remote(reason)),
-            other => Err(HadasError::BadMessage(format!(
-                "unexpected reply to invoke: {other:?}"
-            ))),
+            other => Err(unexpected_reply("invoke", other.kind())),
         }
-    }
-
-    /// Posts a whole batch of invocations to one site before pumping, so
-    /// the receiver's inbox fills and — with [`Federation::set_site_workers`]
-    /// above 1 — the batch executes concurrently on its worker pool.
-    /// Returns per-call results in batch order. With one worker this is
-    /// observably equivalent to calling [`Federation::remote_invoke`] in
-    /// a loop.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures posting or pumping the batch; per-call remote
-    /// errors come back in the result vector.
-    pub fn remote_invoke_batch(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        calls: &[InvokeCall],
-    ) -> Result<Vec<Result<Value, HadasError>>, HadasError> {
-        self.site(from)?;
-        self.site(to)?;
-        let span = mrom_obs::fed_op_start(from, "remote_invoke_batch");
-        let (trace, parent_span) = mrom_obs::current_trace_context();
-        let mut req_ids = Vec::with_capacity(calls.len());
-        for call in calls {
-            mrom_obs::remote_invoke_requested(from, call.target);
-            let req_id = self.fresh_req_id();
-            self.pending.insert(req_id);
-            req_ids.push(req_id);
-            if let Err(e) = self.post(
-                from,
-                to,
-                &ProtocolMsg::InvokeReq {
-                    req_id,
-                    caller: call.caller,
-                    target: call.target,
-                    method: call.method.clone(),
-                    args: call.args.clone(),
-                    trace,
-                    parent_span,
-                },
-            ) {
-                for id in &req_ids {
-                    self.pending.remove(id);
-                }
-                mrom_obs::fed_op_end(span, "remote_invoke_batch", false);
-                return Err(e);
-            }
-        }
-        if let Err(e) = self.pump_until(&req_ids, "remote_invoke_batch") {
-            for id in &req_ids {
-                self.pending.remove(id);
-                self.completed.remove(id);
-            }
-            mrom_obs::fed_op_end(span, "remote_invoke_batch", false);
-            return Err(e);
-        }
-        let results = req_ids
-            .iter()
-            .map(|id| {
-                self.pending.remove(id);
-                let reply = self
-                    .completed
-                    .remove(id)
-                    .expect("pump_until guarantees presence");
-                match reply {
-                    ProtocolMsg::InvokeResp { result, .. } => Ok(result),
-                    ProtocolMsg::Error { reason, .. } => Err(HadasError::Remote(reason)),
-                    other => Err(HadasError::BadMessage(format!(
-                        "unexpected reply to invoke: {other:?}"
-                    ))),
-                }
-            })
-            .collect();
-        mrom_obs::fed_op_end(span, "remote_invoke_batch", true);
-        Ok(results)
     }
 
     /// Invokes through a hosted Ambassador: locally when the method has
@@ -1605,9 +1306,10 @@ impl Federation {
                 Some(ProtocolMsg::UpdateAck { .. }) => updated += 1,
                 Some(ProtocolMsg::Error { reason, .. }) => return Err(HadasError::Remote(reason)),
                 other => {
-                    return Err(HadasError::BadMessage(format!(
-                        "unexpected update reply: {other:?}"
-                    )))
+                    return Err(unexpected_reply(
+                        "update",
+                        other.map_or("nothing", |m| m.kind()),
+                    ))
                 }
             }
         }
@@ -1740,9 +1442,7 @@ impl Federation {
             }
             Ok(other) => {
                 self.restore_after_failed_move(from, obj)?;
-                Err(HadasError::BadMessage(format!(
-                    "unexpected reply to move: {other:?}"
-                )))
+                Err(unexpected_reply("move", other.kind()))
             }
             Err(e @ HadasError::Timeout { .. }) if !self.retry.is_off() => {
                 // Every retry was exhausted and we still do not know
@@ -1795,9 +1495,6 @@ impl Federation {
             let _ = site.runtime.evict(id);
         }
         site.replies.clear();
-        // Queued invocations die with the site; their senders retry (or
-        // time out) exactly as if the requests had been lost on the wire.
-        site.inbox.clear();
         mrom_obs::site_crash(node);
         Ok(())
     }
@@ -1910,11 +1607,7 @@ impl Federation {
                     site.in_doubt.remove(&object);
                     resolved += 1;
                 }
-                other => {
-                    return Err(HadasError::BadMessage(format!(
-                        "unexpected reply to query: {other:?}"
-                    )))
-                }
+                other => return Err(unexpected_reply("query", other.kind())),
             }
         }
         Ok(resolved)
@@ -1933,6 +1626,32 @@ impl Federation {
             .iter()
             .map(|(object, dest)| (*object, *dest))
             .collect())
+    }
+
+    /// Settles every in-doubt migration at every site, retrying a few
+    /// passes in case the first query races residual traffic. Entries
+    /// whose destination stays unreachable remain parked.
+    ///
+    /// # Errors
+    ///
+    /// As [`Federation::resolve_in_doubt`].
+    pub fn settle_in_doubt(&mut self) -> Result<(), HadasError> {
+        for _ in 0..3 {
+            let mut parked = 0;
+            for node in self.site_nodes() {
+                parked += self.site(node)?.in_doubt.len();
+                self.resolve_in_doubt(node)?;
+            }
+            if parked == 0 {
+                return Ok(());
+            }
+        }
+        Ok(())
+    }
+
+    /// In-doubt migrations parked across the whole federation.
+    pub fn in_doubt_total(&self) -> usize {
+        self.sites.values().map(|site| site.in_doubt.len()).sum()
     }
 
     /// Is the site currently crashed?
@@ -2150,9 +1869,10 @@ impl Federation {
         match self.completed.remove(&req_id) {
             Some(ProtocolMsg::UpdateAck { .. }) => Ok(amb_id),
             Some(ProtocolMsg::Error { reason, .. }) => Err(HadasError::Remote(reason)),
-            other => Err(HadasError::BadMessage(format!(
-                "unexpected import-negotiation reply: {other:?}"
-            ))),
+            other => Err(unexpected_reply(
+                "import negotiation",
+                other.map_or("nothing", |m| m.kind()),
+            )),
         }
     }
 }
@@ -2748,102 +2468,27 @@ mod tests {
         assert!(!fed.retry_policy().is_off());
     }
 
-    /// A federation with `n` standalone db objects adopted at site `b`,
-    /// for exercising batched invocation.
-    fn batch_fixture(workers: usize, n: usize) -> (Federation, NodeId, NodeId, Vec<ObjectId>) {
+    #[test]
+    fn wrong_kind_reply_names_its_kind_not_its_bytes() {
         let (mut fed, a, b) = two_site_federation();
-        fed.set_site_workers(workers);
-        let mut targets = Vec::new();
-        for _ in 0..n {
-            let rt = fed.runtime_mut(b).unwrap();
-            let id = rt.ids_mut().next_id();
-            rt.adopt(db_apo_class().instantiate_as(id, None)).unwrap();
-            targets.push(id);
-        }
-        (fed, a, b, targets)
-    }
-
-    #[test]
-    fn worker_pool_defaults_off_and_clamps() {
-        let (mut fed, _a, _b) = two_site_federation();
-        assert_eq!(fed.site_workers(), 1);
-        assert_eq!(fed.set_site_workers(0), 1);
-        assert_eq!(fed.site_workers(), 1, "clamped to at least one worker");
-        fed.set_site_workers(4);
-        assert_eq!(fed.site_workers(), 4);
-    }
-
-    #[test]
-    fn worker_pool_batch_matches_inline_results() {
-        let run = |workers: usize| {
-            let (mut fed, a, b, targets) = batch_fixture(workers, 6);
-            let caller = fed.ioo_id(a).unwrap();
-            let calls: Vec<InvokeCall> = targets
-                .iter()
-                .map(|t| InvokeCall::new(caller, *t, "salary_of", &[Value::from("alice")]))
-                .collect();
-            fed.remote_invoke_batch(a, b, &calls)
-                .unwrap()
-                .into_iter()
-                .map(Result::unwrap)
-                .collect::<Vec<Value>>()
+        let id = counter_object(&mut fed, b);
+        let caller = fed.ioo_id(a).unwrap();
+        // A peer answers the invoke's request id with an ExportAck that
+        // carries a 64 KiB image; FIFO on b -> a delivers it first.
+        let stray = ProtocolMsg::ExportAck {
+            req_id: fed.next_req + 1,
+            ambassador_image: vec![0xAB; 64 * 1024],
+            origin_apo: id,
+            remote_methods: vec!["bump".into()],
         };
-        let inline = run(1);
-        assert_eq!(inline, run(4), "pool and inline paths agree");
-        assert_eq!(inline, vec![Value::Int(100); 6]);
-    }
-
-    #[test]
-    fn worker_pool_serves_single_invokes_via_drain() {
-        let (mut fed, a, b, targets) = batch_fixture(4, 1);
-        let caller = fed.ioo_id(a).unwrap();
-        let v = fed
-            .remote_invoke(a, b, caller, targets[0], "count", &[])
-            .unwrap();
-        assert_eq!(v, Value::Int(3));
-    }
-
-    #[test]
-    fn worker_pool_batch_reports_per_call_errors() {
-        let (mut fed, a, b, targets) = batch_fixture(4, 2);
-        let caller = fed.ioo_id(a).unwrap();
-        let calls = vec![
-            InvokeCall::new(caller, targets[0], "count", &[]),
-            InvokeCall::new(caller, targets[1], "no_such_method", &[]),
-        ];
-        let results = fed.remote_invoke_batch(a, b, &calls).unwrap();
-        assert_eq!(results[0].as_ref().unwrap(), &Value::Int(3));
-        assert!(matches!(results[1], Err(HadasError::Remote(_))));
-    }
-
-    #[test]
-    fn crash_discards_queued_invocations() {
-        let (mut fed, a, b, targets) = batch_fixture(4, 1);
-        let caller = fed.ioo_id(a).unwrap();
-        let (trace, parent_span) = mrom_obs::current_trace_context();
-        let req_id = fed.fresh_req_id();
-        fed.pending.insert(req_id);
-        fed.post(
-            a,
-            b,
-            &ProtocolMsg::InvokeReq {
-                req_id,
-                caller,
-                target: targets[0],
-                method: "count".into(),
-                args: Vec::new(),
-                trace,
-                parent_span,
-            },
-        )
-        .unwrap();
-        // Deliver the request (it parks in the inbox), then crash before
-        // any drain point is reached.
-        while let Some(d) = fed.net.step() {
-            fed.handle(d);
-        }
-        assert_eq!(fed.sites[&b].inbox.len(), 1);
-        fed.crash_site(b).unwrap();
-        assert!(fed.sites[&b].inbox.is_empty(), "crash wipes the inbox");
+        fed.inject_raw(b, a, stray.encode()).unwrap();
+        let err = fed
+            .remote_invoke(a, b, caller, id, "bump", &[])
+            .unwrap_err();
+        let HadasError::BadMessage(message) = &err else {
+            panic!("expected BadMessage, got {err}");
+        };
+        assert!(message.contains("export_ack"), "{message}");
+        assert!(message.len() < 200, "{} bytes", message.len());
     }
 }

@@ -58,7 +58,7 @@ pub use ambassador::{
     GuestInfo,
 };
 pub use error::HadasError;
-pub use federation::{ExportPolicy, Federation, InvokeCall, SiteStats};
+pub use federation::{ExportPolicy, Federation, SiteStats};
 pub use ioo::build_ioo;
 pub use protocol::{ProtocolMsg, UpdateOp};
 pub use retry::RetryPolicy;

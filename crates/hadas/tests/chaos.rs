@@ -5,7 +5,7 @@
 //! The sweep width defaults to a fast smoke value; CI raises it via the
 //! `MROM_CHAOS_SEEDS` environment variable.
 
-use hadas::chaos::{run_scenario, run_scenario_with_site_workers, ChaosScenario};
+use hadas::chaos::{run_scenario, ChaosScenario};
 use mrom_obs::{EventKind, ObsMode};
 
 /// Seeds to sweep: `MROM_CHAOS_SEEDS` (a count) or a fast default.
@@ -40,38 +40,6 @@ fn same_seed_reproduces_the_identical_run() {
                 first,
                 second,
                 "{} seed {seed} must replay identically",
-                scenario.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn concurrent_site_upholds_invariants_across_the_seed_sweep() {
-    // The ConcurrentSite matrix: every fault scenario with every site
-    // draining its invocation inbox on a 4-thread pool. The invariants
-    // are identical to the single-threaded sweep — concurrency must not
-    // weaken exactly-once delivery, single-copy migration, or recovery.
-    for seed in sweep_seeds() {
-        for scenario in ChaosScenario::ALL {
-            let report = run_scenario_with_site_workers(scenario, seed, 4).unwrap_or_else(|e| {
-                panic!("{} seed {seed} workers=4 errored: {e}", scenario.name())
-            });
-            report.assert_invariants();
-        }
-    }
-}
-
-#[test]
-fn concurrent_site_replays_identically_per_seed() {
-    for seed in sweep_seeds() {
-        for scenario in ChaosScenario::ALL {
-            let first = run_scenario_with_site_workers(scenario, seed, 4).unwrap();
-            let second = run_scenario_with_site_workers(scenario, seed, 4).unwrap();
-            assert_eq!(
-                first,
-                second,
-                "{} seed {seed} workers=4 must replay identically",
                 scenario.name()
             );
         }

@@ -111,7 +111,7 @@ pub fn reset() {
 }
 
 /// Labels this thread's recorder: every subsequent event carries the
-/// label in its envelope (worker pools use `site-<node>-w<k>`). Pass
+/// label in its envelope (a multi-threaded caller labels each worker). Pass
 /// `None` to return to the unlabeled single-threaded default.
 pub fn set_thread_label(label: Option<&str>) {
     with_recorder(|r| r.set_thread_label(label));

@@ -5,9 +5,7 @@
 //! `MROM_CHAOS_SEEDS` widens the sweep (CI sets it); the default keeps
 //! the tier-1 test run fast.
 
-use mrom::hadas::chaos::{
-    run_scenario, run_scenario_with_site_workers, ChaosReport, ChaosScenario,
-};
+use mrom::hadas::chaos::{run_scenario, ChaosReport, ChaosScenario};
 
 fn sweep_seeds() -> Vec<u64> {
     let count = std::env::var("MROM_CHAOS_SEEDS")
@@ -53,23 +51,6 @@ fn chaos_runs_are_reproducible_byte_for_byte() {
             );
         }
     }
-}
-
-#[test]
-fn concurrent_site_matrix_upholds_global_invariants() {
-    // ConcurrentSite: the same scenario matrix with every site running a
-    // 4-thread invocation pool. Same invariants, same sweep width.
-    let mut runs = 0;
-    for seed in sweep_seeds() {
-        for scenario in ChaosScenario::ALL {
-            let report = run_scenario_with_site_workers(scenario, seed, 4).unwrap_or_else(|e| {
-                panic!("{} seed {seed} workers=4 errored: {e}", scenario.name())
-            });
-            report.assert_invariants();
-            runs += 1;
-        }
-    }
-    assert_eq!(runs, sweep_seeds().len() * ChaosScenario::ALL.len());
 }
 
 #[test]

@@ -63,7 +63,6 @@ fn thirty_site_federation_brings_up_and_serves() {
         churn_events: 3,
         migration_every: 25,
         zipf_permille: 1100,
-        workers: 1,
         ..mrom::fleet::FleetConfig::smoke()
     };
     let run = mrom::fleet::run_fleet(&cfg, 123).unwrap();
