@@ -32,12 +32,13 @@
 //! site decides for itself. The plain entry points
 //! ([`MromObject::from_image`], `add_method`, `set_method`) serve trusted
 //! host-local input and mean `Off`; each trust boundary passes its policy
-//! to the matching `*_with_policy` variant. A runtime carries its policy
+//! to the matching `*_with_policy` variant, or decodes images through the
+//! receiving runtime's [`Runtime::unpack_image`](crate::Runtime::unpack_image). A runtime carries its policy
 //! in [`InvokeLimits::admission`](crate::InvokeLimits), which is what
 //! script-driven `addMethod`/`setMethod` are admitted under.
 
 use mrom_script::analyze::{
-    analyze_with_budget, Diagnostic, DiagnosticKind, HostManifest, ResourceBudget,
+    analyze_with_budget, AnalysisReport, Diagnostic, DiagnosticKind, HostManifest, ResourceBudget,
 };
 use mrom_script::Program;
 
@@ -82,9 +83,28 @@ impl MromObject {
     }
 
     /// [`MromObject::analyze`] under an explicit resource budget.
+    ///
+    /// Under the default budget the fixed methods' script-level passes
+    /// come from their shared table once it has been admitted before;
+    /// pass 4 reads this object and always runs.
     pub fn analyze_with_budget(&self, budget: &ResourceBudget) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for (name, method) in self.methods_iter() {
+        let (_, fixed, _, ext) = self.raw_parts();
+        let shared = if *budget == ResourceBudget::default() {
+            fixed.reports()
+        } else {
+            None
+        };
+        if let Some(reports) = shared {
+            for (context, report) in reports {
+                append_report(self, None, report, context, &mut out);
+            }
+        } else {
+            for (name, method) in fixed.iter() {
+                analyze_method_parts(self, None, name, method, budget, &mut out);
+            }
+        }
+        for (name, method) in ext.iter() {
             analyze_method_parts(self, None, name, method, budget, &mut out);
         }
         out
@@ -118,6 +138,38 @@ impl MromObject {
     }
 }
 
+/// The script parts of one method with their diagnostic contexts
+/// (`"<method>.<part>"`), in the order admission visits them.
+fn script_parts<'m>(
+    name: &'m str,
+    method: &'m Method,
+) -> impl Iterator<Item = (String, &'m Program)> + 'm {
+    let parts = [
+        ("body", Some(method.body())),
+        ("pre", method.pre()),
+        ("post", method.post()),
+    ];
+    parts
+        .into_iter()
+        .filter_map(move |(part, body)| match body {
+            Some(MethodBody::Script(program)) => Some((format!("{name}.{part}"), &**program)),
+            _ => None,
+        })
+}
+
+/// Passes 1–3 (delegated to `mrom-script`) over every script part of
+/// `methods` under the default budget: what a shared fixed-method table
+/// memoizes.
+pub(crate) fn script_reports<'a>(
+    methods: impl Iterator<Item = (&'a str, &'a Method)>,
+) -> Vec<(String, AnalysisReport)> {
+    let budget = ResourceBudget::default();
+    methods
+        .flat_map(|(name, method)| script_parts(name, method))
+        .map(|(context, program)| (context, analyze_with_budget(program, &budget)))
+        .collect()
+}
+
 /// Analyzes every script part of one method, appending contextualized
 /// diagnostics. `candidate` names a method considered present even though
 /// it is not installed yet.
@@ -129,41 +181,26 @@ fn analyze_method_parts(
     budget: &ResourceBudget,
     out: &mut Vec<Diagnostic>,
 ) {
-    let parts = [
-        ("body", Some(method.body())),
-        ("pre", method.pre()),
-        ("post", method.post()),
-    ];
-    for (part, body) in parts {
-        if let Some(MethodBody::Script(program)) = body {
-            check_program(
-                obj,
-                candidate,
-                program,
-                &format!("{name}.{part}"),
-                budget,
-                out,
-            );
-        }
+    for (context, program) in script_parts(name, method) {
+        let report = analyze_with_budget(program, budget);
+        append_report(obj, candidate, &report, &context, out);
     }
 }
 
-/// Passes 1–3 (delegated to `mrom-script`) plus pass 4: the object
+/// Appends one part's passes 1–3 findings, then runs pass 4: the object
 /// cross-check.
-fn check_program(
+fn append_report(
     obj: &MromObject,
     candidate: Option<&str>,
-    program: &Program,
+    report: &AnalysisReport,
     context: &str,
-    budget: &ResourceBudget,
     out: &mut Vec<Diagnostic>,
 ) {
-    let report = analyze_with_budget(program, budget);
     out.extend(
         report
             .diagnostics
-            .into_iter()
-            .map(|d| d.in_context(context)),
+            .iter()
+            .map(|d| d.clone().in_context(context)),
     );
     cross_check_manifest(obj, candidate, &report.manifest, context, out);
 }

@@ -10,6 +10,7 @@
 //! comparison).
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use mrom_value::{IdGenerator, ObjectId};
 
@@ -19,6 +20,7 @@ use crate::item::DataItem;
 use crate::method::Method;
 use crate::object::{MromObject, ObjectBuilder};
 use crate::security::Acl;
+use crate::table::MethodTable;
 
 /// A template from which objects are stamped.
 ///
@@ -50,6 +52,9 @@ pub struct ClassSpec {
     ext_methods: Vec<(String, Method)>,
     meta_acl: Acl,
     meta_section: Section,
+    /// The fixed-method table every instance shares, built on first
+    /// instantiation; each builder call resets it.
+    fixed_table: OnceLock<Arc<MethodTable>>,
 }
 
 impl ClassSpec {
@@ -63,6 +68,7 @@ impl ClassSpec {
             ext_methods: Vec::new(),
             meta_acl: Acl::Origin,
             meta_section: Section::Fixed,
+            fixed_table: OnceLock::new(),
         }
     }
 
@@ -74,30 +80,35 @@ impl ClassSpec {
     /// Adds a fixed data item to the template.
     pub fn fixed_data(mut self, name: &str, item: DataItem) -> ClassSpec {
         self.fixed_data.push((name.to_owned(), item));
+        self.fixed_table = OnceLock::new();
         self
     }
 
     /// Adds a fixed method.
     pub fn fixed_method(mut self, name: &str, method: Method) -> ClassSpec {
         self.fixed_methods.push((name.to_owned(), method));
+        self.fixed_table = OnceLock::new();
         self
     }
 
     /// Adds an initial extensible data item.
     pub fn ext_data(mut self, name: &str, item: DataItem) -> ClassSpec {
         self.ext_data.push((name.to_owned(), item));
+        self.fixed_table = OnceLock::new();
         self
     }
 
     /// Adds an initial extensible method.
     pub fn ext_method(mut self, name: &str, method: Method) -> ClassSpec {
         self.ext_methods.push((name.to_owned(), method));
+        self.fixed_table = OnceLock::new();
         self
     }
 
     /// Sets the object-level meta ACL instances start with.
     pub fn meta_acl(mut self, acl: Acl) -> ClassSpec {
         self.meta_acl = acl;
+        self.fixed_table = OnceLock::new();
         self
     }
 
@@ -105,6 +116,7 @@ impl ClassSpec {
     /// [`Section::Extensible`] opts the class into meta-mutability.
     pub fn meta_section(mut self, section: Section) -> ClassSpec {
         self.meta_section = section;
+        self.fixed_table = OnceLock::new();
         self
     }
 
@@ -136,6 +148,20 @@ impl ClassSpec {
     /// Stamps an instance with a pre-minted identity (the shared-runtime
     /// path, where ids come from an [`mrom_value::AtomicIdGenerator`]).
     pub fn instantiate_as(&self, id: ObjectId, origin: Option<ObjectId>) -> MromObject {
+        let table = self.fixed_table.get_or_init(|| {
+            let mut b = self.builder(id, origin);
+            for (n, m) in &self.fixed_methods {
+                b = b.fixed_method(n, m.clone());
+            }
+            b.build().raw_parts().1.clone()
+        });
+        self.builder(id, origin)
+            .shared_fixed_methods(Arc::clone(table))
+            .build()
+    }
+
+    /// A builder for an instance with everything but the fixed methods.
+    fn builder(&self, id: ObjectId, origin: Option<ObjectId>) -> ObjectBuilder {
         let mut b = ObjectBuilder::new(id)
             .class(&self.name)
             .origin(origin.unwrap_or(id))
@@ -144,16 +170,13 @@ impl ClassSpec {
         for (n, item) in &self.fixed_data {
             b = b.fixed_data(n, item.clone());
         }
-        for (n, m) in &self.fixed_methods {
-            b = b.fixed_method(n, m.clone());
-        }
         for (n, item) in &self.ext_data {
             b = b.ext_data(n, item.clone());
         }
         for (n, m) in &self.ext_methods {
             b = b.ext_method(n, m.clone());
         }
-        b.build()
+        b
     }
 }
 

@@ -13,15 +13,17 @@
 //!   dispatch joining every method; `getStats` is an effect-free read).
 //!
 //! The result is cached on the object behind the same structural
-//! generation stamp as the dispatch cache ([`MromObject::effects`]), and
-//! exposed reflectively through the `getEffects` meta-method.
+//! generation stamp as the dispatch cache ([`MromObject::effects`]) —
+//! or, for an object without extensible methods, once on its shared
+//! fixed-method table — and exposed reflectively through the
+//! `getEffects` meta-method.
 
 use std::collections::BTreeMap;
 
 use mrom_script::{solve_effects, EffectSignature, LocalEffects};
 use mrom_value::Value;
 
-use crate::method::{MetaOp, MethodBody};
+use crate::method::{MetaOp, Method, MethodBody};
 use crate::object::MromObject;
 
 /// Per-body effect facts for one method body, dispatching on its kind.
@@ -91,8 +93,15 @@ fn structural_name(op: MetaOp) -> &'static str {
 /// included), uncached. Deterministic for a given structural shape.
 #[must_use]
 pub fn object_effects(obj: &MromObject) -> BTreeMap<String, EffectSignature> {
-    let locals: BTreeMap<String, LocalEffects> = obj
-        .all_methods()
+    solve_methods(obj.all_methods())
+}
+
+/// The signature table of an object carrying exactly `methods`; a later
+/// duplicate name replaces an earlier one.
+pub(crate) fn solve_methods<'a>(
+    methods: impl Iterator<Item = (&'a str, &'a Method)>,
+) -> BTreeMap<String, EffectSignature> {
+    let locals: BTreeMap<String, LocalEffects> = methods
         .map(|(name, m)| (name.to_owned(), local_effects(m.body())))
         .collect();
     solve_effects(&locals)
@@ -133,7 +142,6 @@ pub fn effects_value(table: &BTreeMap<String, EffectSignature>) -> Value {
 mod tests {
     use super::*;
     use crate::item::DataItem;
-    use crate::method::Method;
     use crate::object::ObjectBuilder;
     use mrom_value::{IdGenerator, NodeId};
 

@@ -1,6 +1,6 @@
 //! Data items: named, ACL-guarded, optionally type-constrained value slots.
 
-use mrom_value::{Value, ValueError};
+use mrom_value::{wire, Value, ValueError};
 
 use crate::security::{Acl, TypeConstraint};
 
@@ -144,6 +144,20 @@ impl DataItem {
             ("write_acl", self.write_acl.to_value()),
             ("constraint", self.constraint.to_value()),
         ])
+    }
+
+    /// Appends the wire body of [`DataItem::descriptor`] without building
+    /// it (migration images), keys in canonical order.
+    pub(crate) fn write_descriptor(&self, out: &mut Vec<u8>) {
+        wire::write_map_header(4, out);
+        wire::write_str("constraint", out);
+        wire::encode_value(&self.constraint.to_value(), out);
+        wire::write_str("read_acl", out);
+        wire::encode_value(&self.read_acl.to_value(), out);
+        wire::write_str("value", out);
+        wire::encode_value(&self.value, out);
+        wire::write_str("write_acl", out);
+        wire::encode_value(&self.write_acl.to_value(), out);
     }
 
     /// Rebuilds an item from a full descriptor (used by `addDataItem` with

@@ -81,6 +81,7 @@ mod runtime;
 mod security;
 mod shared;
 mod stats;
+mod table;
 
 pub use admission::AdmissionPolicy;
 pub use class::{ClassRegistry, ClassSpec};
@@ -104,6 +105,7 @@ pub use runtime::Runtime;
 pub use security::{Acl, TypeConstraint};
 pub use shared::{ClassesGuard, ObjectGuard, PoisonCause, SharedRuntime, SHARD_COUNT};
 pub use stats::{stats_object, stats_value};
+pub use table::{CODE_TABLE_BYTES, CODE_TABLE_ENTRIES};
 
 /// Crate-local result alias over [`MromError`].
 pub type Result<T> = std::result::Result<T, MromError>;

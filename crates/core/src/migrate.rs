@@ -10,14 +10,20 @@
 //! with [`MromError::NotMobile`]: self-containment means a mobile object
 //! must carry all of its own behaviour.
 
-use mrom_value::{wire, ObjectId, Value};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
+use mrom_value::wire::{self, ValidatedSpan};
+use mrom_value::{ObjectId, Value};
+
+use crate::admission::AdmissionPolicy;
 use crate::container::{ExtensibleContainer, FixedContainer};
 use crate::error::MromError;
 use crate::item::DataItem;
 use crate::method::Method;
 use crate::object::MromObject;
 use crate::security::Acl;
+use crate::table::{CodeTable, MethodTable};
 
 /// Format discriminator embedded in every image.
 pub const IMAGE_FORMAT: &str = "mrom-object@1";
@@ -41,13 +47,61 @@ impl MromObject {
                 caller,
             });
         }
-        let bytes = wire::encode(&self.image_value()?);
+        let bytes = self.image_bytes()?;
         mrom_obs::migrate_encode(self.id(), bytes.len());
         Ok(bytes)
     }
 
-    /// The image as a [`Value`] tree (before byte encoding). Unchecked by
-    /// ACLs — for substrates that already mediated access.
+    /// The image bytes, written field by field: byte-identical to
+    /// `wire::encode(&self.image_value()?)`, with the fixed methods copied
+    /// from their shared table's encoding. Unchecked by ACLs — for
+    /// substrates that already mediated access.
+    ///
+    /// # Errors
+    ///
+    /// [`MromError::NotMobile`] when any method carries a native body.
+    pub fn image_bytes(&self) -> Result<Vec<u8>, MromError> {
+        let (fixed_data, fixed_methods, ext_data, ext_methods) = self.raw_parts();
+        let not_mobile = |item: &str| MromError::NotMobile {
+            object: self.id(),
+            item: item.to_owned(),
+        };
+        // The reference encoder reports the fixed section first.
+        let fixed = fixed_methods.encoded().map_err(not_mobile)?;
+        if let Some((name, _)) = ext_methods.iter().find(|(_, m)| !m.is_mobile()) {
+            return Err(not_mobile(name));
+        }
+        let data_hint: usize = fixed_data
+            .iter()
+            .chain(ext_data.iter())
+            .map(|(n, item)| n.len() + size_hint(item.value()))
+            .sum();
+        let mut w = wire::MapWriter::framed(10, 256 + fixed.len() + data_hint);
+        wire::write_str_value(self.class_name(), w.entry("class"));
+        write_data(ext_data.len(), ext_data.iter(), w.entry("ext_data"));
+        let out = w.entry("ext_methods");
+        wire::write_map_header(ext_methods.len(), out);
+        for (name, m) in ext_methods.iter() {
+            wire::write_str(name, out);
+            wire::encode_value(&m.descriptor(), out);
+        }
+        write_data(fixed_data.len(), fixed_data.iter(), w.entry("fixed_data"));
+        w.entry("fixed_methods").extend_from_slice(fixed);
+        wire::write_str_value(IMAGE_FORMAT, w.entry("format"));
+        wire::write_object_ref_value(self.id(), w.entry("id"));
+        wire::encode_value(&self.meta_acl().to_value(), w.entry("meta_acl"));
+        wire::write_object_ref_value(self.origin(), w.entry("origin"));
+        let out = w.entry("tower");
+        wire::write_list_header(self.tower().len(), out);
+        for name in self.tower() {
+            wire::write_str_value(name, out);
+        }
+        Ok(w.finish())
+    }
+
+    /// The image as a [`Value`] tree (before byte encoding): the reference
+    /// encoder [`MromObject::image_bytes`] must match. Unchecked by ACLs —
+    /// for substrates that already mediated access.
     ///
     /// # Errors
     ///
@@ -102,19 +156,20 @@ impl MromObject {
     /// Reconstructs an object from trusted, host-local image bytes (a
     /// depot record, a test fixture) without admission analysis — policy
     /// [`AdmissionPolicy::Off`]. Bytes that crossed a trust boundary go
-    /// through [`MromObject::from_image_with_policy`].
+    /// through a site's [`Runtime::unpack_image`].
     ///
     /// # Errors
     ///
     /// [`MromError::BadImage`] for framing/validation failures.
     ///
-    /// [`AdmissionPolicy::Off`]: crate::AdmissionPolicy::Off
+    /// [`Runtime::unpack_image`]: crate::Runtime::unpack_image
     pub fn from_image(bytes: &[u8]) -> Result<MromObject, MromError> {
-        MromObject::from_image_with_policy(bytes, crate::AdmissionPolicy::Off)
+        MromObject::from_image_with_policy(bytes, AdmissionPolicy::Off)
     }
 
     /// Reconstructs an object from image bytes under an explicit
-    /// [`AdmissionPolicy`] — the receiving site's own.
+    /// [`AdmissionPolicy`]. Runs the decoder of [`Runtime::unpack_image`]
+    /// with no code table, so every section is decoded afresh.
     ///
     /// # Errors
     ///
@@ -122,21 +177,12 @@ impl MromObject {
     /// [`MromError::AdmissionRejected`] when `policy` is strict and any
     /// method body fails static admission analysis.
     ///
-    /// [`AdmissionPolicy`]: crate::AdmissionPolicy
+    /// [`Runtime::unpack_image`]: crate::Runtime::unpack_image
     pub fn from_image_with_policy(
         bytes: &[u8],
-        policy: crate::AdmissionPolicy,
+        policy: AdmissionPolicy,
     ) -> Result<MromObject, MromError> {
-        let v = match wire::decode(bytes) {
-            Ok(v) => v,
-            Err(e) => {
-                mrom_obs::migrate_decode(bytes.len(), false);
-                return Err(MromError::BadImage(e.to_string()));
-            }
-        };
-        let result = MromObject::from_image_value_with_policy(&v, policy);
-        mrom_obs::migrate_decode(bytes.len(), result.is_ok());
-        result
+        unpack(bytes, policy, None)
     }
 
     /// Reconstructs an object from a trusted image [`Value`] tree without
@@ -146,128 +192,279 @@ impl MromObject {
     ///
     /// [`MromError::BadImage`] when the tree does not follow the image
     /// schema, references unknown fields, or contains invalid descriptors.
-    ///
-    /// [`AdmissionPolicy::Off`]: crate::AdmissionPolicy::Off
     pub fn from_image_value(v: &Value) -> Result<MromObject, MromError> {
-        MromObject::from_image_value_with_policy(v, crate::AdmissionPolicy::Off)
+        MromObject::from_image_value_with_policy(v, AdmissionPolicy::Off)
     }
 
     /// Reconstructs an object from an image [`Value`] tree under an
-    /// explicit [`AdmissionPolicy`].
+    /// explicit [`AdmissionPolicy`]: the reference decoder the byte
+    /// decoder must agree with.
     ///
     /// # Errors
     ///
     /// As [`MromObject::from_image_value`], plus
     /// [`MromError::AdmissionRejected`] when `policy` is strict and any
     /// method body fails static admission analysis.
-    ///
-    /// [`AdmissionPolicy`]: crate::AdmissionPolicy
     pub fn from_image_value_with_policy(
         v: &Value,
-        policy: crate::AdmissionPolicy,
+        policy: AdmissionPolicy,
     ) -> Result<MromObject, MromError> {
-        let bad = |detail: String| MromError::BadImage(detail);
         let m = v
             .as_map()
-            .ok_or_else(|| bad("image must be a map".into()))?;
-        match m.get("format").and_then(Value::as_str) {
-            Some(IMAGE_FORMAT) => {}
-            Some(other) => return Err(bad(format!("unsupported image format {other:?}"))),
-            None => return Err(bad("missing format field".into())),
-        }
-        let id = m
-            .get("id")
-            .and_then(Value::as_object_ref)
-            .ok_or_else(|| bad("missing id".into()))?;
-        let origin = m
-            .get("origin")
-            .and_then(Value::as_object_ref)
-            .ok_or_else(|| bad("missing origin".into()))?;
-        let class = m
-            .get("class")
-            .and_then(Value::as_str)
-            .ok_or_else(|| bad("missing class".into()))?
-            .to_owned();
-        let meta_acl = Acl::from_value(
-            m.get("meta_acl")
-                .ok_or_else(|| bad("missing meta_acl".into()))?,
+            .ok_or_else(|| MromError::BadImage("image must be a map".into()))?;
+        assemble(
+            |key| m.get(key),
+            policy,
+            || fixed_table(m.get("fixed_methods")).map(Arc::new),
         )
-        .map_err(|e| bad(format!("bad meta_acl: {e}")))?;
-        let tower = m
-            .get("tower")
-            .and_then(Value::as_list)
-            .ok_or_else(|| bad("missing tower".into()))?
-            .iter()
-            .map(|n| {
-                n.as_str()
-                    .map(std::sync::Arc::<str>::from)
-                    .ok_or_else(|| bad("tower entries must be strings".into()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+    }
+}
 
-        let decode_data = |key: &str| -> Result<Vec<(String, DataItem)>, MromError> {
-            let section = m
-                .get(key)
-                .and_then(Value::as_map)
-                .ok_or_else(|| bad(format!("missing {key} map")))?;
-            section
-                .iter()
-                .map(|(n, desc)| {
-                    DataItem::from_descriptor(desc)
-                        .map(|item| (n.clone(), item))
-                        .map_err(|e| bad(format!("bad data item {n:?}: {e}")))
-                })
-                .collect()
-        };
-        let decode_methods = |key: &str| -> Result<Vec<(String, Method)>, MromError> {
-            let section = m
-                .get(key)
-                .and_then(Value::as_map)
-                .ok_or_else(|| bad(format!("missing {key} map")))?;
-            section
-                .iter()
-                .map(|(n, desc)| {
-                    Method::from_descriptor(desc)
-                        .map(|method| (n.clone(), method))
-                        .map_err(|e| bad(format!("bad method {n:?}: {e}")))
-                })
-                .collect()
-        };
+/// The shared decoder: reads the image entry by entry, takes the fixed
+/// methods from `code` when their exact bytes were seen before, and
+/// admits the object under `policy`.
+pub(crate) fn unpack(
+    bytes: &[u8],
+    policy: AdmissionPolicy,
+    code: Option<&Mutex<CodeTable>>,
+) -> Result<MromObject, MromError> {
+    let result = read_image(bytes, code).and_then(|(fields, fixed)| {
+        assemble(|key| fields.get(key), policy, || fixed.resolve(code))
+    });
+    mrom_obs::migrate_decode(bytes.len(), result.is_ok());
+    result
+}
 
-        let fixed_data: FixedContainer<DataItem> = decode_data("fixed_data")?.into_iter().collect();
-        let fixed_methods: FixedContainer<Method> =
-            decode_methods("fixed_methods")?.into_iter().collect();
-        let ext_data: ExtensibleContainer<DataItem> =
-            decode_data("ext_data")?.into_iter().collect();
-        let ext_methods: ExtensibleContainer<Method> =
-            decode_methods("ext_methods")?.into_iter().collect();
+/// An arriving image's `fixed_methods` value.
+enum FixedSection {
+    Absent,
+    /// Interned on this site already.
+    Known(Arc<MethodTable>),
+    /// Decoded; the span is kept when a code table will intern it.
+    New(Value, Option<ValidatedSpan>),
+}
 
-        // Tower entries must reference existing extensible methods.
-        for entry in &tower {
-            if !ext_methods.contains(entry.as_ref()) {
-                return Err(bad(format!(
-                    "tower references missing extensible method {entry:?}"
-                )));
+impl FixedSection {
+    fn resolve(self, code: Option<&Mutex<CodeTable>>) -> Result<Arc<MethodTable>, MromError> {
+        match self {
+            FixedSection::Absent => fixed_table(None).map(Arc::new),
+            FixedSection::Known(table) => Ok(table),
+            FixedSection::New(value, span) => {
+                let table = fixed_table(Some(&value)).map(Arc::new);
+                if let (Some(code), Some(span)) = (code, span) {
+                    let evicted = match &table {
+                        Ok(table) => lock(code).insert(span, table),
+                        Err(_) => 0,
+                    };
+                    mrom_obs::code_table(false, evicted);
+                }
+                table
             }
         }
+    }
+}
 
-        let obj = MromObject::from_raw_parts(
-            id,
-            origin,
-            class,
-            fixed_data,
-            fixed_methods,
-            ext_data,
-            ext_methods,
-            tower,
-            meta_acl,
-        );
-        obj.admit(policy, "from_image")?;
-        // Effect signatures are deliberately NOT primed here: the first
-        // consumer (a retry policy, a Strict dispatch check, `getEffects`)
-        // pays one memoized solve instead, keeping admission itself at
-        // analyzer + verifier cost (the E12/E16 ≤15% budget).
-        Ok(obj)
+fn lock(code: &Mutex<CodeTable>) -> std::sync::MutexGuard<'_, CodeTable> {
+    // Every update leaves the table whole, so a poisoned lock is usable.
+    code.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Every image field the decoder reads, last duplicate winning. The
+/// `fixed_methods` value is looked up in `code` before it is decoded; the
+/// lock is held for that probe only, never while decoding.
+fn read_image<'a>(
+    bytes: &'a [u8],
+    code: Option<&Mutex<CodeTable>>,
+) -> Result<(BTreeMap<&'a str, Value>, FixedSection), MromError> {
+    let bad = |e: mrom_value::ValueError| MromError::BadImage(e.to_string());
+    let Ok(mut map) = wire::MapReader::framed(bytes) else {
+        // Not a framed map: report it as the reference decoder does.
+        return Err(match wire::decode(bytes) {
+            Ok(_) => MromError::BadImage("image must be a map".into()),
+            Err(e) => bad(e),
+        });
+    };
+    let mut fields = BTreeMap::new();
+    let mut fixed = FixedSection::Absent;
+    while let Some((key, value)) = map.next_entry().map_err(bad)? {
+        match key {
+            "fixed_methods" => {
+                let Some(code) = code else {
+                    fixed = FixedSection::New(value.value().map_err(bad)?, None);
+                    continue;
+                };
+                let known = lock(code).find(value.ahead());
+                fixed = match known {
+                    Some((span, table)) => {
+                        assert!(value.skip_as(&span), "the span matched under the lock");
+                        mrom_obs::code_table(true, 0);
+                        FixedSection::Known(table)
+                    }
+                    None => {
+                        let (value, span) = value.value_and_span().map_err(bad)?;
+                        FixedSection::New(value, Some(span))
+                    }
+                };
+            }
+            "format" | "id" | "origin" | "class" | "meta_acl" | "tower" | "fixed_data"
+            | "ext_data" | "ext_methods" => {
+                fields.insert(key, value.value().map_err(bad)?);
+            }
+            _ => {}
+        }
+    }
+    Ok((fields, fixed))
+}
+
+fn fixed_table(v: Option<&Value>) -> Result<MethodTable, MromError> {
+    Ok(MethodTable::new(
+        methods_of("fixed_methods", v)?.into_iter().collect(),
+    ))
+}
+
+fn section<'v>(key: &str, v: Option<&'v Value>) -> Result<&'v BTreeMap<String, Value>, MromError> {
+    v.and_then(Value::as_map)
+        .ok_or_else(|| MromError::BadImage(format!("missing {key} map")))
+}
+
+fn data_of(key: &str, v: Option<&Value>) -> Result<Vec<(String, DataItem)>, MromError> {
+    section(key, v)?
+        .iter()
+        .map(|(n, desc)| {
+            DataItem::from_descriptor(desc)
+                .map(|item| (n.clone(), item))
+                .map_err(|e| MromError::BadImage(format!("bad data item {n:?}: {e}")))
+        })
+        .collect()
+}
+
+fn methods_of(key: &str, v: Option<&Value>) -> Result<Vec<(String, Method)>, MromError> {
+    section(key, v)?
+        .iter()
+        .map(|(n, desc)| {
+            Method::from_descriptor(desc)
+                .map(|method| (n.clone(), method))
+                .map_err(|e| MromError::BadImage(format!("bad method {n:?}: {e}")))
+        })
+        .collect()
+}
+
+/// Validates the image fields (`get` looks one up) in a fixed order and
+/// builds the admitted object; `fixed_methods` supplies the fixed section
+/// at its turn.
+fn assemble<'v>(
+    get: impl Fn(&str) -> Option<&'v Value>,
+    policy: AdmissionPolicy,
+    fixed_methods: impl FnOnce() -> Result<Arc<MethodTable>, MromError>,
+) -> Result<MromObject, MromError> {
+    let bad = |detail: String| MromError::BadImage(detail);
+    match get("format").and_then(Value::as_str) {
+        Some(IMAGE_FORMAT) => {}
+        Some(other) => return Err(bad(format!("unsupported image format {other:?}"))),
+        None => return Err(bad("missing format field".into())),
+    }
+    let id = get("id")
+        .and_then(Value::as_object_ref)
+        .ok_or_else(|| bad("missing id".into()))?;
+    let origin = get("origin")
+        .and_then(Value::as_object_ref)
+        .ok_or_else(|| bad("missing origin".into()))?;
+    let class = get("class")
+        .and_then(Value::as_str)
+        .ok_or_else(|| bad("missing class".into()))?
+        .to_owned();
+    let meta_acl = Acl::from_value(get("meta_acl").ok_or_else(|| bad("missing meta_acl".into()))?)
+        .map_err(|e| bad(format!("bad meta_acl: {e}")))?;
+    let tower = get("tower")
+        .and_then(Value::as_list)
+        .ok_or_else(|| bad("missing tower".into()))?
+        .iter()
+        .map(|n| {
+            n.as_str()
+                .map(Arc::<str>::from)
+                .ok_or_else(|| bad("tower entries must be strings".into()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+
+    let fixed_data: FixedContainer<DataItem> = data_of("fixed_data", get("fixed_data"))?
+        .into_iter()
+        .collect();
+    let fixed_methods = fixed_methods()?;
+    let ext_data: ExtensibleContainer<DataItem> =
+        data_of("ext_data", get("ext_data"))?.into_iter().collect();
+    let ext_methods: ExtensibleContainer<Method> = methods_of("ext_methods", get("ext_methods"))?
+        .into_iter()
+        .collect();
+
+    // A name lives in one section: `add_method`/`add_data` refuse a
+    // duplicate, and an image must not smuggle one in (dispatch would
+    // run the fixed body while the effect table described the other).
+    let twice = fixed_data
+        .names()
+        .iter()
+        .find(|n| ext_data.contains(n))
+        .map(|n| ("data item", n))
+        .or_else(|| {
+            fixed_methods
+                .names()
+                .iter()
+                .find(|n| ext_methods.contains(n))
+                .map(|n| ("method", n))
+        });
+    if let Some((kind, name)) = twice {
+        return Err(bad(format!(
+            "{kind} {name:?} is in both the fixed and the extensible section"
+        )));
+    }
+
+    // Tower entries must reference existing extensible methods.
+    for entry in &tower {
+        if !ext_methods.contains(entry.as_ref()) {
+            return Err(bad(format!(
+                "tower references missing extensible method {entry:?}"
+            )));
+        }
+    }
+
+    let obj = MromObject::from_raw_parts(
+        id,
+        origin,
+        class,
+        fixed_data,
+        fixed_methods,
+        ext_data,
+        ext_methods,
+        tower,
+        meta_acl,
+    );
+    obj.admit(policy, "from_image")?;
+    // Effect signatures are deliberately NOT primed here: the first
+    // consumer (a retry policy, a Strict dispatch check, `getEffects`)
+    // pays one memoized solve instead, keeping admission itself at
+    // analyzer + verifier cost (the E12/E16 ≤15% budget).
+    Ok(obj)
+}
+
+/// Appends a data section's wire body: a map of item descriptors.
+fn write_data<'a>(
+    len: usize,
+    items: impl Iterator<Item = (&'a str, &'a DataItem)>,
+    out: &mut Vec<u8>,
+) {
+    wire::write_map_header(len, out);
+    for (name, item) in items {
+        wire::write_str(name, out);
+        item.write_descriptor(out);
+    }
+}
+
+/// A rough encoded size of a data value, for the image buffer's initial
+/// capacity: exact for the byte and string payloads that dominate.
+fn size_hint(v: &Value) -> usize {
+    16 + match v {
+        Value::Bytes(b) => b.len(),
+        Value::Str(s) => s.len(),
+        other => other.tree_size() * 8,
     }
 }
 
@@ -436,6 +633,55 @@ mod tests {
             MromObject::from_image_value(&image),
             Err(MromError::BadImage(detail)) if detail.contains("ghost")
         ));
+    }
+
+    #[test]
+    fn an_item_in_both_sections_is_a_bad_image() {
+        let mut gen = ids();
+        let mut obj = ObjectBuilder::new(gen.next_id())
+            .class("counter")
+            .fixed_data("count", DataItem::public(Value::Int(0)))
+            .fixed_method(
+                "bump",
+                Method::public(
+                    MethodBody::script(
+                        "self.set(\"count\", self.get(\"count\") + 1); return null;",
+                    )
+                    .unwrap(),
+                ),
+            )
+            .build();
+        // A read-only twin in the extensible section would mask the
+        // fixed body's write in the effect table.
+        let twin = Method::public(MethodBody::script("return self.get(\"count\");").unwrap());
+        let mut methods = obj.image_value().unwrap();
+        methods.as_map_mut().unwrap().insert(
+            "ext_methods".into(),
+            Value::map([("bump", twin.descriptor())]),
+        );
+        let mut data = obj.image_value().unwrap();
+        data.as_map_mut().unwrap().insert(
+            "ext_data".into(),
+            Value::map([("count", DataItem::public(Value::Int(9)).descriptor())]),
+        );
+        let rt = crate::Runtime::new(NodeId(11));
+        for (image, kind) in [(methods, "method"), (data, "data item")] {
+            let bytes = wire::encode(&image);
+            for result in [
+                MromObject::from_image_value_with_policy(&image, AdmissionPolicy::Strict),
+                MromObject::from_image_with_policy(&bytes, AdmissionPolicy::Strict),
+                rt.unpack_image(&bytes),
+            ] {
+                assert!(
+                    matches!(&result, Err(MromError::BadImage(d)) if d.contains(kind) && d.contains("both")),
+                    "{result:?}"
+                );
+            }
+        }
+        // The fixed body is what runs, and what the effects describe.
+        let me = obj.id();
+        invoke(&mut obj, &mut NoWorld, me, "bump", &[]).unwrap();
+        assert!(!obj.effects()["bump"].idempotent);
     }
 
     #[test]

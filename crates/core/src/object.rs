@@ -13,6 +13,7 @@ use crate::error::MromError;
 use crate::item::DataItem;
 use crate::method::{MetaOp, Method, MethodBody};
 use crate::security::Acl;
+use crate::table::MethodTable;
 
 /// Where a cached method resolution points: a sealed fixed slot (the index
 /// is a "fixed offset" valid for the object's whole lifetime) or a shared
@@ -80,7 +81,9 @@ pub struct MromObject {
     origin: ObjectId,
     class_name: String,
     fixed_data: FixedContainer<DataItem>,
-    fixed_methods: FixedContainer<Method>,
+    /// Shared by every object of the same class on a site, and by every
+    /// arrival of the same fixed-method bytes: the section is immutable.
+    fixed_methods: Arc<MethodTable>,
     ext_data: ExtensibleContainer<DataItem>,
     ext_methods: ExtensibleContainer<Method>,
     /// Names of installed meta-invoke methods; `tower[0]` is level 1, the
@@ -97,10 +100,11 @@ pub struct MromObject {
     /// Generation-stamped name → method memo for the dispatch fast path.
     dispatch_cache: DispatchCache,
     /// Generation-stamped memo of the interprocedural effect-signature
-    /// table ([`crate::effects::object_effects`]). Like the dispatch
-    /// cache, pure acceleration state: ignored by `PartialEq`, shed on
-    /// clone-through-migration, recomputed on first use after any
-    /// structural change.
+    /// table ([`crate::effects::object_effects`]) while the extensible
+    /// method section is non-empty; otherwise the fixed table's memo
+    /// serves. Like the dispatch cache, pure acceleration state: ignored
+    /// by `PartialEq`, shed on clone-through-migration, recomputed on
+    /// first use after any structural change.
     effects_cache: Option<(u64, Arc<BTreeMap<String, EffectSignature>>)>,
 }
 
@@ -112,7 +116,8 @@ impl PartialEq for MromObject {
             && self.origin == other.origin
             && self.class_name == other.class_name
             && self.fixed_data == other.fixed_data
-            && self.fixed_methods == other.fixed_methods
+            && (Arc::ptr_eq(&self.fixed_methods, &other.fixed_methods)
+                || **self.fixed_methods == **other.fixed_methods)
             && self.ext_data == other.ext_data
             && self.ext_methods == other.ext_methods
             && self.tower == other.tower
@@ -220,7 +225,14 @@ impl MromObject {
     /// the fixpoint ([`crate::effects::object_effects`]); subsequent
     /// calls return the shared table. This is what the `getEffects`
     /// meta-method serves, and what retry/migration policies consult.
+    ///
+    /// An object without extensible methods has exactly its fixed
+    /// methods, so it reads the memo every sharer of its fixed table
+    /// fills once.
     pub fn effects(&mut self) -> Arc<BTreeMap<String, EffectSignature>> {
+        if self.ext_methods.is_empty() {
+            return self.fixed_methods.effects();
+        }
         if let Some((stamp, table)) = &self.effects_cache {
             if *stamp == self.generation {
                 return Arc::clone(table);
@@ -236,6 +248,9 @@ impl MromObject {
     /// (e.g. a runtime deciding whether a retry is safe without forcing
     /// an analysis on the hot path).
     pub fn effects_if_cached(&self) -> Option<Arc<BTreeMap<String, EffectSignature>>> {
+        if self.ext_methods.is_empty() {
+            return self.fixed_methods.effects_if_cached();
+        }
         match &self.effects_cache {
             Some((stamp, table)) if *stamp == self.generation => Some(Arc::clone(table)),
             _ => None,
@@ -842,17 +857,11 @@ impl MromObject {
         Ok(())
     }
 
-    /// Every method the object carries, fixed section first (admission
-    /// analysis needs the full set regardless of ACLs).
-    pub(crate) fn methods_iter(&self) -> impl Iterator<Item = (&str, &Method)> {
-        self.fixed_methods.iter().chain(self.ext_methods.iter())
-    }
-
     /// Every method the object carries, fixed section first, ignoring
     /// ACLs. For host-side tooling (admission reports, bytecode dumps) —
     /// in-language code sees only the ACL-filtered [`Self::list_methods`].
     pub fn all_methods(&self) -> impl Iterator<Item = (&str, &Method)> {
-        self.methods_iter()
+        self.fixed_methods.iter().chain(self.ext_methods.iter())
     }
 
     /// Names of the methods invocable by `caller`, each with its section.
@@ -997,7 +1006,7 @@ impl MromObject {
         &self,
     ) -> (
         &FixedContainer<DataItem>,
-        &FixedContainer<Method>,
+        &Arc<MethodTable>,
         &ExtensibleContainer<DataItem>,
         &ExtensibleContainer<Method>,
     ) {
@@ -1015,7 +1024,7 @@ impl MromObject {
         origin: ObjectId,
         class_name: String,
         fixed_data: FixedContainer<DataItem>,
-        fixed_methods: FixedContainer<Method>,
+        fixed_methods: Arc<MethodTable>,
         ext_data: ExtensibleContainer<DataItem>,
         ext_methods: ExtensibleContainer<Method>,
         tower: Vec<Arc<str>>,
@@ -1057,6 +1066,9 @@ pub struct ObjectBuilder {
     meta_acl: Acl,
     meta_section: Section,
     register_meta: bool,
+    /// A class's prebuilt fixed-method table, used instead of
+    /// `fixed_methods` (which then stays empty).
+    fixed_table: Option<Arc<MethodTable>>,
 }
 
 impl ObjectBuilder {
@@ -1073,6 +1085,7 @@ impl ObjectBuilder {
             meta_acl: Acl::Origin,
             meta_section: Section::Fixed,
             register_meta: true,
+            fixed_table: None,
         }
     }
 
@@ -1133,6 +1146,13 @@ impl ObjectBuilder {
         self
     }
 
+    /// Shares a class's fixed-method table, built by [`ObjectBuilder::build`]
+    /// from the same fixed methods and meta-method placement.
+    pub(crate) fn shared_fixed_methods(mut self, table: Arc<MethodTable>) -> ObjectBuilder {
+        self.fixed_table = Some(table);
+        self
+    }
+
     /// Finalizes the object, sealing the fixed section.
     pub fn build(self) -> MromObject {
         let mut fixed_methods = self.fixed_methods;
@@ -1141,7 +1161,8 @@ impl ObjectBuilder {
             for op in MetaOp::ALL {
                 let name = op.method_name().to_owned();
                 let already = fixed_methods.iter().any(|(n, _)| *n == name)
-                    || ext_methods.iter().any(|(n, _)| *n == name);
+                    || ext_methods.iter().any(|(n, _)| *n == name)
+                    || self.fixed_table.as_ref().is_some_and(|t| t.contains(&name));
                 if already {
                     continue;
                 }
@@ -1160,12 +1181,15 @@ impl ObjectBuilder {
                 }
             }
         }
+        debug_assert!(self.fixed_table.is_none() || fixed_methods.is_empty());
         MromObject {
             id: self.id,
             origin: self.origin,
             class_name: self.class_name,
             fixed_data: self.fixed_data.into_iter().collect(),
-            fixed_methods: fixed_methods.into_iter().collect(),
+            fixed_methods: self
+                .fixed_table
+                .unwrap_or_else(|| Arc::new(MethodTable::new(fixed_methods.into_iter().collect()))),
             ext_data: self.ext_data.into_iter().collect(),
             ext_methods: ext_methods.into_iter().collect(),
             tower: Vec::new(),

@@ -133,6 +133,18 @@ impl Runtime {
         self.shared.create(class)
     }
 
+    /// Unpacks image bytes that crossed a trust boundary under this
+    /// node's admission policy, through its code table (see
+    /// [`SharedRuntime::unpack_image`]). The object is returned, not
+    /// adopted.
+    ///
+    /// # Errors
+    ///
+    /// [`MromError::BadImage`]; [`MromError::AdmissionRejected`].
+    pub fn unpack_image(&self, bytes: &[u8]) -> Result<MromObject, MromError> {
+        self.shared.unpack_image(bytes)
+    }
+
     /// Adopts an externally constructed object (builder output, or an
     /// unpacked migration image).
     ///

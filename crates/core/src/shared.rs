@@ -43,7 +43,8 @@
 //! `classes → ids → one shard`, and **nothing** is held while a method
 //! body runs. At most one shard lock is ever held at a time; no code path
 //! takes two shards. The `ids` generator and virtual clock are atomic and
-//! never block.
+//! never block. The code-table mutex is taken alone, for a probe or an
+//! insert, and never held while an image decodes.
 //!
 //! ## Migration interlock
 //!
@@ -66,6 +67,7 @@ use crate::class::ClassRegistry;
 use crate::error::MromError;
 use crate::invoke::{InvokeLimits, WorldHook};
 use crate::object::MromObject;
+use crate::table::CodeTable;
 
 /// Number of hash shards in the object table. A small power of two: large
 /// enough that 8 workers rarely collide on a shard lock, small enough
@@ -206,6 +208,8 @@ pub struct SharedRuntime {
     limits: Mutex<InvokeLimits>,
     /// Virtual time surfaced to scripts via `self.time()`.
     now: AtomicU64,
+    /// Fixed-method tables of arrived images, by their exact bytes.
+    code: Mutex<CodeTable>,
 }
 
 impl SharedRuntime {
@@ -223,6 +227,7 @@ impl SharedRuntime {
             classes: RwLock::new(ClassRegistry::new()),
             limits: Mutex::new(InvokeLimits::default()),
             now: AtomicU64::new(0),
+            code: Mutex::new(CodeTable::default()),
         }
     }
 
@@ -311,6 +316,21 @@ impl SharedRuntime {
         let id = obj.id();
         write(self.shard_of(id)).insert(id, Slot::Present(obj));
         Ok(id)
+    }
+
+    /// Unpacks image bytes that crossed a trust boundary, admitting the
+    /// object under this site's own [`InvokeLimits::admission`]. A fixed
+    /// method section this site has seen before, byte for byte, reuses
+    /// its interned table: no decode, and admission re-runs only the
+    /// per-object cross-check. The object is returned, not adopted.
+    ///
+    /// # Errors
+    ///
+    /// [`MromError::BadImage`] for framing/validation failures;
+    /// [`MromError::AdmissionRejected`] when the policy is strict and a
+    /// method body fails static admission analysis.
+    pub fn unpack_image(&self, bytes: &[u8]) -> Result<MromObject, MromError> {
+        crate::migrate::unpack(bytes, self.limits().admission, Some(&self.code))
     }
 
     /// Adopts an externally constructed object (builder output, or an

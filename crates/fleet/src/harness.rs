@@ -81,8 +81,9 @@ fn fleet_cell_class() -> ClassSpec {
 #[must_use]
 pub fn cell_image_bytes() -> usize {
     let cell = fleet_cell_class().instantiate_as(ObjectId::from_parts(NodeId(1), 1, 1), None);
-    let image = cell.image_value().expect("script-only cell is imageable");
-    mrom_value::wire::encode(&image).len()
+    cell.image_bytes()
+        .expect("script-only cell is imageable")
+        .len()
 }
 
 /// A churn step scheduled at a workload-op index.

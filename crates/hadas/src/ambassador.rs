@@ -424,7 +424,9 @@ mod tests {
         .unwrap();
         // The origin can export it (the meta principal).
         let image = amb.migration_image(apo.id()).unwrap();
-        let back = MromObject::from_image(&image).unwrap();
+        let back = mrom_core::Runtime::new(NodeId(40))
+            .unpack_image(&image)
+            .unwrap();
         assert_eq!(back, amb);
     }
 

@@ -221,11 +221,14 @@ impl Federation {
         self.retry
     }
 
-    /// Decodes an arriving image under the federation admission policy,
-    /// converting strict rejections into [`HadasError::AdmissionRefused`]
-    /// naming the receiving site.
+    /// Decodes an arriving image through the receiving site's runtime,
+    /// under its admission policy (the federation's), converting strict
+    /// rejections into [`HadasError::AdmissionRefused`] naming the site.
     fn admit_image(&self, at: NodeId, image: &[u8]) -> Result<MromObject, HadasError> {
-        MromObject::from_image_with_policy(image, self.admission).map_err(|e| at_site(at, e))
+        self.site(at)?
+            .runtime
+            .unpack_image(image)
+            .map_err(|e| at_site(at, e))
     }
 
     /// Adds a site at `node`, creating its runtime and IOO. Returns the
@@ -820,7 +823,7 @@ impl Federation {
                 ),
             )
             .build();
-        match amb.image_value().map(|v| mrom_value::wire::encode(&v)) {
+        match amb.image_bytes() {
             Ok(image) => ProtocolMsg::LinkAck {
                 req_id,
                 ioo,
@@ -880,10 +883,7 @@ impl Federation {
         };
         let amb_id = ambassador.id();
         // Export phase 3: ship it as data.
-        let image = match ambassador
-            .image_value()
-            .map(|v| mrom_value::wire::encode(&v))
-        {
+        let image = match ambassador.image_bytes() {
             Ok(bytes) => bytes,
             Err(e) => return deny(e.to_string()),
         };
@@ -1404,7 +1404,7 @@ impl Federation {
         }
         let site = self.site_mut(from)?;
         let obj = site.runtime.evict(object).map_err(HadasError::Model)?;
-        let image = match obj.image_value().map(|v| mrom_value::wire::encode(&v)) {
+        let image = match obj.image_bytes() {
             Ok(bytes) => bytes,
             Err(e) => {
                 // Not mobile: put it back, report.

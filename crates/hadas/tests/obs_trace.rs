@@ -172,3 +172,53 @@ fn trace_context_survives_the_wire_to_a_fresh_recorder() {
         "remote root span hangs off the sender's operation span"
     );
 }
+
+/// Migrations of one class around a ring: each site decodes the class's
+/// fixed methods on first arrival only, and the code-table counters say
+/// so exactly.
+#[test]
+fn code_table_counters_count_one_miss_per_site_per_class() {
+    const SITES: u64 = 4;
+    const OBJECTS: usize = 3;
+    const LAPS: usize = 2;
+    let cfg = NetworkConfig::new(11).with_default_link(LinkConfig::lan());
+    let mut fed = Federation::new(cfg);
+    let nodes: Vec<NodeId> = (1..=SITES).map(NodeId).collect();
+    for &n in &nodes {
+        fed.add_site(n).unwrap();
+    }
+    for (i, &n) in nodes.iter().enumerate() {
+        fed.link(n, nodes[(i + 1) % nodes.len()]).unwrap();
+    }
+    let cargo = ClassSpec::new("cargo")
+        .fixed_data("hops", DataItem::public(Value::Int(0)))
+        .fixed_method(
+            "peek",
+            Method::public(MethodBody::script("return self.get(\"hops\");").unwrap()),
+        );
+    let rt = fed.runtime_mut(nodes[0]).unwrap();
+    let ids: Vec<ObjectId> = (0..OBJECTS)
+        .map(|_| {
+            let obj = cargo.instantiate_as(rt.ids_mut().next_id(), None);
+            rt.adopt(obj).unwrap()
+        })
+        .collect();
+
+    mrom_obs::reset();
+    mrom_obs::set_mode(ObsMode::Ring);
+    let mut arrivals = 0;
+    for _ in 0..LAPS {
+        for (i, &from) in nodes.iter().enumerate() {
+            for &id in &ids {
+                fed.dispatch_object(from, nodes[(i + 1) % nodes.len()], id)
+                    .unwrap();
+                arrivals += 1;
+            }
+        }
+    }
+    let m = mrom_obs::metrics_snapshot().migrate;
+    mrom_obs::set_mode(ObsMode::Disabled);
+    assert_eq!(m.table_misses, SITES, "one decode per site for the class");
+    assert_eq!(m.table_hits, arrivals - SITES);
+    assert_eq!(m.table_evictions, 0);
+}

@@ -608,6 +608,24 @@ pub fn migrate_decode(bytes: usize, ok: bool) {
     });
 }
 
+/// Records one code-table lookup for an arriving fixed-method section
+/// and the tables its insertion evicted.
+#[inline]
+pub fn code_table(hit: bool, evicted: usize) {
+    if !enabled() {
+        return;
+    }
+    with_recorder(|r| {
+        let m = &mut r.metrics_mut().migrate;
+        if hit {
+            m.table_hits += 1;
+        } else {
+            m.table_misses += 1;
+        }
+        m.table_evictions += evicted as u64;
+    });
+}
+
 /// Records an admission-analysis verdict.
 #[inline]
 pub fn admission_verdict(context: &str, accepted: bool, findings: usize) {

@@ -237,6 +237,12 @@ pub struct MigrateMetrics {
     pub decode_errors: u64,
     /// Bytes consumed by decode attempts.
     pub bytes_in: u64,
+    /// Arrivals whose fixed-method bytes a site's code table already held.
+    pub table_hits: u64,
+    /// Arrivals whose fixed-method bytes had to be decoded.
+    pub table_misses: u64,
+    /// Tables the code table's caps pushed out.
+    pub table_evictions: u64,
 }
 
 impl MigrateMetrics {
@@ -247,6 +253,9 @@ impl MigrateMetrics {
             ("decodes", int(self.decodes)),
             ("decode_errors", int(self.decode_errors)),
             ("bytes_in", int(self.bytes_in)),
+            ("table_hits", int(self.table_hits)),
+            ("table_misses", int(self.table_misses)),
+            ("table_evictions", int(self.table_evictions)),
         ])
     }
 }

@@ -28,6 +28,7 @@
 //! images cannot blow the stack.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::error::ValueError;
 use crate::id::ObjectId;
@@ -139,6 +140,15 @@ pub fn write_object_ref_value(id: ObjectId, out: &mut Vec<u8>) {
 /// appends exactly `len` item bodies.
 pub fn write_list_header(len: usize, out: &mut Vec<u8>) {
     out.push(TAG_LIST);
+    write_varint(len as u64, out);
+}
+
+/// Appends the header of a `Value::Map` of `len` entries; the caller then
+/// appends exactly `len` (key via [`write_str`], value body) pairs in
+/// strictly increasing key order, the order that makes the encoding
+/// canonical.
+pub fn write_map_header(len: usize, out: &mut Vec<u8>) {
+    out.push(TAG_MAP);
     write_varint(len as u64, out);
 }
 
@@ -421,6 +431,45 @@ impl<'a> MapValue<'_, 'a> {
         Ok(value)
     }
 
+    /// Decodes the value and copies its encoding, so a later reader can
+    /// recognise the same bytes with [`MapValue::skip_as`].
+    ///
+    /// # Errors
+    ///
+    /// [`ValueError`] for a malformed or too deep value.
+    pub fn value_and_span(self) -> Result<(Value, ValidatedSpan), ValueError> {
+        let start = self.map.reader.pos;
+        let value = decode_value_at(&mut self.map.reader, 1)?;
+        self.map.pending = false;
+        let span = &self.map.reader.buf[start..self.map.reader.pos];
+        Ok((value, ValidatedSpan(span.into())))
+    }
+
+    /// The unread bytes from this value's first byte on: its encoding,
+    /// then the rest of the map. Unvalidated.
+    #[must_use]
+    pub fn ahead(&self) -> &'a [u8] {
+        &self.map.reader.buf[self.map.reader.pos..]
+    }
+
+    /// Consumes the value as `span` without validating it again when the
+    /// bytes ahead begin with `span`, and returns whether it did;
+    /// otherwise the value stays unread and is validated when the map
+    /// moves on.
+    ///
+    /// This is sound because encodings are self-delimiting: a decoder's
+    /// every step depends only on the bytes it has read, so bytes that
+    /// begin with a complete value that validated at this same depth hold
+    /// exactly that value here, and validate the same way.
+    pub fn skip_as(self, span: &ValidatedSpan) -> bool {
+        if !self.ahead().starts_with(&span.0) {
+            return false;
+        }
+        self.map.reader.pos += span.0.len();
+        self.map.pending = false;
+        true
+    }
+
     /// The value if it is an `Int`; any other value is validated and yields
     /// `None`.
     ///
@@ -489,6 +538,20 @@ impl<'a> MapValue<'_, 'a> {
         let b = read_bytes_ref(&mut self.map.reader)?;
         self.map.pending = false;
         Ok(Some(b))
+    }
+}
+
+/// The encoding of one map value that a [`MapReader`] decoded and thereby
+/// validated (depth budget, tags, counts, UTF-8): made only by
+/// [`MapValue::value_and_span`], recognised by [`MapValue::skip_as`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ValidatedSpan(Arc<[u8]>);
+
+impl ValidatedSpan {
+    /// The encoded bytes.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
     }
 }
 
@@ -967,7 +1030,53 @@ mod tests {
                 map.next_entry().map(|_| ())
             });
             assert_eq!(typed.is_ok(), ok, "{body:02x?} typed");
+            let spanned = MapReader::framed(&buf).and_then(|mut map| {
+                let (_, value) = map.next_entry()?.expect("one entry");
+                let (_, span) = value.value_and_span()?;
+                map.next_entry().map(|_| span)
+            });
+            assert_eq!(spanned.is_ok(), ok, "{body:02x?} spanned");
+            if let Ok(span) = spanned {
+                assert_eq!(span.as_bytes(), body);
+            }
         }
+    }
+
+    #[test]
+    fn validated_spans_are_recognised_and_skipped() {
+        let v = Value::map([("a", Value::list([Value::Int(1), Value::from("x")]))]);
+        let buf = encode(&Value::map([("k", v.clone()), ("z", Value::Null)]));
+        let mut map = MapReader::framed(&buf).unwrap();
+        let (_, value) = map.next_entry().unwrap().unwrap();
+        let (decoded, span) = value.value_and_span().unwrap();
+        assert_eq!(decoded, v);
+        assert_eq!(decode_value(&mut Reader::new(span.as_bytes())).unwrap(), v);
+
+        // A second buffer carrying the same value elsewhere: recognised,
+        // skipped, and the entries after it still read.
+        let again = encode(&Value::map([
+            ("a", Value::Int(3)),
+            ("k", v),
+            ("z", Value::from("after")),
+        ]));
+        let mut map = MapReader::framed(&again).unwrap();
+        let (_, first) = map.next_entry().unwrap().unwrap();
+        assert!(!first.ahead().starts_with(span.as_bytes()));
+        assert!(!first.skip_as(&span), "a different value stays unread");
+        let (_, second) = map.next_entry().unwrap().unwrap();
+        assert!(second.ahead().starts_with(span.as_bytes()));
+        assert!(second.skip_as(&span));
+        let (key, third) = map.next_entry().unwrap().unwrap();
+        assert_eq!((key, third.value().unwrap()), ("z", Value::from("after")));
+        assert!(map.next_entry().unwrap().is_none());
+
+        let mut out = Vec::new();
+        write_map_header(1, &mut out);
+        write_str("a", &mut out);
+        write_list_header(2, &mut out);
+        write_int_value(1, &mut out);
+        write_str_value("x", &mut out);
+        assert_eq!(out, span.as_bytes());
     }
 
     #[test]
