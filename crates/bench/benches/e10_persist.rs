@@ -2,13 +2,14 @@
 //!
 //! Rows: an object writing itself into a memory depot and bootstrapping
 //! back, at several cargo sizes; the same against the log-structured file
-//! store; recovery scans; and compaction of a churned log.
+//! store; recovery scans; compaction of a churned log; and the CRC-32
+//! every record carries, at 2 KiB and 64 KiB.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use mrom_bench::{bench_ids, cargo_object};
-use mrom_persist::{BlobStore, Depot, FileStore, MemStore};
+use mrom_persist::{crc32, BlobStore, Depot, FileStore, MemStore};
 
 fn bench_persist(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_persist");
@@ -89,8 +90,19 @@ fn bench_persist(c: &mut Criterion) {
             },
         );
     });
-    group.finish();
     let _ = std::fs::remove_dir_all(&dir);
+
+    // The record checksum both stores run on every put and get: a
+    // migration image is a few KiB, the largest benchmark payload 64 KiB.
+    // Last in the group, so the throughput annotation marks only these.
+    for size in [2_048usize, 65_536] {
+        let data: Vec<u8> = (0..size).map(|i| (i * 31 + 7) as u8).collect();
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::new("crc32", size), &data, |b, data| {
+            b.iter(|| black_box(crc32(black_box(data))));
+        });
+    }
+    group.finish();
 }
 
 criterion_group!(benches, bench_persist);

@@ -22,6 +22,10 @@
 //! file is truncated there — a torn final write (crash mid-append) loses
 //! only that write, never earlier ones.
 //!
+//! [`BlobStore::get`] reads the whole record and checks its header and
+//! CRC again, so a record damaged after `open` is refused as
+//! [`PersistError::Corrupt`] rather than returned as wrong bytes.
+//!
 //! ## Compaction
 //!
 //! Deletes append tombstones and replaced records stay in the log until
@@ -42,6 +46,19 @@ const VERSION: u8 = 1;
 const KIND_PUT: u8 = 1;
 const KIND_TOMBSTONE: u8 = 2;
 const HEADER_LEN: usize = 2 + 1 + 1 + 4 + 4 + 4;
+/// Where a header keeps its CRC.
+const CRC_AT: std::ops::Range<usize> = 12..16;
+
+/// A record's header up to its CRC: magic, version, kind and lengths.
+fn record_header(kind: u8, key_len: usize, data_len: usize) -> [u8; CRC_AT.start] {
+    let mut head = [0u8; CRC_AT.start];
+    head[0..2].copy_from_slice(&MAGIC);
+    head[2] = VERSION;
+    head[3] = kind;
+    head[4..8].copy_from_slice(&(key_len as u32).to_be_bytes());
+    head[8..12].copy_from_slice(&(data_len as u32).to_be_bytes());
+    head
+}
 
 /// A crash-recoverable, log-structured [`BlobStore`] backed by one file.
 #[derive(Debug)]
@@ -88,7 +105,7 @@ impl FileStore {
             }
             let key_len = u32::from_be_bytes(head[4..8].try_into().expect("4 bytes")) as usize;
             let data_len = u32::from_be_bytes(head[8..12].try_into().expect("4 bytes")) as usize;
-            let stored_crc = u32::from_be_bytes(head[12..16].try_into().expect("4 bytes"));
+            let stored_crc = u32::from_be_bytes(head[CRC_AT].try_into().expect("4 bytes"));
             let body_start = pos + HEADER_LEN;
             let Some(body_end) = body_start.checked_add(key_len + data_len) else {
                 break;
@@ -96,15 +113,10 @@ impl FileStore {
             if body_end > raw.len() {
                 break;
             }
-            let key_bytes = &raw[body_start..body_start + key_len];
-            let data_bytes = &raw[body_start + key_len..body_end];
-            let mut crc_input = Vec::with_capacity(key_len + data_len);
-            crc_input.extend_from_slice(key_bytes);
-            crc_input.extend_from_slice(data_bytes);
-            if crc32(&crc_input) != stored_crc {
+            if crc32(&raw[body_start..body_end]) != stored_crc {
                 break;
             }
-            let Ok(key) = std::str::from_utf8(key_bytes) else {
+            let Ok(key) = std::str::from_utf8(&raw[body_start..body_start + key_len]) else {
                 break;
             };
             let record_len = (HEADER_LEN + key_len + data_len) as u64;
@@ -160,17 +172,12 @@ impl FileStore {
 
     fn append_record(&mut self, kind: u8, key: &str, data: &[u8]) -> Result<u64, PersistError> {
         let mut rec = Vec::with_capacity(HEADER_LEN + key.len() + data.len());
-        rec.extend_from_slice(&MAGIC);
-        rec.push(VERSION);
-        rec.push(kind);
-        rec.extend_from_slice(&(key.len() as u32).to_be_bytes());
-        rec.extend_from_slice(&(data.len() as u32).to_be_bytes());
-        let mut crc_input = Vec::with_capacity(key.len() + data.len());
-        crc_input.extend_from_slice(key.as_bytes());
-        crc_input.extend_from_slice(data);
-        rec.extend_from_slice(&crc32(&crc_input).to_be_bytes());
+        rec.extend_from_slice(&record_header(kind, key.len(), data.len()));
+        rec.extend_from_slice(&[0; 4]); // CRC, patched below
         rec.extend_from_slice(key.as_bytes());
         rec.extend_from_slice(data);
+        let crc = crc32(&rec[HEADER_LEN..]);
+        rec[CRC_AT].copy_from_slice(&crc.to_be_bytes());
         let offset = self.tail;
         self.file.write_all(&rec)?;
         self.file.flush()?;
@@ -215,16 +222,34 @@ impl BlobStore for FileStore {
         Ok(())
     }
 
+    /// Reads the whole record and checks it again, so damage done to the
+    /// log since [`FileStore::open`] scanned it surfaces as
+    /// [`PersistError::Corrupt`] instead of as wrong bytes.
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>, PersistError> {
-        let Some((offset, len)) = self.index.get(key) else {
+        let Some(&(data_offset, len)) = self.index.get(key) else {
             return Ok(None);
         };
-        let mut out = vec![0u8; *len as usize];
+        let mut rec = vec![0u8; HEADER_LEN + key.len() + len as usize];
         // Positioned read through a cloned handle keeps &self semantics.
         let mut handle = self.file.try_clone()?;
-        handle.seek(SeekFrom::Start(*offset))?;
-        handle.read_exact(&mut out)?;
-        Ok(Some(out))
+        handle.seek(SeekFrom::Start(
+            data_offset - key.len() as u64 - HEADER_LEN as u64,
+        ))?;
+        handle.read_exact(&mut rec)?;
+        let corrupt = |detail: &str| PersistError::Corrupt {
+            key: key.to_owned(),
+            detail: detail.into(),
+        };
+        let expected_head = record_header(KIND_PUT, key.len(), len as usize);
+        if rec[..CRC_AT.start] != expected_head {
+            return Err(corrupt("record header mismatch"));
+        }
+        let stored_crc = u32::from_be_bytes(rec[CRC_AT].try_into().expect("4 bytes"));
+        if crc32(&rec[HEADER_LEN..]) != stored_crc {
+            return Err(corrupt("crc mismatch"));
+        }
+        rec.drain(..HEADER_LEN + key.len());
+        Ok(Some(rec))
     }
 
     fn delete(&mut self, key: &str) -> Result<bool, PersistError> {
@@ -346,6 +371,22 @@ mod tests {
         // Scan stopped at the corruption: later records are gone too
         // (prefix-consistency, like a real log).
         assert_eq!(s.keys(), ["first"]);
+    }
+
+    #[test]
+    fn get_refuses_a_header_rotted_after_open() {
+        let dir = TempDir::new("rot-head");
+        let path = dir.file("log");
+        let mut s = FileStore::open(&path).unwrap();
+        s.put("k", b"intact payload").unwrap();
+        // Put → tombstone: the CRC covers only key and data.
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[3] = KIND_TOMBSTONE;
+        std::fs::write(&path, &raw).unwrap();
+        assert!(matches!(
+            s.get("k"),
+            Err(PersistError::Corrupt { detail, .. }) if detail == "record header mismatch"
+        ));
     }
 
     #[test]
