@@ -1,6 +1,7 @@
 //! Data items: named, ACL-guarded, optionally type-constrained value slots.
 
-use mrom_value::{wire, Value, ValueError};
+use mrom_value::wire::{self, MapValue};
+use mrom_value::{Value, ValueError, ValueKind};
 
 use crate::security::{Acl, TypeConstraint};
 
@@ -151,13 +152,68 @@ impl DataItem {
     pub(crate) fn write_descriptor(&self, out: &mut Vec<u8>) {
         wire::write_map_header(4, out);
         wire::write_str("constraint", out);
-        wire::encode_value(&self.constraint.to_value(), out);
+        self.constraint.write_value(out);
         wire::write_str("read_acl", out);
-        wire::encode_value(&self.read_acl.to_value(), out);
+        self.read_acl.write_value(out);
         wire::write_str("value", out);
         wire::encode_value(&self.value, out);
         wire::write_str("write_acl", out);
-        wire::encode_value(&self.write_acl.to_value(), out);
+        self.write_acl.write_value(out);
+    }
+
+    /// Reads an item straight from its descriptor's wire body (migration
+    /// images), copying the value once. The outer error is the wire's; the
+    /// inner result is what [`DataItem::from_descriptor`] makes of the
+    /// descriptor, the same item or the same error.
+    pub(crate) fn read_descriptor(
+        desc: MapValue<'_, '_>,
+    ) -> Result<Result<DataItem, ValueError>, ValueError> {
+        if desc.kind() != Some(ValueKind::Map) {
+            return Ok(DataItem::from_descriptor(&desc.value()?));
+        }
+        // Each key's last occurrence wins, as in a decoded map.
+        let (mut read, mut write, mut constraint, mut value) = (None, None, None, None);
+        let mut unknown: Option<&str> = None;
+        desc.entries(|key, v| {
+            match key {
+                "read_acl" => read = Some(Acl::read(v)?),
+                "write_acl" => write = Some(Acl::read(v)?),
+                "constraint" => constraint = Some(TypeConstraint::read(v)?),
+                "value" => value = Some(v.value()?),
+                "section" => {}
+                // `apply_descriptor` names the least unknown key.
+                other => {
+                    if unknown.is_none_or(|least| other < least) {
+                        unknown = Some(other);
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        // The checks of `apply_descriptor`, in its order.
+        Ok((|| {
+            if let Some(key) = unknown {
+                return Err(ValueError::Malformed(format!(
+                    "unknown descriptor key {key:?}"
+                )));
+            }
+            let mut item = DataItem::default();
+            if let Some(acl) = read {
+                item.read_acl = acl?;
+            }
+            if let Some(acl) = write {
+                item.write_acl = acl?;
+            }
+            if let Some(constraint) = constraint {
+                let constraint = constraint?;
+                item.value = constraint.apply(Value::Null)?;
+                item.constraint = constraint;
+            }
+            if let Some(v) = value {
+                item.value = item.constraint.apply(v)?;
+            }
+            Ok(item)
+        })())
     }
 
     /// Rebuilds an item from a full descriptor (used by `addDataItem` with

@@ -9,12 +9,19 @@
 //! An object holding any native (Rust-closure) body refuses to serialize
 //! with [`MromError::NotMobile`]: self-containment means a mobile object
 //! must carry all of its own behaviour.
+//!
+//! Both directions go straight between the object and the bytes: the
+//! encoder writes each field to the wire, and the decoder reads each
+//! entry into its field (one copy of each payload, no `Value` tree). The
+//! `Value` forms ([`MromObject::image_value`],
+//! [`MromObject::from_image_value`]) are the reference both are tested
+//! against, and share the decoder's checks after field parsing.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use mrom_value::wire::{self, ValidatedSpan};
-use mrom_value::{ObjectId, Value};
+use mrom_value::wire::{self, MapValue, ValidatedSpan};
+use mrom_value::{ObjectId, Value, ValueError};
 
 use crate::admission::AdmissionPolicy;
 use crate::container::{ExtensibleContainer, FixedContainer};
@@ -212,45 +219,223 @@ impl MromObject {
         let m = v
             .as_map()
             .ok_or_else(|| MromError::BadImage("image must be a map".into()))?;
-        assemble(
-            |key| m.get(key),
-            policy,
-            || fixed_table(m.get("fixed_methods")).map(Arc::new),
-        )
+        Fields::from_map(m).into_object(policy, None)
     }
 }
 
-/// The shared decoder: reads the image entry by entry, takes the fixed
-/// methods from `code` when their exact bytes were seen before, and
-/// admits the object under `policy`.
+/// The byte decoder: reads the image entry by entry straight into its
+/// fields, takes the fixed methods from `code` when their exact bytes were
+/// seen before, and admits the object under `policy`.
 pub(crate) fn unpack(
     bytes: &[u8],
     policy: AdmissionPolicy,
     code: Option<&Mutex<CodeTable>>,
 ) -> Result<MromObject, MromError> {
-    let result = read_image(bytes, code).and_then(|(fields, fixed)| {
-        assemble(|key| fields.get(key), policy, || fixed.resolve(code))
-    });
+    let result = read_image(bytes, code).and_then(|fields| fields.into_object(policy, code));
     mrom_obs::migrate_decode(bytes.len(), result.is_ok());
     result
 }
 
+/// Every image field, read by the byte decoder straight from the wire or
+/// by the reference decoder from a `Value` map. The two differ only in
+/// how they fill these; [`Fields::into_object`] is the rest of both.
+///
+/// Each field holds its own parse, made as it is read: `None` when it is
+/// absent (or of a kind the reference treats as absent), otherwise the
+/// value or the error the reference reports for it. A later duplicate of
+/// a key replaces the earlier one, as in a decoded map.
+#[derive(Default)]
+struct Fields<'a> {
+    format: Option<&'a str>,
+    id: Option<ObjectId>,
+    origin: Option<ObjectId>,
+    class: Option<&'a str>,
+    meta_acl: Option<Result<Acl, ValueError>>,
+    tower: Option<Result<Vec<Arc<str>>, MromError>>,
+    fixed_data: Option<Result<FixedContainer<DataItem>, MromError>>,
+    fixed_methods: Option<FixedSection>,
+    ext_data: Option<Result<ExtensibleContainer<DataItem>, MromError>>,
+    ext_methods: Option<Result<ExtensibleContainer<Method>, MromError>>,
+}
+
+impl<'a> Fields<'a> {
+    /// The reference decoder's fields, from a decoded image map.
+    fn from_map(m: &'a BTreeMap<String, Value>) -> Fields<'a> {
+        let mut f = Fields::default();
+        for (key, v) in m {
+            match key.as_str() {
+                "format" => f.format = v.as_str(),
+                "id" => f.id = v.as_object_ref(),
+                "origin" => f.origin = v.as_object_ref(),
+                "class" => f.class = v.as_str(),
+                "meta_acl" => f.meta_acl = Some(Acl::from_value(v)),
+                "tower" => f.tower = v.as_list().map(|l| tower(l.iter().map(Value::as_str))),
+                "fixed_data" => f.fixed_data = data_of(v),
+                "fixed_methods" => f.fixed_methods = Some(FixedSection::New(fixed_table(v), None)),
+                "ext_data" => f.ext_data = data_of(v),
+                "ext_methods" => f.ext_methods = Some(methods_of("ext_methods", v)),
+                _ => {}
+            }
+        }
+        f
+    }
+
+    /// Reads one image entry into its field, probing `code` for the fixed
+    /// methods. A wire error anywhere in the image is what the reference
+    /// reports first, so it is returned at once.
+    fn read(
+        &mut self,
+        key: &str,
+        value: MapValue<'_, 'a>,
+        code: Option<&Mutex<CodeTable>>,
+    ) -> Result<(), ValueError> {
+        match key {
+            "format" => self.format = value.str()?,
+            "id" => self.id = value.object_ref()?,
+            "origin" => self.origin = value.object_ref()?,
+            "class" => self.class = value.str()?,
+            "meta_acl" => self.meta_acl = Some(Acl::read(value)?),
+            "tower" => {
+                let mut names = Vec::new();
+                let listed = value.items(|name| {
+                    names.push(name.str()?);
+                    Ok(())
+                })?;
+                self.tower = listed.then(|| tower(names.into_iter()));
+            }
+            "fixed_data" => self.fixed_data = read_data(value)?,
+            "fixed_methods" => self.fixed_methods = Some(FixedSection::read(value, code)?),
+            "ext_data" => self.ext_data = read_data(value)?,
+            "ext_methods" => self.ext_methods = Some(methods_of("ext_methods", &value.value()?)),
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Checks the fields in the reference's fixed order, so the same
+    /// error wins whichever decoder read them; resolves the fixed section
+    /// at its turn; then checks the sections against each other and the
+    /// tower, and builds and admits the object.
+    fn into_object(
+        self,
+        policy: AdmissionPolicy,
+        code: Option<&Mutex<CodeTable>>,
+    ) -> Result<MromObject, MromError> {
+        let bad = |detail: String| MromError::BadImage(detail);
+        let missing = |what: &str| MromError::BadImage(format!("missing {what}"));
+        match self.format {
+            Some(IMAGE_FORMAT) => {}
+            Some(other) => return Err(bad(format!("unsupported image format {other:?}"))),
+            None => return Err(missing("format field")),
+        }
+        let id = self.id.ok_or_else(|| missing("id"))?;
+        let origin = self.origin.ok_or_else(|| missing("origin"))?;
+        let class = self.class.ok_or_else(|| missing("class"))?.to_owned();
+        let meta_acl = self
+            .meta_acl
+            .ok_or_else(|| missing("meta_acl"))?
+            .map_err(|e| bad(format!("bad meta_acl: {e}")))?;
+        let tower = self.tower.unwrap_or_else(|| Err(missing("tower")))?;
+        let fixed_data = self
+            .fixed_data
+            .unwrap_or_else(|| Err(missing("fixed_data map")))?;
+        let fixed_methods = match self.fixed_methods {
+            Some(section) => section.resolve(code)?,
+            None => return Err(missing("fixed_methods map")),
+        };
+        let ext_data = self
+            .ext_data
+            .unwrap_or_else(|| Err(missing("ext_data map")))?;
+        let ext_methods = self
+            .ext_methods
+            .unwrap_or_else(|| Err(missing("ext_methods map")))?;
+
+        // A name lives in one section: `add_method`/`add_data` refuse a
+        // duplicate, and an image must not smuggle one in (dispatch would
+        // run the fixed body while the effect table described the other).
+        let twice = fixed_data
+            .names()
+            .iter()
+            .find(|n| ext_data.contains(n))
+            .map(|n| ("data item", n))
+            .or_else(|| {
+                fixed_methods
+                    .names()
+                    .iter()
+                    .find(|n| ext_methods.contains(n))
+                    .map(|n| ("method", n))
+            });
+        if let Some((kind, name)) = twice {
+            return Err(bad(format!(
+                "{kind} {name:?} is in both the fixed and the extensible section"
+            )));
+        }
+
+        // Tower entries must reference existing extensible methods.
+        for entry in &tower {
+            if !ext_methods.contains(entry.as_ref()) {
+                return Err(bad(format!(
+                    "tower references missing extensible method {entry:?}"
+                )));
+            }
+        }
+
+        let obj = MromObject::from_raw_parts(
+            id,
+            origin,
+            class,
+            fixed_data,
+            fixed_methods,
+            ext_data,
+            ext_methods,
+            tower,
+            meta_acl,
+        );
+        obj.admit(policy, "from_image")?;
+        // Effect signatures are deliberately NOT primed here: the first
+        // consumer (a retry policy, a Strict dispatch check, `getEffects`)
+        // pays one memoized solve instead, keeping admission itself at
+        // analyzer + verifier cost (the E12/E16 ≤15% budget).
+        Ok(obj)
+    }
+}
+
 /// An arriving image's `fixed_methods` value.
 enum FixedSection {
-    Absent,
     /// Interned on this site already.
     Known(Arc<MethodTable>),
     /// Decoded; the span is kept when a code table will intern it.
-    New(Value, Option<ValidatedSpan>),
+    New(Result<MethodTable, MromError>, Option<ValidatedSpan>),
 }
 
 impl FixedSection {
+    /// Takes the section from `code` when its bytes are held there, and
+    /// decodes it otherwise. The lock is held for the probe only, never
+    /// while decoding.
+    fn read(value: MapValue<'_, '_>, code: Option<&Mutex<CodeTable>>) -> Result<Self, ValueError> {
+        let Some(code) = code else {
+            return Ok(FixedSection::New(fixed_table(&value.value()?), None));
+        };
+        let probe = lock(code).find(value);
+        Ok(match probe {
+            Ok(table) => {
+                mrom_obs::code_table(true, 0);
+                FixedSection::Known(table)
+            }
+            Err(value) => {
+                let (value, span) = value.value_and_span()?;
+                FixedSection::New(fixed_table(&value), Some(span))
+            }
+        })
+    }
+
+    /// The section's table; a new one is interned in `code` once the
+    /// fields before it have checked out.
     fn resolve(self, code: Option<&Mutex<CodeTable>>) -> Result<Arc<MethodTable>, MromError> {
         match self {
-            FixedSection::Absent => fixed_table(None).map(Arc::new),
             FixedSection::Known(table) => Ok(table),
-            FixedSection::New(value, span) => {
-                let table = fixed_table(Some(&value)).map(Arc::new);
+            FixedSection::New(table, span) => {
+                let table = table.map(Arc::new);
                 if let (Some(code), Some(span)) = (code, span) {
                     let evicted = match &table {
                         Ok(table) => lock(code).insert(span, table),
@@ -269,14 +454,12 @@ fn lock(code: &Mutex<CodeTable>) -> std::sync::MutexGuard<'_, CodeTable> {
     code.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Every image field the decoder reads, last duplicate winning. The
-/// `fixed_methods` value is looked up in `code` before it is decoded; the
-/// lock is held for that probe only, never while decoding.
+/// Opens the image and reads every entry into [`Fields`].
 fn read_image<'a>(
     bytes: &'a [u8],
     code: Option<&Mutex<CodeTable>>,
-) -> Result<(BTreeMap<&'a str, Value>, FixedSection), MromError> {
-    let bad = |e: mrom_value::ValueError| MromError::BadImage(e.to_string());
+) -> Result<Fields<'a>, MromError> {
+    let bad = |e: ValueError| MromError::BadImage(e.to_string());
     let Ok(mut map) = wire::MapReader::framed(bytes) else {
         // Not a framed map: report it as the reference decoder does.
         return Err(match wire::decode(bytes) {
@@ -284,62 +467,76 @@ fn read_image<'a>(
             Err(e) => bad(e),
         });
     };
-    let mut fields = BTreeMap::new();
-    let mut fixed = FixedSection::Absent;
+    let mut fields = Fields::default();
     while let Some((key, value)) = map.next_entry().map_err(bad)? {
-        match key {
-            "fixed_methods" => {
-                let Some(code) = code else {
-                    fixed = FixedSection::New(value.value().map_err(bad)?, None);
-                    continue;
-                };
-                let known = lock(code).find(value.ahead());
-                fixed = match known {
-                    Some((span, table)) => {
-                        assert!(value.skip_as(&span), "the span matched under the lock");
-                        mrom_obs::code_table(true, 0);
-                        FixedSection::Known(table)
-                    }
-                    None => {
-                        let (value, span) = value.value_and_span().map_err(bad)?;
-                        FixedSection::New(value, Some(span))
-                    }
-                };
-            }
-            "format" | "id" | "origin" | "class" | "meta_acl" | "tower" | "fixed_data"
-            | "ext_data" | "ext_methods" => {
-                fields.insert(key, value.value().map_err(bad)?);
-            }
-            _ => {}
-        }
+        fields.read(key, value, code).map_err(bad)?;
     }
-    Ok((fields, fixed))
+    Ok(fields)
 }
 
-fn fixed_table(v: Option<&Value>) -> Result<MethodTable, MromError> {
-    Ok(MethodTable::new(
-        methods_of("fixed_methods", v)?.into_iter().collect(),
-    ))
+/// A decoded data section's items; `None` for a value that is not a map.
+fn data_of<C: FromIterator<(String, DataItem)>>(v: &Value) -> Option<Result<C, MromError>> {
+    let items = v.as_map()?;
+    Some(data_section(items.iter().map(|(n, desc)| {
+        (n.as_str(), DataItem::from_descriptor(desc))
+    })))
 }
 
-fn section<'v>(key: &str, v: Option<&'v Value>) -> Result<&'v BTreeMap<String, Value>, MromError> {
-    v.and_then(Value::as_map)
-        .ok_or_else(|| MromError::BadImage(format!("missing {key} map")))
+/// Reads a data section straight into its items; `None` for a value that
+/// is not a map.
+fn read_data<C: FromIterator<(String, DataItem)>>(
+    value: MapValue<'_, '_>,
+) -> Result<Option<Result<C, MromError>>, ValueError> {
+    let mut items = Vec::new();
+    let is_map = value.entries(|name, desc| {
+        items.push((name, DataItem::read_descriptor(desc)?));
+        Ok(())
+    })?;
+    Ok(is_map.then(|| data_section(in_name_order(items).into_iter())))
 }
 
-fn data_of(key: &str, v: Option<&Value>) -> Result<Vec<(String, DataItem)>, MromError> {
-    section(key, v)?
-        .iter()
-        .map(|(n, desc)| {
-            DataItem::from_descriptor(desc)
-                .map(|item| (n.clone(), item))
+/// `entries` in name order, keeping the last of each name: what a decoded
+/// map holds. Canonical images are already in that order.
+fn in_name_order<T>(mut entries: Vec<(&str, T)>) -> Vec<(&str, T)> {
+    if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+        entries.reverse();
+        // Stable, so each name's last occurrence sorts first and is kept.
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        entries.dedup_by(|later, kept| later.0 == kept.0);
+    }
+    entries
+}
+
+/// A data section from its items in name order: the first item that
+/// failed to parse is the section's error.
+fn data_section<'s, C: FromIterator<(String, DataItem)>>(
+    items: impl Iterator<Item = (&'s str, Result<DataItem, ValueError>)>,
+) -> Result<C, MromError> {
+    items
+        .map(|(n, item)| {
+            item.map(|item| (n.to_owned(), item))
                 .map_err(|e| MromError::BadImage(format!("bad data item {n:?}: {e}")))
         })
         .collect()
 }
 
-fn methods_of(key: &str, v: Option<&Value>) -> Result<Vec<(String, Method)>, MromError> {
-    section(key, v)?
+/// The tower from its entries; `None` marks one that is not a string.
+fn tower<'s>(names: impl Iterator<Item = Option<&'s str>>) -> Result<Vec<Arc<str>>, MromError> {
+    names
+        .map(|n| {
+            n.map(Arc::<str>::from)
+                .ok_or_else(|| MromError::BadImage("tower entries must be strings".into()))
+        })
+        .collect()
+}
+
+fn fixed_table(v: &Value) -> Result<MethodTable, MromError> {
+    methods_of("fixed_methods", v).map(MethodTable::new)
+}
+
+fn methods_of<C: FromIterator<(String, Method)>>(key: &str, v: &Value) -> Result<C, MromError> {
+    v.as_map()
+        .ok_or_else(|| MromError::BadImage(format!("missing {key} map")))?
         .iter()
         .map(|(n, desc)| {
             Method::from_descriptor(desc)
@@ -347,102 +544,6 @@ fn methods_of(key: &str, v: Option<&Value>) -> Result<Vec<(String, Method)>, Mro
                 .map_err(|e| MromError::BadImage(format!("bad method {n:?}: {e}")))
         })
         .collect()
-}
-
-/// Validates the image fields (`get` looks one up) in a fixed order and
-/// builds the admitted object; `fixed_methods` supplies the fixed section
-/// at its turn.
-fn assemble<'v>(
-    get: impl Fn(&str) -> Option<&'v Value>,
-    policy: AdmissionPolicy,
-    fixed_methods: impl FnOnce() -> Result<Arc<MethodTable>, MromError>,
-) -> Result<MromObject, MromError> {
-    let bad = |detail: String| MromError::BadImage(detail);
-    match get("format").and_then(Value::as_str) {
-        Some(IMAGE_FORMAT) => {}
-        Some(other) => return Err(bad(format!("unsupported image format {other:?}"))),
-        None => return Err(bad("missing format field".into())),
-    }
-    let id = get("id")
-        .and_then(Value::as_object_ref)
-        .ok_or_else(|| bad("missing id".into()))?;
-    let origin = get("origin")
-        .and_then(Value::as_object_ref)
-        .ok_or_else(|| bad("missing origin".into()))?;
-    let class = get("class")
-        .and_then(Value::as_str)
-        .ok_or_else(|| bad("missing class".into()))?
-        .to_owned();
-    let meta_acl = Acl::from_value(get("meta_acl").ok_or_else(|| bad("missing meta_acl".into()))?)
-        .map_err(|e| bad(format!("bad meta_acl: {e}")))?;
-    let tower = get("tower")
-        .and_then(Value::as_list)
-        .ok_or_else(|| bad("missing tower".into()))?
-        .iter()
-        .map(|n| {
-            n.as_str()
-                .map(Arc::<str>::from)
-                .ok_or_else(|| bad("tower entries must be strings".into()))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-
-    let fixed_data: FixedContainer<DataItem> = data_of("fixed_data", get("fixed_data"))?
-        .into_iter()
-        .collect();
-    let fixed_methods = fixed_methods()?;
-    let ext_data: ExtensibleContainer<DataItem> =
-        data_of("ext_data", get("ext_data"))?.into_iter().collect();
-    let ext_methods: ExtensibleContainer<Method> = methods_of("ext_methods", get("ext_methods"))?
-        .into_iter()
-        .collect();
-
-    // A name lives in one section: `add_method`/`add_data` refuse a
-    // duplicate, and an image must not smuggle one in (dispatch would
-    // run the fixed body while the effect table described the other).
-    let twice = fixed_data
-        .names()
-        .iter()
-        .find(|n| ext_data.contains(n))
-        .map(|n| ("data item", n))
-        .or_else(|| {
-            fixed_methods
-                .names()
-                .iter()
-                .find(|n| ext_methods.contains(n))
-                .map(|n| ("method", n))
-        });
-    if let Some((kind, name)) = twice {
-        return Err(bad(format!(
-            "{kind} {name:?} is in both the fixed and the extensible section"
-        )));
-    }
-
-    // Tower entries must reference existing extensible methods.
-    for entry in &tower {
-        if !ext_methods.contains(entry.as_ref()) {
-            return Err(bad(format!(
-                "tower references missing extensible method {entry:?}"
-            )));
-        }
-    }
-
-    let obj = MromObject::from_raw_parts(
-        id,
-        origin,
-        class,
-        fixed_data,
-        fixed_methods,
-        ext_data,
-        ext_methods,
-        tower,
-        meta_acl,
-    );
-    obj.admit(policy, "from_image")?;
-    // Effect signatures are deliberately NOT primed here: the first
-    // consumer (a retry policy, a Strict dispatch check, `getEffects`)
-    // pays one memoized solve instead, keeping admission itself at
-    // analyzer + verifier cost (the E12/E16 ≤15% budget).
-    Ok(obj)
 }
 
 /// Appends a data section's wire body: a map of item descriptors.

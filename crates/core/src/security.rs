@@ -16,6 +16,7 @@
 
 use std::collections::BTreeSet;
 
+use mrom_value::wire::{self, MapValue};
 use mrom_value::ObjectId;
 use mrom_value::{Value, ValueError, ValueKind};
 
@@ -120,14 +121,7 @@ impl Acl {
     /// [`ValueError::Malformed`] for unknown policy names or bad id lists.
     pub fn from_value(v: &Value) -> Result<Acl, ValueError> {
         match v {
-            Value::Str(s) => match s.as_str() {
-                "public" => Ok(Acl::Public),
-                "origin" => Ok(Acl::Origin),
-                "nobody" => Ok(Acl::Nobody),
-                other => Err(ValueError::Malformed(format!(
-                    "unknown acl policy {other:?}"
-                ))),
-            },
+            Value::Str(s) => Acl::from_policy(s),
             Value::List(items) => {
                 let mut ids = BTreeSet::new();
                 for item in items {
@@ -153,6 +147,43 @@ impl Acl {
                 other.kind()
             ))),
         }
+    }
+}
+
+impl Acl {
+    fn from_policy(name: &str) -> Result<Acl, ValueError> {
+        match name {
+            "public" => Ok(Acl::Public),
+            "origin" => Ok(Acl::Origin),
+            "nobody" => Ok(Acl::Nobody),
+            other => Err(ValueError::Malformed(format!(
+                "unknown acl policy {other:?}"
+            ))),
+        }
+    }
+
+    /// Appends the wire body of [`Acl::to_value`] without building it.
+    pub(crate) fn write_value(&self, out: &mut Vec<u8>) {
+        match self {
+            Acl::Public => wire::write_str_value("public", out),
+            Acl::Origin => wire::write_str_value("origin", out),
+            Acl::Nobody => wire::write_str_value("nobody", out),
+            Acl::Only(ids) => {
+                wire::write_list_header(ids.len(), out);
+                for id in ids {
+                    wire::write_str_value(&id.to_string(), out);
+                }
+            }
+        }
+    }
+
+    /// Reads an ACL straight from the wire. The outer error is the wire's;
+    /// the inner result is what [`Acl::from_value`] makes of the value.
+    pub(crate) fn read(v: MapValue<'_, '_>) -> Result<Result<Acl, ValueError>, ValueError> {
+        Ok(match v.kind() {
+            Some(ValueKind::Str) => Acl::from_policy(v.str()?.expect("a str tag reads as a str")),
+            _ => Acl::from_value(&v.value()?),
+        })
     }
 }
 
@@ -226,6 +257,36 @@ impl TypeConstraint {
                 v.kind()
             ))
         })?;
+        TypeConstraint::from_form(s)
+    }
+
+    /// Appends the wire body of [`TypeConstraint::to_value`] without
+    /// building it.
+    pub(crate) fn write_value(&self, out: &mut Vec<u8>) {
+        match self {
+            TypeConstraint::Any => wire::write_str_value("any", out),
+            TypeConstraint::Exact(k) => wire::write_str_value(&format!("exact:{}", k.name()), out),
+            TypeConstraint::Coerce(k) => {
+                wire::write_str_value(&format!("coerce:{}", k.name()), out);
+            }
+        }
+    }
+
+    /// Reads a constraint straight from the wire. The outer error is the
+    /// wire's; the inner result is what [`TypeConstraint::from_value`]
+    /// makes of the value.
+    pub(crate) fn read(
+        v: MapValue<'_, '_>,
+    ) -> Result<Result<TypeConstraint, ValueError>, ValueError> {
+        Ok(match v.kind() {
+            Some(ValueKind::Str) => {
+                TypeConstraint::from_form(v.str()?.expect("a str tag reads as a str"))
+            }
+            _ => TypeConstraint::from_value(&v.value()?),
+        })
+    }
+
+    fn from_form(s: &str) -> Result<TypeConstraint, ValueError> {
         if s == "any" {
             return Ok(TypeConstraint::Any);
         }

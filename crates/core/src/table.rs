@@ -18,14 +18,13 @@
 //! order, so its counters are a pure function of the arrivals.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::hash::{BuildHasher, RandomState};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use mrom_script::analyze::AnalysisReport;
 use mrom_script::EffectSignature;
-use mrom_value::wire::{self, ValidatedSpan};
+use mrom_value::wire::{self, MapValue, ValidatedSpan};
 
 use crate::container::FixedContainer;
 use crate::method::Method;
@@ -127,60 +126,41 @@ impl Deref for MethodTable {
 
 /// A site's bounded intern table: exact `fixed_methods` bytes → table.
 ///
-/// Each span is held with a randomly keyed hash of its bytes. An arriving
-/// section is probed by hashing its leading bytes at each held span's
-/// length (no parse is needed to find where it ends), and a hit needs the
-/// bytes to match exactly. The probe is bounded by the caps.
+/// An arriving section is probed by comparing its bytes against each
+/// held span in turn (no parse is needed to find where it ends), so a hit
+/// needs the bytes to match exactly. The caps bound the work of a probe.
 #[derive(Debug, Default)]
 pub(crate) struct CodeTable {
-    hasher: RandomState,
-    /// Interned spans, their hashes and tables, oldest first.
-    entries: VecDeque<(ValidatedSpan, u64, Arc<MethodTable>)>,
+    /// Interned spans and their tables, oldest first.
+    entries: VecDeque<(ValidatedSpan, Arc<MethodTable>)>,
     bytes: usize,
 }
 
 impl CodeTable {
-    /// The interned span that `ahead` (an arriving value's bytes and
-    /// whatever follows them) begins with, and its table.
-    pub(crate) fn find(&self, ahead: &[u8]) -> Option<(ValidatedSpan, Arc<MethodTable>)> {
-        // One hash per distinct held length.
-        let mut hashed: Vec<(usize, u64)> = Vec::new();
-        self.entries
-            .iter()
-            .find(|(span, hash, _)| {
-                let len = span.as_bytes().len();
-                let Some(lead) = ahead.get(..len) else {
-                    return false;
-                };
-                let lead_hash = match hashed.iter().find(|(l, _)| *l == len) {
-                    Some(&(_, h)) => h,
-                    None => {
-                        let h = self.hasher.hash_one(lead);
-                        hashed.push((len, h));
-                        h
-                    }
-                };
-                lead_hash == *hash && lead == span.as_bytes()
-            })
-            .map(|(span, _, table)| (span.clone(), Arc::clone(table)))
+    /// Consumes `value` as the interned span it begins with and returns
+    /// that span's table; a value no span matches is handed back unread.
+    pub(crate) fn find<'r, 'a>(
+        &self,
+        value: MapValue<'r, 'a>,
+    ) -> Result<Arc<MethodTable>, MapValue<'r, 'a>> {
+        let at = value.skip_as(self.entries.iter().map(|(span, _)| span))?;
+        Ok(Arc::clone(&self.entries[at].1))
     }
 
     /// Interns `table` under `span`, evicting the oldest entries beyond
     /// the caps. Returns the number evicted.
     pub(crate) fn insert(&mut self, span: ValidatedSpan, table: &Arc<MethodTable>) -> usize {
         let len = span.as_bytes().len();
-        let hash = self.hasher.hash_one(span.as_bytes());
-        let held = |(s, h, _): &(ValidatedSpan, u64, _)| *h == hash && *s == span;
-        if len > CODE_TABLE_BYTES || self.entries.iter().any(held) {
+        if len > CODE_TABLE_BYTES || self.entries.iter().any(|(held, _)| *held == span) {
             return 0;
         }
         let mut evicted = 0;
         while self.entries.len() >= CODE_TABLE_ENTRIES || self.bytes + len > CODE_TABLE_BYTES {
-            let (old, _, _) = self.entries.pop_front().expect("a full table has entries");
+            let (old, _) = self.entries.pop_front().expect("a full table has entries");
             self.bytes -= old.as_bytes().len();
             evicted += 1;
         }
-        self.entries.push_back((span, hash, Arc::clone(table)));
+        self.entries.push_back((span, Arc::clone(table)));
         self.bytes += len;
         evicted
     }
@@ -210,7 +190,7 @@ mod tests {
         let image = wire::encode(&Value::map([("k", Value::Bytes(bytes.to_vec()))]));
         let mut map = wire::MapReader::framed(&image).unwrap();
         let (_, value) = map.next_entry().unwrap().unwrap();
-        code.find(value.ahead()).map(|(_, table)| table)
+        code.find(value).ok()
     }
 
     #[test]

@@ -912,11 +912,13 @@ impl Federation {
         let now = self.net.now().as_millis();
         let site = self.sites.get_mut(&at).ok_or(HadasError::UnknownSite(at))?;
         let host_ioo = site.ioo;
+        site.runtime.adopt(obj).map_err(HadasError::Model)?;
         // Write-ahead: the arriving image goes to the depot before the
         // object runs, so a crash immediately after adoption still
-        // restores it. The raw bytes are exactly the migration image.
+        // restores it; and after adoption, so a refused arrival (an
+        // identity already hosted here) cannot overwrite that object's
+        // image. The raw bytes are exactly the migration image.
         let _ = site.depot.store_mut().put(&id.to_string(), image);
-        site.runtime.adopt(obj).map_err(HadasError::Model)?;
         mrom_obs::object_adopted(id, at);
         let has_hook = site
             .runtime
@@ -930,9 +932,12 @@ impl Federation {
                 ("arrived_at", Value::Int(now as i64)),
             ]);
             // A failing arrival hook evicts the object back into limbo
-            // rather than leaving a half-installed guest.
+            // rather than leaving a half-installed guest. The origin
+            // re-adopts it, so its image leaves this depot too: a restart
+            // here must not resurrect a second copy.
             if let Err(e) = site.runtime.invoke(host_ioo, id, "on_arrival", &[context]) {
                 let _ = site.runtime.evict(id);
+                let _ = site.depot.remove(id);
                 return Err(HadasError::Model(e));
             }
         }

@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use crate::error::ValueError;
 use crate::id::ObjectId;
-use crate::value::Value;
+use crate::value::{Value, ValueKind};
 
 /// Two magic bytes ("MR") identifying an MROM wire buffer.
 pub const MAGIC: [u8; 2] = [0x4d, 0x52];
@@ -324,7 +324,9 @@ fn decode_value_at(reader: &mut Reader<'_>, depth: usize) -> Result<Value, Value
 
 /// Reads one framed map (magic + version + map body) entry by entry,
 /// borrowing keys and string and byte values from the buffer, so a caller
-/// decodes each value in place instead of building a `Value::Map`.
+/// decodes each value in place instead of building a `Value::Map`. Maps
+/// and lists nested in a value are read the same way
+/// ([`MapValue::entries`], [`MapValue::items`]).
 ///
 /// It accepts exactly the buffers [`decode`] accepts whose top-level value
 /// is a map. Every value is validated under the same depth budget (the map
@@ -407,18 +409,58 @@ impl<'a> MapReader<'a> {
         self.left -= 1;
         let key = read_str_ref(&mut self.reader)?;
         self.pending = true;
-        Ok(Some((key, MapValue { map: self })))
+        Ok(Some((
+            key,
+            MapValue {
+                reader: &mut self.reader,
+                pending: &mut self.pending,
+                depth: 1,
+            },
+        )))
     }
 }
 
-/// The value of the entry [`MapReader::next_entry`] just yielded. Read it
-/// with one of the methods below; left unread, it is validated and skipped.
+/// One unread value in a buffer a [`MapReader`] walks: the value of the
+/// entry [`MapReader::next_entry`] just yielded, or an entry or item of a
+/// map or list read with [`MapValue::entries`] or [`MapValue::items`].
+/// Read it with one of the methods below; left unread, it is validated
+/// and skipped. Every method reads the bytes exactly as [`decode`] does,
+/// so a malformed buffer fails with the same error at the same place.
 #[derive(Debug)]
 pub struct MapValue<'r, 'a> {
-    map: &'r mut MapReader<'a>,
+    reader: &'r mut Reader<'a>,
+    /// Set while the value is unread; its owner skips it otherwise.
+    pending: &'r mut bool,
+    /// The nesting depth of the value (the top-level map is 0).
+    depth: usize,
 }
 
-impl<'a> MapValue<'_, 'a> {
+impl<'r, 'a> MapValue<'r, 'a> {
+    /// The value's kind, read from its tag without consuming it; `None`
+    /// for a missing or unknown tag.
+    #[must_use]
+    pub fn kind(&self) -> Option<ValueKind> {
+        Some(match self.reader.peek_u8()? {
+            TAG_NULL => ValueKind::Null,
+            TAG_BOOL => ValueKind::Bool,
+            TAG_INT => ValueKind::Int,
+            TAG_FLOAT => ValueKind::Float,
+            TAG_STR => ValueKind::Str,
+            TAG_BYTES => ValueKind::Bytes,
+            TAG_LIST => ValueKind::List,
+            TAG_MAP => ValueKind::Map,
+            TAG_OBJREF => ValueKind::ObjectRef,
+            _ => return None,
+        })
+    }
+
+    /// The value starts with `tag` and sits within the depth budget, so a
+    /// typed read takes the same steps as [`decode`].
+    #[inline]
+    fn is(&self, tag: u8) -> bool {
+        self.depth <= MAX_DEPTH && self.reader.peek_u8() == Some(tag)
+    }
+
     /// Decodes the value.
     ///
     /// # Errors
@@ -426,8 +468,8 @@ impl<'a> MapValue<'_, 'a> {
     /// [`ValueError`] for a malformed or too deep value.
     #[inline]
     pub fn value(self) -> Result<Value, ValueError> {
-        let value = decode_value_at(&mut self.map.reader, 1)?;
-        self.map.pending = false;
+        let value = decode_value_at(self.reader, self.depth)?;
+        *self.pending = false;
         Ok(value)
     }
 
@@ -438,36 +480,54 @@ impl<'a> MapValue<'_, 'a> {
     ///
     /// [`ValueError`] for a malformed or too deep value.
     pub fn value_and_span(self) -> Result<(Value, ValidatedSpan), ValueError> {
-        let start = self.map.reader.pos;
-        let value = decode_value_at(&mut self.map.reader, 1)?;
-        self.map.pending = false;
-        let span = &self.map.reader.buf[start..self.map.reader.pos];
-        Ok((value, ValidatedSpan(span.into())))
+        let start = self.reader.pos;
+        let value = decode_value_at(self.reader, self.depth)?;
+        *self.pending = false;
+        let span = &self.reader.buf[start..self.reader.pos];
+        Ok((
+            value,
+            ValidatedSpan {
+                bytes: span.into(),
+                depth: self.depth,
+            },
+        ))
     }
 
     /// The unread bytes from this value's first byte on: its encoding,
-    /// then the rest of the map. Unvalidated.
-    #[must_use]
-    pub fn ahead(&self) -> &'a [u8] {
-        &self.map.reader.buf[self.map.reader.pos..]
+    /// then the rest of the buffer. Unvalidated.
+    fn ahead(&self) -> &'a [u8] {
+        &self.reader.buf[self.reader.pos..]
     }
 
-    /// Consumes the value as `span` without validating it again when the
-    /// bytes ahead begin with `span`, and returns whether it did;
-    /// otherwise the value stays unread and is validated when the map
-    /// moves on.
+    /// Consumes the value as the first of `spans` that the bytes ahead
+    /// begin with, without validating it again, and returns that span's
+    /// index; when none matches, the value is handed back unread.
     ///
     /// This is sound because encodings are self-delimiting: a decoder's
     /// every step depends only on the bytes it has read, so bytes that
-    /// begin with a complete value that validated at this same depth hold
-    /// exactly that value here, and validate the same way.
-    pub fn skip_as(self, span: &ValidatedSpan) -> bool {
-        if !self.ahead().starts_with(&span.0) {
-            return false;
-        }
-        self.map.reader.pos += span.0.len();
-        self.map.pending = false;
-        true
+    /// begin with a complete value that validated at this depth or a
+    /// deeper one hold exactly that value here, and validate the same
+    /// way. For the same reason at most one span can match.
+    ///
+    /// # Errors
+    ///
+    /// The value itself, unread, when no span matches.
+    pub fn skip_as<'s>(
+        self,
+        spans: impl IntoIterator<Item = &'s ValidatedSpan>,
+    ) -> Result<usize, Self> {
+        let ahead = self.ahead();
+        let depth = self.depth;
+        let found = spans
+            .into_iter()
+            .enumerate()
+            .find(|(_, span)| span.depth >= depth && ahead.starts_with(&span.bytes));
+        let Some((at, span)) = found else {
+            return Err(self);
+        };
+        self.reader.pos += span.bytes.len();
+        *self.pending = false;
+        Ok(at)
     }
 
     /// The value if it is an `Int`; any other value is validated and yields
@@ -478,12 +538,12 @@ impl<'a> MapValue<'_, 'a> {
     /// [`ValueError`] for a malformed or too deep value.
     #[inline]
     pub fn int(self) -> Result<Option<i64>, ValueError> {
-        if self.map.reader.peek_u8() != Some(TAG_INT) {
+        if !self.is(TAG_INT) {
             return self.value().map(|_| None);
         }
-        self.map.reader.take_u8()?;
-        let i = unzigzag(self.map.reader.read_varint()?);
-        self.map.pending = false;
+        self.reader.take_u8()?;
+        let i = unzigzag(self.reader.read_varint()?);
+        *self.pending = false;
         Ok(Some(i))
     }
 
@@ -495,12 +555,12 @@ impl<'a> MapValue<'_, 'a> {
     /// [`ValueError`] for a malformed or too deep value.
     #[inline]
     pub fn object_ref(self) -> Result<Option<ObjectId>, ValueError> {
-        if self.map.reader.peek_u8() != Some(TAG_OBJREF) {
+        if !self.is(TAG_OBJREF) {
             return self.value().map(|_| None);
         }
-        self.map.reader.take_u8()?;
-        let raw = self.map.reader.take(16)?;
-        self.map.pending = false;
+        self.reader.take_u8()?;
+        let raw = self.reader.take(16)?;
+        *self.pending = false;
         Ok(Some(ObjectId::from_bytes(
             raw.try_into().expect("16 bytes"),
         )))
@@ -514,12 +574,12 @@ impl<'a> MapValue<'_, 'a> {
     /// [`ValueError`] for a malformed or too deep value.
     #[inline]
     pub fn str(self) -> Result<Option<&'a str>, ValueError> {
-        if self.map.reader.peek_u8() != Some(TAG_STR) {
+        if !self.is(TAG_STR) {
             return self.value().map(|_| None);
         }
-        self.map.reader.take_u8()?;
-        let s = read_str_ref(&mut self.map.reader)?;
-        self.map.pending = false;
+        self.reader.take_u8()?;
+        let s = read_str_ref(self.reader)?;
+        *self.pending = false;
         Ok(Some(s))
     }
 
@@ -531,27 +591,100 @@ impl<'a> MapValue<'_, 'a> {
     /// [`ValueError`] for a malformed or too deep value.
     #[inline]
     pub fn bytes(self) -> Result<Option<&'a [u8]>, ValueError> {
-        if self.map.reader.peek_u8() != Some(TAG_BYTES) {
+        if !self.is(TAG_BYTES) {
             return self.value().map(|_| None);
         }
-        self.map.reader.take_u8()?;
-        let b = read_bytes_ref(&mut self.map.reader)?;
-        self.map.pending = false;
+        self.reader.take_u8()?;
+        let b = read_bytes_ref(self.reader)?;
+        *self.pending = false;
         Ok(Some(b))
+    }
+
+    /// Reads the value as a map, handing `f` each entry's key and value in
+    /// buffer order, duplicates included; values `f` leaves unread are
+    /// validated and skipped. Any other value is validated and yields
+    /// `false`.
+    ///
+    /// # Errors
+    ///
+    /// [`ValueError`] for a malformed or too deep value, or the first
+    /// error `f` returns.
+    pub fn entries(
+        mut self,
+        mut f: impl FnMut(&'a str, MapValue<'_, 'a>) -> Result<(), ValueError>,
+    ) -> Result<bool, ValueError> {
+        if !self.is(TAG_MAP) {
+            return self.value().map(|_| false);
+        }
+        self.reader.take_u8()?;
+        let count = read_count(self.reader, "map", "entries")?;
+        for _ in 0..count {
+            let key = read_str_ref(self.reader)?;
+            self.nested(|value| f(key, value))?;
+        }
+        *self.pending = false;
+        Ok(true)
+    }
+
+    /// Reads the value as a list, handing `f` each item in order; items
+    /// `f` leaves unread are validated and skipped. Any other value is
+    /// validated and yields `false`.
+    ///
+    /// # Errors
+    ///
+    /// [`ValueError`] for a malformed or too deep value, or the first
+    /// error `f` returns.
+    pub fn items(
+        mut self,
+        mut f: impl FnMut(MapValue<'_, 'a>) -> Result<(), ValueError>,
+    ) -> Result<bool, ValueError> {
+        if !self.is(TAG_LIST) {
+            return self.value().map(|_| false);
+        }
+        self.reader.take_u8()?;
+        let count = read_count(self.reader, "list", "items")?;
+        for _ in 0..count {
+            self.nested(&mut f)?;
+        }
+        *self.pending = false;
+        Ok(true)
+    }
+
+    /// Hands `f` the value nested one level below this one, then skips it
+    /// if `f` left it unread.
+    fn nested(
+        &mut self,
+        f: impl FnOnce(MapValue<'_, 'a>) -> Result<(), ValueError>,
+    ) -> Result<(), ValueError> {
+        let mut pending = true;
+        let depth = self.depth + 1;
+        f(MapValue {
+            reader: self.reader,
+            pending: &mut pending,
+            depth,
+        })?;
+        if pending {
+            decode_value_at(self.reader, depth)?;
+        }
+        Ok(())
     }
 }
 
-/// The encoding of one map value that a [`MapReader`] decoded and thereby
-/// validated (depth budget, tags, counts, UTF-8): made only by
-/// [`MapValue::value_and_span`], recognised by [`MapValue::skip_as`].
+/// The encoding of one value that a [`MapReader`] decoded and thereby
+/// validated (depth budget, tags, counts, UTF-8), with the depth it
+/// validated at: made only by [`MapValue::value_and_span`], recognised by
+/// [`MapValue::skip_as`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValidatedSpan(Arc<[u8]>);
+pub struct ValidatedSpan {
+    bytes: Arc<[u8]>,
+    depth: usize,
+}
 
 impl ValidatedSpan {
     /// The encoded bytes.
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        &self.bytes
     }
 }
 
@@ -1062,10 +1195,13 @@ mod tests {
         let mut map = MapReader::framed(&again).unwrap();
         let (_, first) = map.next_entry().unwrap().unwrap();
         assert!(!first.ahead().starts_with(span.as_bytes()));
-        assert!(!first.skip_as(&span), "a different value stays unread");
+        assert!(
+            first.skip_as([&span]).is_err(),
+            "a different value stays unread"
+        );
         let (_, second) = map.next_entry().unwrap().unwrap();
         assert!(second.ahead().starts_with(span.as_bytes()));
-        assert!(second.skip_as(&span));
+        assert_eq!(second.skip_as([&span, &span]).ok(), Some(0));
         let (key, third) = map.next_entry().unwrap().unwrap();
         assert_eq!((key, third.value().unwrap()), ("z", Value::from("after")));
         assert!(map.next_entry().unwrap().is_none());
@@ -1095,5 +1231,131 @@ mod tests {
         assert!(read_all(&truncated, "other").is_err());
         let short = hand_map(&[("k", &[TAG_NULL])]);
         assert!(read_all(&short[..short.len() - 1], "k").is_err());
+    }
+
+    /// Rebuilds a value through the nested readers alone: maps and lists
+    /// with `entries`/`items`, scalars with the typed accessors.
+    fn rebuild(value: MapValue<'_, '_>) -> Result<Value, ValueError> {
+        match value.kind() {
+            Some(ValueKind::Map) => {
+                let mut m = BTreeMap::new();
+                value.entries(|k, v| {
+                    m.insert(k.to_owned(), rebuild(v)?);
+                    Ok(())
+                })?;
+                Ok(Value::Map(m))
+            }
+            Some(ValueKind::List) => {
+                let mut items = Vec::new();
+                value.items(|v| {
+                    items.push(rebuild(v)?);
+                    Ok(())
+                })?;
+                Ok(Value::List(items))
+            }
+            Some(ValueKind::Str) => Ok(Value::from(value.str()?.expect("a string"))),
+            Some(ValueKind::Bytes) => Ok(Value::Bytes(value.bytes()?.expect("bytes").to_vec())),
+            Some(ValueKind::Int) => Ok(Value::Int(value.int()?.expect("an int"))),
+            Some(ValueKind::ObjectRef) => Ok(Value::ObjectRef(value.object_ref()?.expect("a ref"))),
+            _ => value.value(),
+        }
+    }
+
+    fn rebuild_all(buf: &[u8]) -> Result<Value, ValueError> {
+        let mut map = MapReader::framed(buf)?;
+        let mut m = BTreeMap::new();
+        while let Some((key, value)) = map.next_entry()? {
+            m.insert(key.to_owned(), rebuild(value)?);
+        }
+        Ok(Value::Map(m))
+    }
+
+    #[test]
+    fn nested_readers_decode_and_fail_exactly_like_decode() {
+        let mut gen = IdGenerator::new(NodeId(9));
+        let v = Value::map([
+            (
+                "data",
+                Value::map([
+                    ("x", Value::map([("value", Value::Bytes(vec![1, 2, 3]))])),
+                    (
+                        "y",
+                        Value::list([Value::from("s"), Value::ObjectRef(gen.next_id())]),
+                    ),
+                ]),
+            ),
+            ("f", Value::Float(1.5)),
+            ("n", Value::Int(-300)),
+            ("t", Value::list([Value::Bool(true), Value::Null])),
+        ]);
+        let buf = encode(&v);
+        assert_eq!(rebuild_all(&buf), Ok(v));
+        // Every truncation and every single-bit flip fails (or succeeds)
+        // with exactly the error `decode` reports.
+        for cut in 0..buf.len() {
+            assert_eq!(
+                rebuild_all(&buf[..cut]).err(),
+                decode(&buf[..cut]).err(),
+                "cut {cut}"
+            );
+        }
+        // (Byte 3 is the top-level tag: a non-map there is `framed`'s
+        // own error, which callers report through `decode`.)
+        for at in (0..buf.len()).filter(|&at| at != 3) {
+            for bit in 0..8 {
+                let mut bad = buf.clone();
+                bad[at] ^= 1 << bit;
+                if let Ok(want @ Value::Map(_)) = decode(&bad) {
+                    // Compared as bytes: a flipped float may be a NaN.
+                    assert_eq!(rebuild_all(&bad).map(|v| encode(&v)), Ok(encode(&want)));
+                } else if let Err(want) = decode(&bad) {
+                    assert_eq!(rebuild_all(&bad).err(), Some(want), "flip {at}.{bit}");
+                }
+            }
+        }
+        // The depth budget holds for nested reads as for `decode`.
+        for depth in [MAX_DEPTH - 1, MAX_DEPTH] {
+            let buf = hand_map(&[("k", &nested_lists(depth))]);
+            assert_eq!(rebuild_all(&buf).is_ok(), decode(&buf).is_ok(), "{depth}");
+        }
+        // A span validated deep inside is not taken for a shallower value.
+        let inner = Value::list([Value::Int(1)]);
+        let buf = encode(&Value::map([
+            ("k", Value::list([inner.clone()])),
+            ("z", inner),
+        ]));
+        let mut map = MapReader::framed(&buf).unwrap();
+        let (_, outer) = map.next_entry().unwrap().unwrap();
+        let mut span = None;
+        outer
+            .items(|item| {
+                span = Some(item.value_and_span()?.1);
+                Ok(())
+            })
+            .unwrap();
+        let span = span.unwrap();
+        let (_, z) = map.next_entry().unwrap().unwrap();
+        assert_eq!(
+            z.skip_as([&span]).ok(),
+            Some(0),
+            "deeper spans fit shallower values"
+        );
+        let buf = encode(&Value::map([
+            ("a", Value::list([Value::Int(1)])),
+            ("k", Value::list([Value::list([Value::Int(1)])])),
+        ]));
+        let mut map = MapReader::framed(&buf).unwrap();
+        let (_, a) = map.next_entry().unwrap().unwrap();
+        let top = a.value_and_span().unwrap().1;
+        let (_, k) = map.next_entry().unwrap().unwrap();
+        k.items(|item| {
+            assert!(item.ahead().starts_with(top.as_bytes()));
+            assert!(
+                item.skip_as([&top]).is_err(),
+                "a shallower span is not reused deeper"
+            );
+            Ok(())
+        })
+        .unwrap();
     }
 }

@@ -403,6 +403,37 @@ fn dispatch_object_moves_agents_and_recovers_on_failure() {
 }
 
 #[test]
+fn a_move_refused_by_its_arrival_hook_leaves_no_copy_behind() {
+    let (mut fed, nodes) = star_federation(19, 3, LinkConfig::lan()).unwrap();
+    let (hub, a) = (nodes[0], nodes[1]);
+    let rt = fed.runtime_mut(a).unwrap();
+    let agent = mrom::core::ObjectBuilder::new(rt.ids_mut().next_id())
+        .class("agent")
+        .meta_acl(mrom::core::Acl::Public)
+        .ext_method(
+            "on_arrival",
+            Method::public(MethodBody::script("param ctx; return 1 / 0;").unwrap()),
+        )
+        .build();
+    let id = agent.id();
+    rt.adopt(agent).unwrap();
+
+    // The hub refuses the arrival, so the object stays at its origin.
+    assert!(fed.dispatch_object(a, hub, id).is_err());
+    assert!(fed.runtime(a).unwrap().object(id).is_some());
+    assert!(fed.runtime(hub).unwrap().object(id).is_none());
+
+    // A crash and restart of the hub must not bring back a second copy.
+    fed.crash_site(hub).unwrap();
+    fed.restart_site(hub).unwrap();
+    assert!(
+        fed.runtime(hub).unwrap().object(id).is_none(),
+        "the refused object resurrected at the hub"
+    );
+    assert!(fed.runtime(a).unwrap().object(id).is_some());
+}
+
+#[test]
 fn dispatch_rejects_non_mobile_objects_without_losing_them() {
     let (mut fed, nodes) = star_federation(10, 2, LinkConfig::lan()).unwrap();
     let (hub, spoke) = (nodes[0], nodes[1]);
