@@ -26,51 +26,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use mrom_bench::bench_ids;
+use mrom_bench::{bench_cargo_as, bench_cell_class, bench_ids};
 use mrom_core::{
-    object_effects, AdmissionPolicy, ClassSpec, DataItem, InvokeLimits, Method, MethodBody,
-    MromObject, Runtime, CODE_TABLE_ENTRIES,
+    object_effects, AdmissionPolicy, InvokeLimits, MromObject, Runtime, CODE_TABLE_ENTRIES,
 };
-use mrom_value::{wire, NodeId, Value};
-
-fn script(src: &str) -> Method {
-    Method::public(MethodBody::script(src).expect("bench scripts parse"))
-}
-
-/// The benchmark package's `bench-cell` class.
-fn cell_class() -> ClassSpec {
-    ClassSpec::new("bench-cell")
-        .fixed_data("count", DataItem::public(Value::Int(0)))
-        .fixed_method(
-            "bump",
-            script("self.set(\"count\", self.get(\"count\") + 1); return self.get(\"count\");"),
-        )
-        .fixed_method("peek", script("return self.get(\"count\");"))
-}
-
-/// The benchmark package's `bench-cargo` class; `tag` varies one body so
-/// every tag has its own fixed section.
-fn cargo_class(tag: usize) -> ClassSpec {
-    cell_class()
-        .specialize("bench-cargo")
-        .fixed_data("cargo", DataItem::public(Value::Bytes(Vec::new())))
-        .fixed_data("hops", DataItem::public(Value::Int(0)))
-        .fixed_method(
-            "on_arrival",
-            script(&format!(
-                "param ctx; self.set(\"hops\", self.get(\"hops\") + {}); return self.get(\"hops\");",
-                tag + 1
-            )),
-        )
-}
+use mrom_value::{wire, NodeId};
 
 fn cargo(tag: usize, payload: usize) -> MromObject {
-    let mut ids = bench_ids();
-    let mut obj = cargo_class(tag).instantiate(&mut ids);
-    let me = obj.id();
-    obj.write_data(me, "cargo", Value::Bytes(vec![0x5a; payload]))
-        .expect("cargo is writable by its origin");
-    obj
+    bench_cargo_as(bench_ids().next_id(), tag, payload)
 }
 
 fn site(policy: AdmissionPolicy) -> Runtime {
@@ -93,7 +56,7 @@ fn rss_probe() {
     const CELLS: usize = 100_000;
     let mut rt = Runtime::new(NodeId(0xe21));
     rt.classes_mut()
-        .register(cell_class())
+        .register(bench_cell_class())
         .expect("fresh registry");
     let before = rss_bytes();
     for _ in 0..CELLS {

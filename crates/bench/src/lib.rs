@@ -141,6 +141,49 @@ pub fn cargo_object_as(id: mrom_value::ObjectId, items: usize, item_bytes: usize
     obj
 }
 
+fn bench_script(src: &str) -> Method {
+    Method::public(MethodBody::script(src).expect("bench scripts parse"))
+}
+
+/// The benchmark package's `bench-cell` class: a counter with `bump` and
+/// `peek`.
+pub fn bench_cell_class() -> ClassSpec {
+    ClassSpec::new("bench-cell")
+        .fixed_data("count", DataItem::public(Value::Int(0)))
+        .fixed_method(
+            "bump",
+            bench_script(
+                "self.set(\"count\", self.get(\"count\") + 1); return self.get(\"count\");",
+            ),
+        )
+        .fixed_method("peek", bench_script("return self.get(\"count\");"))
+}
+
+fn bench_cargo_class(tag: usize) -> ClassSpec {
+    bench_cell_class()
+        .specialize("bench-cargo")
+        .fixed_data("cargo", DataItem::public(Value::Bytes(Vec::new())))
+        .fixed_data("hops", DataItem::public(Value::Int(0)))
+        .fixed_method(
+            "on_arrival",
+            bench_script(&format!(
+                "param ctx; self.set(\"hops\", self.get(\"hops\") + {}); return self.get(\"hops\");",
+                tag + 1
+            )),
+        )
+}
+
+/// An instance of the benchmark package's `bench-cargo` class, named `id`
+/// and carrying `payload` bytes: a `bench-cell` with a `cargo` payload, a
+/// hop count and an `on_arrival` hook. Tag 0 is the benchmark's own hook;
+/// other tags vary its body so each tag has a fixed section of its own.
+pub fn bench_cargo_as(id: ObjectId, tag: usize, payload: usize) -> MromObject {
+    let mut obj = bench_cargo_class(tag).instantiate_as(id, None);
+    obj.write_data(id, "cargo", Value::Bytes(vec![0x5a; payload]))
+        .expect("cargo is writable by its origin");
+    obj
+}
+
 /// Names of the data items produced by [`cargo_object`], for building
 /// ambassador specs that carry the cargo.
 pub fn cargo_names(items: usize) -> Vec<String> {

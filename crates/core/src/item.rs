@@ -103,6 +103,13 @@ impl DataItem {
     /// [`ValueError`] on malformed descriptor fields or when a new
     /// constraint rejects the current value.
     pub fn apply_descriptor(&mut self, desc: &Value) -> Result<(), ValueError> {
+        self.apply_descriptor_as(desc, false)
+    }
+
+    /// [`DataItem::apply_descriptor`]; a `fresh` item has no current value
+    /// to keep, so a descriptor carrying both a constraint and a value
+    /// applies the constraint to that value alone.
+    fn apply_descriptor_as(&mut self, desc: &Value, fresh: bool) -> Result<(), ValueError> {
         let m = desc.as_map().ok_or_else(|| {
             ValueError::Malformed(format!("descriptor must be a map, got {}", desc.kind()))
         })?;
@@ -126,8 +133,10 @@ impl DataItem {
         }
         if let Some(v) = m.get("constraint") {
             let constraint = TypeConstraint::from_value(v)?;
-            let current = std::mem::take(&mut self.value);
-            self.value = constraint.apply(current)?;
+            if !(fresh && m.contains_key("value")) {
+                let current = std::mem::take(&mut self.value);
+                self.value = constraint.apply(current)?;
+            }
             self.constraint = constraint;
         }
         if let Some(v) = m.get("value") {
@@ -206,7 +215,9 @@ impl DataItem {
             }
             if let Some(constraint) = constraint {
                 let constraint = constraint?;
-                item.value = constraint.apply(Value::Null)?;
+                if value.is_none() {
+                    item.value = constraint.apply(Value::Null)?;
+                }
                 item.constraint = constraint;
             }
             if let Some(v) = value {
@@ -217,14 +228,15 @@ impl DataItem {
     }
 
     /// Rebuilds an item from a full descriptor (used by `addDataItem` with
-    /// properties, and by migration images).
+    /// properties, and by migration images). The constraint applies to
+    /// the descriptor's value (to `Null` when it carries none).
     ///
     /// # Errors
     ///
     /// [`ValueError`] on malformed fields.
     pub fn from_descriptor(desc: &Value) -> Result<DataItem, ValueError> {
-        let mut item = DataItem::new(Value::Null);
-        item.apply_descriptor(desc)?;
+        let mut item = DataItem::default();
+        item.apply_descriptor_as(desc, true)?;
         Ok(item)
     }
 }
@@ -303,6 +315,23 @@ mod tests {
         item.apply_descriptor(&Value::map([("constraint", Value::from("coerce:int"))]))
             .unwrap();
         assert_eq!(item.value(), &Value::Int(42));
+    }
+
+    #[test]
+    fn a_fresh_item_constrains_the_descriptors_value_not_null() {
+        let item = DataItem::new(Value::Int(3))
+            .with_constraint(TypeConstraint::Exact(ValueKind::Int))
+            .unwrap();
+        assert_eq!(DataItem::from_descriptor(&item.descriptor()).unwrap(), item);
+        // Without a value the fresh item's Null must still satisfy it.
+        let desc = Value::map([("constraint", Value::from("exact:int"))]);
+        assert!(DataItem::from_descriptor(&desc).is_err());
+        // And a value the constraint rejects is still rejected.
+        let desc = Value::map([
+            ("constraint", Value::from("exact:int")),
+            ("value", Value::from("x")),
+        ]);
+        assert!(DataItem::from_descriptor(&desc).is_err());
     }
 
     #[test]

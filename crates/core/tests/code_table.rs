@@ -74,9 +74,8 @@ fn data_value(pick: u8, n: i64) -> Value {
 }
 
 /// One generated data item: value, ACLs and type constraint. A
-/// constraint the value cannot meet is dropped; one that a descriptor
-/// cannot carry through an image (it is checked against `Null` before the
-/// value arrives) makes both decoders refuse the image alike.
+/// constraint the value cannot meet is dropped; one that `Null` cannot
+/// meet (`exact:int` on an int) must still travel.
 #[derive(Debug, Clone)]
 struct ItemSpec {
     value: u8,
@@ -615,7 +614,11 @@ fn rich_spec() -> ObjectSpec {
             n: i64::from(i) * 37 - 100,
             read: i,
             write: i + 2,
-            constraint: if i == 4 { 2 } else { 0 },
+            constraint: match i {
+                2 => 3, // exact:int
+                4 => 2,
+                _ => 0,
+            },
             ext: i % 3 == 0,
         })
         .collect();
@@ -633,6 +636,32 @@ fn rich_spec() -> ObjectSpec {
         payload: 40,
         towered: true,
         meta: 1,
+    }
+}
+
+/// A data item whose constraint `Null` cannot meet (`exact:int`,
+/// `coerce:int`) travels: every decoder rebuilds it, cold or warm.
+#[test]
+fn constrained_items_round_trip_through_every_decoder() {
+    let mut gen = IdGenerator::new(NodeId(0x7af));
+    let constrained = |v, c| DataItem::new(Value::Int(v)).with_constraint(c).unwrap();
+    let obj = ObjectBuilder::new(gen.next_id())
+        .fixed_data("n", constrained(3, TypeConstraint::Exact(ValueKind::Int)))
+        .ext_data("m", constrained(4, TypeConstraint::Coerce(ValueKind::Int)))
+        .fixed_method(
+            "get",
+            Method::public(MethodBody::script("return self.get(\"n\");").unwrap()),
+        )
+        .build();
+    let image = obj.image_bytes().unwrap();
+    assert_eq!(MromObject::from_image(&image).as_ref(), Ok(&obj));
+    let value = obj.image_value().unwrap();
+    assert_eq!(MromObject::from_image_value(&value).as_ref(), Ok(&obj));
+    let rt = runtime(AdmissionPolicy::Off);
+    assert_eq!(rt.unpack_image(&image).as_ref(), Ok(&obj), "cold");
+    assert_eq!(rt.unpack_image(&image).as_ref(), Ok(&obj), "warm");
+    for policy in [AdmissionPolicy::Off, AdmissionPolicy::Strict] {
+        all_decoders_agree(&image, &image, policy, &mut gen).unwrap();
     }
 }
 

@@ -491,7 +491,7 @@ impl Federation {
         &mut self,
         from: NodeId,
         to: NodeId,
-        msg: ProtocolMsg,
+        msg: &ProtocolMsg,
     ) -> Result<ProtocolMsg, HadasError> {
         let max_attempts = self.retry.max_attempts();
         self.request_capped(from, to, msg, max_attempts)
@@ -505,7 +505,7 @@ impl Federation {
         &mut self,
         from: NodeId,
         to: NodeId,
-        msg: ProtocolMsg,
+        msg: &ProtocolMsg,
         max_attempts: u32,
     ) -> Result<ProtocolMsg, HadasError> {
         let req_id = msg.req_id();
@@ -517,7 +517,7 @@ impl Federation {
             reply
         };
         loop {
-            if let Err(e) = self.post(from, to, &msg) {
+            if let Err(e) = self.post(from, to, msg) {
                 return finish(self, Err(e));
             }
             match self.pump(&[req_id]) {
@@ -917,7 +917,9 @@ impl Federation {
         // object runs, so a crash immediately after adoption still
         // restores it; and after adoption, so a refused arrival (an
         // identity already hosted here) cannot overwrite that object's
-        // image. The raw bytes are exactly the migration image.
+        // image. The raw bytes are exactly the migration image. This is
+        // the one depot write of a move that lands: the origin writes
+        // its copy only when the move fails.
         let _ = site.depot.store_mut().put(&id.to_string(), image);
         mrom_obs::object_adopted(id, at);
         let has_hook = site
@@ -1008,7 +1010,7 @@ impl Federation {
         let reply = self.request(
             from,
             to,
-            ProtocolMsg::LinkReq {
+            &ProtocolMsg::LinkReq {
                 req_id,
                 from,
                 from_ioo,
@@ -1065,7 +1067,7 @@ impl Federation {
         let reply = self.request(
             requester,
             provider,
-            ProtocolMsg::ImportReq {
+            &ProtocolMsg::ImportReq {
                 req_id,
                 from: requester,
                 from_ioo,
@@ -1189,7 +1191,7 @@ impl Federation {
         let reply = self.request_capped(
             from,
             to,
-            ProtocolMsg::InvokeReq {
+            &ProtocolMsg::InvokeReq {
                 req_id,
                 caller,
                 target,
@@ -1417,68 +1419,58 @@ impl Federation {
                 return Err(HadasError::Model(e));
             }
         };
-        // Write-ahead: the departing image is parked in the origin depot
-        // until the move is acknowledged, so neither a local crash nor a
-        // lost acknowledgement can lose the object.
-        let _ = site.depot.store_mut().put(&object.to_string(), &image);
+        // The origin depot is written only when the move does not land
+        // (below), so a landed move costs one depot write, the
+        // destination's. This is as safe as parking the image before the
+        // send: the engine is single-threaded and `crash_site`,
+        // `restart_site` and `checkpoint_site` take `&mut Federation`, so
+        // none of them can run while this request is in flight. No crash
+        // can fall between the send and the park, and whatever reads the
+        // depot after `dispatch_object` returns finds what parking first
+        // would have left there, for every outcome.
         let req_id = self.fresh_req_id();
         mrom_obs::object_dispatched(object, from, to);
         let (trace, parent_span) = mrom_obs::current_trace_context();
-        let outcome = self.request(
-            from,
-            to,
-            ProtocolMsg::MoveObject {
-                req_id,
-                image,
-                trace,
-                parent_span,
-            },
-        );
-        match outcome {
+        let msg = ProtocolMsg::MoveObject {
+            req_id,
+            image,
+            trace,
+            parent_span,
+        };
+        let failure = match self.request(from, to, &msg) {
             Ok(ProtocolMsg::MoveAck { adopted, .. }) if adopted == object => {
-                // The destination owns it now: drop the parked image so a
-                // later restart here cannot resurrect a second copy.
+                // The destination owns it now: drop any older image here
+                // (an arrival or checkpoint image) so a later restart here
+                // cannot resurrect a second copy.
                 let _ = self.site_mut(from)?.depot.remove(object);
-                Ok(())
+                return Ok(());
             }
-            Ok(ProtocolMsg::Error { reason, .. }) => {
-                self.restore_after_failed_move(from, obj)?;
-                Err(HadasError::Remote(reason))
-            }
-            Ok(other) => {
-                self.restore_after_failed_move(from, obj)?;
-                Err(unexpected_reply("move", other.kind()))
-            }
-            Err(e @ HadasError::Timeout { .. }) if !self.retry.is_off() => {
-                // Every retry was exhausted and we still do not know
-                // whether the destination adopted the object. Re-adopting
-                // locally could *duplicate* it, so the object is parked
-                // in-doubt: its image stays in the depot and
-                // [`Federation::resolve_in_doubt`] settles ownership once
-                // the network heals.
-                self.site_mut(from)?.in_doubt.insert(object, to);
-                Err(e)
-            }
-            Err(e) => {
-                self.restore_after_failed_move(from, obj)?;
-                Err(e)
-            }
+            Ok(ProtocolMsg::Error { reason, .. }) => HadasError::Remote(reason),
+            Ok(other) => unexpected_reply("move", other.kind()),
+            Err(e) => e,
+        };
+        // The move did not land, or may have. If every retry was exhausted
+        // without an answer, the destination may have adopted the object
+        // and re-adopting it here could *duplicate* it: it is parked
+        // in-doubt, and [`Federation::resolve_in_doubt`] settles ownership
+        // from the parked image once the network heals. Any other failure
+        // (a refusal, an unexpected reply, or any error with retries off)
+        // re-adopts it here. Either way the depot gets the exact image
+        // that was sent.
+        let in_doubt = matches!(failure, HadasError::Timeout { .. }) && !self.retry.is_off();
+        let ProtocolMsg::MoveObject { image, .. } = &msg else {
+            unreachable!("built above as a move")
+        };
+        let site = self.site_mut(from)?;
+        let _ = site.depot.store_mut().put(&object.to_string(), image);
+        if in_doubt {
+            site.in_doubt.insert(object, to);
+        } else {
+            site.runtime
+                .adopt(obj)
+                .expect("identity unused after failed move");
         }
-    }
-
-    /// Re-adopts an object whose move definitively failed (the peer
-    /// refused it, so it cannot exist remotely) and keeps its depot image
-    /// in step with the live copy.
-    fn restore_after_failed_move(
-        &mut self,
-        from: NodeId,
-        obj: MromObject,
-    ) -> Result<(), HadasError> {
-        self.site_mut(from)?
-            .runtime
-            .adopt(obj)
-            .expect("identity unused after failed move");
-        Ok(())
+        Err(failure)
     }
 
     // -- crash and recovery --------------------------------------------------
@@ -1589,7 +1581,7 @@ impl Federation {
         let mut resolved = 0;
         for (object, dest) in parked {
             let req_id = self.fresh_req_id();
-            let reply = match self.request(node, dest, ProtocolMsg::QueryObject { req_id, object })
+            let reply = match self.request(node, dest, &ProtocolMsg::QueryObject { req_id, object })
             {
                 Ok(r) => r,
                 Err(HadasError::Timeout { .. }) => continue,
@@ -2495,5 +2487,144 @@ mod tests {
         };
         assert!(message.contains("export_ack"), "{message}");
         assert!(message.len() < 200, "{} bytes", message.len());
+    }
+
+    // -- the origin depot after each dispatch outcome ------------------------
+    //
+    // A move that lands leaves no image of the object at its origin; every
+    // other outcome leaves exactly the image that was sent. Each test below
+    // fails if the origin skips the park (or the remove).
+
+    /// Three linked sites; an object whose arrival hook fails once it has
+    /// been bumped (`1 / (n - 1)`), arrived at `a` from `b`, so `a`'s depot
+    /// holds its (stale once bumped) arrival image.
+    fn arrived_object() -> (Federation, [NodeId; 3], ObjectId) {
+        let cfg = NetworkConfig::new(5).with_default_link(LinkConfig::lan());
+        let mut fed = Federation::new(cfg);
+        let (a, b, c) = (NodeId(1), NodeId(2), NodeId(3));
+        for node in [a, b, c] {
+            fed.add_site(node).unwrap();
+        }
+        fed.link(b, a).unwrap();
+        fed.link(a, c).unwrap();
+        let obj = ClassSpec::new("picky")
+            .fixed_data("n", DataItem::public(Value::Int(0)))
+            .fixed_method(
+                "bump",
+                Method::public(
+                    MethodBody::script("self.set(\"n\", self.get(\"n\") + 1); return null;")
+                        .unwrap(),
+                ),
+            )
+            .fixed_method(
+                "on_arrival",
+                Method::public(
+                    MethodBody::script("param ctx; return 1 / (self.get(\"n\") - 1);").unwrap(),
+                ),
+            )
+            .instantiate_as(fed.runtime_mut(b).unwrap().ids_mut().next_id(), None);
+        let id = obj.id();
+        fed.runtime_mut(b).unwrap().adopt(obj).unwrap();
+        fed.dispatch_object(b, a, id).unwrap();
+        assert!(parked(&fed, a, id).is_some(), "a holds the arrival image");
+        (fed, [a, b, c], id)
+    }
+
+    /// The record `node`'s depot holds for `id`.
+    fn parked(fed: &Federation, node: NodeId, id: ObjectId) -> Option<Vec<u8>> {
+        let depot = &fed.site(node).unwrap().depot;
+        depot.store().get(&id.to_string()).unwrap()
+    }
+
+    fn bump(fed: &mut Federation, at: NodeId, id: ObjectId) -> Vec<u8> {
+        let caller = fed.ioo_id(at).unwrap();
+        let rt = fed.runtime_mut(at).unwrap();
+        rt.invoke(caller, id, "bump", &[]).unwrap();
+        rt.object(id).unwrap().image_bytes().unwrap()
+    }
+
+    fn n_after_restart(fed: &mut Federation, at: NodeId, id: ObjectId) -> Option<Value> {
+        fed.crash_site(at).unwrap();
+        fed.restart_site(at).unwrap();
+        let obj = fed.runtime(at).unwrap().object(id)?;
+        Some(obj.read_data(ObjectId::SYSTEM, "n").unwrap())
+    }
+
+    #[test]
+    fn a_refused_move_parks_the_sent_image_over_a_stale_one() {
+        let (mut fed, [a, _, c], id) = arrived_object();
+        let sent = bump(&mut fed, a, id);
+        let err = fed.dispatch_object(a, c, id).unwrap_err();
+        assert!(matches!(err, HadasError::Remote(_)), "{err}");
+        assert_eq!(parked(&fed, a, id), Some(sent));
+        assert_eq!(parked(&fed, c, id), None);
+        assert_eq!(n_after_restart(&mut fed, a, id), Some(Value::Int(1)));
+    }
+
+    #[test]
+    fn an_off_policy_timeout_parks_the_sent_image_over_a_stale_one() {
+        let (mut fed, [a, _, c], id) = arrived_object();
+        let sent = bump(&mut fed, a, id);
+        assert!(fed.retry_policy().is_off());
+        fed.net_config_mut().partition(a, c);
+        let err = fed.dispatch_object(a, c, id).unwrap_err();
+        assert!(
+            matches!(err, HadasError::Timeout { attempts: 1, .. }),
+            "{err}"
+        );
+        assert!(fed.runtime(a).unwrap().object(id).is_some(), "re-adopted");
+        assert_eq!(parked(&fed, a, id), Some(sent));
+        assert_eq!(n_after_restart(&mut fed, a, id), Some(Value::Int(1)));
+    }
+
+    #[test]
+    fn an_unexpected_reply_parks_the_sent_image() {
+        let (mut fed, [a, _, c], id) = arrived_object();
+        let sent = bump(&mut fed, a, id);
+        // A peer answers the move's request id with an invoke response,
+        // which FIFO on c -> a delivers before the real reply.
+        let stray = ProtocolMsg::InvokeResp {
+            req_id: fed.next_req + 1,
+            result: Value::Null,
+        };
+        fed.inject_raw(c, a, stray.encode()).unwrap();
+        let err = fed.dispatch_object(a, c, id).unwrap_err();
+        assert!(matches!(err, HadasError::BadMessage(_)), "{err}");
+        assert!(fed.runtime(a).unwrap().object(id).is_some(), "re-adopted");
+        assert_eq!(parked(&fed, a, id), Some(sent));
+    }
+
+    #[test]
+    fn a_landed_move_leaves_nothing_at_the_origin_to_resurrect() {
+        let (mut fed, [a, _, c], id) = arrived_object();
+        fed.dispatch_object(a, c, id).unwrap();
+        assert_eq!(parked(&fed, a, id), None, "the arrival image is gone");
+        assert_eq!(n_after_restart(&mut fed, a, id), None);
+        assert!(fed.runtime(c).unwrap().object(id).is_some());
+    }
+
+    #[test]
+    fn an_in_doubt_move_parks_exactly_the_image_that_was_sent() {
+        let (mut fed, [a, _, c], id) = arrived_object();
+        // Two bumps: the arrival image goes stale, and the hook (1 / 1)
+        // still lets the object land at c.
+        bump(&mut fed, a, id);
+        let sent = bump(&mut fed, a, id);
+        fed.set_retry_policy(crate::RetryPolicy::standard());
+        // The move lands at c but every acknowledgement is lost.
+        fed.net_config_mut()
+            .set_link(c, a, LinkConfig::lan().loss_probability(1.0));
+        let err = fed.dispatch_object(a, c, id).unwrap_err();
+        assert!(matches!(err, HadasError::Timeout { .. }), "{err}");
+        assert_eq!(fed.in_doubt(a).unwrap(), vec![(id, c)]);
+        // c stored the bytes it received; a parked the same bytes.
+        let received = parked(&fed, c, id).expect("the move landed at c");
+        assert_eq!(received, sent);
+        assert_eq!(parked(&fed, a, id), Some(received));
+        // A restart of a skips the parked object; resolution drops it.
+        assert_eq!(n_after_restart(&mut fed, a, id), None);
+        fed.net_config_mut().set_link(c, a, LinkConfig::lan());
+        assert_eq!(fed.resolve_in_doubt(a).unwrap(), 1);
+        assert_eq!(parked(&fed, a, id), None);
     }
 }

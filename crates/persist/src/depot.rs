@@ -184,6 +184,22 @@ mod tests {
     }
 
     #[test]
+    fn constrained_items_survive_save_and_restore() {
+        use mrom_core::TypeConstraint;
+        use mrom_value::ValueKind;
+        let mut gen = ids();
+        let item = DataItem::new(Value::Int(3))
+            .with_constraint(TypeConstraint::Exact(ValueKind::Int))
+            .unwrap();
+        let obj = ObjectBuilder::new(gen.next_id())
+            .fixed_data("n", item)
+            .build();
+        let mut depot = Depot::new(MemStore::new());
+        depot.save(&obj).unwrap();
+        assert_eq!(depot.restore(obj.id()).unwrap(), obj);
+    }
+
+    #[test]
     fn restore_missing_is_not_found() {
         let mut gen = ids();
         let depot = Depot::new(MemStore::new());

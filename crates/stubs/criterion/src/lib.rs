@@ -8,6 +8,10 @@
 //!
 //! No statistics beyond median/min/max are computed; this is a regression
 //! harness, not an estimator with confidence intervals.
+//!
+//! Given `--test` (as in `cargo bench -- --test`), each benchmark routine
+//! runs once, untimed and unreported, so a smoke run executes every loop
+//! body. `--list` runs nothing.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -161,11 +165,7 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-fn report(group: Option<&str>, id: &str, throughput: Option<Throughput>, s: &Sampled) {
-    let full = match group {
-        Some(g) => format!("{g}/{id}"),
-        None => id.to_owned(),
-    };
+fn report(full: &str, throughput: Option<Throughput>, s: &Sampled) {
     println!(
         "{full:<48} time: [{} {} {}]  ({} samples x {} iters)",
         fmt_ns(s.min_ns),
@@ -202,7 +202,7 @@ pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
     throughput: Option<Throughput>,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -225,11 +225,7 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let id = id.into_id();
-        let sampled = run_sampled(self.sample_size, || {
-            let mut b = Bencher { iters: 1 };
-            f(&mut b);
-        });
-        report(Some(&self.name), &id, self.throughput, &sampled);
+        self.run(&id, || f(&mut Bencher { iters: 1 }));
         self
     }
 
@@ -241,12 +237,15 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let id = id.into_id();
-        let sampled = run_sampled(self.sample_size, || {
-            let mut b = Bencher { iters: 1 };
-            f(&mut b, input);
-        });
-        report(Some(&self.name), &id, self.throughput, &sampled);
+        self.run(&id, || f(&mut Bencher { iters: 1 }, input));
         self
+    }
+
+    fn run(&mut self, id: &str, routine: impl FnMut()) {
+        let full = format!("{}/{id}", self.name);
+        if let Some(sampled) = self.criterion.measure(&full, self.sample_size, routine) {
+            report(&full, self.throughput, &sampled);
+        }
     }
 
     /// Ends the group (kept for API compatibility; no summary is emitted).
@@ -257,9 +256,30 @@ impl BenchmarkGroup<'_> {
 #[derive(Default)]
 pub struct Criterion {
     sample_size: usize,
+    test_mode: bool,
 }
 
 impl Criterion {
+    /// A harness configured from the command line: `--test` selects test
+    /// mode (each routine runs once, untimed and unreported).
+    pub fn from_args() -> Criterion {
+        Criterion {
+            test_mode: std::env::args().any(|a| a == "--test"),
+            ..Criterion::default()
+        }
+    }
+
+    /// Times `routine` over `samples` samples, or in test mode runs it
+    /// once and returns `None`.
+    fn measure(&self, full: &str, samples: usize, mut routine: impl FnMut()) -> Option<Sampled> {
+        if self.test_mode {
+            routine();
+            println!("test {full} ... ok");
+            return None;
+        }
+        Some(run_sampled(samples, routine))
+    }
+
     /// Sets the default sample count for `bench_function`.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(2);
@@ -276,7 +296,7 @@ impl Criterion {
                 self.sample_size
             },
             throughput: None,
-            _criterion: self,
+            criterion: self,
         }
     }
 
@@ -287,11 +307,9 @@ impl Criterion {
         } else {
             self.sample_size
         };
-        let sampled = run_sampled(samples, || {
-            let mut b = Bencher { iters: 1 };
-            f(&mut b);
-        });
-        report(None, id, None, &sampled);
+        if let Some(sampled) = self.measure(id, samples, || f(&mut Bencher { iters: 1 })) {
+            report(id, None, &sampled);
+        }
         self
     }
 }
@@ -302,7 +320,7 @@ macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         #[doc = "Benchmark group runner (generated by `criterion_group!`)."]
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::from_args();
             $( $target(&mut criterion); )+
         }
     };
@@ -313,12 +331,9 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            // Bench binaries are also compiled by `cargo test`; the
-            // standard criterion skips timing there via its own runner,
-            // and we approximate that with the --test flag check below.
-            let test_mode = std::env::args().any(|a| a == "--test" || a == "--list");
-            if test_mode {
-                println!("benchmarks skipped (test mode)");
+            // `--list` runs nothing; `--test` runs each routine once (see
+            // `Criterion::from_args`).
+            if std::env::args().any(|a| a == "--list") {
                 return;
             }
             $( $group(); )+
@@ -338,6 +353,21 @@ mod tests {
         g.sample_size(3);
         g.bench_function("sum", |b| b.iter(|| (0..100u64).sum::<u64>()));
         g.finish();
+    }
+
+    #[test]
+    fn test_mode_runs_each_routine_once() {
+        let mut c = Criterion {
+            test_mode: true,
+            ..Criterion::default()
+        };
+        let mut calls = 0;
+        let mut g = c.benchmark_group("stub-test-mode");
+        g.bench_function("grouped", |b| b.iter(|| calls += 1));
+        g.bench_with_input("with_input", &2, |b, n| b.iter(|| calls += n));
+        g.finish();
+        c.bench_function("ungrouped", |b| b.iter_with_setup(|| 4, |n| calls += n));
+        assert_eq!(calls, 7);
     }
 
     #[test]
