@@ -11,13 +11,23 @@
 //! * **invalidation-storm** — add/dispatch/delete of a transient method
 //!   every iteration: the worst case where the cache can never help and
 //!   only its bookkeeping overhead shows.
+//!
+//! Plus the site host's share of a local invoke: the benchmark package's
+//! `bench-cell` `bump` through bare `invoke_with_limits` on an object in
+//! hand, against the same call through `Runtime::invoke` (table checkout,
+//! world hook, check-in), with 1 object (bumped over and over) and with
+//! 51,200 objects (bumped in turn, the benchmark's `invoke_zipf`
+//! population).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use mrom_bench::{bench_ids, counter_among};
-use mrom_core::{invoke, Method, MethodBody, NoWorld};
-use mrom_value::Value;
+use mrom_bench::{bench_cell_class, bench_ids, counter_among};
+use mrom_core::{invoke, invoke_with_limits, InvokeLimits, Method, MethodBody, NoWorld, Runtime};
+use mrom_value::{NodeId, Value};
+
+/// Hosted-object counts of the host-share rows.
+const HOSTED: [usize; 2] = [1, 51_200];
 
 fn bench_dispatch_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("e11_dispatch_cache");
@@ -81,5 +91,46 @@ fn bench_dispatch_cache(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dispatch_cache);
+fn bench_host_share(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e11_host_share");
+    let cell = bench_cell_class();
+    let limits = InvokeLimits::default();
+    for n in HOSTED {
+        let mut ids = bench_ids();
+        let caller = ids.next_id();
+        let mut objects: Vec<_> = (0..n).map(|_| cell.instantiate(&mut ids)).collect();
+        let mut world = NoWorld;
+        let mut next = 0;
+        group.bench_function(format!("bare_bump/{n}"), |b| {
+            b.iter(|| {
+                next = (next + 1) % n;
+                black_box(
+                    invoke_with_limits(
+                        &mut objects[next],
+                        &mut world,
+                        caller,
+                        "bump",
+                        &[],
+                        &limits,
+                    )
+                    .unwrap(),
+                )
+            });
+        });
+
+        let mut rt = Runtime::new(NodeId(0xe11));
+        rt.classes_mut().register(bench_cell_class()).unwrap();
+        let hosted: Vec<_> = (0..n).map(|_| rt.create("bench-cell").unwrap()).collect();
+        let mut next = 0;
+        group.bench_function(format!("runtime_bump/{n}"), |b| {
+            b.iter(|| {
+                next = (next + 1) % n;
+                black_box(rt.invoke(caller, hosted[next], "bump", &[]).unwrap())
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_dispatch_cache, bench_host_share);
 criterion_main!(benches);

@@ -26,7 +26,7 @@ use mrom_core::{
 use mrom_value::{NodeId, ObjectId, Value};
 
 /// Invocations per sample, constant across worker counts.
-const TOTAL_OPS: usize = 2048;
+const TOTAL_OPS: usize = 65_536;
 /// The worker-count sweep.
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 

@@ -72,6 +72,7 @@ mod class;
 mod container;
 mod effects;
 mod error;
+mod host;
 mod invoke;
 mod item;
 mod method;
@@ -88,6 +89,7 @@ pub use class::{ClassRegistry, ClassSpec};
 pub use container::{ExtensibleContainer, FixedContainer, Section};
 pub use effects::{effects_value, object_effects, signatures_disjoint};
 pub use error::MromError;
+pub use host::PoisonCause;
 pub use invoke::{
     invoke, invoke_with_limits, invoke_with_reference_evaluator, CallEnv, InvokeLimits, NoWorld,
     WorldHook,
@@ -103,7 +105,7 @@ pub use mrom_script::{EffectSignature, LocalEffects};
 pub use object::{MromObject, ObjectBuilder};
 pub use runtime::Runtime;
 pub use security::{Acl, TypeConstraint};
-pub use shared::{ClassesGuard, ObjectGuard, PoisonCause, SharedRuntime, SHARD_COUNT};
+pub use shared::{ClassesGuard, ObjectGuard, SharedRuntime, SHARD_COUNT};
 pub use stats::{stats_object, stats_value};
 pub use table::{CODE_TABLE_BYTES, CODE_TABLE_ENTRIES};
 

@@ -1,24 +1,29 @@
-//! Node runtime: the single-threaded view of the per-node object table.
+//! Node runtime: the single-threaded per-node object host.
 //!
-//! A [`Runtime`] owns every object hosted on one logical node, mints
-//! identities through the node's generator, and implements the
-//! `send`/`log`/`time` world operations for method bodies. Since PR 5 it
-//! is a thin `&mut self` wrapper over the concurrent
-//! [`SharedRuntime`](crate::SharedRuntime) — same semantics, same error
-//! surface, exclusive access enforced by the borrow checker instead of
-//! locks. Callers that want intra-node parallelism construct a
-//! `SharedRuntime` directly and drive it from multiple threads.
+//! A [`Runtime`] owns every object hosted on one logical node in a plain
+//! object table, mints identities through the node's generator, and
+//! implements the `send`/`spawn`/`log`/`time`/`node` world operations for
+//! method bodies. It takes no lock: exclusive access comes from
+//! `&mut self`. Invocation takes the target out of its slot and puts it
+//! back, so a cyclic `send` into an executing object still reports
+//! [`MromError::ObjectBusy`] and a panicking body still poisons its slot.
+//! Callers that want intra-node parallelism use
+//! [`SharedRuntime`](crate::SharedRuntime), which shards the same table
+//! under locks and shares the invoke tail and world hook with this type.
 //!
 //! Cross-node communication is *not* here — it belongs to the network
 //! substrate and HADAS, which wrap a runtime per simulated node.
 
-use mrom_value::{AtomicIdGenerator, NodeId, ObjectId, Value};
+use std::sync::Mutex;
+
+use mrom_value::{IdGenerator, NodeId, ObjectId, Value};
 
 use crate::class::ClassRegistry;
 use crate::error::MromError;
+use crate::host::{Host, ObjectTable, PoisonCause};
 use crate::invoke::InvokeLimits;
 use crate::object::MromObject;
-use crate::shared::{ObjectGuard, SharedRuntime};
+use crate::table::CodeTable;
 
 /// The per-node object host.
 ///
@@ -44,60 +49,75 @@ use crate::shared::{ObjectGuard, SharedRuntime};
 /// ```
 #[derive(Debug)]
 pub struct Runtime {
-    shared: SharedRuntime,
+    node: NodeId,
+    ids: IdGenerator,
+    objects: ObjectTable,
+    classes: ClassRegistry,
+    limits: InvokeLimits,
+    /// Virtual time surfaced to scripts via `self.time()`.
+    now: u64,
+    /// Fixed-method tables of arrived images, by their exact bytes. One
+    /// uncontended lock per arrival keeps `migrate::unpack` one signature
+    /// for both hosts.
+    code: Mutex<CodeTable>,
 }
 
 impl Runtime {
     /// Creates an empty runtime for `node`.
     pub fn new(node: NodeId) -> Runtime {
         Runtime {
-            shared: SharedRuntime::new(node),
+            node,
+            ids: IdGenerator::new(node),
+            objects: ObjectTable::default(),
+            classes: ClassRegistry::new(),
+            limits: InvokeLimits::default(),
+            now: 0,
+            code: Mutex::new(CodeTable::default()),
         }
     }
 
     /// The node this runtime represents.
     pub fn node(&self) -> NodeId {
-        self.shared.node()
+        self.node
     }
 
     /// The node's identity generator.
-    ///
-    /// The generator mints through `&self` nowadays; the historical name
-    /// and receiver are kept so existing `rt.ids_mut().next_id()` call
-    /// sites compile unchanged.
-    pub fn ids_mut(&mut self) -> &AtomicIdGenerator {
-        self.shared.ids()
+    pub fn ids_mut(&mut self) -> &mut IdGenerator {
+        &mut self.ids
     }
 
     /// The class registry.
-    pub fn classes(&self) -> crate::shared::ClassesGuard<'_> {
-        self.shared.classes()
+    pub fn classes(&self) -> &ClassRegistry {
+        &self.classes
     }
 
-    /// Mutable class registry access (lock-free: exclusivity comes from
-    /// `&mut self`).
+    /// Mutable class registry access.
     pub fn classes_mut(&mut self) -> &mut ClassRegistry {
-        self.shared.classes_mut()
+        &mut self.classes
     }
 
     /// Replaces this node's own invocation limits, admission policy included.
     pub fn set_limits(&mut self, limits: InvokeLimits) {
-        self.shared.set_limits(limits);
+        self.limits = limits;
     }
 
     /// The current invocation limits.
     pub fn limits(&self) -> InvokeLimits {
-        self.shared.limits()
+        self.limits
     }
 
     /// Current virtual time (milliseconds by convention).
     pub fn now(&self) -> u64 {
-        self.shared.now()
+        self.now
     }
 
     /// Advances virtual time (driven by the simulation substrate).
     pub fn set_now(&mut self, now: u64) {
-        self.shared.set_now(now);
+        self.now = now;
+        // Keep the observability window on the same clock. Monotonic-max
+        // semantics mean the simulator's finer microsecond stamp (set at
+        // delivery) is never rewound by this millisecond-resolution one.
+        mrom_obs::set_virtual_now_us(now.saturating_mul(1000));
     }
 
     /// The recording thread's windowed telemetry restricted to this
@@ -107,7 +127,7 @@ impl Runtime {
     /// is the `getTelemetry` meta-method.
     #[must_use]
     pub fn telemetry(&self) -> mrom_obs::TelemetrySnapshot {
-        let hosted: std::collections::BTreeSet<ObjectId> = self.object_ids().into_iter().collect();
+        let hosted: std::collections::BTreeSet<ObjectId> = self.objects.ids().collect();
         mrom_obs::telemetry_snapshot().for_site(self.node(), |id| hosted.contains(&id))
     }
 
@@ -130,19 +150,23 @@ impl Runtime {
     ///
     /// [`MromError::Class`] for unknown class names.
     pub fn create(&mut self, class: &str) -> Result<ObjectId, MromError> {
-        self.shared.create(class)
+        let obj = self.classes.instantiate(class, &mut self.ids)?;
+        self.objects.adopt(obj)
     }
 
-    /// Unpacks image bytes that crossed a trust boundary under this
-    /// node's admission policy, through its code table (see
-    /// [`SharedRuntime::unpack_image`]). The object is returned, not
-    /// adopted.
+    /// Unpacks image bytes that crossed a trust boundary, admitting the
+    /// object under this node's own [`InvokeLimits::admission`]. A fixed
+    /// method section this node has seen before, byte for byte, reuses
+    /// its interned table: no decode, and admission re-runs only the
+    /// per-object cross-check. The object is returned, not adopted.
     ///
     /// # Errors
     ///
-    /// [`MromError::BadImage`]; [`MromError::AdmissionRejected`].
+    /// [`MromError::BadImage`] for framing/validation failures;
+    /// [`MromError::AdmissionRejected`] when the policy is strict and a
+    /// method body fails static admission analysis.
     pub fn unpack_image(&self, bytes: &[u8]) -> Result<MromObject, MromError> {
-        self.shared.unpack_image(bytes)
+        crate::migrate::unpack(bytes, self.limits.admission, Some(&self.code))
     }
 
     /// Adopts an externally constructed object (builder output, or an
@@ -151,9 +175,9 @@ impl Runtime {
     /// # Errors
     ///
     /// [`MromError::DuplicateItem`] if an object with this identity is
-    /// already hosted here.
+    /// already hosted here, a poisoned one included.
     pub fn adopt(&mut self, obj: MromObject) -> Result<ObjectId, MromError> {
-        self.shared.adopt(obj)
+        self.objects.adopt(obj)
     }
 
     /// Removes an object from the node (the local half of migration),
@@ -161,37 +185,33 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`MromError::NoSuchObject`]; [`MromError::ObjectBusy`] for objects
-    /// checked out by an in-flight invocation or poisoned by a panicked
-    /// one (through `&mut self` only the latter can happen).
+    /// [`MromError::NoSuchObject`]; [`MromError::ObjectBusy`] for an
+    /// object poisoned by a panicked body (through `&mut self` no
+    /// invocation can be in flight).
     pub fn evict(&mut self, id: ObjectId) -> Result<MromObject, MromError> {
-        self.shared.evict(id)
+        self.objects.evict(id)
     }
 
-    /// Shared access to a hosted object.
-    ///
-    /// Returns a guard that dereferences to [`MromObject`]; existing
-    /// `rt.object(id).unwrap().read_data(..)`-style call sites compile
-    /// unchanged. `None` for unknown (and, through the shared view,
-    /// checked-out or poisoned) identities.
-    pub fn object(&self, id: ObjectId) -> Option<ObjectGuard<'_>> {
-        self.shared.object(id)
+    /// Shared access to a hosted object. `None` for unknown and poisoned
+    /// identities.
+    pub fn object(&self, id: ObjectId) -> Option<&MromObject> {
+        self.objects.get(id)
     }
 
-    /// Mutable access to a hosted object (host-side administration;
-    /// lock-free through `&mut self`).
+    /// Mutable access to a hosted object (host-side administration).
     pub fn object_mut(&mut self, id: ObjectId) -> Option<&mut MromObject> {
-        self.shared.object_mut(id)
+        self.objects.get_mut(id)
     }
 
-    /// Identities of all hosted objects (unordered).
+    /// Identities of all hosted objects (unordered), poisoned ones
+    /// included.
     pub fn object_ids(&self) -> Vec<ObjectId> {
-        self.shared.object_ids()
+        self.objects.ids().collect()
     }
 
-    /// Number of hosted objects.
+    /// Number of hosted objects, poisoned identities included.
     pub fn object_count(&self) -> usize {
-        self.shared.object_count()
+        self.objects.len()
     }
 
     /// Invokes a method on a hosted object as `caller`.
@@ -199,13 +219,15 @@ impl Runtime {
     /// The target is checked out of the table for the duration of the call
     /// so its body can invoke *other* objects on this node through the
     /// world hook; a cyclic call back into the executing object reports
-    /// [`MromError::ObjectBusy`]. See
-    /// [`SharedRuntime::invoke`](crate::SharedRuntime::invoke) for the
-    /// full checkout protocol (including panic poisoning).
+    /// [`MromError::ObjectBusy`]. A panicking body is caught and its
+    /// object discarded; the identity stays hosted in a poisoned slot
+    /// that reports `ObjectBusy` to every later call and to
+    /// [`Runtime::evict`].
     ///
     /// # Errors
     ///
-    /// [`MromError::NoSuchObject`] plus all invocation errors.
+    /// [`MromError::NoSuchObject`], [`MromError::ObjectBusy`], plus all
+    /// invocation errors.
     pub fn invoke(
         &mut self,
         caller: ObjectId,
@@ -213,7 +235,7 @@ impl Runtime {
         method: &str,
         args: &[Value],
     ) -> Result<Value, MromError> {
-        self.shared.invoke(caller, target, method, args)
+        crate::host::invoke(self, caller, target, method, args)
     }
 
     /// [`Runtime::invoke`] with the system principal — host-initiated
@@ -228,7 +250,38 @@ impl Runtime {
         method: &str,
         args: &[Value],
     ) -> Result<Value, MromError> {
-        self.shared.invoke_as_system(target, method, args)
+        self.invoke(ObjectId::SYSTEM, target, method, args)
+    }
+}
+
+/// The owning host: the table is a field, so no operation locks.
+impl Host for Runtime {
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    fn limits(&self) -> InvokeLimits {
+        self.limits
+    }
+
+    fn checkout(&mut self, target: ObjectId, method: &str) -> Result<Box<MromObject>, MromError> {
+        self.objects.checkout(self.node, target, method)
+    }
+
+    fn checkin(&mut self, obj: Box<MromObject>) {
+        self.objects.checkin(obj);
+    }
+
+    fn poison(&mut self, id: ObjectId, cause: PoisonCause) {
+        self.objects.poison(id, cause);
+    }
+
+    fn create(&mut self, class: &str) -> Result<ObjectId, MromError> {
+        Runtime::create(self, class)
     }
 }
 
@@ -364,6 +417,44 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, MromError::Script(_)), "{err}");
         assert_eq!(rt.object_count(), 2);
+    }
+
+    #[test]
+    fn a_panicking_body_poisons_its_slot_and_the_identity_stays_hosted() {
+        let mut rt = runtime_with_classes();
+        rt.classes_mut()
+            .register(ClassSpec::new("bomb").fixed_method(
+                "boom",
+                Method::public(MethodBody::native(|_env, _args| {
+                    panic!("kaboom: deliberate test panic")
+                })),
+            ))
+            .unwrap();
+        let calc = rt.create("calc").unwrap();
+        let id = rt.create("bomb").unwrap();
+        let hosted = rt.object_count();
+        let err = rt.invoke_as_system(id, "boom", &[]).unwrap_err();
+        assert!(matches!(err, MromError::ObjectBusy(b) if b == id), "{err}");
+        // The identity did not vanish: it still counts as hosted, later
+        // calls get ObjectBusy (not NoSuchObject) and migration cannot
+        // capture it.
+        assert_eq!(rt.object_count(), hosted);
+        assert!(rt.object_ids().contains(&id));
+        assert!(rt.object(id).is_none(), "a poisoned slot is not readable");
+        assert!(matches!(
+            rt.invoke_as_system(id, "boom", &[]),
+            Err(MromError::ObjectBusy(_))
+        ));
+        assert!(matches!(rt.evict(id), Err(MromError::ObjectBusy(_))));
+        assert!(matches!(
+            rt.adopt(crate::object::ObjectBuilder::new(id).build()),
+            Err(MromError::DuplicateItem { .. })
+        ));
+        // Its neighbours are untouched.
+        assert_eq!(
+            rt.invoke_as_system(calc, "add", &[Value::Int(2)]).unwrap(),
+            Value::Int(2)
+        );
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Concurrent site runtime: many invocations in parallel on one node.
 //!
-//! [`SharedRuntime`] generalizes the single-threaded [`crate::Runtime`]
-//! busy-set into a real concurrency protocol. The object table is split
-//! into [`SHARD_COUNT`] hash-sharded maps, each behind its own `RwLock`;
-//! an invocation **checks its target out** under the shard's write lock
-//! (flipping the slot from `Present` to `Busy`), executes the level-0
-//! Lookup→Match→Apply **without holding any lock** — the PR-1 `Arc<str>`
-//! tower and `Arc`-backed method handles make all hot dispatch state
-//! shareable — and checks the object back in when done. Concurrent calls
-//! to the *same* object observe the `Busy` slot and report
+//! [`SharedRuntime`] shards the object table [`crate::Runtime`] owns into
+//! [`SHARD_COUNT`] hash-sharded [`ObjectTable`]s, each behind its own
+//! `RwLock`. An invocation **checks its target out** under the shard's
+//! write lock (flipping the slot from `Present` to `Busy`), executes the
+//! level-0 Lookup→Match→Apply **without holding any lock** — the
+//! `Arc<str>` tower and `Arc`-backed method handles make all hot dispatch
+//! state shareable — and checks the object back in when done. Concurrent
+//! calls to the *same* object observe the `Busy` slot and report
 //! [`MromError::ObjectBusy`]; calls to *different* objects proceed truly
-//! in parallel.
+//! in parallel. The slot state machine, the invoke tail (panic poisoning
+//! included) and the world hook are the ones `Runtime` uses
+//! (`crate::host`); this type adds only the shards and locks.
 //!
 //! Why object granularity? In MROM, each object carries its own dispatch
 //! state, generation stamp, and ACLs — security and encapsulation are the
@@ -18,33 +19,19 @@
 //! exclusion: no lock ordering between objects is ever needed, because no
 //! invocation holds two objects at once (nested `send`s check the callee
 //! out *after* the caller, and a cycle surfaces as `ObjectBusy`, exactly
-//! like the single-threaded busy set).
+//! as in `Runtime`).
 //!
-//! ## Slot state machine
-//!
-//! ```text
-//!            checkout               checkin
-//!  Present ───────────▶ Busy ───────────────▶ Present
-//!                        │
-//!                        │ body panicked (caught via catch_unwind)
-//!                        ▼
-//!                     Poisoned(cause)   — surfaces as ObjectBusy;
-//!                                         inspect via poison_cause(),
-//!                                         reclaim via clear_poisoned()
-//! ```
-//!
-//! A panicking method body must **never leak** the checked-out object:
-//! the slot is poisoned (not removed), so later callers get a truthful
-//! `ObjectBusy` with a structured, retrievable cause instead of a
-//! mysterious `NoSuchObject`.
+//! A poisoned slot (a body panicked) surfaces as `ObjectBusy`; inspect it
+//! with [`SharedRuntime::poison_cause`] and reclaim it with
+//! [`SharedRuntime::clear_poisoned`].
 //!
 //! ## Lock order
 //!
 //! `classes → ids → one shard`, and **nothing** is held while a method
 //! body runs. At most one shard lock is ever held at a time; no code path
-//! takes two shards. The `ids` generator and virtual clock are atomic and
-//! never block. The code-table mutex is taken alone, for a probe or an
-//! insert, and never held while an image decodes.
+//! takes two shards. The `ids` generator is taken alone, for one mint.
+//! The code-table mutex is taken alone, for a probe or an insert, and
+//! never held while an image decodes.
 //!
 //! ## Migration interlock
 //!
@@ -53,19 +40,16 @@
 //! can never capture an object mid-execution: the image is taken either
 //! before checkout or after checkin, never in between.
 
-use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
-
-use mrom_script::EffectSignature;
+use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use mrom_value::{AtomicIdGenerator, NodeId, ObjectId, Value};
 
 use crate::class::ClassRegistry;
 use crate::error::MromError;
-use crate::invoke::{InvokeLimits, WorldHook};
+use crate::host::{Host, ObjectTable, PoisonCause};
+use crate::invoke::InvokeLimits;
 use crate::object::MromObject;
 use crate::table::CodeTable;
 
@@ -74,62 +58,13 @@ use crate::table::CodeTable;
 /// that whole-table scans (`object_ids`) stay cheap.
 pub const SHARD_COUNT: usize = 16;
 
-/// Structured cause attached to a [`Slot::Poisoned`] entry when a method
-/// body panics inside a worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoisonCause {
-    /// The method whose body panicked.
-    pub method: String,
-    /// The panic payload, downcast to a string where possible.
-    pub message: String,
-}
-
-impl std::fmt::Display for PoisonCause {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "body of {:?} panicked: {}", self.method, self.message)
-    }
-}
-
-/// One entry of the sharded object table.
-///
-/// Almost every slot is `Present` — `Busy`/`Poisoned` are transient —
-/// so boxing the object to shrink the rare variants would put a pointer
-/// chase on every read and checkout for no space win in practice.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Slot {
-    /// Hosted and at rest — available for checkout, reads, and eviction.
-    Present(MromObject),
-    /// Checked out by an in-flight invocation. When observability is
-    /// enabled the slot remembers what is running ([`BusyInfo`]) so a
-    /// colliding checkout can classify the collision by effect-signature
-    /// disjointness; otherwise it carries nothing.
-    Busy(Option<BusyInfo>),
-    /// A body panicked while the object was checked out; the (possibly
-    /// torn) object was discarded, the identity and cause retained.
-    Poisoned(PoisonCause),
-}
-
-/// What a `Busy` slot knows about its in-flight invocation (recorded
-/// only while observability is enabled — the disabled hot path never
-/// clones a method name or touches the effect table).
-#[derive(Debug)]
-struct BusyInfo {
-    /// Selector of the invocation that holds the object.
-    method: String,
-    /// The object's memoized effect-signature table at checkout time.
-    effects: Arc<BTreeMap<String, EffectSignature>>,
-}
-
-type Shard = HashMap<ObjectId, Slot>;
-
 /// Read access to one hosted object, held open by a shard read guard.
 ///
 /// Dereferences to [`MromObject`]. The guard pins the shard against
 /// writers, so keep it short-lived — in particular, do not call back into
 /// the runtime while holding one.
 pub struct ObjectGuard<'a> {
-    shard: RwLockReadGuard<'a, Shard>,
+    shard: RwLockReadGuard<'a, ObjectTable>,
     id: ObjectId,
 }
 
@@ -137,12 +72,11 @@ impl Deref for ObjectGuard<'_> {
     type Target = MromObject;
 
     fn deref(&self) -> &MromObject {
-        match self.shard.get(&self.id) {
-            Some(Slot::Present(obj)) => obj,
-            // The guard is only constructed over a Present slot and holds
-            // the shard read-locked for its whole lifetime.
-            _ => unreachable!("ObjectGuard over a non-present slot"),
-        }
+        // The guard is only constructed over a Present slot and holds
+        // the shard read-locked for its whole lifetime.
+        self.shard
+            .get(self.id)
+            .expect("ObjectGuard over a non-present slot")
     }
 }
 
@@ -175,8 +109,8 @@ impl std::fmt::Debug for ClassesGuard<'_> {
 ///
 /// Every operation takes `&self`, so a `SharedRuntime` can be driven from
 /// any number of worker threads (it is `Sync`); see the module docs for
-/// the checkout protocol and lock order. The single-threaded
-/// [`crate::Runtime`] is a thin `&mut self` wrapper over this type.
+/// the checkout protocol and lock order. Single-threaded hosts use
+/// [`crate::Runtime`], which owns its table and takes no lock.
 ///
 /// # Example
 ///
@@ -203,7 +137,7 @@ impl std::fmt::Debug for ClassesGuard<'_> {
 pub struct SharedRuntime {
     node: NodeId,
     ids: AtomicIdGenerator,
-    shards: Box<[RwLock<Shard>]>,
+    shards: Box<[RwLock<ObjectTable>]>,
     classes: RwLock<ClassRegistry>,
     limits: Mutex<InvokeLimits>,
     /// Virtual time surfaced to scripts via `self.time()`.
@@ -217,7 +151,7 @@ impl SharedRuntime {
     #[must_use]
     pub fn new(node: NodeId) -> SharedRuntime {
         let shards = (0..SHARD_COUNT)
-            .map(|_| RwLock::new(Shard::new()))
+            .map(|_| RwLock::new(ObjectTable::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         SharedRuntime {
@@ -261,12 +195,6 @@ impl SharedRuntime {
         f(&mut write(&self.classes))
     }
 
-    /// Exclusive class-registry access through `&mut` (lock-free; used by
-    /// the single-threaded wrapper).
-    pub fn classes_mut(&mut self) -> &mut ClassRegistry {
-        self.classes.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Replaces this node's own invocation limits, admission policy included.
     pub fn set_limits(&self, limits: InvokeLimits) {
         *self
@@ -305,7 +233,7 @@ impl SharedRuntime {
     ///
     /// [`MromError::Class`] for unknown class names.
     pub fn create(&self, class: &str) -> Result<ObjectId, MromError> {
-        // Lock order: classes → ids (atomic, non-blocking) → shard.
+        // Lock order: classes → ids → shard.
         let obj = {
             let classes = read_guard(&self.classes);
             classes
@@ -313,16 +241,13 @@ impl SharedRuntime {
                 .ok_or_else(|| MromError::Class(format!("unknown class {class:?}")))?;
             classes.instantiate_with_id(class, self.ids.next_id())?
         };
-        let id = obj.id();
-        write(self.shard_of(id)).insert(id, Slot::Present(obj));
-        Ok(id)
+        self.adopt(obj)
     }
 
     /// Unpacks image bytes that crossed a trust boundary, admitting the
-    /// object under this site's own [`InvokeLimits::admission`]. A fixed
-    /// method section this site has seen before, byte for byte, reuses
-    /// its interned table: no decode, and admission re-runs only the
-    /// per-object cross-check. The object is returned, not adopted.
+    /// object under this site's own [`InvokeLimits::admission`] through
+    /// its code table (see [`crate::Runtime::unpack_image`]). The object
+    /// is returned, not adopted.
     ///
     /// # Errors
     ///
@@ -341,39 +266,19 @@ impl SharedRuntime {
     /// [`MromError::DuplicateItem`] if this identity is already hosted
     /// here — including checked-out and poisoned identities.
     pub fn adopt(&self, obj: MromObject) -> Result<ObjectId, MromError> {
-        let id = obj.id();
-        let mut shard = write(self.shard_of(id));
-        if shard.contains_key(&id) {
-            return Err(MromError::DuplicateItem {
-                object: id,
-                item: "object identity".to_owned(),
-            });
-        }
-        shard.insert(id, Slot::Present(obj));
-        Ok(id)
+        write(self.shard_of(obj.id())).adopt(obj)
     }
 
     /// Removes an object from the node (the local half of migration),
-    /// returning it.
-    ///
-    /// This is the **migration interlock**: an object that is checked out
-    /// by an in-flight invocation (or poisoned by a panicked one) refuses
-    /// eviction with [`MromError::ObjectBusy`], so a migration can never
-    /// capture an object mid-execution.
+    /// returning it. An object checked out by an in-flight invocation (or
+    /// poisoned by a panicked one) refuses with
+    /// [`MromError::ObjectBusy`].
     ///
     /// # Errors
     ///
     /// [`MromError::NoSuchObject`], [`MromError::ObjectBusy`].
     pub fn evict(&self, id: ObjectId) -> Result<MromObject, MromError> {
-        let mut shard = write(self.shard_of(id));
-        match shard.get(&id) {
-            Some(Slot::Present(_)) => match shard.remove(&id) {
-                Some(Slot::Present(obj)) => Ok(obj),
-                _ => unreachable!("slot changed under the shard write lock"),
-            },
-            Some(Slot::Busy(_) | Slot::Poisoned(_)) => Err(MromError::ObjectBusy(id)),
-            None => Err(MromError::NoSuchObject(id)),
-        }
+        write(self.shard_of(id)).evict(id)
     }
 
     /// Read access to a hosted object at rest. `None` for unknown,
@@ -381,23 +286,8 @@ impl SharedRuntime {
     #[must_use]
     pub fn object(&self, id: ObjectId) -> Option<ObjectGuard<'_>> {
         let shard = read_guard(self.shard_of(id));
-        match shard.get(&id) {
-            Some(Slot::Present(_)) => Some(ObjectGuard { shard, id }),
-            _ => None,
-        }
-    }
-
-    /// Exclusive access to a hosted object through `&mut` (lock-free;
-    /// host-side administration from the single-threaded wrapper).
-    pub fn object_mut(&mut self, id: ObjectId) -> Option<&mut MromObject> {
-        let idx = shard_index(id);
-        let shard = self.shards[idx]
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner());
-        match shard.get_mut(&id) {
-            Some(Slot::Present(obj)) => Some(obj),
-            _ => None,
-        }
+        shard.get(id)?;
+        Some(ObjectGuard { shard, id })
     }
 
     /// Identities of all hosted objects (unordered), including checked-out
@@ -406,7 +296,7 @@ impl SharedRuntime {
     pub fn object_ids(&self) -> Vec<ObjectId> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
-            out.extend(read_guard(shard).keys().copied());
+            out.extend(read_guard(shard).ids());
         }
         out
     }
@@ -422,10 +312,7 @@ impl SharedRuntime {
     /// panicking method body, if it was.
     #[must_use]
     pub fn poison_cause(&self, id: ObjectId) -> Option<PoisonCause> {
-        match read_guard(self.shard_of(id)).get(&id) {
-            Some(Slot::Poisoned(cause)) => Some(cause.clone()),
-            _ => None,
-        }
+        read_guard(self.shard_of(id)).poison_cause(id).cloned()
     }
 
     /// Reclaims a poisoned identity: removes the slot and returns the
@@ -433,14 +320,7 @@ impl SharedRuntime {
     /// host may re-adopt a replacement under the same identity afterwards.
     #[must_use]
     pub fn clear_poisoned(&self, id: ObjectId) -> Option<PoisonCause> {
-        let mut shard = write(self.shard_of(id));
-        match shard.get(&id) {
-            Some(Slot::Poisoned(_)) => match shard.remove(&id) {
-                Some(Slot::Poisoned(cause)) => Some(cause),
-                _ => unreachable!("slot changed under the shard write lock"),
-            },
-            _ => None,
-        }
+        write(self.shard_of(id)).clear_poisoned(id)
     }
 
     /// Invokes a method on a hosted object as `caller`.
@@ -464,32 +344,7 @@ impl SharedRuntime {
         method: &str,
         args: &[Value],
     ) -> Result<Value, MromError> {
-        mrom_obs::runtime_invoke(self.node, target, method);
-        let mut obj = self.checkout_as(target, Some(method))?;
-        let limits = self.limits();
-        let mut world = SharedWorld { shared: self };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            crate::invoke::invoke_with_limits(&mut obj, &mut world, caller, method, args, &limits)
-        }));
-        match outcome {
-            Ok(result) => {
-                self.checkin(obj);
-                result
-            }
-            Err(payload) => {
-                // The object may be torn mid-mutation: discard it and
-                // poison the slot so the identity does not vanish.
-                drop(obj);
-                self.poison(
-                    target,
-                    PoisonCause {
-                        method: method.to_owned(),
-                        message: panic_message(payload.as_ref()),
-                    },
-                );
-                Err(MromError::ObjectBusy(target))
-            }
-        }
+        crate::host::invoke(&mut &*self, caller, target, method, args)
     }
 
     /// [`SharedRuntime::invoke`] with the system principal.
@@ -506,80 +361,40 @@ impl SharedRuntime {
         self.invoke(ObjectId::SYSTEM, target, method, args)
     }
 
-    /// Checks `target` out: flips its slot from `Present` to `Busy` under
-    /// the shard write lock and returns the object. When
-    /// observability is enabled and `incoming` names the method about to
-    /// run, the `Busy` slot remembers it together with the object's
-    /// memoized effect-signature table, and a *colliding* checkout
-    /// classifies the collision — provably-disjoint signatures mean the
-    /// serialization was a conservative loss, overlapping ones mean it
-    /// was required — feeding the shared-runtime disjointness counters.
-    fn checkout_as(
-        &self,
-        target: ObjectId,
-        incoming: Option<&str>,
-    ) -> Result<MromObject, MromError> {
-        let obs = mrom_obs::enabled();
-        let mut shard = write(self.shard_of(target));
-        match shard.get_mut(&target) {
-            Some(slot @ Slot::Present(_)) => match std::mem::replace(slot, Slot::Busy(None)) {
-                Slot::Present(mut obj) => {
-                    if obs {
-                        if let Some(method) = incoming {
-                            *slot = Slot::Busy(Some(BusyInfo {
-                                method: method.to_owned(),
-                                effects: obj.effects(),
-                            }));
-                        }
-                    }
-                    Ok(obj)
-                }
-                _ => unreachable!("matched Present above"),
-            },
-            Some(Slot::Busy(info)) => {
-                if obs {
-                    let (in_flight, disjoint) = match (info.as_ref(), incoming) {
-                        (Some(i), Some(m)) => {
-                            let verdict = match (i.effects.get(i.method.as_str()), i.effects.get(m))
-                            {
-                                (Some(a), Some(b)) => {
-                                    Some(crate::effects::signatures_disjoint(a, b))
-                                }
-                                _ => None,
-                            };
-                            (i.method.as_str(), verdict)
-                        }
-                        (Some(i), None) => (i.method.as_str(), None),
-                        (None, _) => ("", None),
-                    };
-                    mrom_obs::shared_collision(
-                        self.node,
-                        target,
-                        in_flight,
-                        incoming.unwrap_or(""),
-                        disjoint,
-                    );
-                }
-                Err(MromError::ObjectBusy(target))
-            }
-            Some(Slot::Poisoned(_)) => Err(MromError::ObjectBusy(target)),
-            None => Err(MromError::NoSuchObject(target)),
-        }
-    }
-
-    /// Checks an object back in after its invocation completed.
-    fn checkin(&self, obj: MromObject) {
-        let id = obj.id();
-        write(self.shard_of(id)).insert(id, Slot::Present(obj));
-    }
-
-    /// Marks a checked-out identity as poisoned.
-    fn poison(&self, id: ObjectId, cause: PoisonCause) {
-        write(self.shard_of(id)).insert(id, Slot::Poisoned(cause));
-    }
-
-    fn shard_of(&self, id: ObjectId) -> &RwLock<Shard> {
+    fn shard_of(&self, id: ObjectId) -> &RwLock<ObjectTable> {
         &self.shards[shard_index(id)]
+    }
+}
+
+/// The shared host: every table operation takes its shard's write lock
+/// for that one operation.
+impl Host for &SharedRuntime {
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn now(&self) -> u64 {
+        SharedRuntime::now(self)
+    }
+
+    fn limits(&self) -> InvokeLimits {
+        SharedRuntime::limits(self)
+    }
+
+    fn checkout(&mut self, target: ObjectId, method: &str) -> Result<Box<MromObject>, MromError> {
+        write(self.shard_of(target)).checkout(self.node, target, method)
+    }
+
+    fn checkin(&mut self, obj: Box<MromObject>) {
+        write(self.shard_of(obj.id())).checkin(obj);
+    }
+
+    fn poison(&mut self, id: ObjectId, cause: PoisonCause) {
+        write(self.shard_of(id)).poison(id, cause);
+    }
+
+    fn create(&mut self, class: &str) -> Result<ObjectId, MromError> {
+        SharedRuntime::create(self, class)
     }
 }
 
@@ -589,17 +404,6 @@ fn shard_index(id: ObjectId) -> usize {
     let folded = id.node().0 ^ (u64::from(id.seq()) << 32) ^ u64::from(id.entropy());
     let mixed = folded.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     (mixed >> 59) as usize & (SHARD_COUNT - 1)
-}
-
-/// Best-effort stringification of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }
 
 /// Takes a read lock, shrugging off poisoning: no lock in this module is
@@ -615,67 +419,6 @@ fn read_guard<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 fn write<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     lock.write()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// World hook giving method bodies mediated access to node services, over
-/// the shared runtime. Nested `send`s re-enter [`SharedRuntime::invoke`],
-/// which checks the callee out under its own shard lock — the hook itself
-/// holds nothing.
-///
-/// Supported operations (unchanged from the single-threaded runtime):
-///
-/// * `send(target_ref, method, args_list)` — invoke a method on another
-///   object hosted on this node (caller principal = the sending object).
-/// * `spawn(class_name)` — instantiate a registered class, adopting the
-///   new object into this node; returns its reference.
-/// * `log(message)` — append to the node log.
-/// * `time()` — current virtual time.
-/// * `node()` — the node id as an integer.
-struct SharedWorld<'r> {
-    shared: &'r SharedRuntime,
-}
-
-impl WorldHook for SharedWorld<'_> {
-    fn world_call(
-        &mut self,
-        caller: ObjectId,
-        op: &str,
-        args: &[Value],
-    ) -> Result<Value, MromError> {
-        match op {
-            "send" => match args {
-                [Value::ObjectRef(target), Value::Str(method), Value::List(inner)] => {
-                    // An object currently executing sits in a Busy slot, so
-                    // a cyclic call — and any concurrent call — reports
-                    // ObjectBusy; genuinely unknown targets NoSuchObject.
-                    self.shared.invoke(caller, *target, method, inner)
-                }
-                _ => Err(MromError::World(
-                    "send expects (object_ref, method_name, args_list)".into(),
-                )),
-            },
-            "spawn" => match args {
-                [Value::Str(class)] => self.shared.create(class).map(Value::ObjectRef),
-                _ => Err(MromError::World("spawn expects (class_name)".into())),
-            },
-            "log" => {
-                let msg = args
-                    .first()
-                    .map(|v| match v {
-                        Value::Str(s) => s.clone(),
-                        other => other.to_string(),
-                    })
-                    .unwrap_or_default();
-                mrom_obs::log_line(self.shared.node, caller, &msg);
-                Ok(Value::Null)
-            }
-            "time" => Ok(Value::Int(self.shared.now() as i64)),
-            "node" => Ok(Value::Int(self.shared.node.0 as i64)),
-            other => Err(MromError::World(format!(
-                "unknown world operation {other:?}"
-            ))),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -780,11 +523,12 @@ mod tests {
         // A native method that tries to evict... is not expressible from
         // scripts; simulate by poking the slot machinery directly.
         let id = rt.create("counter").unwrap();
-        let obj = rt.checkout_as(id, None).unwrap();
+        let mut host = &rt;
+        let obj = host.checkout(id, "add").unwrap();
         assert!(matches!(rt.evict(id), Err(MromError::ObjectBusy(_))));
         assert!(rt.object(id).is_none(), "busy slot is not readable");
         assert_eq!(rt.object_count(), 1, "busy slot still counts as hosted");
-        rt.checkin(obj);
+        host.checkin(obj);
         assert!(rt.evict(id).is_ok());
     }
 

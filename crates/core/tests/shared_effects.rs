@@ -1,6 +1,6 @@
-//! Shared-runtime effect instrumentation: checkout collisions are
-//! classified by effect-signature disjointness and surface in the
-//! observability metrics.
+//! Checkout-collision instrumentation on both site hosts (`Runtime` and
+//! `SharedRuntime`): collisions are classified by effect-signature
+//! disjointness and surface in the observability metrics.
 //!
 //! Collisions are produced deterministically with *cyclic* calls — a
 //! method that `send`s back into its own object is indistinguishable,
@@ -11,9 +11,9 @@
 //! one per thread; this file keeps everything on the main test thread
 //! per test function).
 
-use mrom_core::{ClassSpec, DataItem, Method, MethodBody, MromError, SharedRuntime};
+use mrom_core::{ClassSpec, DataItem, Method, MethodBody, MromError, Runtime, SharedRuntime};
 use mrom_obs::{EventKind, ObsMode};
-use mrom_value::{NodeId, Value};
+use mrom_value::{NodeId, ObjectId, Value};
 
 fn scripted(src: &str) -> Method {
     Method::public(MethodBody::script(src).unwrap())
@@ -41,22 +41,52 @@ fn cyclic_class() -> ClassSpec {
         )
 }
 
-#[test]
-fn busy_collisions_are_classified_by_signature_disjointness() {
+/// The two site hosts, driven the same way.
+trait Host: Sized {
+    /// A host at `node` with one `cyclic` object.
+    fn with_cyclic(node: NodeId) -> (Self, ObjectId);
+    fn invoke_as_system(&mut self, id: ObjectId, method: &str) -> Result<Value, MromError>;
+}
+
+impl Host for Runtime {
+    fn with_cyclic(node: NodeId) -> (Runtime, ObjectId) {
+        let mut rt = Runtime::new(node);
+        rt.classes_mut().register(cyclic_class()).unwrap();
+        let id = rt.create("cyclic").unwrap();
+        (rt, id)
+    }
+
+    fn invoke_as_system(&mut self, id: ObjectId, method: &str) -> Result<Value, MromError> {
+        Runtime::invoke_as_system(self, id, method, &[])
+    }
+}
+
+impl Host for SharedRuntime {
+    fn with_cyclic(node: NodeId) -> (SharedRuntime, ObjectId) {
+        let rt = SharedRuntime::new(node);
+        rt.with_classes_mut(|reg| reg.register(cyclic_class()))
+            .unwrap();
+        let id = rt.create("cyclic").unwrap();
+        (rt, id)
+    }
+
+    fn invoke_as_system(&mut self, id: ObjectId, method: &str) -> Result<Value, MromError> {
+        SharedRuntime::invoke_as_system(self, id, method, &[])
+    }
+}
+
+fn busy_collisions_are_classified_by_signature_disjointness<H: Host>() {
     mrom_obs::reset();
     mrom_obs::set_mode(ObsMode::Ring);
-    let rt = SharedRuntime::new(NodeId(77));
-    rt.with_classes_mut(|reg| reg.register(cyclic_class()))
-        .unwrap();
-    let id = rt.create("cyclic").unwrap();
+    let (mut rt, id) = H::with_cyclic(NodeId(77));
 
     // The cyclic inner send surfaces as ObjectBusy at the script layer.
     assert!(matches!(
-        rt.invoke_as_system(id, "cycle_peek", &[]),
+        rt.invoke_as_system(id, "cycle_peek"),
         Err(MromError::Script(_) | MromError::ObjectBusy(_))
     ));
     assert!(matches!(
-        rt.invoke_as_system(id, "cycle_poke", &[]),
+        rt.invoke_as_system(id, "cycle_poke"),
         Err(MromError::Script(_) | MromError::ObjectBusy(_))
     ));
     mrom_obs::set_mode(ObsMode::Disabled);
@@ -88,16 +118,35 @@ fn busy_collisions_are_classified_by_signature_disjointness() {
     );
 }
 
-#[test]
-fn disabled_recorder_records_no_collision_state() {
+fn disabled_recorder_records_no_collision_state<H: Host>() {
     mrom_obs::reset();
-    let rt = SharedRuntime::new(NodeId(78));
-    rt.with_classes_mut(|reg| reg.register(cyclic_class()))
-        .unwrap();
-    let id = rt.create("cyclic").unwrap();
-    assert!(rt.invoke_as_system(id, "cycle_peek", &[]).is_err());
+    let (mut rt, id) = H::with_cyclic(NodeId(78));
+    assert!(rt.invoke_as_system(id, "cycle_peek").is_err());
     let m = mrom_obs::metrics_snapshot();
     assert_eq!(m.shared.busy_collisions, 0);
     // The object itself still works normally afterwards.
-    assert_eq!(rt.invoke_as_system(id, "peek", &[]).unwrap(), Value::Int(0));
+    assert_eq!(rt.invoke_as_system(id, "peek").unwrap(), Value::Int(0));
 }
+
+/// Each check, once per host.
+macro_rules! on_both_hosts {
+    ($($check:ident),*) => {
+        mod runtime {
+            $(#[test]
+            fn $check() {
+                super::$check::<mrom_core::Runtime>();
+            })*
+        }
+        mod shared {
+            $(#[test]
+            fn $check() {
+                super::$check::<mrom_core::SharedRuntime>();
+            })*
+        }
+    };
+}
+
+on_both_hosts!(
+    busy_collisions_are_classified_by_signature_disjointness,
+    disabled_recorder_records_no_collision_state
+);

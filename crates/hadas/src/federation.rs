@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use mrom_core::{AdmissionPolicy, MromError, MromObject, Runtime};
 use mrom_net::{Delivery, NetStats, NetworkConfig, SimNet, SimTime};
-use mrom_persist::{BlobStore, Depot, MemStore};
+use mrom_persist::{Depot, MemStore};
 use mrom_value::{NodeId, ObjectId, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,8 +65,9 @@ struct Site {
     /// Volatile — wiped by a crash (the depot, not this cache, is the
     /// durable layer).
     replies: BTreeMap<u64, ProtocolMsg>,
-    /// Migrations whose acknowledgement never arrived: object → intended
-    /// destination. The object's image stays in the depot until
+    /// Migrations that may have landed without an acknowledgement (a
+    /// timeout, an unexpected reply): object → intended destination. The
+    /// object's image stays in the depot until
     /// [`Federation::resolve_in_doubt`] learns which side owns it.
     in_doubt: BTreeMap<ObjectId, NodeId>,
 }
@@ -864,14 +865,13 @@ impl Federation {
         }
         // Export phase 2: instantiate the proper APO Ambassador.
         let spec = site.specs.get(apo_name).cloned().unwrap_or_default();
-        let Some(apo) = site.runtime.object(apo_id) else {
+        if site.runtime.object(apo_id).is_none() {
             return deny(format!("apo object {apo_id} missing"));
-        };
-        let apo_clone = apo.clone();
-        drop(apo);
+        }
         let amb_identity = site.runtime.ids_mut().next_id();
+        let apo = site.runtime.object(apo_id).expect("checked above");
         let (ambassador, remote_methods) = match crate::ambassador::instantiate_ambassador_as(
-            &apo_clone,
+            apo,
             apo_name,
             at,
             &spec,
@@ -920,7 +920,7 @@ impl Federation {
         // image. The raw bytes are exactly the migration image. This is
         // the one depot write of a move that lands: the origin writes
         // its copy only when the move fails.
-        let _ = site.depot.store_mut().put(&id.to_string(), image);
+        let _ = site.depot.save_image(id, image);
         mrom_obs::object_adopted(id, at);
         let has_hook = site
             .runtime
@@ -1110,7 +1110,7 @@ impl Federation {
                 // Persist the installed guest so a crash here does not
                 // silently lose it (best-effort, like any depot save).
                 if let Some(guest) = site.runtime.object(amb_id) {
-                    let _ = site.depot.save(&guest);
+                    let _ = site.depot.save(guest);
                 }
                 let ioo = site.ioo;
                 if let Some(ioo_obj) = site.runtime.object_mut(ioo) {
@@ -1329,8 +1329,13 @@ impl Federation {
     /// and — if it carries an `on_arrival` method — is invoked with an
     /// arrival context so it can install itself and decide its next move.
     ///
-    /// Requires a Link agreement between the sites. On transport failure
-    /// the object is restored locally (it never ceases to exist).
+    /// Requires a Link agreement between the sites. A move that provably
+    /// did not land (refused by the destination, or with retries off sent
+    /// into a partition or at a crashed site) restores the object
+    /// locally. A move that may have landed (any other timeout, an
+    /// unexpected reply) parks it in-doubt until
+    /// [`Federation::resolve_in_doubt`] asks the destination, so the
+    /// object never ceases to exist and is never live at two sites.
     ///
     /// # Errors
     ///
@@ -1449,26 +1454,38 @@ impl Federation {
             Ok(other) => unexpected_reply("move", other.kind()),
             Err(e) => e,
         };
-        // The move did not land, or may have. If every retry was exhausted
-        // without an answer, the destination may have adopted the object
-        // and re-adopting it here could *duplicate* it: it is parked
-        // in-doubt, and [`Federation::resolve_in_doubt`] settles ownership
-        // from the parked image once the network heals. Any other failure
-        // (a refusal, an unexpected reply, or any error with retries off)
-        // re-adopts it here. Either way the depot gets the exact image
-        // that was sent.
-        let in_doubt = matches!(failure, HadasError::Timeout { .. }) && !self.retry.is_off();
+        // The move did not land, or may have. It did not when the
+        // destination refused it (a remote `Error`), when the transport
+        // refused the request outright (a `Net` error: an unknown site or
+        // a send to itself, which fails the first attempt), or, with
+        // retries off, when the single attempt timed out with the
+        // destination cut off (link partitioned or site down) for the
+        // whole request: the object is re-adopted here. Any other outcome
+        // (a timeout on a live link, an unexpected reply, any timeout
+        // under a retry policy) may leave the request in flight, and
+        // re-adopting could *duplicate* the object: it is parked
+        // in-doubt, and [`Federation::resolve_in_doubt`] settles
+        // ownership from the parked image once the destination answers.
+        // Either way the depot gets the exact image that was sent.
+        let never_arrived = match failure {
+            HadasError::Remote(_) | HadasError::Net(_) => true,
+            HadasError::Timeout { .. } => {
+                self.retry.is_off()
+                    && (self.net.is_down(to) || self.net.config().is_partitioned(from, to))
+            }
+            _ => false,
+        };
         let ProtocolMsg::MoveObject { image, .. } = &msg else {
             unreachable!("built above as a move")
         };
         let site = self.site_mut(from)?;
-        let _ = site.depot.store_mut().put(&object.to_string(), image);
-        if in_doubt {
-            site.in_doubt.insert(object, to);
-        } else {
+        let _ = site.depot.save_image(object, image);
+        if never_arrived {
             site.runtime
                 .adopt(obj)
                 .expect("identity unused after failed move");
+        } else {
+            site.in_doubt.insert(object, to);
         }
         Err(failure)
     }
@@ -1742,7 +1759,7 @@ impl Federation {
     ) -> Result<usize, HadasError> {
         let apo_id = self.apo_id(origin, apo_name)?;
         // The APO reads its own method definition (full descriptor); scope
-        // the object guard so the site borrow ends before push_update.
+        // the site borrow so it ends before push_update.
         let desc = {
             let site = self.site(origin)?;
             let apo = site
@@ -1879,6 +1896,7 @@ mod tests {
     use super::*;
     use mrom_core::{ClassSpec, DataItem, Method, MethodBody};
     use mrom_net::LinkConfig;
+    use mrom_persist::BlobStore;
 
     fn db_apo_class() -> ClassSpec {
         ClassSpec::new("employee-db")
@@ -2590,8 +2608,89 @@ mod tests {
         fed.inject_raw(c, a, stray.encode()).unwrap();
         let err = fed.dispatch_object(a, c, id).unwrap_err();
         assert!(matches!(err, HadasError::BadMessage(_)), "{err}");
-        assert!(fed.runtime(a).unwrap().object(id).is_some(), "re-adopted");
+        assert_eq!(
+            fed.in_doubt(a).unwrap(),
+            vec![(id, c)],
+            "parked, not re-adopted"
+        );
         assert_eq!(parked(&fed, a, id), Some(sent));
+    }
+
+    #[test]
+    fn a_landed_move_records_one_depot_save_of_the_image() {
+        let (mut fed, [a, _, c], id) = arrived_object();
+        let image = fed
+            .runtime(a)
+            .unwrap()
+            .object(id)
+            .unwrap()
+            .image_bytes()
+            .unwrap();
+        mrom_obs::reset();
+        mrom_obs::set_mode(mrom_obs::ObsMode::Ring);
+        fed.dispatch_object(a, c, id).unwrap();
+        mrom_obs::set_mode(mrom_obs::ObsMode::Disabled);
+        let saves: Vec<_> = mrom_obs::ring_snapshot()
+            .into_iter()
+            .filter_map(|te| match te.kind {
+                mrom_obs::EventKind::DepotSave { object, bytes } => Some((object, bytes)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(saves, vec![(id, image.len() as u64)]);
+        assert_eq!(mrom_obs::metrics_snapshot().persist.saves, 1);
+        mrom_obs::reset();
+    }
+
+    /// The sites that host `id` live.
+    fn hosts(fed: &Federation, id: ObjectId) -> Vec<NodeId> {
+        fed.site_nodes()
+            .into_iter()
+            .filter(|&n| fed.runtime(n).unwrap().object(id).is_some())
+            .collect()
+    }
+
+    #[test]
+    fn a_stray_reply_to_a_move_in_flight_leaves_one_host() {
+        let (mut fed, [a, _, c], id) = arrived_object();
+        bump(&mut fed, a, id);
+        bump(&mut fed, a, id);
+        // A reply carrying the move's request id overtakes the real one;
+        // the move itself is still in flight and lands at c.
+        let stray = ProtocolMsg::InvokeResp {
+            req_id: fed.next_req + 1,
+            result: Value::Null,
+        };
+        fed.inject_raw(c, a, stray.encode()).unwrap();
+        assert!(fed.retry_policy().is_off());
+        let err = fed.dispatch_object(a, c, id).unwrap_err();
+        assert!(matches!(err, HadasError::BadMessage(_)), "{err}");
+        fed.pump_all();
+        fed.settle_in_doubt().unwrap();
+        assert_eq!(hosts(&fed, id), vec![c]);
+        assert_eq!(fed.in_doubt_total(), 0);
+        assert_eq!(parked(&fed, a, id), None, "resolution dropped a's image");
+    }
+
+    #[test]
+    fn a_lost_move_ack_with_retries_off_leaves_one_host() {
+        let (mut fed, [a, _, c], id) = arrived_object();
+        bump(&mut fed, a, id);
+        bump(&mut fed, a, id);
+        assert!(fed.retry_policy().is_off());
+        // The move lands at c; its acknowledgement is lost.
+        fed.net_config_mut()
+            .set_link(c, a, LinkConfig::lan().loss_probability(1.0));
+        let err = fed.dispatch_object(a, c, id).unwrap_err();
+        assert!(
+            matches!(err, HadasError::Timeout { attempts: 1, .. }),
+            "{err}"
+        );
+        assert_eq!(hosts(&fed, id), vec![c], "not re-adopted at a");
+        fed.net_config_mut().set_link(c, a, LinkConfig::lan());
+        fed.settle_in_doubt().unwrap();
+        assert_eq!(hosts(&fed, id), vec![c]);
+        assert_eq!(fed.in_doubt_total(), 0);
     }
 
     #[test]

@@ -359,7 +359,7 @@ fn run_workload() -> Result<(), String> {
     let mut depot = mrom::persist::Depot::new(mrom::persist::MemStore::new());
     let rt = fed.runtime(away).map_err(fail)?;
     let obj = rt.object(agent_id).ok_or("agent did not arrive")?;
-    depot.save(&obj).map_err(|e| e.to_string())?;
+    depot.save(obj).map_err(|e| e.to_string())?;
     depot.restore(agent_id).map_err(|e| e.to_string())?;
     Ok(())
 }

@@ -122,11 +122,11 @@ fn file_persistence_survives_restart_and_corruption() {
 
     {
         let mut depot = Depot::new(FileStore::open(&log).unwrap());
-        depot.save(&rt.object(a).unwrap()).unwrap();
-        depot.save(&rt.object(b).unwrap()).unwrap();
+        depot.save(rt.object(a).unwrap()).unwrap();
+        depot.save(rt.object(b).unwrap()).unwrap();
         // Object a hops once more; re-save (log-structured replace).
         rt.invoke_as_system(a, "hop", &[]).unwrap();
-        depot.save(&rt.object(a).unwrap()).unwrap();
+        depot.save(rt.object(a).unwrap()).unwrap();
     } // "crash": depot dropped, file closed
 
     // Restart: bootstrap everything back.
@@ -356,7 +356,7 @@ fn runtime_checkpoint_and_restore() {
     let objects: Vec<_> = rt
         .object_ids()
         .into_iter()
-        .filter_map(|id| rt.object(id).map(|o| o.clone()))
+        .filter_map(|id| rt.object(id).cloned())
         .collect();
     let (saved, pinned) = depot.checkpoint(objects.iter()).unwrap();
     assert_eq!(saved, 2);

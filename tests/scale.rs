@@ -127,6 +127,6 @@ fn big_object_survives_migration_and_persistence() {
     );
 
     let mut depot = mrom::persist::Depot::new(mrom::persist::MemStore::new());
-    depot.save(&rt2.object(id).unwrap()).unwrap();
+    depot.save(rt2.object(id).unwrap()).unwrap();
     assert_eq!(depot.restore(id).unwrap(), *rt2.object(id).unwrap());
 }
