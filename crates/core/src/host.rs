@@ -188,6 +188,12 @@ impl ObjectTable {
         }
     }
 
+    /// Drops every slot — objects at rest, checked-out and poisoned
+    /// identities alike.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+    }
+
     /// A hosted object at rest; `None` for unknown, checked-out and
     /// poisoned identities.
     pub(crate) fn get(&self, id: ObjectId) -> Option<&MromObject> {

@@ -192,6 +192,13 @@ impl Runtime {
         self.objects.evict(id)
     }
 
+    /// Drops every hosted object, poisoned identities included: what a
+    /// fail-stop crash leaves of the node's volatile state. Nothing can be
+    /// checked out through `&mut self`.
+    pub fn clear_objects(&mut self) {
+        self.objects.clear();
+    }
+
     /// Shared access to a hosted object. `None` for unknown and poisoned
     /// identities.
     pub fn object(&self, id: ObjectId) -> Option<&MromObject> {

@@ -1,16 +1,17 @@
 //! The fleet harness: builds a federation over a parameterized topology,
-//! drives a seeded Zipf workload with churn and migration traffic through
-//! it, drains everything, and distills the run into a [`FleetReport`].
+//! drives a seeded Zipf workload with churn, link faults and migration
+//! traffic through it, heals and drains everything, and distills the run
+//! into a [`FleetReport`].
 //!
-//! The harness is the scale analogue of `hadas::chaos`: where the chaos
-//! suite stresses *one* object on *two* sites under adversarial links,
-//! the fleet suite stresses *many* objects on *many* sites under churn,
-//! and checks the same family of invariants — single host per object,
-//! exactly-once counter windows, clean recovery, balanced accounting —
-//! plus windowed-telemetry accounting across per-site slices.
+//! It is the one scenario engine: the same run checks many objects on a
+//! thousand sites under churn and a few objects on two sites under
+//! adversarial links ([`crate::chaos_presets`]), and every run ends with
+//! the same invariants, [`FleetReport::violations`] — single host per
+//! object, exactly-once counter windows, clean recovery, balanced
+//! accounting, and windowed-telemetry accounting across per-site slices.
 //!
 //! Everything is a pure function of `(config, seed)`: the simulator, the
-//! Zipf stream, the churn schedule, and the report are all seeded, so a
+//! Zipf stream, the fault schedule, and the report are all seeded, so a
 //! run is reproducible byte for byte.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -27,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::report::{AdvisorReport, FleetReport, LatencyReport};
-use crate::workload::{FleetConfig, Zipf};
+use crate::workload::{Fault, FleetConfig, Zipf};
 
 /// One epoch wide enough to hold any simulated run, so the whole run
 /// lands in a single telemetry window.
@@ -84,13 +85,6 @@ pub fn cell_image_bytes() -> usize {
     cell.image_bytes()
         .expect("script-only cell is imageable")
         .len()
-}
-
-/// A churn step scheduled at a workload-op index.
-#[derive(Debug, Clone, Copy)]
-enum ChurnAction {
-    Crash(NodeId),
-    Restart(NodeId),
 }
 
 /// Runs one fleet scenario under one seed and reports the final state.
@@ -245,7 +239,8 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
         }
     }
 
-    // -- churn schedule (own RNG stream; core sites are spared) ----------
+    // -- fault schedule: churn (own RNG stream; core sites are spared) ----
+    // merged with the configured steps.
     let core: BTreeSet<NodeId> = cfg.topology.core_sites(n).into_iter().collect();
     let pool: Vec<NodeId> = sites
         .iter()
@@ -253,7 +248,7 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
         .filter(|s| !core.contains(s))
         .collect();
     let mut churn_rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-    let mut schedule: Vec<(usize, ChurnAction)> = Vec::new();
+    let mut schedule: Vec<(usize, Fault)> = Vec::new();
     if cfg.churn_events > 0 && !pool.is_empty() {
         let stride = cfg.invocations / (cfg.churn_events + 1);
         if stride > 0 {
@@ -261,13 +256,14 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
                 let victim = pool[churn_rng.random_range(0..pool.len())];
                 let crash_at = (i + 1) * stride;
                 let restart_at = crash_at + (stride / 2).max(1);
-                schedule.push((crash_at, ChurnAction::Crash(victim)));
+                schedule.push((crash_at, Fault::Crash(victim)));
                 if restart_at < cfg.invocations {
-                    schedule.push((restart_at, ChurnAction::Restart(victim)));
+                    schedule.push((restart_at, Fault::Restart(victim)));
                 }
             }
         }
     }
+    schedule.extend_from_slice(cfg.faults);
     schedule.sort_by_key(|&(at, _)| at);
 
     // -- the seeded Zipf workload ----------------------------------------
@@ -318,23 +314,13 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
     let mut next_event = 0usize;
     for op in 0..cfg.invocations {
         while next_event < schedule.len() && schedule[next_event].0 <= op {
-            match schedule[next_event].1 {
-                ChurnAction::Crash(v) if !down.contains(&v) => {
-                    // Checkpoint at the crash instant so the restart
-                    // restores exactly the pre-crash state — state loss
-                    // would invalidate the exactly-once windows.
-                    fed.checkpoint_site(v)?;
-                    fed.crash_site(v)?;
-                    down.insert(v);
-                    report.crashes += 1;
-                }
-                ChurnAction::Restart(v) if down.contains(&v) => {
-                    fed.restart_site(v)?;
-                    down.remove(&v);
-                    report.restarts += 1;
-                }
-                _ => {}
-            }
+            apply_fault(
+                &mut fed,
+                schedule[next_event].1,
+                &edges,
+                &mut down,
+                &mut report,
+            )?;
             next_event += 1;
         }
 
@@ -441,6 +427,7 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
     report.distinct_targets = touched.len() as u64;
 
     // -- heal, drain, settle ----------------------------------------------
+    apply_fault(&mut fed, Fault::Heal, &edges, &mut down, &mut report)?;
     for v in std::mem::take(&mut down) {
         fed.restart_site(v)?;
         report.restarts += 1;
@@ -516,6 +503,69 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
     report.telemetry_fold_matches = folded.objects == telemetry.objects;
 
     Ok(FleetRun { report, telemetry })
+}
+
+/// Executes one scheduled fault step.
+fn apply_fault(
+    fed: &mut Federation,
+    step: Fault,
+    edges: &[TopologyEdge],
+    down: &mut BTreeSet<NodeId>,
+    report: &mut FleetReport,
+) -> Result<(), HadasError> {
+    match step {
+        Fault::Crash(v) if !down.contains(&v) => {
+            // Checkpoint at the crash instant so the restart restores
+            // exactly the pre-crash state — state loss would invalidate
+            // the exactly-once windows.
+            fed.checkpoint_site(v)?;
+            fed.crash_site(v)?;
+            down.insert(v);
+            report.crashes += 1;
+        }
+        Fault::Restart(v) if down.contains(&v) => {
+            fed.restart_site(v)?;
+            down.remove(&v);
+            report.restarts += 1;
+        }
+        Fault::Crash(_) | Fault::Restart(_) => {}
+        Fault::Weather {
+            loss_permille,
+            duplicate_permille,
+            reorder_permille,
+        } => {
+            let p = |permille: u16| f64::from(permille) / 1000.0;
+            for e in edges {
+                let link = e
+                    .tier
+                    .link()
+                    .loss_probability(p(loss_permille))
+                    .duplicate_probability(p(duplicate_permille))
+                    .reorder_probability(p(reorder_permille));
+                fed.net_config_mut().set_symmetric_link(e.a, e.b, link);
+            }
+        }
+        Fault::AckLoss => {
+            for e in edges {
+                let (low, high) = (e.a.min(e.b), e.a.max(e.b));
+                let black_hole = e.tier.link().loss_probability(1.0);
+                fed.net_config_mut().set_link(high, low, black_hole);
+            }
+        }
+        Fault::Partition => {
+            for e in edges {
+                fed.net_config_mut().partition(e.a, e.b);
+            }
+        }
+        Fault::Heal => {
+            for e in edges {
+                let net = fed.net_config_mut();
+                net.set_symmetric_link(e.a, e.b, e.tier.link());
+                net.heal(e.a, e.b);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One advisory epoch: global telemetry snapshot → effect-system

@@ -1,21 +1,23 @@
 //! # mrom-fleet
 //!
-//! The thousand-site scenario suite: parameterized topology generators
-//! over the deterministic simulator, a seeded Zipf-distributed
-//! invocation workload across 10³ sites × 10⁵ objects, churn injection
-//! mid-run, and an end-of-run [`FleetReport`] of global invariants that
-//! is byte-identical per seed.
+//! The scenario engine: parameterized topology generators over the
+//! deterministic simulator, a seeded Zipf-distributed invocation
+//! workload from two sites up to 10³ sites × 10⁵ objects, a fault
+//! schedule (crash/restart churn, link loss, duplication, reordering,
+//! lost acknowledgements, partitions and heals) executed mid-run, and an
+//! end-of-run [`FleetReport`] of global invariants that is byte-identical
+//! per seed.
 //!
 //! ## Why a fleet harness
 //!
 //! The paper's claims are *per-mechanism* (reflection, migration,
 //! ambassadors); every earlier experiment exercises one mechanism on a
 //! handful of sites. The fleet suite is the composition check: all of
-//! the mechanisms at once, at population scale, under churn — and the
-//! invariants that must survive the composition:
+//! the mechanisms at once, at population scale, under churn and link
+//! faults — and the invariants that must survive the composition:
 //!
 //! * **single host** — every object lives at exactly one site after the
-//!   drain, however many migrations raced the churn;
+//!   drain, however many migrations raced the churn and the faults;
 //! * **exactly-once windows** — each cell's non-idempotent counter sits
 //!   inside `[acknowledged, acknowledged + ambiguous]`;
 //! * **clean recovery** — nothing in doubt, nothing on the wire;
@@ -29,6 +31,10 @@
 //!
 //! * [`run_fleet`] — one scenario run: `(FleetConfig, seed)` →
 //!   [`FleetRun`] (report + telemetry snapshot);
+//! * [`chaos_presets`] — the seven fault-injection scenarios (loss,
+//!   duplication, reordering, partition, lost acks, crash mid-migration,
+//!   heal and resume) as small [`FleetConfig`]s with a [`Fault`]
+//!   schedule;
 //! * [`run_marketplace`] — the agent-marketplace headline scenario:
 //!   ambassadors advertise capability cards, consumers negotiate method
 //!   imports, Strict admission refuses migration-unsafe ones;
@@ -49,4 +55,4 @@ pub use hadas::AdvisorConfig;
 pub use harness::{cell_image_bytes, run_fleet, FleetRun};
 pub use marketplace::{run_marketplace, MarketReport};
 pub use report::{AdvisorReport, FleetReport, LatencyReport};
-pub use workload::{FleetConfig, Zipf};
+pub use workload::{chaos_presets, Fault, FleetConfig, Zipf};

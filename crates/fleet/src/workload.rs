@@ -11,6 +11,38 @@ use rand::Rng;
 
 use hadas::AdvisorConfig;
 use mrom_net::Topology;
+use mrom_value::NodeId;
+
+/// One step of a run's fault schedule, executed just before the workload
+/// op at its index. Churn steps target one site; link steps act on every
+/// topology edge at once. Probabilities are permille integers, so a
+/// schedule — and the [`FleetConfig`] holding it — stays `Copy + Eq`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Checkpoint a site at this instant, then crash it (skipped when it
+    /// is already down).
+    Crash(NodeId),
+    /// Restart a crashed site from its depot (skipped when it is up).
+    Restart(NodeId),
+    /// Set both directions of every edge to its tier link with this
+    /// per-message loss, duplication and reorder probability.
+    Weather {
+        /// Loss probability ×1000.
+        loss_permille: u16,
+        /// Duplication probability ×1000.
+        duplicate_permille: u16,
+        /// Reorder (hold-back) probability ×1000.
+        reorder_permille: u16,
+    },
+    /// Every edge loses all traffic toward its lower-numbered site: a
+    /// move or call from the lower site lands but its reply is lost.
+    AckLoss,
+    /// Every edge partitions.
+    Partition,
+    /// Every edge back to its tier link, partitions healed. The run
+    /// heals every edge before its drain in any case.
+    Heal,
+}
 
 /// Everything that shapes one fleet run. All knobs are plain integers
 /// (the Zipf exponent is stored in permille) so a config — and hence a
@@ -47,6 +79,10 @@ pub struct FleetConfig {
     /// Self-tuning Advisor knobs; [`AdvisorConfig::off`] (the default)
     /// reproduces pre-advisor runs byte-for-byte.
     pub advisor: AdvisorConfig,
+    /// Scheduled fault steps `(op index, step)`, merged with the churn
+    /// schedule `churn_events` draws. Empty (the default) keeps a run's
+    /// steps and RNG draws exactly those of a fault-free build.
+    pub faults: &'static [(usize, Fault)],
 }
 
 impl FleetConfig {
@@ -64,6 +100,7 @@ impl FleetConfig {
             caller_affinity_permille: 0,
             affinity_flip_every: 0,
             advisor: AdvisorConfig::off(),
+            faults: &[],
         }
     }
 
@@ -82,6 +119,7 @@ impl FleetConfig {
             caller_affinity_permille: 0,
             affinity_flip_every: 0,
             advisor: AdvisorConfig::off(),
+            faults: &[],
         }
     }
 
@@ -104,6 +142,7 @@ impl FleetConfig {
             caller_affinity_permille: 900,
             affinity_flip_every: 0,
             advisor: AdvisorConfig::off(),
+            faults: &[],
         }
     }
 
@@ -149,6 +188,7 @@ impl FleetConfig {
                 max_total_migrations: 48,
                 ..AdvisorConfig::standard()
             },
+            faults: &[],
         }
     }
 
@@ -157,6 +197,76 @@ impl FleetConfig {
     pub fn total_objects(&self) -> usize {
         self.sites * self.objects_per_site
     }
+}
+
+/// Link weather every edge runs under while a preset's storm lasts.
+const fn weather(loss_permille: u16, duplicate_permille: u16, reorder_permille: u16) -> Fault {
+    Fault::Weather {
+        loss_permille,
+        duplicate_permille,
+        reorder_permille,
+    }
+}
+
+/// The seven fault-injection presets, in a stable order under stable
+/// names: small star fleets (2–4 sites, a few objects each, ≤ 150 ops)
+/// with frequent migrations, each driven through one fault schedule.
+/// Every preset must end with zero [`crate::FleetReport::violations`]
+/// under every seed; each leaves its own witness in the report
+/// (drops, duplicates, reorders, crashes or in-doubt parks).
+#[must_use]
+pub fn chaos_presets() -> [(&'static str, FleetConfig); 7] {
+    type Schedule = &'static [(usize, Fault)];
+    // Lossy links while bumps and moves run: retries recover most calls,
+    // receiver dedup keeps them exactly-once.
+    const LOSS: Schedule = &[(0, weather(250, 0, 0)), (100, Fault::Heal)];
+    // Every message doubled in transit: dedup keeps invocations
+    // exactly-once and moves single-copy.
+    const DOUBLING: Schedule = &[(0, weather(0, 1000, 0)), (100, Fault::Heal)];
+    // Messages overtake each other: every reply still matches its request.
+    const SCRAMBLE: Schedule = &[(0, weather(0, 0, 500)), (100, Fault::Heal)];
+    // The fleet partitions while moves are dispatched: they park in-doubt
+    // and are settled from the depots after the heal.
+    const PARTITION: Schedule = &[(30, Fault::Partition), (60, Fault::Heal)];
+    // Forward paths work, replies toward the hub are lost: moves land
+    // where their origin cannot know, and resolution finds them.
+    const ACK_LOSS: Schedule = &[(20, Fault::AckLoss), (80, Fault::Heal)];
+    // Loss, duplication and reordering at once, a partition on top, then
+    // a full heal and resumed traffic.
+    const STORM: Schedule = &[
+        (0, weather(200, 200, 200)),
+        (60, Fault::Partition),
+        (90, Fault::Heal),
+    ];
+    let base = |sites: usize, faults: Schedule| FleetConfig {
+        topology: Topology::Star,
+        sites,
+        objects_per_site: 3,
+        invocations: 120,
+        churn_events: 0,
+        migration_every: 6,
+        zipf_permille: 1100,
+        faults,
+        ..FleetConfig::smoke()
+    };
+    [
+        ("loss-and-retry", base(2, LOSS)),
+        ("duplicate-delivery", base(2, DOUBLING)),
+        ("reordering", base(2, SCRAMBLE)),
+        ("partition-during-dispatch", base(3, PARTITION)),
+        ("lost-acks", base(3, ACK_LOSS)),
+        // Spokes crash and restart while a move is dispatched after every
+        // op; the depots bootstrap their objects back.
+        (
+            "crash-mid-migration",
+            FleetConfig {
+                churn_events: 3,
+                migration_every: 1,
+                ..base(4, &[])
+            },
+        ),
+        ("heal-and-resume", base(3, STORM)),
+    ]
 }
 
 /// A cumulative Zipf table over ranks `0..n`: rank `r` carries weight
@@ -246,5 +356,21 @@ mod tests {
         let flagship = FleetConfig::flagship();
         assert_eq!(flagship.sites, 1000);
         assert!(flagship.total_objects() >= 100_000);
+    }
+
+    #[test]
+    fn chaos_presets_are_small_and_uniquely_named() {
+        let presets = chaos_presets();
+        let names: std::collections::BTreeSet<&str> = presets.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names.len(), presets.len());
+        for (name, cfg) in presets {
+            assert!((2..=4).contains(&cfg.sites), "{name}");
+            assert!(cfg.invocations <= 150, "{name}");
+            assert!(!cfg.advisor.enabled, "{name}");
+            assert!(
+                cfg.faults.iter().all(|&(at, _)| at < cfg.invocations),
+                "{name}: every step fires"
+            );
+        }
     }
 }

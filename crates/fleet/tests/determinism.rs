@@ -5,9 +5,10 @@
 //!
 //! The default sweep covers a small fixed seed set; set
 //! `MROM_FLEET_SEEDS=1,2,3` (comma-separated) to sweep further — the CI
-//! seed-sweep job does exactly that.
+//! seed-sweep job does exactly that. The fault-injection presets are
+//! swept over seeds `1..=MROM_CHAOS_SEEDS` (a count, default 3).
 
-use mrom_fleet::{run_fleet, FleetConfig};
+use mrom_fleet::{chaos_presets, run_fleet, FleetConfig};
 use mrom_net::Topology;
 
 /// Seeds to sweep: `MROM_FLEET_SEEDS` (comma-separated) or a fixed
@@ -20,6 +21,15 @@ fn sweep_seeds() -> Vec<u64> {
             .collect(),
         Err(_) => vec![7, 42, 1997],
     }
+}
+
+/// Seeds for the preset sweep: `1..=MROM_CHAOS_SEEDS` or a fast default.
+fn chaos_seeds() -> Vec<u64> {
+    let count = std::env::var("MROM_CHAOS_SEEDS")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(3);
+    (1..=count.max(1)).collect()
 }
 
 #[test]
@@ -104,4 +114,49 @@ fn different_seeds_shuffle_the_traffic() {
         b.report.to_json(),
         "distinct seeds must produce distinct runs"
     );
+}
+
+/// Every fault-injection preset under every sweep seed: zero invariant
+/// violations, and the same seed replays the report and the windowed
+/// telemetry — loss, duplication, reordering, partitions and crashes
+/// included — byte for byte. Ring mode takes no wall clocks, so the
+/// windowed aggregates are a pure function of the seed.
+#[test]
+fn presets_uphold_invariants_and_replay_byte_for_byte() {
+    for seed in chaos_seeds() {
+        for (name, cfg) in chaos_presets() {
+            let first = run_fleet(&cfg, seed).expect("first run");
+            let second = run_fleet(&cfg, seed).expect("second run");
+            first.report.assert_invariants();
+            assert_eq!(
+                first.report.to_json(),
+                second.report.to_json(),
+                "{name} seed {seed}: report JSON must match byte for byte"
+            );
+            let telemetry = first.telemetry.to_json();
+            assert_eq!(
+                telemetry,
+                second.telemetry.to_json(),
+                "{name} seed {seed}: windowed telemetry must replay byte-identically"
+            );
+            assert!(
+                telemetry.contains("\"invocations\""),
+                "{name} seed {seed}: the run populates object profiles"
+            );
+        }
+    }
+}
+
+#[test]
+fn different_seeds_explore_different_preset_schedules() {
+    // A preset that ignored its seed would silently shrink the sweep to
+    // one fault schedule.
+    for (name, cfg) in chaos_presets() {
+        let a = run_fleet(&cfg, 1).expect("seed 1");
+        let b = run_fleet(&cfg, 2).expect("seed 2");
+        assert_ne!(
+            a.report.stats, b.report.stats,
+            "{name}: seeds drive the run"
+        );
+    }
 }

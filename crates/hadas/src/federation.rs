@@ -1493,8 +1493,9 @@ impl Federation {
     // -- crash and recovery --------------------------------------------------
 
     /// Simulates a fail-stop crash of a site: the network drops all of
-    /// its traffic, every live object vanishes from its runtime, and the
-    /// volatile reply cache is wiped. The depot — the site's
+    /// its traffic, every hosted identity (a poisoned one included)
+    /// vanishes from its runtime, and the volatile reply cache is wiped.
+    /// The depot — the site's
     /// self-contained persistent store (paper §9) — survives and is what
     /// [`Federation::restart_site`] bootstraps from.
     ///
@@ -1505,9 +1506,7 @@ impl Federation {
         self.site(node)?;
         self.net.crash_node(node)?;
         let site = self.sites.get_mut(&node).expect("checked above");
-        for id in site.runtime.object_ids() {
-            let _ = site.runtime.evict(id);
-        }
+        site.runtime.clear_objects();
         site.replies.clear();
         mrom_obs::site_crash(node);
         Ok(())
@@ -1673,7 +1672,8 @@ impl Federation {
         self.net.is_down(node)
     }
 
-    /// Messages currently on the wire (chaos invariant checks).
+    /// Messages currently on the wire (the fleet engine's drained-wire
+    /// invariant).
     pub fn in_flight(&self) -> usize {
         self.net.in_flight()
     }
@@ -2472,6 +2472,47 @@ mod tests {
             .read_data(ObjectId::SYSTEM, "n")
             .unwrap();
         assert_eq!(n, Value::Int(2), "checkpointed state survived the crash");
+    }
+
+    #[test]
+    fn a_crash_drops_an_identity_poisoned_by_a_panicking_body() {
+        let (mut fed, a, _b) = two_site_federation();
+        let counter = counter_object(&mut fed, a);
+        let bomb = ClassSpec::new("bomb")
+            .fixed_method(
+                "boom",
+                Method::public(MethodBody::native(|_env, _args| {
+                    panic!("deliberate test panic")
+                })),
+            )
+            .instantiate_as(fed.runtime_mut(a).unwrap().ids_mut().next_id(), None);
+        let id = bomb.id();
+        fed.runtime_mut(a).unwrap().adopt(bomb).unwrap();
+        fed.checkpoint_site(a).unwrap();
+        assert!(fed
+            .runtime_mut(a)
+            .unwrap()
+            .invoke_as_system(id, "boom", &[])
+            .is_err());
+        assert!(
+            fed.runtime(a).unwrap().object_ids().contains(&id),
+            "the poisoned identity is still hosted before the crash"
+        );
+        fed.crash_site(a).unwrap();
+        assert_eq!(fed.runtime(a).unwrap().object_count(), 0);
+        let (restored, quarantined) = fed.restart_site(a).unwrap();
+        assert_eq!(quarantined, 0);
+        let rt = fed.runtime(a).unwrap();
+        assert!(
+            !rt.object_ids().contains(&id),
+            "a crash leaves no poisoned slot behind"
+        );
+        assert_eq!(
+            rt.object_count() as u64,
+            restored,
+            "only the depot's objects"
+        );
+        assert!(rt.object(counter).is_some());
     }
 
     #[test]

@@ -44,7 +44,6 @@
 
 pub mod advisor;
 mod ambassador;
-pub mod chaos;
 mod error;
 mod federation;
 mod ioo;

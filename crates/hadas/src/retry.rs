@@ -69,8 +69,9 @@ impl RetryPolicy {
         }
     }
 
-    /// A sensible default for chaos runs: 5 attempts, 50 ms base delay,
-    /// doubling, with up to 10 ms of jitter.
+    /// A sensible default for fault-injected runs (the fleet engine uses
+    /// it): 5 attempts, 50 ms base delay, doubling, with up to 10 ms of
+    /// jitter.
     #[must_use]
     pub fn standard() -> Self {
         RetryPolicy::backoff(5, SimTime::from_millis(50), 2, 10_000)

@@ -1,12 +1,17 @@
-//! Seed-swept chaos tests: every scenario must uphold the global
-//! invariants under every seed, and the same seed must reproduce the
-//! identical run.
+//! Observability of the fault-tolerance machinery on a two-site
+//! federation, and the idempotence gate on invocation retries.
 //!
-//! The sweep width defaults to a fast smoke value; CI raises it via the
-//! `MROM_CHAOS_SEEDS` environment variable.
+//! The seeded fault-injection sweep itself runs through the fleet engine
+//! (`mrom_fleet::chaos_presets`); these checks read the event ring,
+//! which a fleet run resets when it returns, so they drive the
+//! federation directly. The idempotence sweep defaults to a fast smoke
+//! width; the `MROM_CHAOS_SEEDS` environment variable widens it.
 
-use hadas::chaos::{run_scenario, ChaosScenario};
+use hadas::{Federation, RetryPolicy};
+use mrom_core::{ClassSpec, DataItem};
+use mrom_net::{LinkConfig, NetworkConfig};
 use mrom_obs::{EventKind, ObsMode};
+use mrom_value::{NodeId, ObjectId, Value};
 
 /// Seeds to sweep: `MROM_CHAOS_SEEDS` (a count) or a fast default.
 fn sweep_seeds() -> Vec<u64> {
@@ -17,43 +22,28 @@ fn sweep_seeds() -> Vec<u64> {
     (1..=count.max(1)).collect()
 }
 
-#[test]
-fn every_scenario_upholds_invariants_across_the_seed_sweep() {
-    for seed in sweep_seeds() {
-        for scenario in ChaosScenario::ALL {
-            let report = run_scenario(scenario, seed)
-                .unwrap_or_else(|e| panic!("{} seed {seed} errored: {e}", scenario.name()));
-            report.assert_invariants();
-        }
-    }
+/// Two linked sites (1 and 2) with retries on and a mobile parcel
+/// adopted at site 1, set up on a fault-free network.
+fn two_sites_with_parcel(seed: u64) -> (Federation, NodeId, NodeId, ObjectId) {
+    let mut fed = Federation::new(NetworkConfig::new(seed).with_default_link(LinkConfig::lan()));
+    let (a, b) = (NodeId(1), NodeId(2));
+    fed.add_site(a).unwrap();
+    fed.add_site(b).unwrap();
+    fed.set_retry_policy(RetryPolicy::standard());
+    fed.link(a, b).unwrap();
+    let parcel = ClassSpec::new("parcel")
+        .fixed_data("count", DataItem::public(Value::Int(0)))
+        .instantiate_as(fed.runtime_mut(a).unwrap().ids_mut().next_id(), None);
+    let id = fed.runtime_mut(a).unwrap().adopt(parcel).unwrap();
+    (fed, a, b, id)
 }
 
-#[test]
-fn same_seed_reproduces_the_identical_run() {
-    for seed in sweep_seeds() {
-        for scenario in ChaosScenario::ALL {
-            let first = run_scenario(scenario, seed).unwrap();
-            let second = run_scenario(scenario, seed).unwrap();
-            // Full-report equality covers NetStats field for field:
-            // sends, deliveries, drops, duplicates, bytes, per-link maps.
-            assert_eq!(
-                first,
-                second,
-                "{} seed {seed} must replay identically",
-                scenario.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn different_seeds_explore_different_schedules() {
-    // Not an invariant, a sanity check on the harness itself: a faulty
-    // scenario that ignored its seed would silently shrink the sweep to
-    // one schedule.
-    let a = run_scenario(ChaosScenario::LossAndRetry, 1).unwrap();
-    let b = run_scenario(ChaosScenario::LossAndRetry, 2).unwrap();
-    assert_ne!(a.stats, b.stats, "seeds drive the fault schedule");
+/// The sites hosting `id`.
+fn hosts(fed: &Federation, id: ObjectId) -> Vec<NodeId> {
+    fed.site_nodes()
+        .into_iter()
+        .filter(|&n| fed.runtime(n).unwrap().object(id).is_some())
+        .collect()
 }
 
 #[test]
@@ -63,9 +53,16 @@ fn retries_stay_causally_linked_to_their_operation() {
     // trace as the operation span that started the dispatch.
     mrom_obs::reset();
     mrom_obs::set_mode(ObsMode::Ring);
-    let report = run_scenario(ChaosScenario::LostAcks, 5).unwrap();
+    let (mut fed, a, b, id) = two_sites_with_parcel(5);
+    fed.net_config_mut()
+        .set_link(b, a, LinkConfig::lan().loss_probability(1.0));
+    assert!(fed.dispatch_object(a, b, id).is_err(), "no ack arrives");
+    fed.net_config_mut().set_link(b, a, LinkConfig::lan());
+    fed.settle_in_doubt().unwrap();
+    fed.pump_all();
     mrom_obs::set_mode(ObsMode::Disabled);
-    report.assert_invariants();
+    assert_eq!(hosts(&fed, id), [b], "resolution finds the move landed");
+    assert_eq!(fed.in_doubt_total(), 0);
 
     let events = mrom_obs::ring_snapshot();
     let op = events
@@ -114,10 +111,21 @@ fn retries_stay_causally_linked_to_their_operation() {
 fn crash_and_restart_are_observable() {
     mrom_obs::reset();
     mrom_obs::set_mode(ObsMode::Ring);
-    let report = run_scenario(ChaosScenario::CrashMidMigration, 3).unwrap();
+    let (mut fed, a, b, id) = two_sites_with_parcel(3);
+    // A move into a crashed site parks; the restart and settle recover
+    // it, the move resumes, and a second crash after a checkpoint is
+    // bootstrapped back from the depot.
+    fed.crash_site(b).unwrap();
+    assert!(fed.dispatch_object(a, b, id).is_err());
+    fed.restart_site(b).unwrap();
+    fed.settle_in_doubt().unwrap();
+    fed.dispatch_object(a, b, id).unwrap();
+    fed.checkpoint_site(b).unwrap();
+    fed.crash_site(b).unwrap();
+    fed.restart_site(b).unwrap();
     let metrics = mrom_obs::metrics_snapshot();
     mrom_obs::set_mode(ObsMode::Disabled);
-    report.assert_invariants();
+    assert_eq!(hosts(&fed, id), [b], "the depot brought the parcel back");
 
     let events = mrom_obs::ring_snapshot();
     assert!(

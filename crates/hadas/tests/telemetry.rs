@@ -3,10 +3,10 @@
 //! site-to-site call matrix, per-link windows), the reflective
 //! `getTelemetry` meta-method serves it as a value tree, per-site
 //! filtering works, and the whole thing is a pure function of the
-//! `SimNet` seed — byte-identical JSON across replays, swept over
-//! `MROM_CHAOS_SEEDS` in CI.
+//! `SimNet` seed — byte-identical JSON across replays. The same replay
+//! check under injected faults runs over the fleet engine's chaos
+//! presets (`mrom-fleet`'s determinism suite).
 
-use hadas::chaos::{run_scenario, ChaosScenario};
 use hadas::Federation;
 use mrom_core::{ClassSpec, Method, MethodBody};
 use mrom_net::{LinkConfig, NetworkConfig};
@@ -165,38 +165,5 @@ fn federation_snapshot_is_deterministic_per_seed() {
         let second = run(seed);
         assert_eq!(first, second, "seed {seed} must replay identically");
         assert!(first.contains("\"schema\":\"mrom.telemetry.v1\""));
-    }
-}
-
-/// Satellite: same `SimNet` seed ⇒ byte-identical snapshot JSON across
-/// two *chaos* runs — loss, duplication, reordering, partitions, and
-/// crashes included — for every scenario, swept over `MROM_CHAOS_SEEDS`.
-/// Ring mode takes no wall clocks, so the windowed aggregates are a
-/// pure function of the seed.
-#[test]
-fn windowed_snapshot_is_byte_identical_across_chaos_replays() {
-    let run = |scenario, seed| {
-        with_windowed_ring(|| {
-            let report = run_scenario(scenario, seed).unwrap();
-            report.assert_invariants();
-            mrom_obs::telemetry_snapshot().to_json()
-        })
-    };
-    for seed in sweep_seeds() {
-        for scenario in ChaosScenario::ALL {
-            let first = run(scenario, seed);
-            let second = run(scenario, seed);
-            assert_eq!(
-                first,
-                second,
-                "{} seed {seed}: windowed telemetry must replay byte-identically",
-                scenario.name()
-            );
-            assert!(
-                first.contains("\"invocations\""),
-                "{} seed {seed}: chaos run populates object profiles",
-                scenario.name()
-            );
-        }
     }
 }

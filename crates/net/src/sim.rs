@@ -227,6 +227,7 @@ impl SimNet {
             // A reordered message is held back by the network and exempted
             // from the FIFO clamp below, so later sends on the same link
             // can overtake it.
+            self.stats.record_reorder();
             arrival += SimTime::from_micros(self.rng.random_range(1..=3 * hold_us));
         } else {
             // FIFO per directed link: never deliver before an earlier send
@@ -534,6 +535,10 @@ mod tests {
             order.push(d.payload[0]);
         }
         assert_eq!(order.len(), 50, "reordering never loses messages");
+        assert!(
+            net.stats().messages_reordered > 0,
+            "held-back sends are counted"
+        );
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_ne!(order, sorted, "half the traffic held back must shuffle");

@@ -19,6 +19,10 @@ pub struct NetStats {
     /// so full accounting is `delivered + dropped = sent + duplicated`
     /// once nothing is in flight.
     pub messages_duplicated: u64,
+    /// Messages a per-link reorder fault held back, exempt from the
+    /// link's FIFO order so that later sends can overtake them. Each is
+    /// still delivered or dropped like any other message.
+    pub messages_reordered: u64,
     /// Payload bytes accepted by `send`.
     pub bytes_sent: u64,
     /// Payload bytes delivered.
@@ -115,10 +119,14 @@ impl NetStats {
         self.messages_duplicated += 1;
     }
 
+    pub(crate) fn record_reorder(&mut self) {
+        self.messages_reordered += 1;
+    }
+
     /// `true` when every send is accounted for: messages delivered plus
     /// messages dropped plus messages still in flight equals messages sent
-    /// plus injected duplicates. The chaos harness asserts this after
-    /// every run.
+    /// plus injected duplicates. The fleet harness's invariants check
+    /// this after every run.
     pub fn accounts_for_every_send(&self, in_flight: usize) -> bool {
         self.messages_delivered + self.messages_dropped + in_flight as u64
             == self.messages_sent + self.messages_duplicated

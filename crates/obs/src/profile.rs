@@ -16,7 +16,8 @@
 //! Everything is computed from integer counters bucketed by virtual
 //! time, so a snapshot of a seeded simulation is a pure function of the
 //! seed: [`TelemetrySnapshot::to_json`] is byte-identical across runs
-//! (the determinism tests sweep this across chaos seeds). The JSON
+//! (the determinism tests sweep this across the fleet engine's chaos
+//! presets and seeds). The JSON
 //! schema is versioned via the top-level `schema` key — see
 //! docs/OBSERVABILITY.md for the field-by-field contract.
 

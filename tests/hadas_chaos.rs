@@ -1,11 +1,11 @@
 //! Workspace-level chaos sweep: the fault-tolerant federation survives
-//! the full scenario matrix across many seeds, and every run is
-//! reproducible byte for byte.
+//! every fault-injection preset of the fleet engine across many seeds,
+//! and every run is reproducible byte for byte.
 //!
 //! `MROM_CHAOS_SEEDS` widens the sweep (CI sets it); the default keeps
 //! the tier-1 test run fast.
 
-use mrom::hadas::chaos::{run_scenario, ChaosReport, ChaosScenario};
+use mrom::fleet::{chaos_presets, run_fleet, FleetConfig, FleetReport};
 
 fn sweep_seeds() -> Vec<u64> {
     let count = std::env::var("MROM_CHAOS_SEEDS")
@@ -15,39 +15,62 @@ fn sweep_seeds() -> Vec<u64> {
     (1..=count.max(1)).collect()
 }
 
-fn run(scenario: ChaosScenario, seed: u64) -> ChaosReport {
-    run_scenario(scenario, seed)
-        .unwrap_or_else(|e| panic!("{} seed {seed} errored: {e}", scenario.name()))
+fn run(name: &str, cfg: &FleetConfig, seed: u64) -> FleetReport {
+    run_fleet(cfg, seed)
+        .unwrap_or_else(|e| panic!("{name} seed {seed} errored: {e}"))
+        .report
+}
+
+/// The counter that proves a preset's own fault fired.
+fn witness(name: &str, report: &FleetReport) -> u64 {
+    match name {
+        "loss-and-retry" => report.stats.messages_dropped,
+        "duplicate-delivery" => report.stats.messages_duplicated,
+        "reordering" => report.stats.messages_reordered,
+        "partition-during-dispatch" | "lost-acks" => report.migrations_failed,
+        "crash-mid-migration" => report.crashes,
+        "heal-and-resume" => report
+            .stats
+            .messages_dropped
+            .min(report.stats.messages_duplicated)
+            .min(report.stats.messages_reordered),
+        other => panic!("no witness for preset {other}"),
+    }
 }
 
 #[test]
 fn chaos_matrix_upholds_global_invariants() {
     let mut runs = 0;
     for seed in sweep_seeds() {
-        for scenario in ChaosScenario::ALL {
-            let report = run(scenario, seed);
-            report.assert_invariants();
+        for (name, cfg) in chaos_presets() {
+            let report = run(name, &cfg, seed);
+            let violations = report.violations();
+            assert!(
+                violations.is_empty(),
+                "{name} seed {seed} violated invariants:\n  {}",
+                violations.join("\n  ")
+            );
             runs += 1;
         }
     }
-    assert_eq!(runs, sweep_seeds().len() * ChaosScenario::ALL.len());
+    assert_eq!(runs, sweep_seeds().len() * chaos_presets().len());
 }
 
 #[test]
 fn chaos_runs_are_reproducible_byte_for_byte() {
     for seed in sweep_seeds() {
-        for scenario in ChaosScenario::ALL {
-            let first = run(scenario, seed);
-            let second = run(scenario, seed);
+        for (name, cfg) in chaos_presets() {
+            let first = run(name, &cfg, seed);
+            let second = run(name, &cfg, seed);
             // Structural equality over every counter...
-            assert_eq!(first, second, "{} seed {seed}", scenario.name());
-            // ...and literal byte equality of the rendered NetStats, the
-            // determinism witness the harness promises.
+            assert_eq!(first, second, "{name} seed {seed}");
+            // ...and literal byte equality of the rendered report and
+            // NetStats, the determinism witness the engine promises.
+            assert_eq!(first.to_json(), second.to_json(), "{name} seed {seed}");
             assert_eq!(
                 format!("{:?}", first.stats),
                 format!("{:?}", second.stats),
-                "{} seed {seed} NetStats must match byte for byte",
-                scenario.name()
+                "{name} seed {seed} NetStats must match byte for byte"
             );
         }
     }
@@ -55,21 +78,19 @@ fn chaos_runs_are_reproducible_byte_for_byte() {
 
 #[test]
 fn faults_actually_fire_across_the_sweep() {
-    // Guards the harness against silently degenerating into a fault-free
-    // run (e.g. a future refactor dropping the link overrides): across
-    // the sweep we must observe drops, duplicates, and failed ops.
-    let mut dropped = 0;
-    let mut duplicated = 0;
+    // Guards the presets against silently degenerating into fault-free
+    // runs (e.g. a refactor dropping a schedule): across the sweep each
+    // preset's own witness must be nonzero, and some operations must have
+    // been forced to fail.
     let mut failed_ops = 0;
-    for seed in sweep_seeds() {
-        for scenario in ChaosScenario::ALL {
-            let report = run(scenario, seed);
-            dropped += report.stats.messages_dropped;
-            duplicated += report.stats.messages_duplicated;
-            failed_ops += u64::from(report.ops_failed);
+    for (name, cfg) in chaos_presets() {
+        let mut fired = 0;
+        for seed in sweep_seeds() {
+            let report = run(name, &cfg, seed);
+            fired += witness(name, &report);
+            failed_ops += report.ops_failed + report.peeks_failed;
         }
+        assert!(fired > 0, "{name}: its fault never fired");
     }
-    assert!(dropped > 0, "loss/partition/crash faults fired");
-    assert!(duplicated > 0, "duplication faults fired");
     assert!(failed_ops > 0, "some operations were forced to fail");
 }
