@@ -1109,8 +1109,11 @@ impl Federation {
                 );
                 // Persist the installed guest so a crash here does not
                 // silently lose it (best-effort, like any depot save).
-                if let Some(guest) = site.runtime.object(amb_id) {
-                    let _ = site.depot.save(guest);
+                // The host encodes the image, as for a migration: the
+                // ambassador's meta ACL withholds `migration_image` from
+                // the guest itself, so `Depot::save` would be refused.
+                if let Some(Ok(image)) = site.runtime.object(amb_id).map(MromObject::image_bytes) {
+                    let _ = site.depot.save_image(amb_id, &image);
                 }
                 let ioo = site.ioo;
                 if let Some(ioo_obj) = site.runtime.object_mut(ioo) {

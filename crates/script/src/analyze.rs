@@ -26,7 +26,9 @@
 //!    not flagged.
 //! 3. **Resource shape** — node count, nesting depth, and a static fuel
 //!    upper bound for loop-free bodies, so hosts can price admission
-//!    before running anything.
+//!    before running anything. The bound is read off the body's compiled
+//!    form (the longest path over the per-pc costs the VM charges); this
+//!    module prices nothing itself.
 //!
 //! The object-level cross-check (pass 4 of the admission pipeline) lives in
 //! `mrom-core`, which knows the owning object's items and ACLs.
@@ -101,7 +103,8 @@ pub enum DiagnosticKind {
     /// The static fuel upper bound exceeds the admission budget.
     FuelBudget,
     /// The compiled bytecode failed independent verification
-    /// ([`crate::verify`]) — the compiled form must not be executed.
+    /// ([`crate::verify`](mod@crate::verify)) — the compiled form must
+    /// not be executed.
     BytecodeVerify,
 }
 
@@ -289,19 +292,22 @@ pub struct AnalysisReport {
     /// Maximum structural nesting depth.
     pub max_depth: usize,
     /// Static fuel upper bound for loop-free bodies; `None` when the body
-    /// loops (no static bound exists). The bound prices every statement,
-    /// expression, and host-call surcharge the evaluator would burn;
-    /// builtin data-size surcharges are priced at literal argument sizes,
-    /// so container-valued runtime arguments may exceed it.
+    /// loops (no static bound exists). Read off the compiled form: the
+    /// longest path over the per-pc costs both engines burn, code after
+    /// a `return` excluded. Builtin and concatenation data-size
+    /// surcharges are priced at literal operand sizes, and any computed
+    /// operand as a scalar, so a string- or container-valued runtime
+    /// operand may exceed it.
     pub static_fuel: Option<u64>,
-    /// True when this pass also compiled the body to bytecode ("verify +
-    /// compile", like a classloader). Set whenever no error-severity
-    /// diagnostic was found; the compiled form is cached on the
-    /// [`Program`] itself and reused by every subsequent VM execution.
+    /// True when this pass admitted the body's compiled form for
+    /// execution ("verify + compile", like a classloader): set whenever
+    /// no error-severity diagnostic was found. The compiled form is
+    /// cached on the [`Program`] itself (every body is compiled for its
+    /// fuel bound) and reused by every subsequent VM execution.
     pub precompiled: bool,
     /// True when the compiled form also passed the independent bytecode
-    /// verifier ([`crate::verify`]). Always true for compiler output in
-    /// practice; a `false` here (with a
+    /// verifier ([`crate::verify`](mod@crate::verify)). Always true for
+    /// compiler output in practice; a `false` here (with a
     /// [`DiagnosticKind::BytecodeVerify`] error) means the compiled form
     /// must not be executed.
     pub verified: bool,
@@ -343,10 +349,12 @@ pub fn analyze_with_budget(program: &Program, budget: &ResourceBudget) -> Analys
     // Pass 2: host-call manifest (+ host/builtin surface diagnostics).
     let manifest = manifest_pass(program, &mut diagnostics);
 
-    // Pass 3: resource shape.
+    // Pass 3: resource shape. The fuel bound is read off the compiled
+    // form, whose per-pc costs are exactly what the VM charges.
     let node_count = program.node_count();
     let max_depth = program_depth(program);
-    let static_fuel = static_fuel_bound(program);
+    let compiled = program.compiled();
+    let static_fuel = compiled.static_fuel();
     if node_count > budget.max_nodes {
         diagnostics.push(Diagnostic::new(
             DiagnosticKind::NodeBudget,
@@ -393,7 +401,7 @@ pub fn analyze_with_budget(program: &Program, budget: &ResourceBudget) -> Analys
     let (precompiled, verified) = if has_errors {
         (false, false)
     } else {
-        match crate::verify::verify(&program.compiled()) {
+        match crate::verify::verify(&compiled) {
             Ok(()) => (true, true),
             Err(e) => {
                 diagnostics.push(Diagnostic::new(
@@ -896,92 +904,6 @@ pub fn program_depth(program: &Program) -> usize {
     block_depth(program.body())
 }
 
-/// Static upper bound on the fuel a loop-free body can burn, mirroring the
-/// evaluator's burn sites: 1 per statement, 1 per expression, 8 extra per
-/// host call, and the builtin data-size surcharge priced at literal
-/// argument sizes (non-literal arguments are priced as scalars — see
-/// [`AnalysisReport::static_fuel`]). Returns `None` when the body contains
-/// a loop.
-pub fn static_fuel_bound(program: &Program) -> Option<u64> {
-    fn block(stmts: &[Stmt]) -> Option<u64> {
-        stmts
-            .iter()
-            .try_fold(0u64, |acc, s| Some(acc.saturating_add(stmt(s)?)))
-    }
-    fn stmt(s: &Stmt) -> Option<u64> {
-        Some(match s {
-            Stmt::Let(_, e) | Stmt::Expr(e) | Stmt::Return(Some(e)) => 1u64.saturating_add(expr(e)),
-            Stmt::Assign(t, e) => 1u64.saturating_add(expr(e)).saturating_add(target_cost(t)),
-            Stmt::If(c, a, b) => 1u64
-                .saturating_add(expr(c))
-                .saturating_add(block(a)?.max(block(b)?)),
-            Stmt::While(..) | Stmt::For(..) => return None,
-            Stmt::Return(None) | Stmt::Break | Stmt::Continue => 1,
-        })
-    }
-    /// An assignment target's base variable is not evaluated; only its
-    /// index expressions are.
-    fn target_cost(t: &Expr) -> u64 {
-        match t {
-            Expr::Index(base, idx) => expr(idx).saturating_add(target_cost(base)),
-            _ => 0,
-        }
-    }
-    fn expr(e: &Expr) -> u64 {
-        use crate::eval::{alloc_surcharge, arg_cost, out_surcharge, BuiltinId};
-        1u64.saturating_add(match e {
-            Expr::Literal(_) | Expr::Var(_) => 0,
-            Expr::Unary(_, a) => expr(a),
-            Expr::Binary(op, a, b) => {
-                // Literal operands price the evaluator's allocation
-                // surcharge exactly; non-literal operand sizes are unknown
-                // statically (see the caveat on `static_fuel`).
-                let alloc = match (&**a, &**b) {
-                    (Expr::Literal(va), Expr::Literal(vb)) => alloc_surcharge(*op, va, vb),
-                    _ => 0,
-                };
-                expr(a).saturating_add(expr(b)).saturating_add(alloc)
-            }
-            Expr::Index(a, b) => expr(a).saturating_add(expr(b)),
-            Expr::HostCall(_, args) => args.iter().fold(8u64, |acc, a| acc.saturating_add(expr(a))),
-            Expr::Call(name, args) => {
-                let eval: u64 = args.iter().fold(0u64, |acc, a| acc.saturating_add(expr(a)));
-                // Price the evaluator's argument surcharge: exact for
-                // literal arguments, scalar-minimum for computed ones.
-                let surcharge: u64 = args
-                    .iter()
-                    .map(|a| match a {
-                        Expr::Literal(v) => arg_cost(v),
-                        _ => 1,
-                    })
-                    .sum::<u64>()
-                    / 4;
-                // Output-sized surcharge (`range`) is exact when every
-                // argument is literal.
-                let out: u64 = match BuiltinId::from_name(name) {
-                    Some(id) if args.iter().all(|a| matches!(a, Expr::Literal(_))) => {
-                        let vals: Vec<_> = args
-                            .iter()
-                            .filter_map(|a| match a {
-                                Expr::Literal(v) => Some(v.clone()),
-                                _ => None,
-                            })
-                            .collect();
-                        out_surcharge(id, &vals)
-                    }
-                    _ => 0,
-                };
-                eval.saturating_add(surcharge).saturating_add(out)
-            }
-            Expr::ListExpr(args) => args.iter().fold(0u64, |acc, a| acc.saturating_add(expr(a))),
-            Expr::MapExpr(entries) => entries
-                .iter()
-                .fold(0u64, |acc, (_, v)| acc.saturating_add(expr(v))),
-        })
-    }
-    block(program.body())
-}
-
 // ---------------------------------------------------------------------------
 // Statement paths
 // ---------------------------------------------------------------------------
@@ -1218,10 +1140,14 @@ mod tests {
         assert!(analyze_with_budget(&p, &ResourceBudget::default()).is_clean());
     }
 
+    fn static_fuel(src: &str) -> Option<u64> {
+        report(src).static_fuel
+    }
+
     #[test]
     fn fuel_budget_flags_expensive_loop_free_bodies() {
         let p = Program::parse("self.a(); self.b(); self.c();").unwrap();
-        let bound = static_fuel_bound(&p).expect("loop-free");
+        let bound = analyze_program(&p).static_fuel.expect("loop-free");
         let tight = ResourceBudget {
             max_static_fuel: Some(bound - 1),
             ..ResourceBudget::default()
@@ -1237,10 +1163,33 @@ mod tests {
         assert!(analyze_with_budget(&p, &loose).is_clean());
     }
 
+    /// Fuel one run of `p` burns on the evaluator and on the VM, with
+    /// `(1, 2)` as arguments and a host that answers every call `null`.
+    fn burns(p: &Program) -> (u64, u64) {
+        struct Free;
+        impl crate::eval::HostContext for Free {
+            fn host_call(
+                &mut self,
+                _: &str,
+                _: &[Value],
+            ) -> Result<Value, crate::error::ScriptError> {
+                Ok(Value::Null)
+            }
+        }
+        let args = [Value::Int(1), Value::Int(2)];
+        let mut host = Free;
+        let mut ev = Evaluator::new(&mut host);
+        let _ = ev.run(p, &args);
+        let mut host = Free;
+        let mut vm = crate::vm::Vm::new(&mut host);
+        let _ = vm.run(&p.compiled(), &args);
+        (ev.fuel_used(), vm.fuel_used())
+    }
+
     #[test]
     fn static_fuel_bound_dominates_actual_burn() {
         // For loop-free bodies with scalar data, the bound must dominate
-        // what the evaluator actually burns.
+        // what both engines actually burn.
         for src in [
             "return 1 + 2 * 3;",
             "param a; param b; if (a > b) { return a; } else { return b; }",
@@ -1249,41 +1198,97 @@ mod tests {
             "let m = {\"k\": 1}; return m[\"k\"] == 1 && true || false;",
             "self.x(); self.y(1, 2); return min(3, 4);",
             "return substr(\"hello\", 1, 3) + str(42);",
+            // Literal string arguments longer than 8 bytes.
+            "return len(\"abcdefghijklmnopqrstuvwxyz\") + \
+             contains(\"a haystack well past eight bytes\", \"stack\");",
+            "return substr(\"abcdefghijklmnopqrstuvwxyz\", 2, 20);",
+            // The output surcharge (see the scalar caveat below for a
+            // computed list passed on to another builtin).
+            "return range(100);",
+            "let r = range(5, 105); return 1;",
+            // Four and more arguments (an arity error, burned first).
+            "return min(1, 2, 3, 4);",
+            "return max(\"abcdefghijklmnop\", 1, 2, 3, 4, 5);",
+            // The allocation surcharge.
+            "return \"abcdefghij\" + \"klmnopqrst\";",
+            "return \"ab\" * 9;",
+            // Short-circuit operators, both outcomes.
+            "param a; return a > 0 && \"abcdefghij\" + \"klmnopqrst\" == \"\";",
+            "param a; return a < 0 || len(\"abcdefghijklmnopqrstuvwxyz\") > 3;",
+            "return false && true;",
+            "return true || self.never();",
+            // A constant argument pushed before a short-circuit join.
+            "param a; return len(\"abcdefghijklmnopqrstuvwxyz\", a && true);",
+            // A return inside one branch, and statements after a return.
+            "param a; if (a > 0) { return \"ab\" * 9; } let y = a + 1; return y;",
+            "param a; if (a < 0) { return 0; } else { self.z(); } return range(40);",
+            "return 1; self.x(); return len(range(100));",
+            "param a; if (a) { return 1; self.dead(); } return 2;",
+            // Nested index assignment.
+            "let m = [[1, 2], [3, [4, 5]]]; m[1][1][0] = \"abcdefghij\" + \"klmnopqrst\"; \
+             return m[1][1][0];",
+            "let m = {\"a\": {\"b\": 1}}; m[\"a\"][\"b\"] = range(64); return m;",
         ] {
             let p = Program::parse(src).unwrap();
-            let bound = static_fuel_bound(&p).expect("loop-free");
-            struct Free;
-            impl crate::eval::HostContext for Free {
-                fn host_call(
-                    &mut self,
-                    _: &str,
-                    _: &[Value],
-                ) -> Result<Value, crate::error::ScriptError> {
-                    Ok(Value::Null)
-                }
-            }
-            let mut host = Free;
-            let mut ev = Evaluator::new(&mut host);
-            let _ = ev.run(&p, &[Value::Int(1), Value::Int(2)]);
-            assert!(
-                ev.fuel_used() <= bound,
-                "{src:?}: burned {} > bound {bound}",
-                ev.fuel_used()
-            );
+            let bound = analyze_program(&p).static_fuel.expect("loop-free");
+            let (eval, vm) = burns(&p);
+            assert_eq!(eval, vm, "{src:?}: the engines disagree");
+            assert!(eval <= bound, "{src:?}: burned {eval} > bound {bound}");
         }
     }
 
     #[test]
+    fn single_path_bounds_are_exact() {
+        // One path through constant or scalar operands: the bound is the
+        // burn, surcharges included.
+        for src in [
+            "return len(\"abcdefghijklmnopqrstuvwxyz\");",
+            "return range(100);",
+            "return min(1, 2, 3, 4);",
+            "return \"abcdefghij\" + \"klmnopqrst\";",
+            "return \"ab\" * 9;",
+            "let m = [[1, 2], [3, 4]]; m[1][0] = 9; return m[1][0];",
+            "self.x(\"abcdefghijklmnopqrstuvwxyz\"); return 1; self.dead();",
+        ] {
+            let p = Program::parse(src).unwrap();
+            let (eval, _) = burns(&p);
+            assert_eq!(analyze_program(&p).static_fuel, Some(eval), "{src:?}");
+        }
+    }
+
+    #[test]
+    fn computed_operands_are_priced_as_scalars() {
+        // `range(100)` pays its output surcharge (100 / 4) in the bound,
+        // but the list it builds is a runtime value, so `len` is priced
+        // for a scalar argument while it burns for 101 elements: the
+        // documented caveat of the bound, by exactly that argument
+        // surcharge.
+        let p = Program::parse("return len(range(100));").unwrap();
+        let bound = analyze_program(&p).static_fuel.expect("loop-free");
+        let (eval, vm) = burns(&p);
+        assert_eq!((eval, vm), (bound + 101 / 4, bound + 101 / 4));
+        assert_eq!(static_fuel("return range(100);"), Some(bound - 1));
+    }
+
+    #[test]
+    fn code_after_a_return_is_not_priced() {
+        assert_eq!(
+            static_fuel("return 1; self.x(); self.y();"),
+            static_fuel("return 1;")
+        );
+        // The costlier branch sets the bound; a branch that returns does
+        // not also pay for what follows the `if`.
+        let one_branch = static_fuel("param a; if (a) { return self.x(); } return 1;").unwrap();
+        let both = static_fuel("param a; if (a) { self.x(); } return 1;").unwrap();
+        assert!(one_branch < both, "{one_branch} vs {both}");
+    }
+
+    #[test]
     fn loops_have_no_static_bound() {
-        assert_eq!(
-            static_fuel_bound(&Program::parse("while (true) { }").unwrap()),
-            None
-        );
-        assert_eq!(
-            static_fuel_bound(&Program::parse("for (i in range(3)) { }").unwrap()),
-            None
-        );
-        assert!(static_fuel_bound(&Program::parse("return 1;").unwrap()).is_some());
+        assert_eq!(static_fuel("while (true) { }"), None);
+        assert_eq!(static_fuel("for (i in range(3)) { }"), None);
+        assert_eq!(static_fuel("for (i in [1]) { return i; }"), None);
+        assert!(static_fuel("return 1;").is_some());
     }
 
     #[test]

@@ -9,15 +9,18 @@
 //!
 //! ## Fuel model
 //!
-//! The interpreter burns 1 fuel at every statement and expression entry,
-//! 8 per host call, plus data-size surcharges at builtins and
-//! concatenations. The compiler attaches each static burn to the **first
-//! instruction** of the construct's compiled form (preorder), so the
-//! per-instruction cost sequence along any execution path equals the
-//! interpreter's burn sequence. At runtime the VM does not burn per
-//! instruction: each basic block begins with a [`Instr::Charge`] that
-//! pre-pays the block's total static cost in one subtraction. Exactness
-//! is restored at the edges:
+//! The interpreter burns [`STEP_FUEL`] at every statement and expression
+//! entry, [`HOST_CALL_FUEL`] per host call, plus data-size surcharges at
+//! builtins and concatenations (all priced once, in `eval.rs`). The
+//! compiler attaches each static burn to the **first instruction** of the
+//! construct's compiled form (preorder), so the per-instruction cost
+//! sequence along any execution path equals the interpreter's burn
+//! sequence. The same `costs` are the admission analyzer's price list:
+//! [`CompiledProgram::static_fuel`] reads the static fuel bound off them
+//! as a longest path, so no second pricer exists. At runtime the VM does
+//! not burn per instruction: each basic block begins with a
+//! [`Instr::Charge`] that pre-pays the block's total static cost in one
+//! subtraction. Exactness is restored at the edges:
 //!
 //! * leaving a block early (taken jump, `return`, or a non-fuel error)
 //!   refunds the unexecuted suffix (`refunds[pc]`);
@@ -40,12 +43,14 @@
 //! [`Instr::StoreUndef`], which raise the interpreter's
 //! `UndefinedVariable` error at the same point.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use mrom_value::Value;
 
 use crate::ast::{BinaryOp, Expr, Program, Stmt, UnaryOp};
-use crate::eval::BuiltinId;
+use crate::eval::{
+    alloc_surcharge, call_surcharge, out_surcharge, BuiltinId, HOST_CALL_FUEL, STEP_FUEL,
+};
 
 /// One bytecode instruction. Jump operands are instruction indices; pool
 /// operands index [`CompiledProgram`]'s constant / name tables.
@@ -224,40 +229,13 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Reassembles a compiled program from raw parts — the constructor
-    /// behind [`CompiledProgram::from_bytes`]. The parts are *untrusted*:
-    /// the caller must pass the result through [`crate::verify::verify`]
-    /// before handing it to a VM.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_raw_parts(
-        instrs: Vec<Instr>,
-        costs: Vec<u32>,
-        refunds: Vec<u32>,
-        consts: Vec<Value>,
-        names: Vec<String>,
-        n_locals: u32,
-        param_slots: Vec<u32>,
-        n_sites: u32,
-    ) -> CompiledProgram {
-        CompiledProgram {
-            instrs,
-            costs,
-            refunds,
-            consts,
-            names,
-            n_locals,
-            param_slots,
-            n_sites,
-        }
-    }
-
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.instrs.len()
     }
 
     /// True for a body with no instructions (never produced by
-    /// [`compile`], which always emits at least a return).
+    /// `compile`, which always emits at least a return).
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
     }
@@ -271,6 +249,124 @@ impl CompiledProgram {
     /// Number of resolved local-variable slots.
     pub fn local_count(&self) -> u32 {
         self.n_locals
+    }
+
+    /// Static upper bound on the fuel one run can burn, read off the
+    /// compiled form: the longest path through the control-flow graph,
+    /// each pc priced at its `costs` entry plus the value-dependent
+    /// surcharge its instruction burns at run time. Operands loaded from
+    /// the constant pool price those surcharges exactly; any other
+    /// operand is priced as a scalar, so a string- or container-valued
+    /// runtime operand may burn more than the bound. `None` when the
+    /// body loops (a backward jump or a `for` iterator).
+    ///
+    /// Paths follow the verifier's control-flow graph: they end at a
+    /// return or at an instruction that always raises, so code after a
+    /// `return` is never priced.
+    pub(crate) fn static_fuel(&self) -> Option<u64> {
+        let konst = |i: u32| self.consts.get(i as usize).unwrap_or(SCALAR);
+        // Forward-only jumps make pc order a topological order, so one
+        // sweep suffices: the fuel spent so far and the operand stack
+        // flow along fallthrough edges and wait at jump targets (block
+        // leaders), where arrivals join.
+        let mut waiting: BTreeMap<usize, FuelPath<'_>> = BTreeMap::new();
+        let mut here = Some(FuelPath {
+            fuel: 0,
+            stack: Vec::with_capacity(8),
+        });
+        let mut bound = 0u64;
+        for (pc, (&instr, &cost)) in self.instrs.iter().zip(&self.costs).enumerate() {
+            match instr {
+                // A loop, reachable or not: no static bound exists.
+                Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::AndCheck(t) | Instr::OrCheck(t)
+                    if t as usize <= pc =>
+                {
+                    return None;
+                }
+                Instr::IterNew | Instr::IterNext { .. } | Instr::IterPop => return None,
+                Instr::Charge(_) => {
+                    if let Some(arrival) = waiting.remove(&pc) {
+                        here = Some(match here {
+                            Some(path) => path.join(arrival),
+                            None => arrival,
+                        });
+                    }
+                }
+                _ => {}
+            }
+            let Some(path) = here.as_mut() else {
+                continue;
+            };
+            path.burn(u64::from(cost));
+            let (pops, pushes) = match instr {
+                Instr::LoadConst(i) => {
+                    path.stack.push(konst(i));
+                    (0, 0)
+                }
+                Instr::Binary(op) => {
+                    let rhs = path.pop();
+                    let lhs = path.pop();
+                    path.burn(alloc_surcharge(op, lhs, rhs));
+                    (0, 1)
+                }
+                Instr::BinaryTC { op, c } => {
+                    let lhs = path.pop();
+                    path.burn(alloc_surcharge(op, lhs, konst(c)));
+                    (0, 1)
+                }
+                Instr::Call { builtin, argc } => {
+                    let args = path.pop_values(argc);
+                    path.burn(call_surcharge(&args).saturating_add(out_surcharge(builtin, &args)));
+                    (0, 1)
+                }
+                Instr::CallUnknown { argc, .. } => {
+                    let args = path.pop_values(argc);
+                    path.burn(call_surcharge(&args));
+                    (0, 0)
+                }
+                Instr::Jump(t) => {
+                    let path = here.take().expect("live path");
+                    wait(&mut waiting, t, path);
+                    continue;
+                }
+                Instr::JumpIfFalse(t) => {
+                    path.pop();
+                    wait(&mut waiting, t, path.clone());
+                    (0, 0)
+                }
+                // Taken, a short-circuit check pushes its result back.
+                Instr::AndCheck(t) | Instr::OrCheck(t) => {
+                    let mut taken = path.clone();
+                    taken.pop();
+                    taken.stack.push(SCALAR);
+                    wait(&mut waiting, t, taken);
+                    (1, 0)
+                }
+                Instr::LoadLocal(_) | Instr::BinaryLL { .. } | Instr::BinaryLC { .. } => (0, 1),
+                Instr::StoreLocal(_) | Instr::Pop => (1, 0),
+                Instr::Unary(_) | Instr::Truthy | Instr::BinaryTL { .. } => (1, 1),
+                Instr::Index => (2, 1),
+                Instr::HostCall { argc, .. }
+                | Instr::MakeList(argc)
+                | Instr::MakeMap { n: argc, .. } => (argc as usize, 1),
+                Instr::AssignPath { n_idx, .. } => (n_idx as usize + 1, 0),
+                // No stack effect, or no successor.
+                _ => (0, 0),
+            };
+            for _ in 0..pops {
+                path.pop();
+            }
+            for _ in 0..pushes {
+                path.stack.push(SCALAR);
+            }
+            if crate::verify::is_terminal(instr) {
+                bound = bound.max(path.fuel);
+                here = None;
+            }
+        }
+        // Compiler output ends in a return and jumps forward to block
+        // leaders, so every path has ended at a terminal by now.
+        Some(bound)
     }
 
     /// Human-readable disassembly: constant pool, name pool, and one line
@@ -356,6 +452,56 @@ impl CompiledProgram {
         }
         out
     }
+}
+
+/// What [`CompiledProgram::static_fuel`] prices every operand that is
+/// not a constant as.
+const SCALAR: &Value = &Value::Null;
+
+/// One path of [`CompiledProgram::static_fuel`]'s sweep: fuel spent so
+/// far and the operand stack, each operand either a constant-pool value
+/// or [`SCALAR`] for anything computed at run time.
+#[derive(Clone)]
+struct FuelPath<'a> {
+    fuel: u64,
+    stack: Vec<&'a Value>,
+}
+
+impl<'a> FuelPath<'a> {
+    fn burn(&mut self, amount: u64) {
+        self.fuel = self.fuel.saturating_add(amount);
+    }
+
+    fn pop(&mut self) -> &'a Value {
+        self.stack.pop().unwrap_or(SCALAR)
+    }
+
+    /// Pops `argc` operands as the argument list a builtin would see.
+    fn pop_values(&mut self, argc: u32) -> Vec<Value> {
+        let at = self.stack.len().saturating_sub(argc as usize);
+        self.stack.drain(at..).cloned().collect()
+    }
+
+    /// Two paths meeting at one pc: the costlier fuel, and each operand
+    /// kept only where both paths hold the same constant.
+    fn join(mut self, other: FuelPath<'a>) -> FuelPath<'a> {
+        self.fuel = self.fuel.max(other.fuel);
+        for (mine, theirs) in self.stack.iter_mut().zip(other.stack) {
+            if !std::ptr::eq(*mine, theirs) {
+                *mine = SCALAR;
+            }
+        }
+        self
+    }
+}
+
+/// Parks `path` at jump target `target`, joining any path already there.
+fn wait<'a>(waiting: &mut BTreeMap<usize, FuelPath<'a>>, target: u32, path: FuelPath<'a>) {
+    let path = match waiting.remove(&(target as usize)) {
+        Some(other) => other.join(path),
+        None => path,
+    };
+    waiting.insert(target as usize, path);
 }
 
 /// Compiles `program` to bytecode. Total: every well-formed tree compiles
@@ -518,8 +664,8 @@ impl Compiler {
     }
 
     fn stmt(&mut self, s: &Stmt) {
-        // Interpreter: `exec_stmt` burns 1 at entry.
-        self.attach(1);
+        // Interpreter: `exec_stmt` burns a step at entry.
+        self.attach(STEP_FUEL);
         match s {
             Stmt::Let(name, e) => {
                 self.expr(e);
@@ -680,8 +826,8 @@ impl Compiler {
     // -- expressions --------------------------------------------------------
 
     fn expr(&mut self, e: &Expr) {
-        // Interpreter: `eval` burns 1 at entry.
-        self.attach(1);
+        // Interpreter: `eval` burns a step at entry.
+        self.attach(STEP_FUEL);
         match e {
             Expr::Literal(v) => {
                 let i = self.const_idx(v);
@@ -747,8 +893,9 @@ impl Compiler {
                 for a in args {
                     self.expr(a);
                 }
-                // Interpreter: burn(8) after the arguments, before the call.
-                self.attach(8);
+                // Interpreter: the host-call burn after the arguments,
+                // before the call.
+                self.attach(HOST_CALL_FUEL);
                 let n = self.name_idx(name);
                 let site = self.n_sites;
                 self.n_sites += 1;

@@ -19,7 +19,10 @@
 //!   reachable call graph: the method keeps working after the object
 //!   migrates;
 //! * **fuel bound** — a static interprocedural upper bound on fuel, or
-//!   `None` when any reachable body loops, recurses, or is opaque.
+//!   `None` when any reachable body loops, recurses, or is opaque. Each
+//!   body's own share is the analyzer's
+//!   [`AnalysisReport::static_fuel`](crate::AnalysisReport::static_fuel);
+//!   this module only adds it up over the call graph.
 //!
 //! The module is object-agnostic: callers (the object layer in
 //! `mrom-core`) build a name → [`LocalEffects`] map for an object's
@@ -32,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mrom_value::Value;
 
-use crate::analyze::{analyze_program, static_fuel_bound, HostManifest};
+use crate::analyze::{analyze_program, HostManifest};
 use crate::ast::{Expr, Program, Stmt};
 
 /// Host-surface names whose use mutates object *structure* (the shape
@@ -72,21 +75,21 @@ pub struct LocalEffects {
 
 impl LocalEffects {
     /// Extracts local effects from a script body: the analyzer's host
-    /// manifest, plus a literal-argument walk for constant-write and
-    /// invoke-site facts, plus the body's static fuel bound.
+    /// manifest and static fuel bound, plus a literal-argument walk for
+    /// constant-write and invoke-site facts.
     #[must_use]
     pub fn of_program(program: &Program) -> LocalEffects {
-        let manifest = analyze_program(program).manifest;
+        let report = analyze_program(program);
         let mut constant_writes_only = true;
         let mut invoke_counts = BTreeMap::new();
         for stmt in program.body() {
             walk_stmt(stmt, &mut constant_writes_only, &mut invoke_counts);
         }
         LocalEffects {
-            manifest,
+            manifest: report.manifest,
             constant_writes_only,
             invoke_counts,
-            local_fuel: static_fuel_bound(program),
+            local_fuel: report.static_fuel,
             opaque: false,
         }
     }

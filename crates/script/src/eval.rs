@@ -186,7 +186,7 @@ impl<'h, H: HostContext + ?Sized> Evaluator<'h, H> {
     }
 
     fn exec_stmt(&mut self, s: &Stmt, scopes: &mut Scopes) -> Result<Flow, ScriptError> {
-        self.burn(1)?;
+        self.burn(STEP_FUEL)?;
         match s {
             Stmt::Let(name, e) => {
                 let v = self.eval(e, scopes)?;
@@ -286,7 +286,7 @@ impl<'h, H: HostContext + ?Sized> Evaluator<'h, H> {
     }
 
     fn eval(&mut self, e: &Expr, scopes: &mut Scopes) -> Result<Value, ScriptError> {
-        self.burn(1)?;
+        self.burn(STEP_FUEL)?;
         match e {
             Expr::Literal(v) => Ok(v.clone()),
             Expr::Var(name) => scopes.lookup(name),
@@ -351,7 +351,7 @@ impl<'h, H: HostContext + ?Sized> Evaluator<'h, H> {
                 for a in args {
                     vals.push(self.eval(a, scopes)?);
                 }
-                self.burn(8)?;
+                self.burn(HOST_CALL_FUEL)?;
                 self.host_calls += 1;
                 self.host.host_call(name, &vals)
             }
@@ -665,11 +665,20 @@ pub(crate) fn index(container: &Value, idx: &Value) -> Result<Value, ScriptError
 // Fuel pricing shared by the interpreter and the bytecode VM
 // ---------------------------------------------------------------------------
 
+/// Fuel burned on entry to every statement and every expression. The
+/// compiler attaches it to each construct's first instruction, so the
+/// VM's per-pc `costs` (and the static bound read off them) carry it too.
+pub(crate) const STEP_FUEL: u64 = 1;
+
+/// Fuel burned by every `self.*` host call, after its arguments are
+/// evaluated and before the host runs.
+pub(crate) const HOST_CALL_FUEL: u64 = 8;
+
 /// The fuel weight of one builtin argument: like [`Value::tree_size`], but
 /// strings and byte arrays count by length (one step per 8 bytes) instead
 /// of as scalars, so size-proportional builtins (`push` of big strings,
 /// `coerce`, `split`, ...) cannot traverse megabytes for constant fuel.
-pub(crate) fn arg_cost(v: &Value) -> u64 {
+fn arg_cost(v: &Value) -> u64 {
     match v {
         Value::Str(s) => 1 + s.len() as u64 / 8,
         Value::Bytes(b) => 1 + b.len() as u64 / 8,

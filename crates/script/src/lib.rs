@@ -72,6 +72,15 @@ mod parser;
 pub mod verify;
 mod vm;
 
+// The seeded program generator the integration batteries sweep, shared
+// with the in-crate verifier properties (which need the compiled form's
+// private fields to mutate it).
+#[cfg(test)]
+extern crate self as mrom_script;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_programs;
+
 pub use analyze::{
     analyze_program, analyze_with_budget, AnalysisReport, Diagnostic, DiagnosticKind, HostManifest,
     ResourceBudget, Severity,

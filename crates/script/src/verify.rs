@@ -7,9 +7,8 @@
 //!
 //! * **Control flow is closed.** Every jump operand (including a
 //!   `for` loop's exhaustion target) lands in bounds *and* on a
-//!   block-leader [`Charge`](crate::compile::Instr::Charge) pc — the
-//!   invariant that makes block pre-charging and the peephole fuser
-//!   sound. No reachable path can fall off the end of the instruction
+//!   block-leader `Charge` pc — the invariant that makes block
+//!   pre-charging and the peephole fuser sound. No reachable path can fall off the end of the instruction
 //!   array.
 //! * **Stack discipline.** A forward data-flow pass computes the operand
 //!   -stack and iterator-stack depth at every reachable pc and checks
@@ -18,6 +17,9 @@
 //!   "compiler invariant" the VM's unchecked `pop!` assumes.
 //! * **Pool and register bounds.** Constant, name, local-slot, map-key
 //!   and host-site operands index inside their tables.
+//! * **Operands fit their instructions.** No binary instruction names
+//!   `&&` or `||` (those exist only as short-circuit checks), and every
+//!   indexed assignment carries at least one index.
 //! * **Fuel tables are canonical.** Each block's `Charge` total equals
 //!   the sum of its instructions' attached costs, and the refund table
 //!   holds the exact per-pc unexecuted-suffix sums — so pre-charge,
@@ -28,23 +30,17 @@
 //! underflow, index out of bounds, or a missing iterator, and cannot be
 //! over- or under-charged relative to its own cost table.
 //!
-//! ## Byte form
-//!
-//! [`CompiledProgram::to_bytes`] / [`CompiledProgram::from_bytes`]
-//! provide a **site-local** byte encoding (the AST remains the only
-//! mobile representation). Decoding is defensive: a checksum rejects
-//! byte-level corruption outright, and any stream that survives decoding
-//! is still passed through [`verify`] before it is handed back — the VM
-//! only ever executes verified programs.
+//! The compiled form never travels and is never stored: there is no path
+//! from bytes to a [`CompiledProgram`]. The AST is the only mobile
+//! representation, and every body is compiled on the site that admits
+//! it and verified there before a VM runs it. The admission analyzer's
+//! static fuel bound ([`crate::AnalysisReport::static_fuel`]) walks the
+//! same control-flow graph.
 
 use std::fmt;
 
-use mrom_value::wire;
-use mrom_value::Value;
-
-use crate::ast::{BinaryOp, UnaryOp};
+use crate::ast::BinaryOp;
 use crate::compile::{CompiledProgram, Instr};
-use crate::eval::BuiltinId;
 
 /// A structured verification failure. Each variant pins the defect to a
 /// pc (or table index) so a host can log exactly what was rejected.
@@ -105,6 +101,18 @@ pub enum VerifyError {
         pc: usize,
         /// The out-of-range slot.
         slot: usize,
+    },
+    /// A binary instruction names `&&` or `||`, which only the
+    /// short-circuit checks implement.
+    ShortCircuitOperator {
+        /// The offending pc.
+        pc: usize,
+    },
+    /// An indexed assignment carries no index (the compiler always
+    /// emits at least one).
+    EmptyAssignPath {
+        /// The offending pc.
+        pc: usize,
     },
     /// A host-call site index is ≥ the declared site count.
     SiteOutOfBounds {
@@ -177,11 +185,6 @@ pub enum VerifyError {
         /// The canonical suffix sum.
         actual: u32,
     },
-    /// The byte stream failed to decode (truncation, bad tag, bad
-    /// UTF-8, malformed constant, ...).
-    Decode(String),
-    /// The byte stream's checksum does not match its contents.
-    ChecksumMismatch,
 }
 
 impl fmt::Display for VerifyError {
@@ -219,6 +222,15 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::SlotOutOfBounds { pc, slot } => {
                 write!(f, "pc {pc}: local slot {slot} out of bounds")
+            }
+            VerifyError::ShortCircuitOperator { pc } => {
+                write!(
+                    f,
+                    "pc {pc}: binary instruction with a short-circuit operator"
+                )
+            }
+            VerifyError::EmptyAssignPath { pc } => {
+                write!(f, "pc {pc}: indexed assignment without an index")
             }
             VerifyError::SiteOutOfBounds { pc, site } => {
                 write!(f, "pc {pc}: host-call site {site} out of bounds")
@@ -267,8 +279,6 @@ impl fmt::Display for VerifyError {
                 f,
                 "pc {pc}: refund table holds {declared}, suffix sum is {actual}"
             ),
-            VerifyError::Decode(detail) => write!(f, "bytecode decode failed: {detail}"),
-            VerifyError::ChecksumMismatch => write!(f, "bytecode checksum mismatch"),
         }
     }
 }
@@ -277,7 +287,7 @@ impl std::error::Error for VerifyError {}
 
 /// Instructions that end execution at their pc (return or a raised
 /// runtime error): they have no successor in the control-flow graph.
-fn is_terminal(instr: Instr) -> bool {
+pub(crate) fn is_terminal(instr: Instr) -> bool {
     matches!(
         instr,
         Instr::Return
@@ -384,6 +394,29 @@ fn structural_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
 
     for (pc, &instr) in cp.instrs.iter().enumerate() {
         match instr {
+            // Shapes the compiler never emits and the VM would panic on:
+            // `&&`/`||` outside the short-circuit checks, and an indexed
+            // assignment without an index.
+            Instr::Binary(BinaryOp::And | BinaryOp::Or)
+            | Instr::BinaryLL {
+                op: BinaryOp::And | BinaryOp::Or,
+                ..
+            }
+            | Instr::BinaryLC {
+                op: BinaryOp::And | BinaryOp::Or,
+                ..
+            }
+            | Instr::BinaryTL {
+                op: BinaryOp::And | BinaryOp::Or,
+                ..
+            }
+            | Instr::BinaryTC {
+                op: BinaryOp::And | BinaryOp::Or,
+                ..
+            } => return Err(VerifyError::ShortCircuitOperator { pc }),
+            Instr::AssignPath { n_idx: 0, .. } | Instr::AssignPathUndef { n_idx: 0, .. } => {
+                return Err(VerifyError::EmptyAssignPath { pc });
+            }
             Instr::Charge(_)
             | Instr::Nop
             | Instr::Pop
@@ -643,468 +676,11 @@ fn flow_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Site-local byte encoding
-// ---------------------------------------------------------------------
-
-const MAGIC: &[u8; 4] = b"MRBC";
-const VERSION: u8 = 1;
-
-/// Binary operators in stable encoding order.
-const BIN_OPS: [BinaryOp; 13] = [
-    BinaryOp::Or,
-    BinaryOp::And,
-    BinaryOp::Eq,
-    BinaryOp::Ne,
-    BinaryOp::Lt,
-    BinaryOp::Le,
-    BinaryOp::Gt,
-    BinaryOp::Ge,
-    BinaryOp::Add,
-    BinaryOp::Sub,
-    BinaryOp::Mul,
-    BinaryOp::Div,
-    BinaryOp::Rem,
-];
-
-fn bin_code(op: BinaryOp) -> u8 {
-    let idx = BIN_OPS
-        .iter()
-        .position(|&o| o == op)
-        .expect("BIN_OPS covers every BinaryOp");
-    u8::try_from(idx).expect("13 operators fit a byte")
-}
-
-/// FNV-1a over the stream — not cryptographic, just enough to turn any
-/// accidental or byte-level corruption into a structured rejection.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-fn w_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_str(out: &mut Vec<u8>, s: &str) {
-    w_u32(out, u32::try_from(s.len()).unwrap_or(u32::MAX));
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn w_value(out: &mut Vec<u8>, v: &Value) {
-    let bytes = wire::encode(v);
-    w_u32(out, u32::try_from(bytes.len()).unwrap_or(u32::MAX));
-    out.extend_from_slice(&bytes);
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], VerifyError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| VerifyError::Decode("truncated stream".into()))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn r_u8(&mut self) -> Result<u8, VerifyError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn r_u32(&mut self) -> Result<u32, VerifyError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn r_str(&mut self) -> Result<String, VerifyError> {
-        let len = self.r_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| VerifyError::Decode("name is not UTF-8".into()))
-    }
-
-    fn r_value(&mut self) -> Result<Value, VerifyError> {
-        let len = self.r_u32()? as usize;
-        let bytes = self.take(len)?;
-        wire::decode(bytes).map_err(|e| VerifyError::Decode(format!("malformed constant: {e}")))
-    }
-
-    fn r_bin(&mut self) -> Result<BinaryOp, VerifyError> {
-        let code = self.r_u8()? as usize;
-        BIN_OPS
-            .get(code)
-            .copied()
-            .ok_or_else(|| VerifyError::Decode(format!("bad binary-op code {code}")))
-    }
-}
-
-impl CompiledProgram {
-    /// Encodes the compiled form as bytes. **Site-local only**: the AST
-    /// remains the sole mobile representation of a method body; this
-    /// encoding exists so a host can stage compiled code (and so tests
-    /// can corrupt it and prove [`CompiledProgram::from_bytes`] rejects
-    /// the damage).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.instrs.len() * 6);
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        w_u32(
-            &mut out,
-            u32::try_from(self.instrs.len()).unwrap_or(u32::MAX),
-        );
-        for (pc, instr) in self.instrs.iter().enumerate() {
-            encode_instr(&mut out, *instr);
-            w_u32(&mut out, self.costs[pc]);
-            w_u32(&mut out, self.refunds[pc]);
-        }
-        w_u32(
-            &mut out,
-            u32::try_from(self.consts.len()).unwrap_or(u32::MAX),
-        );
-        for c in &self.consts {
-            w_value(&mut out, c);
-        }
-        w_u32(
-            &mut out,
-            u32::try_from(self.names.len()).unwrap_or(u32::MAX),
-        );
-        for name in &self.names {
-            w_str(&mut out, name);
-        }
-        w_u32(&mut out, self.n_locals);
-        w_u32(
-            &mut out,
-            u32::try_from(self.param_slots.len()).unwrap_or(u32::MAX),
-        );
-        for &slot in &self.param_slots {
-            w_u32(&mut out, slot);
-        }
-        w_u32(&mut out, self.site_count());
-        let sum = checksum(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Decodes and **verifies** a byte stream produced by
-    /// [`CompiledProgram::to_bytes`]. The returned program has passed
-    /// [`verify`] — handing a `Vm` anything else is impossible through
-    /// this path, which is what makes foreign compiled forms safe to
-    /// stage.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError::ChecksumMismatch`] on any byte-level corruption,
-    /// [`VerifyError::Decode`] on structural decode failures, or any
-    /// other [`VerifyError`] when the decoded program fails
-    /// verification.
-    pub fn from_bytes(bytes: &[u8]) -> Result<CompiledProgram, VerifyError> {
-        if bytes.len() < MAGIC.len() + 1 + 8 {
-            return Err(VerifyError::Decode("stream too short".into()));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let declared = u64::from_le_bytes(tail.try_into().expect("split_at leaves 8 bytes"));
-        if checksum(body) != declared {
-            return Err(VerifyError::ChecksumMismatch);
-        }
-        let mut r = Reader { buf: body, pos: 0 };
-        if r.take(4)? != MAGIC {
-            return Err(VerifyError::Decode("bad magic".into()));
-        }
-        if r.r_u8()? != VERSION {
-            return Err(VerifyError::Decode("unsupported version".into()));
-        }
-        let n_instrs = r.r_u32()? as usize;
-        // A length prefix larger than the stream itself is corruption;
-        // cap preallocation at what the remaining bytes could encode.
-        if n_instrs > body.len() {
-            return Err(VerifyError::Decode(
-                "instruction count exceeds stream".into(),
-            ));
-        }
-        let mut instrs = Vec::with_capacity(n_instrs);
-        let mut costs = Vec::with_capacity(n_instrs);
-        let mut refunds = Vec::with_capacity(n_instrs);
-        for _ in 0..n_instrs {
-            instrs.push(decode_instr(&mut r)?);
-            costs.push(r.r_u32()?);
-            refunds.push(r.r_u32()?);
-        }
-        let n_consts = r.r_u32()? as usize;
-        if n_consts > body.len() {
-            return Err(VerifyError::Decode("constant count exceeds stream".into()));
-        }
-        let mut consts = Vec::with_capacity(n_consts);
-        for _ in 0..n_consts {
-            consts.push(r.r_value()?);
-        }
-        let n_names = r.r_u32()? as usize;
-        if n_names > body.len() {
-            return Err(VerifyError::Decode("name count exceeds stream".into()));
-        }
-        let mut names = Vec::with_capacity(n_names);
-        for _ in 0..n_names {
-            names.push(r.r_str()?);
-        }
-        let n_locals = r.r_u32()?;
-        let n_params = r.r_u32()? as usize;
-        if n_params > body.len() {
-            return Err(VerifyError::Decode("param count exceeds stream".into()));
-        }
-        let mut param_slots = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            param_slots.push(r.r_u32()?);
-        }
-        let n_sites = r.r_u32()?;
-        if r.pos != body.len() {
-            return Err(VerifyError::Decode("trailing bytes after stream".into()));
-        }
-        let cp = CompiledProgram::from_raw_parts(
-            instrs,
-            costs,
-            refunds,
-            consts,
-            names,
-            n_locals,
-            param_slots,
-            n_sites,
-        );
-        verify(&cp)?;
-        Ok(cp)
-    }
-}
-
-fn encode_instr(out: &mut Vec<u8>, instr: Instr) {
-    match instr {
-        Instr::Charge(v) => {
-            out.push(0);
-            w_u32(out, v);
-        }
-        Instr::Nop => out.push(1),
-        Instr::LoadConst(i) => {
-            out.push(2);
-            w_u32(out, i);
-        }
-        Instr::LoadLocal(s) => {
-            out.push(3);
-            w_u32(out, s);
-        }
-        Instr::StoreLocal(s) => {
-            out.push(4);
-            w_u32(out, s);
-        }
-        Instr::LoadUndef(i) => {
-            out.push(5);
-            w_u32(out, i);
-        }
-        Instr::StoreUndef(i) => {
-            out.push(6);
-            w_u32(out, i);
-        }
-        Instr::Pop => out.push(7),
-        Instr::Unary(op) => {
-            out.push(8);
-            out.push(match op {
-                UnaryOp::Neg => 0,
-                UnaryOp::Not => 1,
-            });
-        }
-        Instr::Binary(op) => {
-            out.push(9);
-            out.push(bin_code(op));
-        }
-        Instr::BinaryLL { op, a, b } => {
-            out.push(10);
-            out.push(bin_code(op));
-            w_u32(out, a);
-            w_u32(out, b);
-        }
-        Instr::BinaryLC { op, a, c } => {
-            out.push(11);
-            out.push(bin_code(op));
-            w_u32(out, a);
-            w_u32(out, c);
-        }
-        Instr::BinaryTL { op, b } => {
-            out.push(12);
-            out.push(bin_code(op));
-            w_u32(out, b);
-        }
-        Instr::BinaryTC { op, c } => {
-            out.push(13);
-            out.push(bin_code(op));
-            w_u32(out, c);
-        }
-        Instr::Truthy => out.push(14),
-        Instr::Jump(t) => {
-            out.push(15);
-            w_u32(out, t);
-        }
-        Instr::JumpIfFalse(t) => {
-            out.push(16);
-            w_u32(out, t);
-        }
-        Instr::AndCheck(t) => {
-            out.push(17);
-            w_u32(out, t);
-        }
-        Instr::OrCheck(t) => {
-            out.push(18);
-            w_u32(out, t);
-        }
-        Instr::Index => out.push(19),
-        Instr::Call { builtin, argc } => {
-            out.push(20);
-            w_str(out, builtin.name());
-            w_u32(out, argc);
-        }
-        Instr::CallUnknown { name, argc } => {
-            out.push(21);
-            w_u32(out, name);
-            w_u32(out, argc);
-        }
-        Instr::HostCall { name, argc, site } => {
-            out.push(22);
-            w_u32(out, name);
-            w_u32(out, argc);
-            w_u32(out, site);
-        }
-        Instr::MakeList(n) => {
-            out.push(23);
-            w_u32(out, n);
-        }
-        Instr::MakeMap { keys, n } => {
-            out.push(24);
-            w_u32(out, keys);
-            w_u32(out, n);
-        }
-        Instr::AssignPath { root, n_idx } => {
-            out.push(25);
-            w_u32(out, root);
-            w_u32(out, n_idx);
-        }
-        Instr::AssignPathUndef { name, n_idx } => {
-            out.push(26);
-            w_u32(out, name);
-            w_u32(out, n_idx);
-        }
-        Instr::AssignErrBadTarget => out.push(27),
-        Instr::AssignErrBadRoot => out.push(28),
-        Instr::IterNew => out.push(29),
-        Instr::IterNext { slot, end } => {
-            out.push(30);
-            w_u32(out, slot);
-            w_u32(out, end);
-        }
-        Instr::IterPop => out.push(31),
-        Instr::LoopControlErr => out.push(32),
-        Instr::Return => out.push(33),
-        Instr::ReturnNull => out.push(34),
-    }
-}
-
-fn decode_instr(r: &mut Reader<'_>) -> Result<Instr, VerifyError> {
-    let tag = r.r_u8()?;
-    Ok(match tag {
-        0 => Instr::Charge(r.r_u32()?),
-        1 => Instr::Nop,
-        2 => Instr::LoadConst(r.r_u32()?),
-        3 => Instr::LoadLocal(r.r_u32()?),
-        4 => Instr::StoreLocal(r.r_u32()?),
-        5 => Instr::LoadUndef(r.r_u32()?),
-        6 => Instr::StoreUndef(r.r_u32()?),
-        7 => Instr::Pop,
-        8 => Instr::Unary(match r.r_u8()? {
-            0 => UnaryOp::Neg,
-            1 => UnaryOp::Not,
-            code => return Err(VerifyError::Decode(format!("bad unary-op code {code}"))),
-        }),
-        9 => Instr::Binary(r.r_bin()?),
-        10 => Instr::BinaryLL {
-            op: r.r_bin()?,
-            a: r.r_u32()?,
-            b: r.r_u32()?,
-        },
-        11 => Instr::BinaryLC {
-            op: r.r_bin()?,
-            a: r.r_u32()?,
-            c: r.r_u32()?,
-        },
-        12 => Instr::BinaryTL {
-            op: r.r_bin()?,
-            b: r.r_u32()?,
-        },
-        13 => Instr::BinaryTC {
-            op: r.r_bin()?,
-            c: r.r_u32()?,
-        },
-        14 => Instr::Truthy,
-        15 => Instr::Jump(r.r_u32()?),
-        16 => Instr::JumpIfFalse(r.r_u32()?),
-        17 => Instr::AndCheck(r.r_u32()?),
-        18 => Instr::OrCheck(r.r_u32()?),
-        19 => Instr::Index,
-        20 => {
-            let name = r.r_str()?;
-            let builtin = BuiltinId::from_name(&name)
-                .ok_or_else(|| VerifyError::Decode(format!("unknown builtin {name:?}")))?;
-            Instr::Call {
-                builtin,
-                argc: r.r_u32()?,
-            }
-        }
-        21 => Instr::CallUnknown {
-            name: r.r_u32()?,
-            argc: r.r_u32()?,
-        },
-        22 => Instr::HostCall {
-            name: r.r_u32()?,
-            argc: r.r_u32()?,
-            site: r.r_u32()?,
-        },
-        23 => Instr::MakeList(r.r_u32()?),
-        24 => Instr::MakeMap {
-            keys: r.r_u32()?,
-            n: r.r_u32()?,
-        },
-        25 => Instr::AssignPath {
-            root: r.r_u32()?,
-            n_idx: r.r_u32()?,
-        },
-        26 => Instr::AssignPathUndef {
-            name: r.r_u32()?,
-            n_idx: r.r_u32()?,
-        },
-        27 => Instr::AssignErrBadTarget,
-        28 => Instr::AssignErrBadRoot,
-        29 => Instr::IterNew,
-        30 => Instr::IterNext {
-            slot: r.r_u32()?,
-            end: r.r_u32()?,
-        },
-        31 => Instr::IterPop,
-        32 => Instr::LoopControlErr,
-        33 => Instr::Return,
-        34 => Instr::ReturnNull,
-        _ => return Err(VerifyError::Decode(format!("bad opcode tag {tag}"))),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Program;
+    use crate::ast::{Program, UnaryOp};
+    use crate::eval::BuiltinId;
 
     fn compiled(src: &str) -> CompiledProgram {
         Program::parse(src)
@@ -1138,43 +714,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bytes_round_trip_and_verify() {
-        for src in CORPUS {
-            let cp = compiled(src);
-            let bytes = cp.to_bytes();
-            let back = CompiledProgram::from_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("{src:?} failed round trip: {e}"));
-            assert_eq!(cp, back, "round-trip drift on {src:?}");
-        }
-    }
-
-    #[test]
-    fn any_single_byte_flip_is_rejected() {
-        let cp = compiled("let x = 2; while (x > 0) { x = x - 1; } return self.get(\"x\");");
-        let bytes = cp.to_bytes();
-        for idx in 0..bytes.len() {
-            let mut damaged = bytes.clone();
-            damaged[idx] ^= 0x01;
-            assert!(
-                CompiledProgram::from_bytes(&damaged).is_err(),
-                "flip at byte {idx} was accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn truncations_are_rejected() {
-        let bytes = compiled("return 1 + 2;").to_bytes();
-        for keep in 0..bytes.len() {
-            assert!(
-                CompiledProgram::from_bytes(&bytes[..keep]).is_err(),
-                "truncation to {keep} bytes was accepted"
-            );
-        }
-    }
-
-    // -- targeted structural tampering (bypasses the checksum) -----------
+    // -- targeted structural tampering -------------------------------------
 
     #[test]
     fn jump_into_block_interior_is_rejected() {
@@ -1286,6 +826,248 @@ mod tests {
         ));
     }
 
+    /// Every single-operand edit of `instr`: each numeric operand set to
+    /// boundary and neighbouring values, each operator, builtin or
+    /// unary op swapped for the others.
+    fn operand_mutants(instr: Instr, n_instrs: usize) -> Vec<Instr> {
+        const BINARY_OPS: [BinaryOp; 13] = [
+            BinaryOp::Or,
+            BinaryOp::And,
+            BinaryOp::Eq,
+            BinaryOp::Ne,
+            BinaryOp::Lt,
+            BinaryOp::Le,
+            BinaryOp::Gt,
+            BinaryOp::Ge,
+            BinaryOp::Add,
+            BinaryOp::Sub,
+            BinaryOp::Mul,
+            BinaryOp::Div,
+            BinaryOp::Rem,
+        ];
+        let values = |x: u32| {
+            let n = u32::try_from(n_instrs).expect("small program");
+            let mut vs = vec![0, 1, x.wrapping_sub(1), x.wrapping_add(1), n, u32::MAX];
+            vs.retain(|&v| v != x);
+            vs
+        };
+        let nums = |x: u32, build: &dyn Fn(u32) -> Instr| -> Vec<Instr> {
+            values(x).into_iter().map(build).collect()
+        };
+        let ops = |build: &dyn Fn(BinaryOp) -> Instr| -> Vec<Instr> {
+            BINARY_OPS
+                .iter()
+                .map(|&op| build(op))
+                .filter(|&m| m != instr)
+                .collect()
+        };
+        match instr {
+            Instr::Charge(t) => nums(t, &Instr::Charge),
+            Instr::LoadConst(i) => nums(i, &Instr::LoadConst),
+            Instr::LoadLocal(s) => nums(s, &Instr::LoadLocal),
+            Instr::StoreLocal(s) => nums(s, &Instr::StoreLocal),
+            Instr::LoadUndef(i) => nums(i, &Instr::LoadUndef),
+            Instr::StoreUndef(i) => nums(i, &Instr::StoreUndef),
+            Instr::Unary(op) => vec![Instr::Unary(match op {
+                UnaryOp::Neg => UnaryOp::Not,
+                UnaryOp::Not => UnaryOp::Neg,
+            })],
+            Instr::Binary(_) => ops(&Instr::Binary),
+            Instr::BinaryLL { op, a, b } => {
+                let mut out = ops(&|op| Instr::BinaryLL { op, a, b });
+                out.extend(nums(a, &|a| Instr::BinaryLL { op, a, b }));
+                out.extend(nums(b, &|b| Instr::BinaryLL { op, a, b }));
+                out
+            }
+            Instr::BinaryLC { op, a, c } => {
+                let mut out = ops(&|op| Instr::BinaryLC { op, a, c });
+                out.extend(nums(a, &|a| Instr::BinaryLC { op, a, c }));
+                out.extend(nums(c, &|c| Instr::BinaryLC { op, a, c }));
+                out
+            }
+            Instr::BinaryTL { op, b } => {
+                let mut out = ops(&|op| Instr::BinaryTL { op, b });
+                out.extend(nums(b, &|b| Instr::BinaryTL { op, b }));
+                out
+            }
+            Instr::BinaryTC { op, c } => {
+                let mut out = ops(&|op| Instr::BinaryTC { op, c });
+                out.extend(nums(c, &|c| Instr::BinaryTC { op, c }));
+                out
+            }
+            Instr::Jump(t) => nums(t, &Instr::Jump),
+            Instr::JumpIfFalse(t) => nums(t, &Instr::JumpIfFalse),
+            Instr::AndCheck(t) => nums(t, &Instr::AndCheck),
+            Instr::OrCheck(t) => nums(t, &Instr::OrCheck),
+            Instr::Call { builtin, argc } => {
+                let mut out = nums(argc, &|argc| Instr::Call { builtin, argc });
+                for name in [
+                    "len", "range", "substr", "push", "set", "fail", "join", "keys",
+                ] {
+                    let other = BuiltinId::from_name(name).expect("a builtin");
+                    if other != builtin {
+                        out.push(Instr::Call {
+                            builtin: other,
+                            argc,
+                        });
+                    }
+                }
+                out
+            }
+            Instr::CallUnknown { name, argc } => {
+                let mut out = nums(name, &|name| Instr::CallUnknown { name, argc });
+                out.extend(nums(argc, &|argc| Instr::CallUnknown { name, argc }));
+                out
+            }
+            Instr::HostCall { name, argc, site } => {
+                let mut out = nums(name, &|name| Instr::HostCall { name, argc, site });
+                out.extend(nums(argc, &|argc| Instr::HostCall { name, argc, site }));
+                out.extend(nums(site, &|site| Instr::HostCall { name, argc, site }));
+                out
+            }
+            Instr::MakeList(count) => nums(count, &Instr::MakeList),
+            Instr::MakeMap { keys, n } => {
+                let mut out = nums(keys, &|keys| Instr::MakeMap { keys, n });
+                out.extend(nums(n, &|n| Instr::MakeMap { keys, n }));
+                out
+            }
+            Instr::AssignPath { root, n_idx } => {
+                let mut out = nums(root, &|root| Instr::AssignPath { root, n_idx });
+                out.extend(nums(n_idx, &|n_idx| Instr::AssignPath { root, n_idx }));
+                out
+            }
+            Instr::AssignPathUndef { name, n_idx } => {
+                let mut out = nums(name, &|name| Instr::AssignPathUndef { name, n_idx });
+                out.extend(nums(n_idx, &|n_idx| Instr::AssignPathUndef { name, n_idx }));
+                out
+            }
+            Instr::IterNext { slot, end } => {
+                let mut out = nums(slot, &|slot| Instr::IterNext { slot, end });
+                out.extend(nums(end, &|end| Instr::IterNext { slot, end }));
+                out
+            }
+            Instr::Nop
+            | Instr::Pop
+            | Instr::Truthy
+            | Instr::Index
+            | Instr::AssignErrBadTarget
+            | Instr::AssignErrBadRoot
+            | Instr::IterNew
+            | Instr::IterPop
+            | Instr::LoopControlErr
+            | Instr::Return
+            | Instr::ReturnNull => Vec::new(),
+        }
+    }
+
+    /// Every program that differs from `cp` in one instruction operand,
+    /// one `costs` entry or one `refunds` entry.
+    fn mutants(cp: &CompiledProgram) -> Vec<CompiledProgram> {
+        let mut out = Vec::new();
+        for pc in 0..cp.instrs.len() {
+            for instr in operand_mutants(cp.instrs[pc], cp.instrs.len()) {
+                let mut m = cp.clone();
+                m.instrs[pc] = instr;
+                out.push(m);
+            }
+            for v in [0, 1, cp.costs[pc].wrapping_add(1), u32::MAX] {
+                if v != cp.costs[pc] {
+                    let mut m = cp.clone();
+                    m.costs[pc] = v;
+                    out.push(m);
+                }
+            }
+            for v in [0, 1, cp.refunds[pc].wrapping_add(1), u32::MAX] {
+                if v != cp.refunds[pc] {
+                    let mut m = cp.clone();
+                    m.refunds[pc] = v;
+                    out.push(m);
+                }
+            }
+        }
+        out
+    }
+
+    /// Hostile in-memory bytecode: each single-operand, single-cost or
+    /// single-refund mutant of the corpus and of seeded programs is
+    /// either rejected by [`verify`] or runs on the VM to a value or a
+    /// structured error — never a panic — within its fuel.
+    #[test]
+    fn mutated_programs_are_rejected_or_run_safely() {
+        use crate::eval::NullHost;
+        use crate::vm::Vm;
+        use mrom_value::Value;
+
+        const FUEL: u64 = 2_000;
+        let programs = CORPUS
+            .iter()
+            .map(|src| compiled(src))
+            .chain((0..24).map(|seed| {
+                crate::test_programs::GenCtx::program(seed)
+                    .compiled()
+                    .as_ref()
+                    .clone()
+            }));
+        let (mut rejected, mut ran) = (0u64, 0u64);
+        for (i, cp) in programs.enumerate() {
+            for m in mutants(&cp) {
+                if verify(&m).is_err() {
+                    rejected += 1;
+                    continue;
+                }
+                ran += 1;
+                let outcome = std::panic::catch_unwind(|| {
+                    let mut host = NullHost;
+                    let mut vm = Vm::with_fuel(&mut host, FUEL);
+                    let _ = vm.run(&m, &[Value::Int(3), Value::from("abc")]);
+                    vm.fuel_used()
+                });
+                match outcome {
+                    Ok(used) => assert!(used <= FUEL, "program {i}: burned {used} > {FUEL}"),
+                    Err(_) => panic!(
+                        "program {i}: a verified mutant panicked the VM:\n{}",
+                        m.disassemble()
+                    ),
+                }
+            }
+        }
+        assert!(rejected > 0 && ran > 0, "rejected {rejected}, ran {ran}");
+    }
+
+    #[test]
+    fn binary_short_circuit_operator_is_rejected() {
+        let mut cp = compiled("param a; param b; return a + b;");
+        let pc = cp
+            .instrs
+            .iter()
+            .position(|i| matches!(i, Instr::BinaryLL { .. }))
+            .expect("fused local + local");
+        let Instr::BinaryLL { a, b, .. } = cp.instrs[pc] else {
+            unreachable!("matched above")
+        };
+        cp.instrs[pc] = Instr::BinaryLL {
+            op: BinaryOp::And,
+            a,
+            b,
+        };
+        assert_eq!(verify(&cp), Err(VerifyError::ShortCircuitOperator { pc }));
+    }
+
+    #[test]
+    fn indexed_assignment_without_an_index_is_rejected() {
+        let mut cp = compiled("let m = [1]; m[0] = 2; return m;");
+        let pc = cp
+            .instrs
+            .iter()
+            .position(|i| matches!(i, Instr::AssignPath { .. }))
+            .expect("indexed assignment");
+        let Instr::AssignPath { root, .. } = cp.instrs[pc] else {
+            unreachable!("matched above")
+        };
+        cp.instrs[pc] = Instr::AssignPath { root, n_idx: 0 };
+        assert_eq!(verify(&cp), Err(VerifyError::EmptyAssignPath { pc }));
+    }
+
     #[test]
     fn errors_display_their_pc() {
         let e = VerifyError::StackUnderflow {
@@ -1294,8 +1076,5 @@ mod tests {
             need: 2,
         };
         assert!(e.to_string().contains("pc 7"));
-        assert!(VerifyError::ChecksumMismatch
-            .to_string()
-            .contains("checksum"));
     }
 }

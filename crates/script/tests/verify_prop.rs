@@ -1,7 +1,8 @@
 //! Compiler/verifier agreement properties: every compiled form the
-//! compiler emits must pass independent bytecode verification, survive a
-//! byte round trip unchanged, and any single-byte corruption of the
-//! staged encoding must be rejected before a `Vm` can see it.
+//! compiler emits must pass independent bytecode verification. (Hostile
+//! bytecode — single-operand, cost and refund mutants of these same
+//! programs — is covered in-crate, next to the verifier, because only the
+//! crate can edit a compiled form.)
 //!
 //! The random programs come from the same seeded generator the
 //! interpreter/VM differential battery sweeps (`tests/common/mod.rs`),
@@ -9,7 +10,7 @@
 //! that the execution-equivalence evidence covers. `MROM_DIFF_SEEDS`
 //! widens the sweep in CI exactly as it does for the differential tests.
 
-use mrom_script::{verify, CompiledProgram, Program, VerifyError};
+use mrom_script::{verify, Program};
 use proptest::prelude::*;
 
 mod common;
@@ -51,16 +52,6 @@ fn every_compiled_program_verifies_cleanly() {
     }
 }
 
-#[test]
-fn byte_round_trip_is_lossless_and_verified() {
-    for seed in 0..sweep_seeds() {
-        let cp = GenCtx::program(seed).compiled();
-        let back = CompiledProgram::from_bytes(&cp.to_bytes())
-            .unwrap_or_else(|e| panic!("seed {seed} round trip rejected: {e}"));
-        assert_eq!(back, *cp, "seed {seed}: round trip must be identity");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -71,41 +62,5 @@ proptest! {
     fn random_programs_compile_to_verified_bytecode(seed in 0u64..1_000_000) {
         let p = GenCtx::program(seed);
         prop_assert!(verify(&p.compiled()).is_ok(), "seed {seed} must verify");
-    }
-
-    /// Single-byte corruption discipline: flipping any byte of a staged
-    /// encoding (any position, any non-zero xor) must be rejected — the
-    /// checksum covers every content byte, and damage to the checksum
-    /// itself mismatches the recomputation. No corrupted stream may
-    /// decode into a program.
-    #[test]
-    fn any_single_byte_mutation_is_rejected(
-        seed in 0u64..10_000,
-        pos_frac in 0.0f64..1.0,
-        xor in 1u8..=255,
-    ) {
-        let bytes = GenCtx::program(seed).compiled().to_bytes();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
-        let mut bad = bytes;
-        bad[pos] ^= xor;
-        let rejected = CompiledProgram::from_bytes(&bad);
-        prop_assert!(
-            rejected.is_err(),
-            "seed {seed}: flipping byte {pos} with {xor:#04x} must not decode"
-        );
-        // Byte-level damage is caught by the checksum before any
-        // structural decoding runs.
-        prop_assert_eq!(rejected.unwrap_err(), VerifyError::ChecksumMismatch);
-    }
-
-    /// Truncation discipline: any proper prefix of a staged encoding is
-    /// rejected.
-    #[test]
-    fn truncated_streams_are_rejected(seed in 0u64..10_000, keep_frac in 0.0f64..1.0) {
-        let bytes = GenCtx::program(seed).compiled().to_bytes();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let keep = ((bytes.len() - 1) as f64 * keep_frac) as usize;
-        prop_assert!(CompiledProgram::from_bytes(&bytes[..keep]).is_err());
     }
 }

@@ -483,6 +483,34 @@ fn hostile_wire_garbage_does_not_wedge_the_engine() {
     );
 }
 
+#[test]
+fn imported_guest_survives_a_crash_of_the_importing_site() {
+    let (mut fed, nodes) = star_federation(4, 2, LinkConfig::lan()).unwrap();
+    let (hub, spoke) = (nodes[0], nodes[1]);
+    integrate_db_like(&mut fed, hub);
+    let amb = fed.import_apo(spoke, hub, "db").unwrap();
+
+    fed.crash_site(spoke).unwrap();
+    fed.restart_site(spoke).unwrap();
+
+    // The installed guest bootstraps back from the importer's depot, and
+    // the site's guest list names only objects it actually hosts.
+    let guests = fed.guests(spoke).unwrap();
+    assert_eq!(guests, vec![(amb, "db".to_owned())]);
+    for (id, _) in &guests {
+        assert!(
+            fed.runtime(spoke).unwrap().object(*id).is_some(),
+            "guest {id} is listed but not hosted after the restart"
+        );
+    }
+    let client = fed.runtime_mut(spoke).unwrap().ids_mut().next_id();
+    assert_eq!(
+        fed.call_through_ambassador(spoke, client, amb, "count", &[])
+            .unwrap(),
+        Value::Int(4)
+    );
+}
+
 fn integrate_db_like(fed: &mut Federation, at: NodeId) {
     let apo =
         employee_db_class().instantiate_as(fed.runtime_mut(at).unwrap().ids_mut().next_id(), None);
