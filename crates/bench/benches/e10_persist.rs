@@ -2,8 +2,9 @@
 //!
 //! Rows: an object writing itself into a memory depot and bootstrapping
 //! back, at several cargo sizes; the same against the log-structured file
-//! store; recovery scans; compaction of a churned log; and the CRC-32
-//! every record carries, at 2 KiB and 64 KiB.
+//! store; recovery scans; compaction of a churned log; the CRC-32 every
+//! file record carries, at 2 KiB and 64 KiB; and, in group `landing_put`,
+//! the depot write of a landed migration at 64 B, 4 KiB and 64 KiB.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -92,9 +93,10 @@ fn bench_persist(c: &mut Criterion) {
     });
     let _ = std::fs::remove_dir_all(&dir);
 
-    // The record checksum both stores run on every put and get: a
-    // migration image is a few KiB, the largest benchmark payload 64 KiB.
-    // Last in the group, so the throughput annotation marks only these.
+    // The record checksum the file store runs on every put and get (the
+    // memory store runs it only on blobs a test corrupted): a migration
+    // image is a few KiB, the largest benchmark payload 64 KiB. Last in
+    // the group, so the throughput annotation marks only these.
     for size in [2_048usize, 65_536] {
         let data: Vec<u8> = (0..size).map(|i| (i * 31 + 7) as u8).collect();
         group.throughput(Throughput::Bytes(size as u64));
@@ -105,5 +107,27 @@ fn bench_persist(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_persist);
+/// The destination's depot write of a landed migration: `save_image`
+/// over a memory store, handed the received image by value. Each
+/// iteration clones the image first (the stub times setup too), standing
+/// in for the decoded request buffer the landing path already owns, so
+/// a row is one image copy plus the put itself.
+fn bench_landing_put(c: &mut Criterion) {
+    let mut group = c.benchmark_group("landing_put");
+    let id = bench_ids().next_id();
+    for size in [64usize, 4_096, 65_536] {
+        let image: Vec<u8> = (0..size).map(|i| (i * 31 + 7) as u8).collect();
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(size), &image, |b, image| {
+            let mut depot = Depot::new(MemStore::new());
+            b.iter_with_setup(
+                || image.clone(),
+                |image| depot.save_image(id, image).unwrap(),
+            );
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_persist, bench_landing_put);
 criterion_main!(benches);

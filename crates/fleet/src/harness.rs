@@ -273,6 +273,9 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
     let mut failed_per = vec![0u32; total];
     let mut touched: BTreeSet<usize> = BTreeSet::new();
     let mut down: BTreeSet<NodeId> = BTreeSet::new();
+    // Objects whose move this run parked in-doubt: `hosts` is stale for
+    // them until a heal settles the move and re-reads their host.
+    let mut parked: BTreeSet<usize> = BTreeSet::new();
     let mut report = FleetReport {
         topology: cfg.topology.name(),
         seed,
@@ -314,13 +317,11 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
     let mut next_event = 0usize;
     for op in 0..cfg.invocations {
         while next_event < schedule.len() && schedule[next_event].0 <= op {
-            apply_fault(
-                &mut fed,
-                schedule[next_event].1,
-                &edges,
-                &mut down,
-                &mut report,
-            )?;
+            let step = schedule[next_event].1;
+            apply_fault(&mut fed, step, &edges, &mut down, &mut report)?;
+            if step == Fault::Heal {
+                settle_parked(&mut fed, &sites, &objects, &mut hosts, &mut parked)?;
+            }
             next_event += 1;
         }
 
@@ -404,15 +405,19 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
                         report.migrations_ok += 1;
                         hosts[m] = to;
                     }
-                    // Parked in-doubt; the drain settles ownership.
-                    Err(HadasError::Timeout { .. }) => report.migrations_failed += 1,
+                    // Parked in-doubt; the next heal or the drain
+                    // settles ownership.
+                    Err(HadasError::Timeout { .. }) => {
+                        report.migrations_failed += 1;
+                        parked.insert(m);
+                    }
                     Err(_) => report.migrations_skipped += 1,
                 }
             }
         }
 
         if cfg.advisor.enabled && fed.now().as_micros() >= next_epoch_at {
-            advisor_pass(
+            parked.extend(advisor_pass(
                 &mut fed,
                 &mut advisor,
                 &mut advisor_report,
@@ -420,7 +425,7 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
                 &objects,
                 &mut hosts,
                 &down,
-            )?;
+            )?);
             next_epoch_at = fed.now().as_micros() + cfg.advisor.epoch_us.max(1);
         }
     }
@@ -568,11 +573,50 @@ fn apply_fault(
     Ok(())
 }
 
+/// Settles every in-doubt move, then re-reads the host of each object
+/// whose move the run parked. Only a settled object is re-homed: while
+/// its move is parked it may already be hosted at the destination, and a
+/// move on from there would let the origin's resolution, which finds it
+/// gone from the destination, re-adopt the parked image as a second
+/// copy. An object still parked, or settled onto a site that is down,
+/// keeps its stale host until a later heal.
+fn settle_parked(
+    fed: &mut Federation,
+    sites: &[NodeId],
+    objects: &[ObjectId],
+    hosts: &mut [NodeId],
+    parked: &mut BTreeSet<usize>,
+) -> Result<(), HadasError> {
+    fed.settle_in_doubt()?;
+    let mut unsettled = BTreeSet::new();
+    for &node in sites {
+        unsettled.extend(fed.in_doubt(node)?.into_iter().map(|(object, _)| object));
+    }
+    parked.retain(|&m| {
+        if unsettled.contains(&objects[m]) {
+            return true;
+        }
+        let host = sites.iter().copied().find(|&node| {
+            fed.runtime(node)
+                .is_ok_and(|rt| rt.object(objects[m]).is_some())
+        });
+        match host {
+            Some(node) => {
+                hosts[m] = node;
+                false
+            }
+            None => true,
+        }
+    });
+    Ok(())
+}
+
 /// One advisory epoch: global telemetry snapshot → effect-system
 /// candidate table → pure [`Advisor::decide`] → execute each decision
 /// through the ordinary federation machinery → commit the evidence
 /// ledgers. The pass itself consumes no RNG: every decision is a pure
 /// function of the snapshot, the config, and the accumulated state.
+/// Returns the objects whose move it parked in-doubt.
 #[allow(clippy::too_many_lines)]
 fn advisor_pass(
     fed: &mut Federation,
@@ -582,7 +626,7 @@ fn advisor_pass(
     objects: &[ObjectId],
     hosts: &mut [NodeId],
     down: &BTreeSet<NodeId>,
-) -> Result<(), HadasError> {
+) -> Result<Vec<usize>, HadasError> {
     let snap = fed.telemetry();
     let stats = fed.net_stats().clone();
     let mut candidates = BTreeMap::new();
@@ -627,6 +671,7 @@ fn advisor_pass(
     let member: BTreeMap<ObjectId, usize> =
         objects.iter().enumerate().map(|(i, &id)| (id, i)).collect();
     let mut shed_this_pass = false;
+    let mut parked = Vec::new();
     for decision in &pass.decisions {
         match *decision {
             AdvisorDecision::Migrate { object, from, to } => {
@@ -648,8 +693,12 @@ fn advisor_pass(
                         advisor_report.migrations_ok += 1;
                         hosts[i] = to;
                     }
-                    // Parked in-doubt; the final drain settles it.
-                    Err(HadasError::Timeout { .. }) => advisor_report.migrations_failed += 1,
+                    // Parked in-doubt; the next heal or the drain
+                    // settles it.
+                    Err(HadasError::Timeout { .. }) => {
+                        advisor_report.migrations_failed += 1;
+                        parked.push(i);
+                    }
                     Err(_) => advisor_report.migrations_skipped += 1,
                 }
             }
@@ -682,7 +731,7 @@ fn advisor_pass(
     advisor_report.thrash_aborts += pass.thrash_aborts;
     advisor_report.epochs += 1;
     advisor.commit(&input, &pass);
-    Ok(())
+    Ok(parked)
 }
 
 #[cfg(test)]

@@ -730,7 +730,7 @@ impl Federation {
                 // The migrating object's trace context travelled with it:
                 // adoption and the arrival hook stay on the origin's trace.
                 let _scope = mrom_obs::continue_trace(trace, parent_span);
-                let reply = match self.handle_move(delivery.dst, delivery.src, &image) {
+                let reply = match self.handle_move(delivery.dst, delivery.src, image) {
                     Ok(adopted) => ProtocolMsg::MoveAck { req_id, adopted },
                     Err(e) => ProtocolMsg::Error {
                         req_id,
@@ -900,14 +900,16 @@ impl Federation {
     }
 
     /// Receives a migrating object: unpack, adopt, run its `on_arrival`
-    /// hook (if any) with an arrival context.
+    /// hook (if any) with an arrival context. The decoded image is taken
+    /// by value: the object is unpacked from a borrow of it and the
+    /// buffer itself then moves into the depot.
     fn handle_move(
         &mut self,
         at: NodeId,
         from: NodeId,
-        image: &[u8],
+        image: Vec<u8>,
     ) -> Result<ObjectId, HadasError> {
-        let obj = self.admit_image(at, image)?;
+        let obj = self.admit_image(at, &image)?;
         let id = obj.id();
         let now = self.net.now().as_millis();
         let site = self.sites.get_mut(&at).ok_or(HadasError::UnknownSite(at))?;
@@ -917,9 +919,10 @@ impl Federation {
         // object runs, so a crash immediately after adoption still
         // restores it; and after adoption, so a refused arrival (an
         // identity already hosted here) cannot overwrite that object's
-        // image. The raw bytes are exactly the migration image. This is
-        // the one depot write of a move that lands: the origin writes
-        // its copy only when the move fails.
+        // image. The raw bytes are exactly the migration image, and the
+        // received buffer is moved in, not copied. This is the one depot
+        // write of a move that lands: the origin writes its copy only
+        // when the move fails.
         let _ = site.depot.save_image(id, image);
         mrom_obs::object_adopted(id, at);
         let has_hook = site
@@ -1113,7 +1116,7 @@ impl Federation {
                 // ambassador's meta ACL withholds `migration_image` from
                 // the guest itself, so `Depot::save` would be refused.
                 if let Some(Ok(image)) = site.runtime.object(amb_id).map(MromObject::image_bytes) {
-                    let _ = site.depot.save_image(amb_id, &image);
+                    let _ = site.depot.save_image(amb_id, image);
                 }
                 let ioo = site.ioo;
                 if let Some(ioo_obj) = site.runtime.object_mut(ioo) {
@@ -1469,7 +1472,8 @@ impl Federation {
         // re-adopting could *duplicate* the object: it is parked
         // in-doubt, and [`Federation::resolve_in_doubt`] settles
         // ownership from the parked image once the destination answers.
-        // Either way the depot gets the exact image that was sent.
+        // Either way the depot gets the exact image that was sent: the
+        // buffer moves out of the request into the depot.
         let never_arrived = match failure {
             HadasError::Remote(_) | HadasError::Net(_) => true,
             HadasError::Timeout { .. } => {
@@ -1478,7 +1482,7 @@ impl Federation {
             }
             _ => false,
         };
-        let ProtocolMsg::MoveObject { image, .. } = &msg else {
+        let ProtocolMsg::MoveObject { image, .. } = msg else {
             unreachable!("built above as a move")
         };
         let site = self.site_mut(from)?;

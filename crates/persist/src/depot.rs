@@ -49,19 +49,21 @@ impl<S: BlobStore> Depot<S> {
     pub fn save(&mut self, obj: &MromObject) -> Result<(), PersistError> {
         // The object acts with its own authority when persisting itself.
         let image = obj.migration_image(obj.id())?;
-        self.save_image(obj.id(), &image)
+        self.save_image(obj.id(), image)
     }
 
     /// Stores an image the object already produced (the bytes of a
     /// migration, sent or received) under its identity: the depot write
-    /// of [`Depot::save`] without re-encoding.
+    /// of [`Depot::save`] without re-encoding. The buffer is handed to
+    /// [`BlobStore::put_owned`], so an in-memory store keeps a received
+    /// image without a copy.
     ///
     /// # Errors
     ///
     /// Backend I/O failures.
-    pub fn save_image(&mut self, id: ObjectId, image: &[u8]) -> Result<(), PersistError> {
+    pub fn save_image(&mut self, id: ObjectId, image: Vec<u8>) -> Result<(), PersistError> {
         mrom_obs::depot_save(id, image.len());
-        self.store.put(&id.to_string(), image)
+        self.store.put_owned(&id.to_string(), image)
     }
 
     /// `true` when an image for `id` is stored.

@@ -10,7 +10,11 @@ use crate::error::PersistError;
 ///
 /// Implementations must be durable within their own medium ([`crate::MemStore`]
 /// for the process lifetime, [`crate::FileStore`] across crashes) and must
-/// detect corruption on read rather than return damaged bytes.
+/// detect, on read, the corruption that medium can suffer rather than
+/// return damaged bytes. A disk rots, so [`crate::FileStore`] checksums
+/// every record; process memory does not, so [`crate::MemStore`]
+/// checksums only the blobs its [`crate::MemStore::corrupt`] test hook
+/// damages, and a put there costs no pass over the bytes.
 pub trait BlobStore {
     /// Writes (or replaces) the blob under `key`.
     ///
@@ -18,6 +22,18 @@ pub trait BlobStore {
     ///
     /// Backend I/O failures.
     fn put(&mut self, key: &str, data: &[u8]) -> Result<(), PersistError>;
+
+    /// Writes (or replaces) the blob under `key`, taking ownership of
+    /// `data`: a store that keeps blobs in memory can keep this buffer
+    /// instead of copying it. By default it forwards to
+    /// [`BlobStore::put`].
+    ///
+    /// # Errors
+    ///
+    /// Backend I/O failures.
+    fn put_owned(&mut self, key: &str, data: Vec<u8>) -> Result<(), PersistError> {
+        self.put(key, &data)
+    }
 
     /// Reads the blob under `key`, `None` when absent.
     ///

@@ -434,6 +434,50 @@ fn a_move_refused_by_its_arrival_hook_leaves_no_copy_behind() {
 }
 
 #[test]
+fn a_landed_move_survives_a_crash_of_its_destination() {
+    let (mut fed, nodes) = star_federation(20, 3, LinkConfig::lan()).unwrap();
+    let (hub, a) = (nodes[0], nodes[1]);
+    let rt = fed.runtime_mut(a).unwrap();
+    let agent = mrom::core::ObjectBuilder::new(rt.ids_mut().next_id())
+        .class("agent")
+        .meta_acl(mrom::core::Acl::Public)
+        .ext_data("hops", DataItem::public(Value::Int(0)))
+        .ext_data(
+            "cargo",
+            DataItem::public(Value::Bytes((0..=255).cycle().take(4096).collect())),
+        )
+        .build();
+    let id = agent.id();
+    rt.adopt(agent).unwrap();
+    rt.object_mut(id)
+        .unwrap()
+        .write_data(id, "hops", Value::Int(7))
+        .unwrap();
+    let sent = fed
+        .runtime(a)
+        .unwrap()
+        .object(id)
+        .unwrap()
+        .image_bytes()
+        .unwrap();
+
+    fed.dispatch_object(a, hub, id).unwrap();
+    // The destination crashes right after the move landed: the only
+    // copy left is the image its depot took over from the request.
+    fed.crash_site(hub).unwrap();
+    let (_, quarantined) = fed.restart_site(hub).unwrap();
+    assert_eq!(quarantined, 0);
+    let back = fed.runtime(hub).unwrap().object(id);
+    assert!(back.is_some(), "the landed object was lost by the crash");
+    assert_eq!(back.unwrap().image_bytes().unwrap(), sent);
+    assert!(fed.runtime(a).unwrap().object(id).is_none());
+    // The origin dropped its copy when the move landed.
+    fed.crash_site(a).unwrap();
+    fed.restart_site(a).unwrap();
+    assert!(fed.runtime(a).unwrap().object(id).is_none());
+}
+
+#[test]
 fn dispatch_rejects_non_mobile_objects_without_losing_them() {
     let (mut fed, nodes) = star_federation(10, 2, LinkConfig::lan()).unwrap();
     let (hub, spoke) = (nodes[0], nodes[1]);
