@@ -87,7 +87,7 @@ fn level_two_tower_produces_nested_spans() {
     let details: Vec<(&str, u32)> = starts
         .iter()
         .map(|e| match &e.kind {
-            EventKind::InvokeStart { method, level, .. } => (method.as_str(), *level),
+            EventKind::InvokeStart { method, level, .. } => (&**method, *level),
             _ => unreachable!(),
         })
         .collect();

@@ -105,7 +105,7 @@ fn busy_collisions_are_classified_by_signature_disjointness<H: Host>() {
                 incoming,
                 disjoint,
                 ..
-            } => Some((in_flight, incoming, disjoint)),
+            } => Some((in_flight.to_string(), incoming.to_string(), disjoint)),
             _ => None,
         })
         .collect();

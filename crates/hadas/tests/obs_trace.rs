@@ -109,7 +109,7 @@ fn remote_invocation_joins_the_senders_trace() {
     // operation span, in the same trace.
     let start = events
         .iter()
-        .find(|e| matches!(&e.kind, EventKind::InvokeStart { method, .. } if method == "ping"))
+        .find(|e| matches!(&e.kind, EventKind::InvokeStart { method, .. } if &**method == "ping"))
         .expect("remote execution recorded");
     assert_ne!(op.event.trace, 0);
     assert_eq!(start.event.trace, op.event.trace);

@@ -7,6 +7,7 @@
 //! it is recorded, which is how nested meta-levels produce nested spans.
 
 use std::fmt;
+use std::sync::Arc;
 
 use mrom_value::{NodeId, ObjectId};
 
@@ -35,7 +36,9 @@ impl WrapStage {
 /// Field conventions: `object` is the receiver the event concerns,
 /// `method` is the *selector as invoked* (a meta-level sees the base
 /// method's name in its arguments, not here), and byte counts are wire
-/// sizes after encoding.
+/// sizes after encoding. Selector names are shared `Arc<str>` handles
+/// from the recorder's name interner, so recording an event copies no
+/// string.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// An invocation entered the Apply machinery (one per tower level).
@@ -43,7 +46,7 @@ pub enum EventKind {
         /// Receiver of the invocation.
         object: ObjectId,
         /// Selector being invoked at this level.
-        method: String,
+        method: Arc<str>,
         /// Identity the ACL check will run against.
         caller: ObjectId,
         /// Tower level this application runs at (0 = base level).
@@ -54,7 +57,7 @@ pub enum EventKind {
         /// Receiver of the invocation.
         object: ObjectId,
         /// Selector that was invoked.
-        method: String,
+        method: Arc<str>,
         /// `"ok"` or the error's stable label.
         outcome: &'static str,
         /// Fuel consumed between start and end (includes nested calls).
@@ -65,7 +68,7 @@ pub enum EventKind {
         /// Receiver searched.
         object: ObjectId,
         /// Selector searched for.
-        method: String,
+        method: Arc<str>,
         /// Whether the generation-stamped dispatch cache answered.
         cache_hit: bool,
         /// Whether a method was found at all.
@@ -76,7 +79,7 @@ pub enum EventKind {
         /// Receiver whose item was guarded.
         object: ObjectId,
         /// Selector whose `invoke_acl` was consulted.
-        method: String,
+        method: Arc<str>,
         /// Identity that asked.
         caller: ObjectId,
         /// The verdict.
@@ -87,7 +90,7 @@ pub enum EventKind {
         /// Receiver of the wrapped invocation.
         object: ObjectId,
         /// Selector whose wrap ran.
-        method: String,
+        method: Arc<str>,
         /// Which wrap stage.
         stage: WrapStage,
         /// Truthy verdict lets the invocation proceed / commit.
@@ -107,7 +110,7 @@ pub enum EventKind {
         /// The level being entered (topmost = tower length).
         level: u32,
         /// Name of the meta-invoke method at that level.
-        meta: String,
+        meta: Arc<str>,
     },
     /// A script body finished executing.
     ScriptRun {
@@ -123,7 +126,7 @@ pub enum EventKind {
         /// Target object.
         target: ObjectId,
         /// Selector.
-        method: String,
+        method: Arc<str>,
     },
     /// A `log` world-call from an executing object.
     Log {
@@ -215,7 +218,7 @@ pub enum EventKind {
         /// The ambassador object.
         object: ObjectId,
         /// Selector relayed.
-        method: String,
+        method: Arc<str>,
     },
     /// A whole object left its site for another.
     ObjectDispatched {
@@ -258,9 +261,9 @@ pub enum EventKind {
         /// The busy object.
         target: ObjectId,
         /// Selector of the in-flight invocation.
-        in_flight: String,
+        in_flight: Arc<str>,
         /// Selector that was refused.
-        incoming: String,
+        incoming: Arc<str>,
         /// Effect-signature verdict: `Some(true)` when the two methods
         /// provably touch disjoint state (the serialization was a
         /// conservative loss), `Some(false)` when they overlap, `None`
@@ -333,10 +336,6 @@ pub struct Event {
     /// Parent span id (0 = root). For a migrated trace's first remote
     /// span this is the dispatching site's span — the causal link.
     pub parent: u64,
-    /// Label of the thread that recorded the event (`None` = unlabeled,
-    /// the single-threaded default). Worker pools label their threads so
-    /// interleaved traces from one site stay attributable.
-    pub thread: Option<std::sync::Arc<str>>,
     /// Virtual time at recording, in microseconds — the simulated
     /// `SimNet` clock (0 until a simulation stamps it). This is the
     /// timestamp the Chrome `trace_event` exporter quotes, so exported
@@ -351,11 +350,7 @@ impl Event {
             f,
             "#{:<5} t{:<3} s{:<3} p{:<3}",
             self.seq, self.trace, self.span, self.parent
-        )?;
-        if let Some(thread) = &self.thread {
-            write!(f, " [{thread}]")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -514,7 +509,6 @@ mod tests {
                 trace: 1,
                 span: 2,
                 parent: 0,
-                thread: None,
                 at_us: 0,
             },
             kind: EventKind::InvokeStart {

@@ -11,15 +11,14 @@
 //! * timestamps are the **virtual-time** stamps on the event envelope
 //!   (microseconds — exactly the unit the format expects), so a seeded
 //!   simulation exports the same trace every run;
-//! * recorder thread labels map to `tid`s (0 = the unlabeled main
-//!   thread), each announced by a `thread_name` metadata event.
+//! * every event sits on one track, `tid` 0, announced by a `thread_name`
+//!   metadata event naming it `main` (one recorder records one
+//!   single-threaded world).
 //!
 //! [`validate_chrome_trace`] is the minimal checker the CLI smoke test
 //! uses: structural JSON-array sanity plus the per-event required keys
 //! and balanced `B`/`E` pairs. It is not a JSON parser — just enough to
 //! catch a malformed export before a human pastes it into a viewer.
-
-use std::collections::BTreeMap;
 
 use mrom_value::Value;
 
@@ -29,31 +28,23 @@ use crate::json::to_json;
 /// Renders events as a Chrome `trace_event` JSON array (see module docs).
 #[must_use]
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    let mut tids: BTreeMap<String, i64> = BTreeMap::new();
-    let mut records: Vec<Value> = Vec::new();
+    let mut records: Vec<Value> = Vec::with_capacity(events.len() + 1);
+    if !events.is_empty() {
+        records.push(Value::map([
+            ("ph", Value::from("M")),
+            ("pid", Value::Int(1)),
+            ("tid", Value::Int(0)),
+            ("name", Value::from("thread_name")),
+            ("args", Value::map([("name", Value::from("main"))])),
+        ]));
+    }
     for te in events {
-        let label = te.event.thread.as_deref().unwrap_or("main");
-        let next = i64::try_from(tids.len()).unwrap_or(i64::MAX);
-        let tid = match tids.get(label) {
-            Some(tid) => *tid,
-            None => {
-                tids.insert(label.to_owned(), next);
-                records.push(Value::map([
-                    ("ph", Value::from("M")),
-                    ("pid", Value::Int(1)),
-                    ("tid", Value::Int(next)),
-                    ("name", Value::from("thread_name")),
-                    ("args", Value::map([("name", Value::from(label))])),
-                ]));
-                next
-            }
-        };
         let (ph, name) = phase_and_name(&te.kind);
         let ts = i64::try_from(te.event.at_us).unwrap_or(i64::MAX);
         let mut fields = vec![
             ("ph", Value::from(ph)),
             ("pid", Value::Int(1)),
-            ("tid", Value::Int(tid)),
+            ("tid", Value::Int(0)),
             ("ts", Value::Int(ts)),
             ("name", Value::from(name)),
             (
@@ -202,7 +193,6 @@ mod tests {
                 trace: 1,
                 span: seq + 1,
                 parent: 0,
-                thread: None,
                 at_us,
             },
             kind: EventKind::InvokeStart {
@@ -221,7 +211,6 @@ mod tests {
                 trace: 1,
                 span: seq,
                 parent: 0,
-                thread: None,
                 at_us,
             },
             kind: EventKind::InvokeEnd {
@@ -252,19 +241,6 @@ mod tests {
         assert!(json.contains("\"name\":\"invoke work\""));
         // One thread_name metadata record plus the three events.
         assert_eq!(validate_chrome_trace(&json), Ok(4));
-    }
-
-    #[test]
-    fn thread_labels_get_their_own_tids() {
-        let mut a = start(0, 5);
-        a.event.thread = Some("site-1-w0".into());
-        let mut b = end(1, 6);
-        b.event.thread = Some("site-1-w0".into());
-        let json = chrome_trace(&[a, b, start(2, 7), end(3, 8)]);
-        assert!(json.contains("\"thread_name\""));
-        assert!(json.contains("\"site-1-w0\""));
-        // Two distinct tids announced.
-        assert_eq!(validate_chrome_trace(&json), Ok(6));
     }
 
     #[test]

@@ -110,19 +110,6 @@ pub fn reset() {
     with_recorder(Recorder::reset);
 }
 
-/// Labels this thread's recorder: every subsequent event carries the
-/// label in its envelope (a multi-threaded caller labels each worker). Pass
-/// `None` to return to the unlabeled single-threaded default.
-pub fn set_thread_label(label: Option<&str>) {
-    with_recorder(|r| r.set_thread_label(label));
-}
-
-/// This thread's recorder label, if any.
-#[must_use]
-pub fn thread_label() -> Option<String> {
-    with_recorder(|r| r.thread_label().map(str::to_owned))
-}
-
 /// Installs (replacing) a custom [`TraceSink`]; returns the previous one.
 pub fn install_sink(sink: Box<dyn TraceSink>) -> Option<Box<dyn TraceSink>> {
     with_recorder(|r| r.install_sink(sink))
@@ -324,9 +311,10 @@ pub fn invoke_start(object: ObjectId, method: &str, caller: ObjectId, level: u32
         per.invocations += 1;
         per.last_method.clear();
         per.last_method.push_str(method);
+        let method = r.intern(method);
         r.open_span(EventKind::InvokeStart {
             object,
-            method: method.to_owned(),
+            method,
             caller,
             level,
         })
@@ -364,11 +352,12 @@ pub fn invoke_end(
             per.errors += 1;
         }
         r.window_invoke(object, ok, fuel_used, latency_ns);
+        let method = r.intern(method);
         r.close_span(
             handle,
             EventKind::InvokeEnd {
                 object,
-                method: method.to_owned(),
+                method,
                 outcome,
                 fuel_used,
             },
@@ -388,9 +377,10 @@ pub fn lookup(object: ObjectId, method: &str, cache_hit: bool, found: bool) {
         } else {
             r.metrics_mut().invoke.cache_misses += 1;
         }
+        let method = r.intern(method);
         r.record(EventKind::Lookup {
             object,
-            method: method.to_owned(),
+            method,
             cache_hit,
             found,
         });
@@ -411,9 +401,10 @@ pub fn acl_decision(object: ObjectId, method: &str, caller: ObjectId, allowed: b
             m.invoke.acl_denied += 1;
             m.object_mut(object).acl_denied += 1;
         }
+        let method = r.intern(method);
         r.record(EventKind::AclDecision {
             object,
-            method: method.to_owned(),
+            method,
             caller,
             allowed,
         });
@@ -434,9 +425,10 @@ pub fn wrap_verdict(object: ObjectId, method: &str, stage: WrapStage, passed: bo
             (WrapStage::Post, true) => m.invoke.post_pass += 1,
             (WrapStage::Post, false) => m.invoke.post_veto += 1,
         }
+        let method = r.intern(method);
         r.record(EventKind::WrapVerdict {
             object,
-            method: method.to_owned(),
+            method,
             stage,
             passed,
         });
@@ -466,10 +458,11 @@ pub fn tower_descend(object: ObjectId, level: u32, meta: &str) {
         let m = r.metrics_mut();
         m.invoke.tower_descents += 1;
         m.invoke.max_tower_depth = m.invoke.max_tower_depth.max(u64::from(level));
+        let meta = r.intern(meta);
         r.record(EventKind::TowerDescend {
             object,
             level,
-            meta: meta.to_owned(),
+            meta,
         });
     });
 }
@@ -530,11 +523,12 @@ pub fn shared_collision(
             m.shared.overlapping_collisions += 1;
         }
         r.window_collision(target);
+        let (in_flight, incoming) = (r.intern(in_flight), r.intern(incoming));
         r.record(EventKind::SharedCollision {
             node,
             target,
-            in_flight: in_flight.to_owned(),
-            incoming: incoming.to_owned(),
+            in_flight,
+            incoming,
             disjoint,
         });
     });
@@ -550,10 +544,11 @@ pub fn runtime_invoke(node: NodeId, target: ObjectId, method: &str) {
         // Call-matrix diagonal: an invocation executed *at* this site
         // (local and remotely-requested dispatches alike).
         r.window_call(node, node);
+        let method = r.intern(method);
         r.record(EventKind::RuntimeInvoke {
             node,
             target,
-            method: method.to_owned(),
+            method,
         });
     });
 }
@@ -767,10 +762,11 @@ pub fn ambassador_relay(host: NodeId, object: ObjectId, method: &str) {
     }
     with_recorder(|r| {
         r.metrics_mut().federation.ambassador_relays += 1;
+        let method = r.intern(method);
         r.record(EventKind::AmbassadorRelay {
             host,
             object,
-            method: method.to_owned(),
+            method,
         });
     });
 }
@@ -962,21 +958,25 @@ mod tests {
     }
 
     #[test]
-    fn thread_label_stamps_events() {
+    fn events_naming_one_selector_share_one_allocation() {
         set_mode(ObsMode::Ring);
-        assert_eq!(thread_label(), None);
-        set_thread_label(Some("site-1-w0"));
-        assert_eq!(thread_label().as_deref(), Some("site-1-w0"));
-        meta_op(ObjectId::SYSTEM, "getClass");
-        set_thread_label(None);
-        meta_op(ObjectId::SYSTEM, "getClass");
+        lookup(ObjectId::SYSTEM, "bump", true, true);
+        let span = invoke_start(ObjectId::SYSTEM, &String::from("bump"), ObjectId::SYSTEM, 0);
+        invoke_end(span, ObjectId::SYSTEM, "bump", "ok", 3);
         let ring = ring_snapshot();
-        let labeled = &ring[ring.len() - 2];
-        let unlabeled = &ring[ring.len() - 1];
-        assert_eq!(labeled.event.thread.as_deref(), Some("site-1-w0"));
-        assert!(labeled.to_string().contains("[site-1-w0]"));
-        assert_eq!(unlabeled.event.thread, None);
-        assert!(!unlabeled.to_string().contains('['));
+        let names: Vec<&std::sync::Arc<str>> = ring
+            .iter()
+            .map(|e| match &e.kind {
+                EventKind::Lookup { method, .. }
+                | EventKind::InvokeStart { method, .. }
+                | EventKind::InvokeEnd { method, .. } => method,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(names.len(), 3);
+        assert_eq!(&**names[0], "bump");
+        assert!(names.iter().all(|n| std::sync::Arc::ptr_eq(n, names[0])));
+        set_mode(ObsMode::Disabled);
     }
 
     #[test]

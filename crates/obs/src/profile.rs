@@ -173,6 +173,13 @@ pub struct TelemetrySnapshot {
 impl TelemetrySnapshot {
     /// Folds the live window buckets into one snapshot. An unwindowed
     /// recorder yields an empty (but schema-complete) snapshot.
+    ///
+    /// Each bucket's maps are already sorted by key, so the fold gathers
+    /// them, groups equal keys into runs (oldest bucket first), and builds
+    /// each output map in one bulk pass from the sorted runs. A key seen
+    /// in one bucket reads its quantiles straight off that bucket's
+    /// histogram; only a key spread over several buckets merges them,
+    /// into one reused stack histogram.
     #[must_use]
     pub fn collect(mode: ObsMode, now_us: u64, window: Option<&WindowState>) -> TelemetrySnapshot {
         let mut snap = TelemetrySnapshot {
@@ -185,49 +192,45 @@ impl TelemetrySnapshot {
         let Some(window) = window else {
             return snap;
         };
-        let mut fuel: BTreeMap<ObjectId, Histogram> = BTreeMap::new();
-        let mut latency: BTreeMap<ObjectId, Histogram> = BTreeMap::new();
-        let mut link_latency: BTreeMap<(NodeId, NodeId), Histogram> = BTreeMap::new();
-        for bucket in window.live_buckets() {
-            for (id, s) in &bucket.objects {
-                let p = snap.objects.entry(*id).or_default();
+        let buckets = window.live_buckets();
+        let mut merged = Histogram::default();
+        snap.objects = fold_runs(buckets.iter().map(|b| &b.objects), |run| {
+            let mut p = ObjectProfile::default();
+            for s in run {
                 p.invocations += s.invocations;
                 p.errors += s.errors;
                 p.fuel_total += s.fuel.sum();
                 p.busy_collisions += s.busy_collisions;
-                for (site, n) in &s.remote_callers {
-                    *p.remote_callers.entry(*site).or_insert(0) += n;
+            }
+            (p.fuel_p50, p.fuel_p95) = quantiles(run, |s| &s.fuel, &mut merged);
+            (p.latency_p50_ns, p.latency_p95_ns) = quantiles(run, |s| &s.latency_ns, &mut merged);
+            p.remote_callers = match run {
+                [one] => one.remote_callers.clone(),
+                _ => {
+                    let mut callers = BTreeMap::new();
+                    for s in run {
+                        for (site, n) in &s.remote_callers {
+                            *callers.entry(*site).or_insert(0) += n;
+                        }
+                    }
+                    callers
                 }
-                fuel.entry(*id).or_default().merge(&s.fuel);
-                latency.entry(*id).or_default().merge(&s.latency_ns);
-            }
-            for (edge, n) in &bucket.calls {
-                *snap.calls.entry(*edge).or_insert(0) += n;
-            }
-            for (edge, s) in &bucket.links {
-                let p = snap.links.entry(*edge).or_default();
+            };
+            p
+        });
+        snap.calls = fold_runs(buckets.iter().map(|b| &b.calls), |run| {
+            run.iter().copied().sum()
+        });
+        snap.links = fold_runs(buckets.iter().map(|b| &b.links), |run| {
+            let mut p = LinkProfile::default();
+            for s in run {
                 p.delivered += s.delivered;
                 p.dropped += s.dropped;
                 p.bytes += s.bytes;
-                link_latency.entry(*edge).or_default().merge(&s.latency_us);
             }
-        }
-        for (id, p) in &mut snap.objects {
-            if let Some(h) = fuel.get(id) {
-                p.fuel_p50 = h.quantile(0.50);
-                p.fuel_p95 = h.quantile(0.95);
-            }
-            if let Some(h) = latency.get(id) {
-                p.latency_p50_ns = h.quantile(0.50);
-                p.latency_p95_ns = h.quantile(0.95);
-            }
-        }
-        for (edge, p) in &mut snap.links {
-            if let Some(h) = link_latency.get(edge) {
-                p.latency_p50_us = h.quantile(0.50);
-                p.latency_p95_us = h.quantile(0.95);
-            }
-        }
+            (p.latency_p50_us, p.latency_p95_us) = quantiles(run, |s| &s.latency_us, &mut merged);
+            p
+        });
         snap
     }
 
@@ -272,14 +275,18 @@ impl TelemetrySnapshot {
 
     /// Restricts the snapshot to one site: objects passing `hosted`,
     /// matrix rows and links touching `node`. This is what
-    /// `Federation::site_telemetry` serves.
+    /// `Federation::site_telemetry` serves. Filters in place; clone first
+    /// to slice one snapshot more than once.
     #[must_use]
-    pub fn for_site(&self, node: NodeId, hosted: impl Fn(ObjectId) -> bool) -> TelemetrySnapshot {
-        let mut out = self.clone();
-        out.objects.retain(|id, _| hosted(*id));
-        out.calls.retain(|(s, d), _| *s == node || *d == node);
-        out.links.retain(|(s, d), _| *s == node || *d == node);
-        out
+    pub fn for_site(
+        mut self,
+        node: NodeId,
+        hosted: impl Fn(ObjectId) -> bool,
+    ) -> TelemetrySnapshot {
+        self.objects.retain(|id, _| hosted(*id));
+        self.calls.retain(|(s, d), _| *s == node || *d == node);
+        self.links.retain(|(s, d), _| *s == node || *d == node);
+        self
     }
 
     /// Folds `other` into this snapshot — the fleet-level aggregation
@@ -390,12 +397,130 @@ impl TelemetrySnapshot {
     }
 }
 
+/// Gathers the entries of every bucket's map (each already sorted by
+/// key), groups equal keys into runs that keep bucket order, folds each
+/// run with `fold`, and builds the output map from the sorted runs in one
+/// bulk pass.
+fn fold_runs<'w, K, V, P>(
+    maps: impl Iterator<Item = &'w BTreeMap<K, V>>,
+    mut fold: impl FnMut(&[&'w V]) -> P,
+) -> BTreeMap<K, P>
+where
+    K: Ord + Copy + 'w,
+    V: 'w,
+{
+    let mut entries: Vec<(K, &V)> = Vec::new();
+    for map in maps {
+        entries.extend(map.iter().map(|(k, v)| (*k, v)));
+    }
+    // Stable, so each run keeps bucket (oldest-first) order; one
+    // non-empty bucket is already sorted and costs one linear check.
+    entries.sort_by_key(|e| e.0);
+    let mut run: Vec<&V> = Vec::new();
+    let mut out: Vec<(K, P)> = Vec::with_capacity(entries.len());
+    for group in entries.chunk_by(|a, b| a.0 == b.0) {
+        run.clear();
+        run.extend(group.iter().map(|e| e.1));
+        out.push((group[0].0, fold(&run)));
+    }
+    // Already sorted and deduplicated: `collect` bulk-builds the map.
+    out.into_iter().collect()
+}
+
+/// `(p50, p95)` of the histograms `hist` picks out of `run`: read
+/// straight off the histogram when the run has one entry, otherwise off
+/// their merge in `scratch`.
+fn quantiles<V>(
+    run: &[&V],
+    hist: impl Fn(&V) -> &Histogram,
+    scratch: &mut Histogram,
+) -> (u64, u64) {
+    let h = match run {
+        [one] => hist(one),
+        _ => {
+            *scratch = Histogram::default();
+            for v in run {
+                scratch.merge(hist(v));
+            }
+            &*scratch
+        }
+    };
+    (h.quantile(0.50), h.quantile(0.95))
+}
+
 fn int(n: u64) -> Value {
     Value::Int(i64::try_from(n).unwrap_or(i64::MAX))
 }
 
 fn node_int(n: NodeId) -> Value {
     Value::Int(i64::try_from(n.0).unwrap_or(i64::MAX))
+}
+
+#[cfg(test)]
+impl TelemetrySnapshot {
+    /// The fold as first written, one map insertion per bucket entry:
+    /// the oracle the bulk-built [`TelemetrySnapshot::collect`] is
+    /// checked against.
+    pub(crate) fn collect_reference(
+        mode: ObsMode,
+        now_us: u64,
+        window: Option<&WindowState>,
+    ) -> TelemetrySnapshot {
+        let mut snap = TelemetrySnapshot {
+            mode: mode.name(),
+            now_us,
+            window: window.map(WindowState::config),
+            head_epoch: window.map_or(0, WindowState::head_epoch),
+            ..TelemetrySnapshot::default()
+        };
+        let Some(window) = window else {
+            return snap;
+        };
+        let mut fuel: BTreeMap<ObjectId, Histogram> = BTreeMap::new();
+        let mut latency: BTreeMap<ObjectId, Histogram> = BTreeMap::new();
+        let mut link_latency: BTreeMap<(NodeId, NodeId), Histogram> = BTreeMap::new();
+        for bucket in window.live_buckets() {
+            for (id, s) in &bucket.objects {
+                let p = snap.objects.entry(*id).or_default();
+                p.invocations += s.invocations;
+                p.errors += s.errors;
+                p.fuel_total += s.fuel.sum();
+                p.busy_collisions += s.busy_collisions;
+                for (site, n) in &s.remote_callers {
+                    *p.remote_callers.entry(*site).or_insert(0) += n;
+                }
+                fuel.entry(*id).or_default().merge(&s.fuel);
+                latency.entry(*id).or_default().merge(&s.latency_ns);
+            }
+            for (edge, n) in &bucket.calls {
+                *snap.calls.entry(*edge).or_insert(0) += n;
+            }
+            for (edge, s) in &bucket.links {
+                let p = snap.links.entry(*edge).or_default();
+                p.delivered += s.delivered;
+                p.dropped += s.dropped;
+                p.bytes += s.bytes;
+                link_latency.entry(*edge).or_default().merge(&s.latency_us);
+            }
+        }
+        for (id, p) in &mut snap.objects {
+            if let Some(h) = fuel.get(id) {
+                p.fuel_p50 = h.quantile(0.50);
+                p.fuel_p95 = h.quantile(0.95);
+            }
+            if let Some(h) = latency.get(id) {
+                p.latency_p50_ns = h.quantile(0.50);
+                p.latency_p95_ns = h.quantile(0.95);
+            }
+        }
+        for (edge, p) in &mut snap.links {
+            if let Some(h) = link_latency.get(edge) {
+                p.latency_p50_us = h.quantile(0.50);
+                p.latency_p95_us = h.quantile(0.95);
+            }
+        }
+        snap
+    }
 }
 
 #[cfg(test)]
@@ -483,7 +608,7 @@ mod tests {
     fn for_site_filters_objects_and_edges() {
         let w = seeded_window();
         let snap = TelemetrySnapshot::collect(ObsMode::Ring, 1100, Some(&w));
-        let site3 = snap.for_site(NodeId(3), |_| false);
+        let site3 = snap.clone().for_site(NodeId(3), |_| false);
         assert!(site3.objects.is_empty());
         assert!(site3.calls.is_empty());
         assert!(site3.links.is_empty());
@@ -499,8 +624,8 @@ mod tests {
 
         // A slice of a site the traffic never touched is empty, and
         // folding it in must round-trip the full picture unchanged.
-        let mut folded = snap.for_site(NodeId(1), |_| true);
-        folded.absorb(&snap.for_site(NodeId(3), |_| false));
+        let mut folded = snap.clone().for_site(NodeId(1), |_| true);
+        folded.absorb(&snap.clone().for_site(NodeId(3), |_| false));
         assert_eq!(folded.objects, snap.objects);
         assert_eq!(folded.calls, snap.calls);
         assert_eq!(folded.links, snap.links);
@@ -528,7 +653,7 @@ mod tests {
     fn absorb_is_commutative_over_disjoint_slices() {
         let w = seeded_window();
         let snap = TelemetrySnapshot::collect(ObsMode::Ring, 1100, Some(&w));
-        let a = snap.for_site(NodeId(1), |_| true);
+        let a = snap.clone().for_site(NodeId(1), |_| true);
         let b = snap.for_site(NodeId(3), |_| false);
         let mut ab = a.clone();
         ab.absorb(&b);
@@ -539,5 +664,132 @@ mod tests {
         assert_eq!(ab.calls, ba.calls);
         assert_eq!(ab.links, ba.links);
         assert_eq!(ab.to_json(), ba.to_json());
+    }
+
+    /// One window feed: `(kind, time step, object, src, dst, value)`.
+    type Sample = (u8, u64, u8, u8, u8, u64);
+
+    /// Feeds `samples` into a window the way the recorder does: time only
+    /// moves forward, sometimes far enough to evict whole epochs, and
+    /// late samples for evicted epochs are dropped.
+    fn feed(cfg: WindowConfig, samples: &[Sample], latency: bool) -> (WindowState, u64) {
+        let mut w = WindowState::new(cfg);
+        let mut now = 0u64;
+        for &(kind, step, obj, a, b, v) in samples {
+            now += if step % 17 == 0 { step * 40 } else { step };
+            let at = if kind % 9 == 8 {
+                now.saturating_sub(step * 30)
+            } else {
+                now
+            };
+            let Some(bucket) = w.bucket_at(at) else {
+                continue;
+            };
+            let id = ObjectId::from_parts(NodeId(5), u32::from(obj % 12), 0);
+            let (src, dst) = (NodeId(u64::from(a % 6)), NodeId(u64::from(b % 6)));
+            match kind % 5 {
+                0 | 1 => {
+                    let s = bucket.objects.entry(id).or_default();
+                    s.invocations += 1;
+                    s.errors += u64::from(v % 5 == 0);
+                    s.fuel.record(v);
+                    if latency {
+                        s.latency_ns.record(v * 37 + 11);
+                    }
+                }
+                2 => {
+                    let s = bucket.objects.entry(id).or_default();
+                    if cfg.track_callers {
+                        *s.remote_callers.entry(src).or_insert(0) += 1;
+                    } else {
+                        s.busy_collisions += 1;
+                    }
+                }
+                3 => *bucket.calls.entry((src, dst)).or_insert(0) += 1,
+                _ => {
+                    let l = bucket.links.entry((src, dst)).or_default();
+                    if v % 7 == 0 {
+                        l.dropped += 1;
+                    } else {
+                        l.delivered += 1;
+                        l.bytes += v;
+                        l.latency_us.record(v);
+                    }
+                }
+            }
+        }
+        (w, now)
+    }
+
+    /// The fleet view rebuilt from per-site slices, as the fleet harness
+    /// folds them.
+    fn refold(snap: &TelemetrySnapshot) -> TelemetrySnapshot {
+        let mut fleet = TelemetrySnapshot::default();
+        for n in 0..6u64 {
+            let hosted = |id: ObjectId| u64::from(id.seq()) % 6 == n;
+            fleet.absorb(&snap.clone().for_site(NodeId(n), hosted));
+        }
+        fleet
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bulk_fold_matches_the_reference_fold(
+            epochs in 1usize..9,
+            epoch_micros in 1u64..400,
+            callers in proptest::prelude::any::<bool>(),
+            latency in proptest::prelude::any::<bool>(),
+            samples in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<u8>(),
+                    0u64..120,
+                    proptest::prelude::any::<u8>(),
+                    proptest::prelude::any::<u8>(),
+                    proptest::prelude::any::<u8>(),
+                    0u64..5000,
+                ),
+                0..160,
+            ),
+        ) {
+            let mut cfg = WindowConfig::new(epoch_micros, epochs);
+            if callers {
+                cfg = cfg.with_callers();
+            }
+            let (w, now) = feed(cfg, &samples, latency);
+            let mode = if latency { ObsMode::Full } else { ObsMode::Ring };
+            let fast = TelemetrySnapshot::collect(mode, now, Some(&w));
+            let slow = TelemetrySnapshot::collect_reference(mode, now, Some(&w));
+            proptest::prop_assert_eq!(fast.to_json(), slow.to_json());
+            proptest::prop_assert_eq!(&fast, &slow);
+            proptest::prop_assert_eq!(refold(&fast).to_json(), refold(&slow).to_json());
+        }
+    }
+
+    #[test]
+    fn bulk_fold_matches_the_reference_on_edge_windows() {
+        // Unwindowed, freshly configured (every slot a live empty epoch 0),
+        // and one key spread over every bucket of a full window.
+        assert_eq!(
+            TelemetrySnapshot::collect(ObsMode::Ring, 9, None).to_json(),
+            TelemetrySnapshot::collect_reference(ObsMode::Ring, 9, None).to_json()
+        );
+        let empty = WindowState::new(WindowConfig::new(10, 3).with_callers());
+        assert_eq!(
+            TelemetrySnapshot::collect(ObsMode::Ring, 0, Some(&empty)).to_json(),
+            TelemetrySnapshot::collect_reference(ObsMode::Ring, 0, Some(&empty)).to_json()
+        );
+        let samples: Vec<Sample> = (0..40)
+            .map(|i| (i % 5, 3, 1, i, 2, u64::from(i) * 31))
+            .collect();
+        let (w, now) = feed(WindowConfig::new(25, 4).with_callers(), &samples, true);
+        assert!(w.live_buckets().len() > 1);
+        let fast = TelemetrySnapshot::collect(ObsMode::Full, now, Some(&w));
+        assert_eq!(fast.objects.len(), 1);
+        assert_eq!(
+            fast.to_json(),
+            TelemetrySnapshot::collect_reference(ObsMode::Full, now, Some(&w)).to_json()
+        );
     }
 }

@@ -19,7 +19,8 @@
 //! because it replaces the old `Runtime::log_entries` vec whose behaviour
 //! did not depend on any observability switch.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 use mrom_value::{NodeId, ObjectId};
@@ -33,6 +34,11 @@ use crate::window::{WindowConfig, WindowState};
 
 /// Retention cap for the always-on log channel.
 pub const LOG_CHANNEL_CAPACITY: usize = 65_536;
+
+/// Most distinct selector names the recorder's interner retains. Mobile
+/// code can mint method names, so the table is bounded: a name first
+/// seen after it filled is allocated for its own event and not kept.
+const INTERNED_NAMES_CAP: usize = 1024;
 
 /// Observability mode (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -127,11 +133,9 @@ pub struct Recorder {
     log: VecDeque<(NodeId, ObjectId, String)>,
     /// Log lines evicted from the channel since last reset.
     log_evicted: u64,
-    /// Label stamped on every event this recorder emits (`None` =
-    /// unlabeled). Worker-pool threads set this so a site's interleaved
-    /// trace stays attributable per thread. Survives `reset` — it is an
-    /// identity, like the mode, not recorded state.
-    thread_label: Option<std::sync::Arc<str>>,
+    /// Selector names handed out to events, so every event naming one
+    /// method shares one allocation (at most `INTERNED_NAMES_CAP`).
+    names: HashSet<Arc<str>>,
     /// Virtual clock in microseconds, advanced monotonically by the
     /// network simulator (and `Runtime::set_now`). Stamped on every
     /// event envelope and used to bucket window samples.
@@ -177,22 +181,10 @@ impl Recorder {
             forced_parent: 0,
             log: VecDeque::new(),
             log_evicted: 0,
-            thread_label: None,
+            names: HashSet::new(),
             virtual_now_us: 0,
             window: None,
         }
-    }
-
-    /// Labels this recorder's thread: every subsequent event carries the
-    /// label. `None` returns to the unlabeled (single-threaded) default.
-    pub fn set_thread_label(&mut self, label: Option<&str>) {
-        self.thread_label = label.map(std::sync::Arc::from);
-    }
-
-    /// The current thread label, if any.
-    #[must_use]
-    pub fn thread_label(&self) -> Option<&str> {
-        self.thread_label.as_deref()
     }
 
     /// Current mode.
@@ -221,6 +213,7 @@ impl Recorder {
         self.forced_parent = 0;
         self.log.clear();
         self.log_evicted = 0;
+        self.names.clear();
         self.virtual_now_us = 0;
         // Window *contents* are recorded state; the configured shape is
         // an identity (like the mode) and survives.
@@ -428,6 +421,20 @@ impl Recorder {
 
     // ----- recording -----------------------------------------------------
 
+    /// The shared handle for selector `name`: the interned one when the
+    /// recorder has seen it, otherwise a fresh one, kept while the
+    /// interner has room.
+    pub(crate) fn intern(&mut self, name: &str) -> Arc<str> {
+        if let Some(known) = self.names.get(name) {
+            return Arc::clone(known);
+        }
+        let fresh: Arc<str> = Arc::from(name);
+        if self.names.len() < INTERNED_NAMES_CAP {
+            self.names.insert(Arc::clone(&fresh));
+        }
+        fresh
+    }
+
     fn emit(&mut self, trace: u64, span: u64, parent: u64, kind: EventKind) {
         let te = TraceEvent {
             event: Event {
@@ -435,17 +442,16 @@ impl Recorder {
                 trace,
                 span,
                 parent,
-                thread: self.thread_label.clone(),
                 at_us: self.virtual_now_us,
             },
             kind,
         };
         self.seq += 1;
         self.events_recorded += 1;
-        self.ring.record(&te);
         if let Some(sink) = self.extra_sink.as_mut() {
             sink.record(&te);
         }
+        self.ring.record(te);
     }
 
     /// Records a point event attributed to the innermost open span.
@@ -552,7 +558,7 @@ mod tests {
     fn start(r: &mut Recorder, method: &str, level: u32) -> SpanHandle {
         r.open_span(EventKind::InvokeStart {
             object: ObjectId::SYSTEM,
-            method: method.to_owned(),
+            method: method.into(),
             caller: ObjectId::SYSTEM,
             level,
         })
@@ -563,7 +569,7 @@ mod tests {
             handle,
             EventKind::InvokeEnd {
                 object: ObjectId::SYSTEM,
-                method: "m".to_owned(),
+                method: "m".into(),
                 outcome: "ok",
                 fuel_used: 0,
             },
@@ -651,5 +657,26 @@ mod tests {
         assert!(r.ring_snapshot().is_empty());
         assert!(r.log_lines_for(NodeId(1)).is_empty());
         assert_eq!(r.mode(), ObsMode::Full);
+    }
+
+    #[test]
+    fn interner_shares_known_names_and_is_bounded() {
+        let mut r = Recorder::new();
+        let a = r.intern("bump");
+        assert!(Arc::ptr_eq(&a, &r.intern("bump")));
+        // Hostile code can mint any number of selectors: past the cap,
+        // new names are served but not retained.
+        for i in 0..INTERNED_NAMES_CAP + 100 {
+            let name = format!("m{i}");
+            assert_eq!(&*r.intern(&name), name.as_str());
+        }
+        assert_eq!(r.names.len(), INTERNED_NAMES_CAP);
+        let late = format!("m{}", INTERNED_NAMES_CAP + 50);
+        assert!(!Arc::ptr_eq(&r.intern(&late), &r.intern(&late)));
+        assert_eq!(r.names.len(), INTERNED_NAMES_CAP);
+        // Names interned before the cap filled stay shared.
+        assert!(Arc::ptr_eq(&a, &r.intern("bump")));
+        r.reset();
+        assert!(r.names.is_empty());
     }
 }

@@ -8,7 +8,6 @@
 use std::collections::VecDeque;
 
 use crate::event::TraceEvent;
-use crate::sink::TraceSink;
 
 /// Default number of events retained (per thread-local recorder).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -68,15 +67,14 @@ impl FlightRecorder {
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         self.buf.iter().cloned().collect()
     }
-}
 
-impl TraceSink for FlightRecorder {
-    fn record(&mut self, event: &TraceEvent) {
+    /// Takes ownership of one event, evicting the oldest when full.
+    pub fn record(&mut self, event: TraceEvent) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.overwritten += 1;
         }
-        self.buf.push_back(event.clone());
+        self.buf.push_back(event);
     }
 }
 
@@ -92,7 +90,6 @@ mod tests {
                 trace: 1,
                 span: 0,
                 parent: 0,
-                thread: None,
                 at_us: 0,
             },
             kind: EventKind::ScriptRun {
@@ -106,7 +103,7 @@ mod tests {
     fn ring_keeps_only_the_most_recent() {
         let mut ring = FlightRecorder::with_capacity(3);
         for seq in 0..5 {
-            ring.record(&ev(seq));
+            ring.record(ev(seq));
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.overwritten(), 2);
@@ -117,9 +114,9 @@ mod tests {
     #[test]
     fn clear_resets_contents_and_counter() {
         let mut ring = FlightRecorder::with_capacity(2);
-        ring.record(&ev(0));
-        ring.record(&ev(1));
-        ring.record(&ev(2));
+        ring.record(ev(0));
+        ring.record(ev(1));
+        ring.record(ev(2));
         ring.clear();
         assert!(ring.is_empty());
         assert_eq!(ring.overwritten(), 0);

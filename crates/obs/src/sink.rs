@@ -1,9 +1,10 @@
 //! The [`TraceSink`] trait: where recorded events go.
 //!
-//! The recorder fans each event out to the built-in flight-recorder ring
-//! and to at most one installed custom sink. A sink sees events *after*
-//! the envelope (sequence, trace, span linkage) has been assigned, so it
-//! can reconstruct causality without talking to the recorder.
+//! The recorder shows each event to at most one installed custom sink,
+//! by reference, and then moves it into the built-in flight-recorder
+//! ring. A sink sees events *after* the envelope (sequence, trace, span
+//! linkage) has been assigned, so it can reconstruct causality without
+//! talking to the recorder.
 
 use crate::event::TraceEvent;
 
@@ -46,7 +47,6 @@ mod tests {
                     trace: 0,
                     span: 0,
                     parent: 0,
-                    thread: None,
                     at_us: 0,
                 },
                 kind: EventKind::ScriptRun {
