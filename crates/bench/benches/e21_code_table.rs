@@ -93,7 +93,7 @@ fn bench_code_table(c: &mut Criterion) {
                     });
                 },
             );
-            let rt = site(policy);
+            let mut rt = site(policy);
             rt.unpack_image(&image).expect("admitted");
             group.bench_with_input(
                 BenchmarkId::new(format!("{row}_warm"), label),
@@ -138,27 +138,27 @@ fn miss_distinct() {
         .map(|tag| cargo(tag, 2048).image_bytes().expect("mobile"))
         .collect();
     let policy = AdmissionPolicy::Strict;
-    let rt = site(policy);
-    let time = |f: &dyn Fn(&[u8]) -> MromObject| {
+    let mut rt = site(policy);
+    let time = |f: &mut dyn FnMut(&[u8]) -> MromObject| {
         let start = std::time::Instant::now();
         for image in &distinct {
             black_box(f(black_box(image)));
         }
         start.elapsed().as_nanos() as f64 / distinct.len() as f64
     };
-    let reference = |image: &[u8]| {
+    let mut reference = |image: &[u8]| {
         let v = wire::decode(image).unwrap();
         MromObject::from_image_value_with_policy(&v, policy).unwrap()
     };
-    let unpack = |image: &[u8]| rt.unpack_image(image).unwrap();
+    let mut unpack = |image: &[u8]| rt.unpack_image(image).unwrap();
     let (mut refs, mut misses) = (Vec::new(), Vec::new());
     for round in 0..ROUNDS {
         if round % 2 == 0 {
-            refs.push(time(&reference));
-            misses.push(time(&unpack));
+            refs.push(time(&mut reference));
+            misses.push(time(&mut unpack));
         } else {
-            misses.push(time(&unpack));
-            refs.push(time(&reference));
+            misses.push(time(&mut unpack));
+            refs.push(time(&mut reference));
         }
     }
     let median = |v: &mut Vec<f64>| {

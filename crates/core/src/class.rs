@@ -145,8 +145,8 @@ impl ClassSpec {
         self.instantiate_as(ids.next_id(), origin)
     }
 
-    /// Stamps an instance with a pre-minted identity (the shared-runtime
-    /// path, where ids come from an [`mrom_value::AtomicIdGenerator`]).
+    /// Stamps an instance with a pre-minted identity (a bootstrap that
+    /// mints through a site runtime's generator, or a fixed identity).
     pub fn instantiate_as(&self, id: ObjectId, origin: Option<ObjectId>) -> MromObject {
         let table = self.fixed_table.get_or_init(|| {
             let mut b = self.builder(id, origin);
@@ -226,20 +226,10 @@ impl ClassRegistry {
     pub fn instantiate(&self, name: &str, ids: &mut IdGenerator) -> Result<MromObject, MromError> {
         // Look the class up before minting, so a failed create does not
         // consume an identity.
-        self.get(name)
+        let spec = self
+            .get(name)
             .ok_or_else(|| MromError::Class(format!("unknown class {name:?}")))?;
-        self.instantiate_with_id(name, ids.next_id())
-    }
-
-    /// Instantiates a registered class with a pre-minted identity.
-    ///
-    /// # Errors
-    ///
-    /// [`MromError::Class`] for unknown names.
-    pub fn instantiate_with_id(&self, name: &str, id: ObjectId) -> Result<MromObject, MromError> {
-        self.get(name)
-            .map(|spec| spec.instantiate_as(id, None))
-            .ok_or_else(|| MromError::Class(format!("unknown class {name:?}")))
+        Ok(spec.instantiate_as(ids.next_id(), None))
     }
 
     /// Replaces a registered class definition — *class evolution* in the

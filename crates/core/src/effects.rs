@@ -110,9 +110,10 @@ pub(crate) fn solve_methods<'a>(
 /// `true` when two effect signatures provably cannot interfere: neither
 /// is structural, dynamic, or opaque, and neither writes anything the
 /// other reads or writes. Two invocations with disjoint signatures could
-/// in principle have run concurrently — the shared runtime classifies
-/// checkout collisions with this predicate to measure how much
-/// parallelism its object-granular locking leaves on the table.
+/// in principle have interleaved — the site host classifies checkout
+/// collisions (a re-entrant cycle into an executing object) with this
+/// predicate to measure how much its object-granular checkout refuses
+/// without need.
 #[must_use]
 pub fn signatures_disjoint(a: &EffectSignature, b: &EffectSignature) -> bool {
     fn exact(s: &EffectSignature) -> bool {

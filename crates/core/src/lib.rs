@@ -72,7 +72,6 @@ mod class;
 mod container;
 mod effects;
 mod error;
-mod host;
 mod invoke;
 mod item;
 mod method;
@@ -80,7 +79,6 @@ mod migrate;
 mod object;
 mod runtime;
 mod security;
-mod shared;
 mod stats;
 mod table;
 
@@ -89,7 +87,6 @@ pub use class::{ClassRegistry, ClassSpec};
 pub use container::{ExtensibleContainer, FixedContainer, Section};
 pub use effects::{effects_value, object_effects, signatures_disjoint};
 pub use error::MromError;
-pub use host::PoisonCause;
 pub use invoke::{
     invoke, invoke_with_limits, invoke_with_reference_evaluator, CallEnv, InvokeLimits, NoWorld,
     WorldHook,
@@ -103,9 +100,8 @@ pub use mrom_script::analyze::{
 };
 pub use mrom_script::{EffectSignature, LocalEffects};
 pub use object::{MromObject, ObjectBuilder};
-pub use runtime::Runtime;
+pub use runtime::{PoisonCause, Runtime};
 pub use security::{Acl, TypeConstraint};
-pub use shared::{ClassesGuard, ObjectGuard, SharedRuntime, SHARD_COUNT};
 pub use stats::{stats_object, stats_value};
 pub use table::{CODE_TABLE_BYTES, CODE_TABLE_ENTRIES};
 

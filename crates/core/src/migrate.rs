@@ -18,7 +18,7 @@
 //! against, and share the decoder's checks after field parsing.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use mrom_value::wire::{self, MapValue, ValidatedSpan};
 use mrom_value::{ObjectId, Value, ValueError};
@@ -229,9 +229,10 @@ impl MromObject {
 pub(crate) fn unpack(
     bytes: &[u8],
     policy: AdmissionPolicy,
-    code: Option<&Mutex<CodeTable>>,
+    code: Option<&mut CodeTable>,
 ) -> Result<MromObject, MromError> {
-    let result = read_image(bytes, code).and_then(|fields| fields.into_object(policy, code));
+    let result =
+        read_image(bytes, code.as_deref()).and_then(|fields| fields.into_object(policy, code));
     mrom_obs::migrate_decode(bytes.len(), result.is_ok());
     result
 }
@@ -287,7 +288,7 @@ impl<'a> Fields<'a> {
         &mut self,
         key: &str,
         value: MapValue<'_, 'a>,
-        code: Option<&Mutex<CodeTable>>,
+        code: Option<&CodeTable>,
     ) -> Result<(), ValueError> {
         match key {
             "format" => self.format = value.str()?,
@@ -319,7 +320,7 @@ impl<'a> Fields<'a> {
     fn into_object(
         self,
         policy: AdmissionPolicy,
-        code: Option<&Mutex<CodeTable>>,
+        code: Option<&mut CodeTable>,
     ) -> Result<MromObject, MromError> {
         let bad = |detail: String| MromError::BadImage(detail);
         let missing = |what: &str| MromError::BadImage(format!("missing {what}"));
@@ -410,14 +411,12 @@ enum FixedSection {
 
 impl FixedSection {
     /// Takes the section from `code` when its bytes are held there, and
-    /// decodes it otherwise. The lock is held for the probe only, never
-    /// while decoding.
-    fn read(value: MapValue<'_, '_>, code: Option<&Mutex<CodeTable>>) -> Result<Self, ValueError> {
+    /// decodes it otherwise.
+    fn read(value: MapValue<'_, '_>, code: Option<&CodeTable>) -> Result<Self, ValueError> {
         let Some(code) = code else {
             return Ok(FixedSection::New(fixed_table(&value.value()?), None));
         };
-        let probe = lock(code).find(value);
-        Ok(match probe {
+        Ok(match code.find(value) {
             Ok(table) => {
                 mrom_obs::code_table(true, 0);
                 FixedSection::Known(table)
@@ -431,14 +430,14 @@ impl FixedSection {
 
     /// The section's table; a new one is interned in `code` once the
     /// fields before it have checked out.
-    fn resolve(self, code: Option<&Mutex<CodeTable>>) -> Result<Arc<MethodTable>, MromError> {
+    fn resolve(self, code: Option<&mut CodeTable>) -> Result<Arc<MethodTable>, MromError> {
         match self {
             FixedSection::Known(table) => Ok(table),
             FixedSection::New(table, span) => {
                 let table = table.map(Arc::new);
                 if let (Some(code), Some(span)) = (code, span) {
                     let evicted = match &table {
-                        Ok(table) => lock(code).insert(span, table),
+                        Ok(table) => code.insert(span, table),
                         Err(_) => 0,
                     };
                     mrom_obs::code_table(false, evicted);
@@ -449,16 +448,8 @@ impl FixedSection {
     }
 }
 
-fn lock(code: &Mutex<CodeTable>) -> std::sync::MutexGuard<'_, CodeTable> {
-    // Every update leaves the table whole, so a poisoned lock is usable.
-    code.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Opens the image and reads every entry into [`Fields`].
-fn read_image<'a>(
-    bytes: &'a [u8],
-    code: Option<&Mutex<CodeTable>>,
-) -> Result<Fields<'a>, MromError> {
+fn read_image<'a>(bytes: &'a [u8], code: Option<&CodeTable>) -> Result<Fields<'a>, MromError> {
     let bad = |e: ValueError| MromError::BadImage(e.to_string());
     let Ok(mut map) = wire::MapReader::framed(bytes) else {
         // Not a framed map: report it as the reference decoder does.
@@ -765,7 +756,7 @@ mod tests {
             "ext_data".into(),
             Value::map([("count", DataItem::public(Value::Int(9)).descriptor())]),
         );
-        let rt = crate::Runtime::new(NodeId(11));
+        let mut rt = crate::Runtime::new(NodeId(11));
         for (image, kind) in [(methods, "method"), (data, "data item")] {
             let bytes = wire::encode(&image);
             for result in [

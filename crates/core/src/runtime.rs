@@ -1,29 +1,224 @@
-//! Node runtime: the single-threaded per-node object host.
+//! Node runtime: the per-node object host.
 //!
 //! A [`Runtime`] owns every object hosted on one logical node in a plain
 //! object table, mints identities through the node's generator, and
 //! implements the `send`/`spawn`/`log`/`time`/`node` world operations for
 //! method bodies. It takes no lock: exclusive access comes from
-//! `&mut self`. Invocation takes the target out of its slot and puts it
-//! back, so a cyclic `send` into an executing object still reports
-//! [`MromError::ObjectBusy`] and a panicking body still poisons its slot.
-//! Callers that want intra-node parallelism use
-//! [`SharedRuntime`](crate::SharedRuntime), which shards the same table
-//! under locks and shares the invoke tail and world hook with this type.
+//! `&mut self`, and one site has exactly one host.
 //!
 //! Cross-node communication is *not* here — it belongs to the network
 //! substrate and HADAS, which wrap a runtime per simulated node.
+//!
+//! ## Slot state machine
+//!
+//! ```text
+//!            checkout               checkin
+//!  Present ───────────▶ Busy ───────────────▶ Present
+//!                        │
+//!                        │ body panicked (caught via catch_unwind)
+//!                        ▼
+//!                     Poisoned(cause)   — surfaces as ObjectBusy
+//! ```
+//!
+//! An invocation takes its target out of the table (the slot turns
+//! `Busy`) and puts it back when done, so a body can `send` to *other*
+//! objects of the same host while a cyclic `send` back into an executing
+//! object reports [`MromError::ObjectBusy`]. A panicking body must never
+//! leak the checked-out object: the slot is poisoned, not removed, so
+//! later callers get a truthful `ObjectBusy` instead of `NoSuchObject`,
+//! and a migration cannot capture it.
 
-use std::sync::Mutex;
+use std::collections::{BTreeMap, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
+use mrom_script::EffectSignature;
 use mrom_value::{IdGenerator, NodeId, ObjectId, Value};
 
 use crate::class::ClassRegistry;
 use crate::error::MromError;
-use crate::host::{Host, ObjectTable, PoisonCause};
-use crate::invoke::InvokeLimits;
+use crate::invoke::{InvokeLimits, WorldHook};
 use crate::object::MromObject;
 use crate::table::CodeTable;
+
+/// Structured cause attached to a poisoned slot when a method body
+/// panics while its object is checked out (see [`Runtime::poison_cause`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PoisonCause {
+    /// The method whose body panicked.
+    pub method: String,
+    /// The panic payload, downcast to a string where possible.
+    pub message: String,
+}
+
+impl std::fmt::Display for PoisonCause {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "body of {:?} panicked: {}", self.method, self.message)
+    }
+}
+
+/// One entry of an object table.
+///
+/// The object is boxed so that a checkout and a check-in move a pointer,
+/// not the object, and the table's entries stay small.
+#[derive(Debug)]
+enum Slot {
+    /// Hosted and at rest — available for checkout, reads, and eviction.
+    Present(Box<MromObject>),
+    /// Checked out by an in-flight invocation. When observability is
+    /// enabled the slot remembers what is running ([`BusyInfo`]) so a
+    /// colliding checkout can classify the collision by effect-signature
+    /// disjointness; otherwise it carries nothing.
+    Busy(Option<BusyInfo>),
+    /// A body panicked while the object was checked out; the (possibly
+    /// torn) object was discarded, the identity and cause retained.
+    Poisoned(PoisonCause),
+}
+
+/// What a `Busy` slot knows about its in-flight invocation (recorded
+/// only while observability is enabled — the disabled hot path never
+/// clones a method name or touches the effect table).
+#[derive(Debug)]
+struct BusyInfo {
+    /// Selector of the invocation that holds the object.
+    method: String,
+    /// The object's memoized effect-signature table at checkout time.
+    effects: Arc<BTreeMap<String, EffectSignature>>,
+}
+
+/// The objects one host holds, by identity, with their slot states.
+#[derive(Debug, Default)]
+struct ObjectTable {
+    slots: HashMap<ObjectId, Slot>,
+}
+
+impl ObjectTable {
+    /// Checks `target` out: flips its slot from `Present` to `Busy` and
+    /// returns the object. When observability is enabled the `Busy` slot
+    /// remembers `incoming` together with the object's memoized
+    /// effect-signature table, and a *colliding* checkout (a re-entrant
+    /// cycle back into an executing object) classifies the collision —
+    /// provably-disjoint signatures mean the serialization was a
+    /// conservative loss, overlapping ones mean it was required — feeding
+    /// the collision counters.
+    fn checkout(
+        &mut self,
+        node: NodeId,
+        target: ObjectId,
+        incoming: &str,
+    ) -> Result<Box<MromObject>, MromError> {
+        match self.slots.get_mut(&target) {
+            Some(slot @ Slot::Present(_)) => match std::mem::replace(slot, Slot::Busy(None)) {
+                Slot::Present(mut obj) => {
+                    if mrom_obs::enabled() {
+                        *slot = Slot::Busy(Some(BusyInfo {
+                            method: incoming.to_owned(),
+                            effects: obj.effects(),
+                        }));
+                    }
+                    Ok(obj)
+                }
+                _ => unreachable!("matched Present above"),
+            },
+            Some(Slot::Busy(info)) => {
+                if mrom_obs::enabled() {
+                    let (in_flight, disjoint) = match info {
+                        Some(i) => {
+                            let verdict =
+                                match (i.effects.get(i.method.as_str()), i.effects.get(incoming)) {
+                                    (Some(a), Some(b)) => {
+                                        Some(crate::effects::signatures_disjoint(a, b))
+                                    }
+                                    _ => None,
+                                };
+                            (i.method.as_str(), verdict)
+                        }
+                        None => ("", None),
+                    };
+                    mrom_obs::shared_collision(node, target, in_flight, incoming, disjoint);
+                }
+                Err(MromError::ObjectBusy(target))
+            }
+            Some(Slot::Poisoned(_)) => Err(MromError::ObjectBusy(target)),
+            None => Err(MromError::NoSuchObject(target)),
+        }
+    }
+
+    /// Checks an object back in after its invocation completed.
+    fn checkin(&mut self, obj: Box<MromObject>) {
+        self.slots.insert(obj.id(), Slot::Present(obj));
+    }
+
+    /// Marks a checked-out identity as poisoned.
+    fn poison(&mut self, id: ObjectId, cause: PoisonCause) {
+        self.slots.insert(id, Slot::Poisoned(cause));
+    }
+
+    /// Adopts an object.
+    ///
+    /// # Errors
+    ///
+    /// [`MromError::DuplicateItem`] if this identity is already hosted —
+    /// including checked-out and poisoned identities.
+    fn adopt(&mut self, obj: MromObject) -> Result<ObjectId, MromError> {
+        let id = obj.id();
+        match self.slots.entry(id) {
+            std::collections::hash_map::Entry::Occupied(_) => Err(MromError::DuplicateItem {
+                object: id,
+                item: "object identity".to_owned(),
+            }),
+            std::collections::hash_map::Entry::Vacant(v) => {
+                v.insert(Slot::Present(Box::new(obj)));
+                Ok(id)
+            }
+        }
+    }
+
+    /// Removes an object at rest (the local half of migration).
+    ///
+    /// This is the **migration interlock**: a checked-out or poisoned
+    /// object refuses eviction with [`MromError::ObjectBusy`], so a
+    /// migration can never capture an object mid-execution.
+    ///
+    /// # Errors
+    ///
+    /// [`MromError::NoSuchObject`], [`MromError::ObjectBusy`].
+    fn evict(&mut self, id: ObjectId) -> Result<MromObject, MromError> {
+        match self.slots.get(&id) {
+            Some(Slot::Present(_)) => match self.slots.remove(&id) {
+                Some(Slot::Present(obj)) => Ok(*obj),
+                _ => unreachable!("matched Present above"),
+            },
+            Some(Slot::Busy(_) | Slot::Poisoned(_)) => Err(MromError::ObjectBusy(id)),
+            None => Err(MromError::NoSuchObject(id)),
+        }
+    }
+
+    /// A hosted object at rest; `None` for unknown, checked-out and
+    /// poisoned identities.
+    fn get(&self, id: ObjectId) -> Option<&MromObject> {
+        match self.slots.get(&id) {
+            Some(Slot::Present(obj)) => Some(obj),
+            _ => None,
+        }
+    }
+
+    /// As [`ObjectTable::get`], mutably.
+    fn get_mut(&mut self, id: ObjectId) -> Option<&mut MromObject> {
+        match self.slots.get_mut(&id) {
+            Some(Slot::Present(obj)) => Some(obj),
+            _ => None,
+        }
+    }
+
+    /// The cause recorded when `id`'s slot was poisoned, if it was.
+    fn poison_cause(&self, id: ObjectId) -> Option<&PoisonCause> {
+        match self.slots.get(&id) {
+            Some(Slot::Poisoned(cause)) => Some(cause),
+            _ => None,
+        }
+    }
+}
 
 /// The per-node object host.
 ///
@@ -56,10 +251,8 @@ pub struct Runtime {
     limits: InvokeLimits,
     /// Virtual time surfaced to scripts via `self.time()`.
     now: u64,
-    /// Fixed-method tables of arrived images, by their exact bytes. One
-    /// uncontended lock per arrival keeps `migrate::unpack` one signature
-    /// for both hosts.
-    code: Mutex<CodeTable>,
+    /// Fixed-method tables of arrived images, by their exact bytes.
+    code: CodeTable,
 }
 
 impl Runtime {
@@ -72,7 +265,7 @@ impl Runtime {
             classes: ClassRegistry::new(),
             limits: InvokeLimits::default(),
             now: 0,
-            code: Mutex::new(CodeTable::default()),
+            code: CodeTable::default(),
         }
     }
 
@@ -127,21 +320,8 @@ impl Runtime {
     /// is the `getTelemetry` meta-method.
     #[must_use]
     pub fn telemetry(&self) -> mrom_obs::TelemetrySnapshot {
-        let hosted: std::collections::BTreeSet<ObjectId> = self.objects.ids().collect();
-        mrom_obs::telemetry_snapshot().for_site(self.node(), |id| hosted.contains(&id))
-    }
-
-    /// Messages logged by objects via `self.log(...)`, in order.
-    ///
-    /// Compatibility shim over the observability log channel
-    /// ([`mrom_obs::log_lines_for`]), which also attributes entries to the
-    /// node, bounds retention, and threads them into active traces.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use mrom_obs::log_lines_for(runtime.node()) — the log now lives in the observability layer"
-    )]
-    pub fn log_entries(&self) -> Vec<(ObjectId, String)> {
-        mrom_obs::log_lines_for(self.node())
+        mrom_obs::telemetry_snapshot()
+            .for_site(self.node(), |id| self.objects.slots.contains_key(&id))
     }
 
     /// Instantiates a registered class, adopting the object into the node.
@@ -165,8 +345,8 @@ impl Runtime {
     /// [`MromError::BadImage`] for framing/validation failures;
     /// [`MromError::AdmissionRejected`] when the policy is strict and a
     /// method body fails static admission analysis.
-    pub fn unpack_image(&self, bytes: &[u8]) -> Result<MromObject, MromError> {
-        crate::migrate::unpack(bytes, self.limits.admission, Some(&self.code))
+    pub fn unpack_image(&mut self, bytes: &[u8]) -> Result<MromObject, MromError> {
+        crate::migrate::unpack(bytes, self.limits.admission, Some(&mut self.code))
     }
 
     /// Adopts an externally constructed object (builder output, or an
@@ -196,7 +376,7 @@ impl Runtime {
     /// fail-stop crash leaves of the node's volatile state. Nothing can be
     /// checked out through `&mut self`.
     pub fn clear_objects(&mut self) {
-        self.objects.clear();
+        self.objects.slots.clear();
     }
 
     /// Shared access to a hosted object. `None` for unknown and poisoned
@@ -213,12 +393,20 @@ impl Runtime {
     /// Identities of all hosted objects (unordered), poisoned ones
     /// included.
     pub fn object_ids(&self) -> Vec<ObjectId> {
-        self.objects.ids().collect()
+        self.objects.slots.keys().copied().collect()
     }
 
     /// Number of hosted objects, poisoned identities included.
     pub fn object_count(&self) -> usize {
-        self.objects.len()
+        self.objects.slots.len()
+    }
+
+    /// The structured cause recorded when `id`'s slot was poisoned by a
+    /// panicking method body, if it was. A crash
+    /// ([`Runtime::clear_objects`]) reclaims poisoned identities.
+    #[must_use]
+    pub fn poison_cause(&self, id: ObjectId) -> Option<&PoisonCause> {
+        self.objects.poison_cause(id)
     }
 
     /// Invokes a method on a hosted object as `caller`.
@@ -228,8 +416,8 @@ impl Runtime {
     /// world hook; a cyclic call back into the executing object reports
     /// [`MromError::ObjectBusy`]. A panicking body is caught and its
     /// object discarded; the identity stays hosted in a poisoned slot
-    /// that reports `ObjectBusy` to every later call and to
-    /// [`Runtime::evict`].
+    /// (see [`Runtime::poison_cause`]) that reports `ObjectBusy` to every
+    /// later call and to [`Runtime::evict`].
     ///
     /// # Errors
     ///
@@ -242,7 +430,32 @@ impl Runtime {
         method: &str,
         args: &[Value],
     ) -> Result<Value, MromError> {
-        crate::host::invoke(self, caller, target, method, args)
+        mrom_obs::runtime_invoke(self.node, target, method);
+        let mut obj = self.objects.checkout(self.node, target, method)?;
+        let limits = self.limits;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut world = RuntimeWorld { rt: &mut *self };
+            crate::invoke::invoke_with_limits(&mut obj, &mut world, caller, method, args, &limits)
+        }));
+        match outcome {
+            Ok(result) => {
+                self.objects.checkin(obj);
+                result
+            }
+            Err(payload) => {
+                // The object may be torn mid-mutation: discard it and
+                // poison the slot so the identity does not vanish.
+                drop(obj);
+                self.objects.poison(
+                    target,
+                    PoisonCause {
+                        method: method.to_owned(),
+                        message: panic_message(payload.as_ref()),
+                    },
+                );
+                Err(MromError::ObjectBusy(target))
+            }
+        }
     }
 
     /// [`Runtime::invoke`] with the system principal — host-initiated
@@ -261,34 +474,70 @@ impl Runtime {
     }
 }
 
-/// The owning host: the table is a field, so no operation locks.
-impl Host for Runtime {
-    fn node(&self) -> NodeId {
-        self.node
+/// Best-effort stringification of a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
     }
+}
 
-    fn now(&self) -> u64 {
-        self.now
-    }
+/// World hook giving method bodies mediated access to node services:
+///
+/// * `send(target_ref, method, args_list)` — invoke a method on another
+///   object hosted on this node (caller principal = the sending object).
+/// * `spawn(class_name)` — instantiate a registered class, adopting the
+///   new object into this node; returns its reference.
+/// * `log(message)` — append to the node log.
+/// * `time()` — current virtual time.
+/// * `node()` — the node id as an integer.
+struct RuntimeWorld<'r> {
+    rt: &'r mut Runtime,
+}
 
-    fn limits(&self) -> InvokeLimits {
-        self.limits
-    }
-
-    fn checkout(&mut self, target: ObjectId, method: &str) -> Result<Box<MromObject>, MromError> {
-        self.objects.checkout(self.node, target, method)
-    }
-
-    fn checkin(&mut self, obj: Box<MromObject>) {
-        self.objects.checkin(obj);
-    }
-
-    fn poison(&mut self, id: ObjectId, cause: PoisonCause) {
-        self.objects.poison(id, cause);
-    }
-
-    fn create(&mut self, class: &str) -> Result<ObjectId, MromError> {
-        Runtime::create(self, class)
+impl WorldHook for RuntimeWorld<'_> {
+    fn world_call(
+        &mut self,
+        caller: ObjectId,
+        op: &str,
+        args: &[Value],
+    ) -> Result<Value, MromError> {
+        match op {
+            "send" => match args {
+                [Value::ObjectRef(target), Value::Str(method), Value::List(inner)] => {
+                    // An object currently executing sits in a Busy slot, so
+                    // a cyclic call reports ObjectBusy; genuinely unknown
+                    // targets NoSuchObject.
+                    self.rt.invoke(caller, *target, method, inner)
+                }
+                _ => Err(MromError::World(
+                    "send expects (object_ref, method_name, args_list)".into(),
+                )),
+            },
+            "spawn" => match args {
+                [Value::Str(class)] => self.rt.create(class).map(Value::ObjectRef),
+                _ => Err(MromError::World("spawn expects (class_name)".into())),
+            },
+            "log" => {
+                let msg = args
+                    .first()
+                    .map(|v| match v {
+                        Value::Str(s) => s.clone(),
+                        other => other.to_string(),
+                    })
+                    .unwrap_or_default();
+                mrom_obs::log_line(self.rt.node, caller, &msg);
+                Ok(Value::Null)
+            }
+            "time" => Ok(Value::Int(self.rt.now as i64)),
+            "node" => Ok(Value::Int(self.rt.node.0 as i64)),
+            other => Err(MromError::World(format!(
+                "unknown world operation {other:?}"
+            ))),
+        }
     }
 }
 
@@ -448,6 +697,14 @@ mod tests {
         assert_eq!(rt.object_count(), hosted);
         assert!(rt.object_ids().contains(&id));
         assert!(rt.object(id).is_none(), "a poisoned slot is not readable");
+        // The cause names the method and carries the panic message.
+        let cause = rt.poison_cause(id).expect("structured cause");
+        assert_eq!(cause.method, "boom");
+        assert!(cause.message.contains("kaboom"), "{cause}");
+        assert!(
+            rt.poison_cause(calc).is_none(),
+            "a healthy slot has no cause"
+        );
         assert!(matches!(
             rt.invoke_as_system(id, "boom", &[]),
             Err(MromError::ObjectBusy(_))
@@ -462,6 +719,80 @@ mod tests {
             rt.invoke_as_system(calc, "add", &[Value::Int(2)]).unwrap(),
             Value::Int(2)
         );
+        // A crash reclaims the identity along with everything else.
+        rt.clear_objects();
+        assert!(rt.poison_cause(id).is_none());
+        assert!(matches!(
+            rt.invoke_as_system(id, "boom", &[]),
+            Err(MromError::NoSuchObject(_))
+        ));
+    }
+
+    #[test]
+    fn structural_mutation_interleaved_with_invokes_never_serves_a_stale_method() {
+        // A seeded mix of addMethod / setMethod / deleteMethod and
+        // invocations on one object. After every acknowledged mutation an
+        // invocation sees exactly the current method set and bodies: a
+        // stale dispatch-cache entry would surface as a deleted method
+        // still answering, an added one missing, or an old body's result.
+        let mut rt = Runtime::new(NodeId(31));
+        let id = rt.ids_mut().next_id();
+        rt.adopt(crate::object::ObjectBuilder::new(id).class("storm").build())
+            .unwrap();
+        let body = |v: i64| {
+            Value::map([
+                ("body", Value::from(format!("return {v};"))),
+                ("invoke_acl", Value::from("public")),
+            ])
+        };
+        let mut model: std::collections::BTreeMap<u64, i64> = std::collections::BTreeMap::new();
+        let mut rng = 0x5eed_u64;
+        for step in 0..2_000_i64 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let k = rng % 8;
+            let name = Value::from(format!("m_{k}"));
+            let present = model.contains_key(&k);
+            // The object is its own origin, so it may reshape itself.
+            match (rng >> 8) % 4 {
+                0 => {
+                    let out = rt.invoke(id, id, "addMethod", &[name, body(step)]);
+                    assert_eq!(out.is_ok(), !present, "add m_{k}: {out:?}");
+                    model.entry(k).or_insert(step);
+                }
+                1 => {
+                    let out = rt.invoke(id, id, "setMethod", &[name, body(step)]);
+                    assert_eq!(out.is_ok(), present, "set m_{k}: {out:?}");
+                    if present {
+                        model.insert(k, step);
+                    }
+                }
+                2 => {
+                    let out = rt.invoke(id, id, "deleteMethod", &[name]);
+                    assert_eq!(out.is_ok(), present, "delete m_{k}: {out:?}");
+                    model.remove(&k);
+                }
+                _ => {}
+            }
+            for (k, v) in &model {
+                assert_eq!(
+                    rt.invoke_as_system(id, &format!("m_{k}"), &[]).unwrap(),
+                    Value::Int(*v),
+                    "m_{k} at step {step}"
+                );
+            }
+            let gone = (0..8).find(|k| !model.contains_key(k));
+            if let Some(k) = gone {
+                assert!(
+                    matches!(
+                        rt.invoke_as_system(id, &format!("m_{k}"), &[]),
+                        Err(MromError::NoSuchMethod { .. })
+                    ),
+                    "deleted m_{k} still answers at step {step}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -507,11 +838,6 @@ mod tests {
         assert_eq!(lines.len(), 1);
         assert_eq!(lines[0].1, "tick");
         assert_eq!(lines[0].0, id);
-        // The deprecated accessor reads the same channel.
-        #[allow(deprecated)]
-        {
-            assert_eq!(rt.log_entries(), lines);
-        }
     }
 
     #[test]

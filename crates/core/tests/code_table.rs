@@ -505,17 +505,17 @@ fn all_decoders_agree(
         prop_assert_eq!(diagnostics, &uncached_findings(&obj));
     }
 
-    let cold = runtime(policy);
+    let mut cold = runtime(policy);
     agree(cold.unpack_image(image), &want, "cold")?;
     // The same runtime again: its table now holds whatever decoded,
     // including a section whose object admission rejected.
     agree(cold.unpack_image(image), &want, "resubmitted")?;
 
-    let warm = runtime(policy);
+    let mut warm = runtime(policy);
     let _ = warm.unpack_image(seen_image);
     agree(warm.unpack_image(image), &want, "warm")?;
 
-    let evicted = runtime(policy);
+    let mut evicted = runtime(policy);
     let _ = evicted.unpack_image(seen_image);
     for i in 0..=CODE_TABLE_ENTRIES {
         let filler = ObjectBuilder::new(gen.next_id())
@@ -657,7 +657,7 @@ fn constrained_items_round_trip_through_every_decoder() {
     assert_eq!(MromObject::from_image(&image).as_ref(), Ok(&obj));
     let value = obj.image_value().unwrap();
     assert_eq!(MromObject::from_image_value(&value).as_ref(), Ok(&obj));
-    let rt = runtime(AdmissionPolicy::Off);
+    let mut rt = runtime(AdmissionPolicy::Off);
     assert_eq!(rt.unpack_image(&image).as_ref(), Ok(&obj), "cold");
     assert_eq!(rt.unpack_image(&image).as_ref(), Ok(&obj), "warm");
     for policy in [AdmissionPolicy::Off, AdmissionPolicy::Strict] {
@@ -674,9 +674,9 @@ fn every_edit_and_pair_of_edits_decodes_alike() {
     let mut gen = IdGenerator::new(NodeId(0x7ae));
     let subject = build(&rich_spec(), &mut gen);
     let base = Raw::of(&subject.image_value().unwrap(), 3);
-    let warm = runtime(AdmissionPolicy::Off);
+    let mut warm = runtime(AdmissionPolicy::Off);
     warm.unpack_image(&subject.image_bytes().unwrap()).unwrap();
-    let check = |edits: &[Edit]| {
+    let mut check = |edits: &[Edit]| {
         let mut raw = base.clone();
         for edit in edits {
             edit.apply(&mut raw);

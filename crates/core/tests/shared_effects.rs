@@ -1,17 +1,17 @@
-//! Checkout-collision instrumentation on both site hosts (`Runtime` and
-//! `SharedRuntime`): collisions are classified by effect-signature
-//! disjointness and surface in the observability metrics.
+//! Checkout-collision instrumentation on the site host (`Runtime`):
+//! collisions are classified by effect-signature disjointness and surface
+//! in the observability metrics (the `shared` block of
+//! `mrom.metrics.v1`; the key keeps its historical name).
 //!
 //! Collisions are produced deterministically with *cyclic* calls — a
-//! method that `send`s back into its own object is indistinguishable,
-//! at the slot, from a concurrent caller, so no thread scheduling is
-//! needed to hit the Busy arm.
+//! method that `send`s back into its own object finds its slot checked
+//! out, which is the Busy arm of the checkout.
 //!
 //! Runs on its own thread-local recorder (each test binary process gets
 //! one per thread; this file keeps everything on the main test thread
 //! per test function).
 
-use mrom_core::{ClassSpec, DataItem, Method, MethodBody, MromError, Runtime, SharedRuntime};
+use mrom_core::{ClassSpec, DataItem, Method, MethodBody, MromError, Runtime};
 use mrom_obs::{EventKind, ObsMode};
 use mrom_value::{NodeId, ObjectId, Value};
 
@@ -41,52 +41,27 @@ fn cyclic_class() -> ClassSpec {
         )
 }
 
-/// The two site hosts, driven the same way.
-trait Host: Sized {
-    /// A host at `node` with one `cyclic` object.
-    fn with_cyclic(node: NodeId) -> (Self, ObjectId);
-    fn invoke_as_system(&mut self, id: ObjectId, method: &str) -> Result<Value, MromError>;
+/// A runtime at `node` with one `cyclic` object.
+fn with_cyclic(node: NodeId) -> (Runtime, ObjectId) {
+    let mut rt = Runtime::new(node);
+    rt.classes_mut().register(cyclic_class()).unwrap();
+    let id = rt.create("cyclic").unwrap();
+    (rt, id)
 }
 
-impl Host for Runtime {
-    fn with_cyclic(node: NodeId) -> (Runtime, ObjectId) {
-        let mut rt = Runtime::new(node);
-        rt.classes_mut().register(cyclic_class()).unwrap();
-        let id = rt.create("cyclic").unwrap();
-        (rt, id)
-    }
-
-    fn invoke_as_system(&mut self, id: ObjectId, method: &str) -> Result<Value, MromError> {
-        Runtime::invoke_as_system(self, id, method, &[])
-    }
-}
-
-impl Host for SharedRuntime {
-    fn with_cyclic(node: NodeId) -> (SharedRuntime, ObjectId) {
-        let rt = SharedRuntime::new(node);
-        rt.with_classes_mut(|reg| reg.register(cyclic_class()))
-            .unwrap();
-        let id = rt.create("cyclic").unwrap();
-        (rt, id)
-    }
-
-    fn invoke_as_system(&mut self, id: ObjectId, method: &str) -> Result<Value, MromError> {
-        SharedRuntime::invoke_as_system(self, id, method, &[])
-    }
-}
-
-fn busy_collisions_are_classified_by_signature_disjointness<H: Host>() {
+#[test]
+fn busy_collisions_are_classified_by_signature_disjointness() {
     mrom_obs::reset();
     mrom_obs::set_mode(ObsMode::Ring);
-    let (mut rt, id) = H::with_cyclic(NodeId(77));
+    let (mut rt, id) = with_cyclic(NodeId(77));
 
     // The cyclic inner send surfaces as ObjectBusy at the script layer.
     assert!(matches!(
-        rt.invoke_as_system(id, "cycle_peek"),
+        rt.invoke_as_system(id, "cycle_peek", &[]),
         Err(MromError::Script(_) | MromError::ObjectBusy(_))
     ));
     assert!(matches!(
-        rt.invoke_as_system(id, "cycle_poke"),
+        rt.invoke_as_system(id, "cycle_poke", &[]),
         Err(MromError::Script(_) | MromError::ObjectBusy(_))
     ));
     mrom_obs::set_mode(ObsMode::Disabled);
@@ -118,35 +93,13 @@ fn busy_collisions_are_classified_by_signature_disjointness<H: Host>() {
     );
 }
 
-fn disabled_recorder_records_no_collision_state<H: Host>() {
+#[test]
+fn disabled_recorder_records_no_collision_state() {
     mrom_obs::reset();
-    let (mut rt, id) = H::with_cyclic(NodeId(78));
-    assert!(rt.invoke_as_system(id, "cycle_peek").is_err());
+    let (mut rt, id) = with_cyclic(NodeId(78));
+    assert!(rt.invoke_as_system(id, "cycle_peek", &[]).is_err());
     let m = mrom_obs::metrics_snapshot();
     assert_eq!(m.shared.busy_collisions, 0);
     // The object itself still works normally afterwards.
-    assert_eq!(rt.invoke_as_system(id, "peek").unwrap(), Value::Int(0));
+    assert_eq!(rt.invoke_as_system(id, "peek", &[]).unwrap(), Value::Int(0));
 }
-
-/// Each check, once per host.
-macro_rules! on_both_hosts {
-    ($($check:ident),*) => {
-        mod runtime {
-            $(#[test]
-            fn $check() {
-                super::$check::<mrom_core::Runtime>();
-            })*
-        }
-        mod shared {
-            $(#[test]
-            fn $check() {
-                super::$check::<mrom_core::SharedRuntime>();
-            })*
-        }
-    };
-}
-
-on_both_hosts!(
-    busy_collisions_are_classified_by_signature_disjointness,
-    disabled_recorder_records_no_collision_state
-);

@@ -501,9 +501,17 @@ fn run_inner(cfg: &FleetConfig, seed: u64) -> Result<FleetRun, HadasError> {
         .filter_map(|id| telemetry.objects.get(id))
         .map(|profile| profile.invocations)
         .sum();
+    // Slice the one global snapshot by hosting site and fold the slices
+    // back: each profile must come back once, from the site hosting it.
     let mut folded = TelemetrySnapshot::default();
     for &node in &sites {
-        folded.absorb(&fed.site_telemetry(node)?);
+        let mut slice = TelemetrySnapshot::default();
+        for id in fed.runtime(node)?.object_ids() {
+            if let Some(profile) = telemetry.objects.get(&id) {
+                slice.objects.insert(id, profile.clone());
+            }
+        }
+        folded.absorb(&slice);
     }
     report.telemetry_fold_matches = folded.objects == telemetry.objects;
 

@@ -197,8 +197,8 @@ pub fn instantiate_ambassador_with_policy(
     instantiate_ambassador_as(apo, apo_name, origin_node, spec, ids.next_id(), policy)
 }
 
-/// [`instantiate_ambassador_with_policy`] with a pre-minted identity (the
-/// shared-runtime path, where ids are minted through `&self`).
+/// [`instantiate_ambassador_with_policy`] with a pre-minted identity (one
+/// minted through the receiving site runtime's own generator).
 ///
 /// # Errors
 ///

@@ -42,6 +42,12 @@ pub enum ExportPolicy {
 
 /// One logical site: a node runtime, its IOO, and the bookkeeping the
 /// protocol handlers maintain.
+///
+/// Cache-line aligned: sites sit inline in the federation's map, and
+/// otherwise a site's exact size decides which of its hot fields
+/// straddle a line. Shrinking `Runtime` by 8 bytes moved the benchmark's
+/// `advisor_affinity` per-op wall time by about 10% (EXPERIMENTS E30).
+#[repr(align(64))]
 struct Site {
     runtime: Runtime,
     ioo: ObjectId,
@@ -194,8 +200,8 @@ impl Federation {
     /// Decodes an arriving image through the receiving site's runtime,
     /// under its admission policy (the federation's), converting strict
     /// rejections into [`HadasError::AdmissionRefused`] naming the site.
-    fn admit_image(&self, at: NodeId, image: &[u8]) -> Result<MromObject, HadasError> {
-        self.site(at)?
+    fn admit_image(&mut self, at: NodeId, image: &[u8]) -> Result<MromObject, HadasError> {
+        self.site_mut(at)?
             .runtime
             .unpack_image(image)
             .map_err(|e| at_site(at, e))

@@ -25,8 +25,8 @@ pub fn build_ioo(ids: &mut IdGenerator, node: NodeId) -> MromObject {
     build_ioo_as(ids.next_id(), node)
 }
 
-/// [`build_ioo`] with a pre-minted identity (the shared-runtime path,
-/// where ids are minted through `&self`).
+/// [`build_ioo`] with a pre-minted identity (one minted through the
+/// site runtime's own generator).
 pub fn build_ioo_as(id: ObjectId, node: NodeId) -> MromObject {
     let system_writable = Acl::only([ObjectId::SYSTEM]);
     ObjectBuilder::new(id)

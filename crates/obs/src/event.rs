@@ -253,8 +253,9 @@ pub enum EventKind {
         /// The duplicate message's wire tag.
         kind: &'static str,
     },
-    /// A shared-runtime checkout found the target already checked out by
-    /// a concurrent invocation.
+    /// A site host's checkout found the target already checked out: a
+    /// re-entrant cycle of `send`s came back into an executing object.
+    /// The variant name and its `shared_collision` tag are historical.
     SharedCollision {
         /// Node whose object table collided.
         node: NodeId,

@@ -499,10 +499,12 @@ pub fn script_ic(hits: u64, misses: u64) {
     });
 }
 
-/// Records a shared-runtime checkout collision, classified by effect
+/// Records a checkout collision — a re-entrant cycle of `send`s back
+/// into an object its site host has checked out — classified by effect
 /// signatures: `disjoint = Some(true)` when the in-flight and incoming
 /// methods provably touch disjoint state, `Some(false)` when they
-/// overlap, `None` when no comparison was possible.
+/// overlap, `None` when no comparison was possible. The name and the
+/// `shared` metrics block keep their historical spelling.
 #[inline]
 pub fn shared_collision(
     node: NodeId,
@@ -556,8 +558,9 @@ pub fn runtime_invoke(node: NodeId, target: ObjectId, method: &str) {
 // ===== log channel (always on) ===========================================
 
 /// Appends to the bounded log channel. Unlike every other helper this
-/// records even in `Disabled` mode — it replaces `Runtime::log_entries`,
-/// whose behaviour never depended on an observability switch.
+/// records even in `Disabled` mode: a script's `self.log(...)` is
+/// program output, whose behaviour never depends on an observability
+/// switch.
 pub fn log_line(node: NodeId, caller: ObjectId, message: &str) {
     with_recorder(|r| r.log_line(node, caller, message));
 }

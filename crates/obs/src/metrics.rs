@@ -311,17 +311,18 @@ impl AdmissionMetrics {
     }
 }
 
-/// Counters for the shared (concurrent) runtime's object table.
+/// Checkout-collision counters of the site hosts' object tables (the
+/// `shared` JSON block; the key is historical). A collision is a
+/// re-entrant cycle of `send`s back into an object already checked out.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SharedMetrics {
     /// Checkout attempts refused because the target was already checked
-    /// out by a concurrent invocation.
+    /// out by an invocation further up the same call chain.
     pub busy_collisions: u64,
     /// Collisions where the in-flight and incoming methods' effect
-    /// signatures were provably disjoint — serializing them was a
+    /// signatures were provably disjoint — refusing the re-entry was a
     /// conservative loss, not a correctness requirement. A high ratio
-    /// here is the signal that finer-grained (per-signature) locking
-    /// would pay off.
+    /// here is the signal that per-signature checkout would pay off.
     pub disjoint_collisions: u64,
     /// Collisions where the signatures overlapped or could not be
     /// compared: mutual exclusion was required for correctness.
@@ -466,7 +467,7 @@ pub struct Metrics {
     pub persist: PersistMetrics,
     /// Admission analysis.
     pub admission: AdmissionMetrics,
-    /// Shared-runtime object table.
+    /// Site-host checkout collisions.
     pub shared: SharedMetrics,
     /// HADAS federation.
     pub federation: FederationMetrics,

@@ -16,8 +16,8 @@
 //! * **Full** — Ring plus wall-clock span latency histograms.
 //!
 //! The **log channel** is the one exception: it always records (bounded),
-//! because it replaces the old `Runtime::log_entries` vec whose behaviour
-//! did not depend on any observability switch.
+//! because a script's `self.log(...)` is program output whose behaviour
+//! does not depend on any observability switch.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -348,7 +348,7 @@ impl Recorder {
         }
     }
 
-    /// Window feed: a shared-runtime checkout collision on `object`.
+    /// Window feed: a checkout collision (a re-entrant cycle) on `object`.
     pub fn window_collision(&mut self, object: ObjectId) {
         let now = self.virtual_now_us;
         if let Some(b) = self.window.as_mut().and_then(|w| w.bucket_at(now)) {

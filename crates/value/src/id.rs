@@ -212,68 +212,6 @@ impl IdGenerator {
     }
 }
 
-/// A thread-safe [`IdGenerator`]: mints identities through `&self`, so a
-/// shared (multi-worker) runtime can create objects concurrently.
-///
-/// The stream is identical to [`IdGenerator`] with the same seed under
-/// any interleaving: each mint takes the next sequence number *and* its
-/// entropy draw together, under one short lock, so N concurrent mints
-/// yield exactly the ids of N sequential ones.
-#[derive(Debug)]
-pub struct AtomicIdGenerator {
-    inner: std::sync::Mutex<IdGenerator>,
-}
-
-impl AtomicIdGenerator {
-    /// Creates a generator for `node` with a seed derived from the node id
-    /// (same derivation as [`IdGenerator::new`]).
-    pub fn new(node: NodeId) -> Self {
-        Self::from_generator(&IdGenerator::new(node))
-    }
-
-    /// Creates a generator with an explicit entropy seed.
-    pub fn with_seed(node: NodeId, seed: u64) -> Self {
-        Self::from_generator(&IdGenerator::with_seed(node, seed))
-    }
-
-    /// Adopts the exact state of a sequential generator, continuing its
-    /// stream where it left off.
-    pub fn from_generator(gen: &IdGenerator) -> Self {
-        AtomicIdGenerator {
-            inner: std::sync::Mutex::new(gen.clone()),
-        }
-    }
-
-    /// Snapshots the current state as a sequential [`IdGenerator`].
-    pub fn to_generator(&self) -> IdGenerator {
-        self.lock().clone()
-    }
-
-    /// The node this generator mints identities for.
-    pub fn node(&self) -> NodeId {
-        self.lock().node()
-    }
-
-    /// Mints the next identity. Safe to call from any number of threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `u32::MAX - 1` identities are minted from one
-    /// generator, matching [`IdGenerator::next_id`].
-    pub fn next_id(&self) -> ObjectId {
-        self.lock().next_id()
-    }
-
-    /// The generator under its lock. A mint that panics (sequence
-    /// exhaustion) does so before changing any field, so a poisoned lock
-    /// still guards a consistent generator and is recovered.
-    fn lock(&self) -> std::sync::MutexGuard<'_, IdGenerator> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,42 +267,6 @@ mod tests {
         assert!("".parse::<ObjectId>().is_err());
         assert!("12".parse::<ObjectId>().is_err());
         assert!("zz-1-1".parse::<ObjectId>().is_err());
-    }
-
-    #[test]
-    fn atomic_generator_matches_sequential_stream() {
-        let mut seq = IdGenerator::with_seed(NodeId(11), 77);
-        let atomic = AtomicIdGenerator::with_seed(NodeId(11), 77);
-        for _ in 0..256 {
-            assert_eq!(seq.next_id(), atomic.next_id());
-        }
-        // Round trip through the snapshot keeps the stream aligned.
-        let mut resumed = atomic.to_generator();
-        let atomic2 = AtomicIdGenerator::from_generator(&resumed);
-        for _ in 0..64 {
-            assert_eq!(resumed.next_id(), atomic2.next_id());
-        }
-    }
-
-    #[test]
-    fn atomic_generator_unique_across_threads() {
-        let atomic = AtomicIdGenerator::new(NodeId(12));
-        let mut all = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| (0..1000).map(|_| atomic.next_id()).collect::<Vec<_>>()))
-                .collect();
-            for h in handles {
-                all.extend(h.join().expect("minting thread panicked"));
-            }
-        });
-        let distinct: HashSet<_> = all.iter().copied().collect();
-        assert_eq!(distinct.len(), 8000);
-        // Exactly the ids a sequential generator mints: every sequence
-        // number keeps its own entropy draw whatever the interleaving.
-        let mut seq = IdGenerator::new(NodeId(12));
-        let sequential: HashSet<_> = (0..8000).map(|_| seq.next_id()).collect();
-        assert_eq!(distinct, sequential);
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod value;
 pub mod wire;
 
 pub use error::ValueError;
-pub use id::{AtomicIdGenerator, IdGenerator, NodeId, ObjectId};
+pub use id::{IdGenerator, NodeId, ObjectId};
 pub use value::{Value, ValueKind};
 
 /// Crate-local result alias over [`ValueError`].
