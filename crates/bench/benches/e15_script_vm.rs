@@ -33,8 +33,8 @@ const LOOP_SRC: &str = "param n; let acc = 0; let i = 0; \
 /// Straight-line body: binds the per-call floor (frame setup + a few ops).
 const STRAIGHT_SRC: &str = "param a; param b; return (a + b) * (a - b) + a % 7;";
 
-/// Invocation body whose hot loop is `self` data traffic — the inline-
-/// cache target shape.
+/// Invocation body whose hot loop is `self` data traffic: two host calls
+/// per iteration, each through the one `HostContext::host_call` path.
 const IC_SRC: &str = "param n; let i = 0; \
                       while (i < n) { \
                           self.set(\"count\", self.get(\"count\") + 1); \
@@ -98,9 +98,10 @@ fn bench_script_vm(c: &mut Criterion) {
     });
 
     // Full invoke round-trip: Lookup → Match → Apply with the body's
-    // `self.get`/`self.set` loop hitting (VM) or bypassing (the reference
-    // evaluator) the inline data caches. Fresh object per iteration so
-    // `count` growth never changes the arithmetic between engines.
+    // `self.get`/`self.set` loop on each engine. The row keeps its
+    // historical `ic` name so its trajectory continues. Fresh object per
+    // iteration so `count` growth never changes the arithmetic between
+    // engines.
     let engines = [invoke_with_reference_evaluator, invoke_with_limits];
     for (label, run) in ["interp", "vm"].into_iter().zip(engines) {
         group.bench_function(BenchmarkId::new("invoke_ic_loop100", label), |b| {

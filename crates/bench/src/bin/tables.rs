@@ -692,8 +692,8 @@ fn e15_script_vm() {
         });
         speedup_row(label, interp, vm);
     }
-    // Full invoke round-trip whose hot loop is `self` data traffic — the
-    // inline-cache target shape. Fresh object per iteration so `count`
+    // Full invoke round-trip whose hot loop is `self` data traffic: two
+    // host calls per iteration. Fresh object per iteration so `count`
     // growth never changes the arithmetic between engines.
     const IC_SRC: &str = "param n; let i = 0; \
                           while (i < n) { \

@@ -111,12 +111,6 @@ impl<T> FixedContainer<T> {
         self.values.get(index)
     }
 
-    /// Direct mutable access by stable index (inline-cache hit path for
-    /// value writes on fixed data items).
-    pub fn get_by_index_mut(&mut self, index: usize) -> Option<&mut T> {
-        self.values.get_mut(index)
-    }
-
     /// `true` if `name` is present.
     pub fn contains(&self, name: &str) -> bool {
         self.index_of(name).is_some()

@@ -654,9 +654,6 @@ fn run_body<E: Engine>(
                 depth,
                 fuel,
                 limits,
-                ics: Vec::new(),
-                ic_hits: 0,
-                ic_misses: 0,
                 rejection: None,
                 engine: PhantomData,
             };
@@ -665,9 +662,6 @@ fn run_body<E: Engine>(
             // ledger during the run; deduct the evaluator's own steps now.
             *host.fuel = host.fuel.saturating_sub(used);
             mrom_obs::script_run(used, host_calls);
-            if host.ic_hits + host.ic_misses > 0 {
-                mrom_obs::script_ic(host.ic_hits, host.ic_misses);
-            }
             match (outcome, host.rejection) {
                 (Err(ScriptError::Host(_)), Some(rejection)) => Err(rejection),
                 (outcome, _) => outcome.map_err(MromError::from),
@@ -844,29 +838,6 @@ fn method_from_arg(v: &Value) -> Result<Method, MromError> {
 // Script bridge
 // ---------------------------------------------------------------------------
 
-/// One `self.*` call site's inline-cache state.
-///
-/// Only data accesses that resolved to a **fixed-section** item are
-/// cached: fixed indices, ACLs, and type constraints are immutable for
-/// the object's lifetime (`setDataItem` refuses the fixed section), so a
-/// slow-path success proves the access verdict for every later hit at
-/// the same generation. Everything else — extensible items, denials,
-/// meta-methods, world calls — stays on the slow path, which produces
-/// the exact errors and events of the interpreter.
-enum IcEntry {
-    /// Site never resolved yet.
-    Empty,
-    /// Site resolved to fixed-section data item `index` named `item`,
-    /// stamped with the object generation at resolution time.
-    FixedData {
-        gen: u64,
-        index: usize,
-        item: Box<str>,
-    },
-    /// Site resolved to something the cache cannot speed up.
-    Bypass,
-}
-
 /// Bridges `self.*` host calls from a running script body into the object
 /// model. All calls execute with the authority of the object itself;
 /// nested invocations stay on engine `E`.
@@ -878,11 +849,6 @@ struct ScriptHost<'a, E> {
     depth: usize,
     fuel: &'a mut u64,
     limits: &'a InvokeLimits,
-    /// Per-site inline caches, indexed by the compiler's static call-site
-    /// numbering; grown on demand, alive for one script run.
-    ics: Vec<IcEntry>,
-    ic_hits: u64,
-    ic_misses: u64,
     /// An admission refusal that aborted the run: the runtime's verdict,
     /// so it leaves the body structured, not as a host-error string.
     rejection: Option<MromError>,
@@ -997,76 +963,6 @@ impl<E: Engine> HostContext for ScriptHost<'_, E> {
             return Err(lossy);
         }
         result.map_err(ScriptError::from)
-    }
-
-    fn host_call_site(
-        &mut self,
-        site: u32,
-        name: &str,
-        args: &[Value],
-    ) -> Result<Value, ScriptError> {
-        // Only the data fast paths are worth caching; every other call is
-        // dominated by its own work.
-        let item_name = match (name, args) {
-            ("get" | "get_data_item", [Value::Str(item)]) => item,
-            ("set", [Value::Str(item), _]) => item,
-            _ => return self.host_call(name, args),
-        };
-        let site = site as usize;
-        if self.ics.len() <= site {
-            self.ics.resize_with(site + 1, || IcEntry::Empty);
-        }
-
-        if let IcEntry::FixedData { gen, index, item } = &self.ics[site] {
-            if *gen == self.object.generation() && item.as_ref() == item_name.as_str() {
-                let index = *index;
-                self.ic_hits += 1;
-                match name {
-                    "get" => {
-                        if let Some(v) = self.object.fixed_data_value(index) {
-                            return Ok(v);
-                        }
-                    }
-                    "set" => {
-                        // Re-runs the value-dependent half (type
-                        // constraint) so a bad write errs exactly as the
-                        // slow path would.
-                        return self
-                            .object
-                            .fixed_data_write(index, item_name, args[1].clone())
-                            .map(|()| Value::Null)
-                            .map_err(ScriptError::from);
-                    }
-                    _ => {
-                        // `getDataItem` is observable as a meta-op even on
-                        // the fast path.
-                        mrom_obs::meta_op(self.object.id(), "getDataItem");
-                        if let Some(desc) = self.object.fixed_data_descriptor(index) {
-                            return Ok(desc);
-                        }
-                    }
-                }
-                // A cached index out of range cannot happen (fixed section
-                // never shrinks); if it somehow does, fall back safely.
-                self.ic_hits -= 1;
-            }
-        }
-
-        self.ic_misses += 1;
-        let result = self.host_call(name, args);
-        if result.is_ok() {
-            // The slow path just proved the verdict; remember where the
-            // item lives if it is cacheable (fixed section only).
-            self.ics[site] = match self.object.fixed_data_index(item_name) {
-                Some(index) => IcEntry::FixedData {
-                    gen: self.object.generation(),
-                    index,
-                    item: item_name.as_str().into(),
-                },
-                None => IcEntry::Bypass,
-            };
-        }
-        result
     }
 }
 

@@ -204,8 +204,8 @@ impl MromObject {
     /// Marks a structural change — method resolution (extensible method
     /// set or tower) or the extensible data section's shape (item set,
     /// ACLs, constraints) — invalidating every stamped cache entry at
-    /// once: the dispatch cache and the script inline caches. Plain value
-    /// writes are *not* structural and never bump the generation.
+    /// once: the dispatch cache and the effects memo. Plain value writes
+    /// are *not* structural and never bump the generation.
     fn touch_structure(&mut self) {
         self.generation = self.generation.wrapping_add(1);
     }
@@ -346,57 +346,6 @@ impl MromObject {
             m.insert("section".to_owned(), Value::from(section.name()));
         }
         Ok(desc)
-    }
-
-    // -- inline-cache fast paths (crate-internal) ---------------------------
-    //
-    // The script bridge caches `self.get`/`self.set`/`getDataItem` sites
-    // that resolved to *fixed-section* items. Fixed indices and ACLs are
-    // immutable for the object's lifetime (`set_data_item` refuses the
-    // fixed section), so a slow-path success proves the access verdict for
-    // every later hit; only the value-dependent work (clone, type
-    // constraint) re-runs per hit.
-
-    /// Fixed-section index of a data item, for inline caches.
-    pub(crate) fn fixed_data_index(&self, name: &str) -> Option<usize> {
-        self.fixed_data.index_of(name)
-    }
-
-    /// Reads a fixed data item's value by index (IC hit path of `self.get`).
-    pub(crate) fn fixed_data_value(&self, index: usize) -> Option<Value> {
-        self.fixed_data
-            .get_by_index(index)
-            .map(|item| item.value().clone())
-    }
-
-    /// Writes a fixed data item's value by index (IC hit path of
-    /// `self.set`), with the same type-constraint mapping as `write_data`.
-    pub(crate) fn fixed_data_write(
-        &mut self,
-        index: usize,
-        name: &str,
-        value: Value,
-    ) -> Result<(), MromError> {
-        let item = self
-            .fixed_data
-            .get_by_index_mut(index)
-            .expect("inline-cached fixed index in range");
-        item.write(value).map_err(|e| MromError::TypeConstraint {
-            item: name.to_owned(),
-            detail: e.to_string(),
-        })
-    }
-
-    /// A fixed data item's descriptor by index (IC hit path of
-    /// `getDataItem`), identical in shape to [`MromObject::data_descriptor`].
-    pub(crate) fn fixed_data_descriptor(&self, index: usize) -> Option<Value> {
-        self.fixed_data.get_by_index(index).map(|item| {
-            let mut desc = item.descriptor();
-            if let Some(m) = desc.as_map_mut() {
-                m.insert("section".to_owned(), Value::from(Section::Fixed.name()));
-            }
-            desc
-        })
     }
 
     /// The `setDataItem` meta-operation: changes an item's properties
@@ -1139,8 +1088,10 @@ impl ObjectBuilder {
         self
     }
 
-    /// Skips automatic meta-method registration entirely (used by the
-    /// migration decoder, which restores them from the image).
+    /// Skips automatic meta-method registration entirely, so no
+    /// meta-method name resolves on the built object. The migration
+    /// decoder does not use this: it restores an image's methods through
+    /// the crate-private `MromObject::from_raw_parts`.
     pub fn without_meta_methods(mut self) -> ObjectBuilder {
         self.register_meta = false;
         self

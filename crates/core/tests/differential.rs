@@ -155,9 +155,9 @@ fn defect_corpus_bodies_agree() {
 
 #[test]
 fn ic_sites_survive_structural_mutation() {
-    // A body that caches `self.get("count")` sites, then mutates object
+    // A body that reads `self.get("count")`, then mutates object
     // structure (extensible adds/deletes bump the generation) and reads
-    // again — the cache must revalidate, never serve stale values.
+    // again — both engines must see every write, never a stale value.
     let src = "let a = self.get(\"count\"); \
                self.add_data_item(\"tmp\", a + 1); \
                self.set(\"count\", self.get(\"count\") + 10); \

@@ -1,4 +1,4 @@
-//! Chrome `trace_event` export for flight-recorder / `VecSink` contents.
+//! Chrome `trace_event` export for flight-recorder contents.
 //!
 //! [`chrome_trace`] renders a slice of [`TraceEvent`]s as the JSON-array
 //! flavour of the Trace Event Format, which `chrome://tracing` and

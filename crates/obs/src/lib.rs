@@ -50,7 +50,6 @@ mod metrics;
 mod profile;
 mod recorder;
 mod ring;
-mod sink;
 mod window;
 
 pub use event::{Event, EventKind, TraceEvent, WrapStage};
@@ -63,7 +62,6 @@ pub use metrics::{
 pub use profile::{LinkProfile, ObjectProfile, TelemetrySnapshot, TELEMETRY_SCHEMA};
 pub use recorder::{ObsMode, Recorder, SpanHandle, LOG_CHANNEL_CAPACITY};
 pub use ring::{FlightRecorder, DEFAULT_RING_CAPACITY};
-pub use sink::{TraceSink, VecSink};
 pub use window::{EpochBucket, LinkWindowStats, ObjectWindowStats, WindowConfig, WindowState};
 
 use std::cell::{Cell, RefCell};
@@ -108,16 +106,6 @@ pub fn set_mode(mode: ObsMode) {
 /// Clears ring, metrics, counters, trace state, and the log channel.
 pub fn reset() {
     with_recorder(Recorder::reset);
-}
-
-/// Installs (replacing) a custom [`TraceSink`]; returns the previous one.
-pub fn install_sink(sink: Box<dyn TraceSink>) -> Option<Box<dyn TraceSink>> {
-    with_recorder(|r| r.install_sink(sink))
-}
-
-/// Removes the custom sink, if any.
-pub fn take_sink() -> Option<Box<dyn TraceSink>> {
-    with_recorder(Recorder::take_sink)
 }
 
 // ===== snapshots =========================================================
@@ -482,20 +470,6 @@ pub fn script_run(fuel_used: u64, host_calls: u64) {
             fuel_used,
             host_calls,
         });
-    });
-}
-
-/// Records inline-cache traffic from one script-body execution
-/// (metrics-only: IC hit rates are an aggregate, not an event stream).
-#[inline]
-pub fn script_ic(hits: u64, misses: u64) {
-    if !enabled() {
-        return;
-    }
-    with_recorder(|r| {
-        let m = r.metrics_mut();
-        m.script.ic_hits += hits;
-        m.script.ic_misses += misses;
     });
 }
 
@@ -980,17 +954,6 @@ mod tests {
         assert_eq!(&**names[0], "bump");
         assert!(names.iter().all(|n| std::sync::Arc::ptr_eq(n, names[0])));
         set_mode(ObsMode::Disabled);
-    }
-
-    #[test]
-    fn custom_sink_sees_the_stream() {
-        set_mode(ObsMode::Ring);
-        install_sink(Box::new(VecSink::default()));
-        meta_op(ObjectId::SYSTEM, "getMethod");
-        let sink = take_sink().expect("sink was installed");
-        // Downcasting isn't available without `Any`; recount via events.
-        assert_eq!(events_recorded(), 1);
-        drop(sink);
     }
 
     #[test]

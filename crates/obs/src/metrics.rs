@@ -206,10 +206,6 @@ pub struct ScriptMetrics {
     pub host_calls: u64,
     /// Fuel charged by the evaluator, per body.
     pub fuel: Histogram,
-    /// Inline-cache hits at `self.*` data-access sites (VM engine).
-    pub ic_hits: u64,
-    /// Inline-cache misses at `self.*` data-access sites (VM engine).
-    pub ic_misses: u64,
 }
 
 impl ScriptMetrics {
@@ -218,8 +214,6 @@ impl ScriptMetrics {
             ("runs", int(self.runs)),
             ("host_calls", int(self.host_calls)),
             ("fuel", self.fuel.to_value()),
-            ("ic_hits", int(self.ic_hits)),
-            ("ic_misses", int(self.ic_misses)),
         ])
     }
 }

@@ -11,8 +11,8 @@
 //!   thread-local byte and fall through; no event is constructed, nothing
 //!   allocates, counters do not move.
 //! * **Ring** — events are assembled and appended to the bounded
-//!   flight-recorder ring (plus any installed [`TraceSink`]); metrics
-//!   counters are updated, but no clocks are read.
+//!   flight-recorder ring; metrics counters are updated, but no clocks
+//!   are read.
 //! * **Full** — Ring plus wall-clock span latency histograms.
 //!
 //! The **log channel** is the one exception: it always records (bounded),
@@ -29,7 +29,6 @@ use crate::event::{Event, EventKind, TraceEvent};
 use crate::metrics::Metrics;
 use crate::profile::TelemetrySnapshot;
 use crate::ring::{FlightRecorder, DEFAULT_RING_CAPACITY};
-use crate::sink::TraceSink;
 use crate::window::{WindowConfig, WindowState};
 
 /// Retention cap for the always-on log channel.
@@ -113,7 +112,6 @@ impl SpanHandle {
 pub struct Recorder {
     mode: ObsMode,
     ring: FlightRecorder,
-    extra_sink: Option<Box<dyn TraceSink>>,
     metrics: Metrics,
     /// Total events recorded since last reset — the counter the
     /// zero-overhead test asserts against.
@@ -169,7 +167,6 @@ impl Recorder {
         Recorder {
             mode: ObsMode::Disabled,
             ring: FlightRecorder::with_capacity(DEFAULT_RING_CAPACITY),
-            extra_sink: None,
             metrics: Metrics::default(),
             events_recorded: 0,
             seq: 0,
@@ -220,16 +217,6 @@ impl Recorder {
         if let Some(w) = &mut self.window {
             w.clear();
         }
-    }
-
-    /// Installs (replacing) the custom sink; returns the previous one.
-    pub fn install_sink(&mut self, sink: Box<dyn TraceSink>) -> Option<Box<dyn TraceSink>> {
-        self.extra_sink.replace(sink)
-    }
-
-    /// Removes the custom sink, if any.
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.extra_sink.take()
     }
 
     /// Total events recorded since the last reset.
@@ -448,9 +435,6 @@ impl Recorder {
         };
         self.seq += 1;
         self.events_recorded += 1;
-        if let Some(sink) = self.extra_sink.as_mut() {
-            sink.record(&te);
-        }
         self.ring.record(te);
     }
 

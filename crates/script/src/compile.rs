@@ -140,15 +140,12 @@ pub(crate) enum Instr {
         argc: u32,
     },
     /// Pop `argc` arguments and perform `self.names[name](...)` through
-    /// the host, identified by its static call-site index for inline
-    /// caching. The 8-fuel host-call burn is attached to this pc.
+    /// the host. The 8-fuel host-call burn is attached to this pc.
     HostCall {
         /// Name-pool index of the host method.
         name: u32,
         /// Argument count.
         argc: u32,
-        /// Static call-site index (dense, per program).
-        site: u32,
     },
     /// Pop `n` values, push a list of them (in evaluation order).
     MakeList(u32),
@@ -224,8 +221,6 @@ pub struct CompiledProgram {
     pub(crate) n_locals: u32,
     /// Slot for each declared parameter, bound positionally at entry.
     pub(crate) param_slots: Vec<u32>,
-    /// Number of `self.*` call sites (sizes a host's inline-cache table).
-    n_sites: u32,
 }
 
 impl CompiledProgram {
@@ -238,12 +233,6 @@ impl CompiledProgram {
     /// `compile`, which always emits at least a return).
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
-    }
-
-    /// Number of distinct `self.*` call sites, for sizing per-run inline
-    /// cache tables.
-    pub fn site_count(&self) -> u32 {
-        self.n_sites
     }
 
     /// Number of resolved local-variable slots.
@@ -377,10 +366,9 @@ impl CompiledProgram {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "; {} instrs, {} locals, {} host-call sites",
+            "; {} instrs, {} locals",
             self.instrs.len(),
-            self.n_locals,
-            self.n_sites
+            self.n_locals
         );
         if !self.consts.is_empty() {
             let _ = writeln!(out, "; constants:");
@@ -428,9 +416,7 @@ impl CompiledProgram {
                 Instr::CallUnknown { name, argc } => {
                     format!("call_unknown n{name} argc={argc}")
                 }
-                Instr::HostCall { name, argc, site } => {
-                    format!("host_call n{name} argc={argc} site={site}")
-                }
+                Instr::HostCall { name, argc } => format!("host_call n{name} argc={argc}"),
                 Instr::MakeList(n) => format!("make_list {n}"),
                 Instr::MakeMap { keys, n } => format!("make_map n{keys}.. n={n}"),
                 Instr::AssignPath { root, n_idx } => {
@@ -516,7 +502,6 @@ pub fn compile(program: &Program) -> CompiledProgram {
         names: Vec::new(),
         frames: vec![HashMap::new()],
         n_locals: 0,
-        n_sites: 0,
         pending: 0,
         labels: Vec::new(),
         charges: Vec::new(),
@@ -550,7 +535,6 @@ struct Compiler {
     /// Compile-time replay of the interpreter's scope frames.
     frames: Vec<HashMap<String, u32>>,
     n_locals: u32,
-    n_sites: u32,
     /// Fuel waiting to be attached to the next emitted instruction.
     pending: u64,
     /// Label id → instruction index (bound at `bind`).
@@ -897,12 +881,9 @@ impl Compiler {
                 // before the call.
                 self.attach(HOST_CALL_FUEL);
                 let n = self.name_idx(name);
-                let site = self.n_sites;
-                self.n_sites += 1;
                 self.emit(Instr::HostCall {
                     name: n,
                     argc: args.len() as u32,
-                    site,
                 });
             }
             Expr::ListExpr(items) => {
@@ -1041,7 +1022,6 @@ impl Compiler {
             names: self.names,
             n_locals: self.n_locals,
             param_slots,
-            n_sites: self.n_sites,
         }
     }
 }
@@ -1087,21 +1067,6 @@ mod tests {
                 >= 3,
             "cond/body/exit blocks"
         );
-    }
-
-    #[test]
-    fn host_calls_get_dense_site_indices() {
-        let cp = compiled("self.a(); self.b(1); self.a();");
-        let sites: Vec<u32> = cp
-            .instrs
-            .iter()
-            .filter_map(|i| match i {
-                Instr::HostCall { site, .. } => Some(*site),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(sites, vec![0, 1, 2]);
-        assert_eq!(cp.site_count(), 3);
     }
 
     #[test]

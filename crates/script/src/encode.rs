@@ -71,7 +71,7 @@ impl Program {
             .and_then(Value::as_list)
             .ok_or_else(|| malformed("missing body list"))?
             .iter()
-            .map(stmt_from_value)
+            .map(|s| stmt_from_value(s, 1))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Program::from_parts(params, body))
     }
@@ -193,52 +193,40 @@ fn str_field(fields: &[Value], i: usize, what: &str) -> Result<String, ScriptErr
         .ok_or_else(|| malformed(&format!("field {i} ({what}) must be a string")))
 }
 
-fn stmt_list(v: &Value) -> Result<Vec<Stmt>, ScriptError> {
+fn stmt_list(v: &Value, depth: usize) -> Result<Vec<Stmt>, ScriptError> {
     v.as_list()
         .ok_or_else(|| malformed("expected a statement list"))?
         .iter()
-        .map(stmt_from_value)
+        .map(|s| stmt_from_value(s, depth))
         .collect()
 }
 
-fn expr_list(v: &Value) -> Result<Vec<Expr>, ScriptError> {
+fn expr_list(v: &Value, depth: usize) -> Result<Vec<Expr>, ScriptError> {
     v.as_list()
         .ok_or_else(|| malformed("expected an expression list"))?
         .iter()
-        .map(expr_from_value)
+        .map(|e| expr_from_value(e, depth))
         .collect()
 }
 
-thread_local! {
-    /// Depth guard for hostile hand-built trees: the wire decoder bounds
-    /// value depth, but `Program::from_value` can be fed in-memory trees
-    /// directly; without this, a deep tree would overflow the stack here
-    /// or later in the evaluator.
-    static DECODE_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-fn with_depth<T>(f: impl FnOnce() -> Result<T, ScriptError>) -> Result<T, ScriptError> {
-    let depth = DECODE_DEPTH.with(|d| {
-        let v = d.get() + 1;
-        d.set(v);
-        v
-    });
-    let out = if depth > MAX_EXPR_DEPTH {
+/// Depth guard for hostile hand-built trees: the wire decoder bounds
+/// value depth, but `Program::from_value` can be fed in-memory trees
+/// directly; without this, a deep tree would overflow the stack here or
+/// later in the evaluator. `depth` counts the statement and expression
+/// nodes from a top-level statement (1) down to the node being decoded.
+fn check_depth(depth: usize) -> Result<(), ScriptError> {
+    if depth > MAX_EXPR_DEPTH {
         Err(malformed(&format!(
             "node nesting exceeds the limit of {MAX_EXPR_DEPTH}"
         )))
     } else {
-        f()
-    };
-    DECODE_DEPTH.with(|d| d.set(d.get() - 1));
-    out
+        Ok(())
+    }
 }
 
-fn stmt_from_value(v: &Value) -> Result<Stmt, ScriptError> {
-    with_depth(|| stmt_from_value_inner(v))
-}
-
-fn stmt_from_value_inner(v: &Value) -> Result<Stmt, ScriptError> {
+fn stmt_from_value(v: &Value, depth: usize) -> Result<Stmt, ScriptError> {
+    check_depth(depth)?;
+    let inner = depth + 1;
     let (tag, fields) = untag(v)?;
     let expect = |n: usize| -> Result<(), ScriptError> {
         if fields.len() != n {
@@ -254,50 +242,53 @@ fn stmt_from_value_inner(v: &Value) -> Result<Stmt, ScriptError> {
             expect(2)?;
             Ok(Stmt::Let(
                 str_field(fields, 0, "name")?,
-                expr_from_value(field(fields, 1, "value")?)?,
+                expr_from_value(field(fields, 1, "value")?, inner)?,
             ))
         }
         "assign" => {
             expect(2)?;
-            let target = expr_from_value(field(fields, 0, "target")?)?;
+            let target = expr_from_value(field(fields, 0, "target")?, inner)?;
             if !is_target(&target) {
                 return Err(malformed("assign target must be a variable or index chain"));
             }
             Ok(Stmt::Assign(
                 target,
-                expr_from_value(field(fields, 1, "value")?)?,
+                expr_from_value(field(fields, 1, "value")?, inner)?,
             ))
         }
         "expr" => {
             expect(1)?;
-            Ok(Stmt::Expr(expr_from_value(field(fields, 0, "expr")?)?))
+            Ok(Stmt::Expr(expr_from_value(
+                field(fields, 0, "expr")?,
+                inner,
+            )?))
         }
         "if" => {
             expect(3)?;
             Ok(Stmt::If(
-                expr_from_value(field(fields, 0, "cond")?)?,
-                stmt_list(field(fields, 1, "then")?)?,
-                stmt_list(field(fields, 2, "else")?)?,
+                expr_from_value(field(fields, 0, "cond")?, inner)?,
+                stmt_list(field(fields, 1, "then")?, inner)?,
+                stmt_list(field(fields, 2, "else")?, inner)?,
             ))
         }
         "while" => {
             expect(2)?;
             Ok(Stmt::While(
-                expr_from_value(field(fields, 0, "cond")?)?,
-                stmt_list(field(fields, 1, "body")?)?,
+                expr_from_value(field(fields, 0, "cond")?, inner)?,
+                stmt_list(field(fields, 1, "body")?, inner)?,
             ))
         }
         "for" => {
             expect(3)?;
             Ok(Stmt::For(
                 str_field(fields, 0, "var")?,
-                expr_from_value(field(fields, 1, "iter")?)?,
-                stmt_list(field(fields, 2, "body")?)?,
+                expr_from_value(field(fields, 1, "iter")?, inner)?,
+                stmt_list(field(fields, 2, "body")?, inner)?,
             ))
         }
         "return" => match fields.len() {
             0 => Ok(Stmt::Return(None)),
-            1 => Ok(Stmt::Return(Some(expr_from_value(&fields[0])?))),
+            1 => Ok(Stmt::Return(Some(expr_from_value(&fields[0], inner)?))),
             n => Err(malformed(&format!("return expects 0 or 1 fields, got {n}"))),
         },
         "break" => {
@@ -320,11 +311,9 @@ fn is_target(e: &Expr) -> bool {
     }
 }
 
-fn expr_from_value(v: &Value) -> Result<Expr, ScriptError> {
-    with_depth(|| expr_from_value_inner(v))
-}
-
-fn expr_from_value_inner(v: &Value) -> Result<Expr, ScriptError> {
+fn expr_from_value(v: &Value, depth: usize) -> Result<Expr, ScriptError> {
+    check_depth(depth)?;
+    let inner = depth + 1;
     let (tag, fields) = untag(v)?;
     let expect = |n: usize| -> Result<(), ScriptError> {
         if fields.len() != n {
@@ -349,7 +338,10 @@ fn expr_from_value_inner(v: &Value) -> Result<Expr, ScriptError> {
             let name = str_field(fields, 0, "op")?;
             let op = UnaryOp::from_name(&name)
                 .ok_or_else(|| malformed(&format!("unknown unary op {name:?}")))?;
-            Ok(Expr::Unary(op, Box::new(expr_from_value(&fields[1])?)))
+            Ok(Expr::Unary(
+                op,
+                Box::new(expr_from_value(&fields[1], inner)?),
+            ))
         }
         "bin" => {
             expect(3)?;
@@ -358,34 +350,34 @@ fn expr_from_value_inner(v: &Value) -> Result<Expr, ScriptError> {
                 .ok_or_else(|| malformed(&format!("unknown binary op {name:?}")))?;
             Ok(Expr::Binary(
                 op,
-                Box::new(expr_from_value(&fields[1])?),
-                Box::new(expr_from_value(&fields[2])?),
+                Box::new(expr_from_value(&fields[1], inner)?),
+                Box::new(expr_from_value(&fields[2], inner)?),
             ))
         }
         "idx" => {
             expect(2)?;
             Ok(Expr::Index(
-                Box::new(expr_from_value(&fields[0])?),
-                Box::new(expr_from_value(&fields[1])?),
+                Box::new(expr_from_value(&fields[0], inner)?),
+                Box::new(expr_from_value(&fields[1], inner)?),
             ))
         }
         "call" => {
             expect(2)?;
             Ok(Expr::Call(
                 str_field(fields, 0, "name")?,
-                expr_list(&fields[1])?,
+                expr_list(&fields[1], inner)?,
             ))
         }
         "host" => {
             expect(2)?;
             Ok(Expr::HostCall(
                 str_field(fields, 0, "name")?,
-                expr_list(&fields[1])?,
+                expr_list(&fields[1], inner)?,
             ))
         }
         "listx" => {
             expect(1)?;
-            Ok(Expr::ListExpr(expr_list(&fields[0])?))
+            Ok(Expr::ListExpr(expr_list(&fields[0], inner)?))
         }
         "mapx" => {
             expect(1)?;
@@ -404,7 +396,7 @@ fn expr_from_value_inner(v: &Value) -> Result<Expr, ScriptError> {
                         .as_str()
                         .ok_or_else(|| malformed("mapx key must be a string"))?
                         .to_owned();
-                    Ok((k, expr_from_value(&items[1])?))
+                    Ok((k, expr_from_value(&items[1], inner)?))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Expr::MapExpr(entries))

@@ -26,25 +26,6 @@ pub trait HostContext {
     /// Implementations should return [`ScriptError::Host`] (or map their own
     /// error types into it) when the call is unknown, denied, or fails.
     fn host_call(&mut self, name: &str, args: &[Value]) -> Result<Value, ScriptError>;
-
-    /// Handles `self.name(args...)` from a *compiled* body, carrying the
-    /// static call-site index the compiler assigned. Hosts that keep
-    /// per-site inline caches override this; the default forwards to
-    /// [`HostContext::host_call`], so the two entry points are always
-    /// semantically identical.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HostContext::host_call`].
-    fn host_call_site(
-        &mut self,
-        site: u32,
-        name: &str,
-        args: &[Value],
-    ) -> Result<Value, ScriptError> {
-        let _ = site;
-        self.host_call(name, args)
-    }
 }
 
 /// A host that rejects every `self.*` call — for evaluating pure programs.
@@ -63,15 +44,6 @@ impl HostContext for NullHost {
 impl<H: HostContext + ?Sized> HostContext for &mut H {
     fn host_call(&mut self, name: &str, args: &[Value]) -> Result<Value, ScriptError> {
         (**self).host_call(name, args)
-    }
-
-    fn host_call_site(
-        &mut self,
-        site: u32,
-        name: &str,
-        args: &[Value],
-    ) -> Result<Value, ScriptError> {
-        (**self).host_call_site(site, name, args)
     }
 }
 

@@ -15,8 +15,8 @@
 //!   that (a) no instruction pops more than is present, and (b) every
 //!   join point is reached with one consistent depth — exactly the
 //!   "compiler invariant" the VM's unchecked `pop!` assumes.
-//! * **Pool and register bounds.** Constant, name, local-slot, map-key
-//!   and host-site operands index inside their tables.
+//! * **Pool and register bounds.** Constant, name, local-slot and
+//!   map-key operands index inside their tables.
 //! * **Operands fit their instructions.** No binary instruction names
 //!   `&&` or `||` (those exist only as short-circuit checks), and every
 //!   indexed assignment carries at least one index.
@@ -113,13 +113,6 @@ pub enum VerifyError {
     EmptyAssignPath {
         /// The offending pc.
         pc: usize,
-    },
-    /// A host-call site index is ≥ the declared site count.
-    SiteOutOfBounds {
-        /// The offending pc.
-        pc: usize,
-        /// The out-of-range site index.
-        site: usize,
     },
     /// A parameter slot is ≥ the declared local count.
     ParamSlotOutOfBounds {
@@ -231,9 +224,6 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::EmptyAssignPath { pc } => {
                 write!(f, "pc {pc}: indexed assignment without an index")
-            }
-            VerifyError::SiteOutOfBounds { pc, site } => {
-                write!(f, "pc {pc}: host-call site {site} out of bounds")
             }
             VerifyError::ParamSlotOutOfBounds { index, slot } => {
                 write!(f, "param {index}: slot {slot} out of bounds")
@@ -349,7 +339,6 @@ fn structural_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
     let n_consts = cp.consts.len();
     let n_names = cp.names.len();
     let n_locals = cp.n_locals as usize;
-    let n_sites = cp.site_count() as usize;
 
     let check_const = |pc: usize, i: u32| {
         if (i as usize) < n_consts {
@@ -449,15 +438,8 @@ fn structural_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
                 check_target(pc, t)?;
             }
             Instr::Call { .. } => {}
-            Instr::CallUnknown { name, .. } => check_name(pc, name)?,
-            Instr::HostCall { name, site, .. } => {
+            Instr::CallUnknown { name, .. } | Instr::HostCall { name, .. } => {
                 check_name(pc, name)?;
-                if site as usize >= n_sites {
-                    return Err(VerifyError::SiteOutOfBounds {
-                        pc,
-                        site: site as usize,
-                    });
-                }
             }
             Instr::MakeMap { keys, n: count } => {
                 let end = keys as usize + count as usize;
@@ -919,10 +901,9 @@ mod tests {
                 out.extend(nums(argc, &|argc| Instr::CallUnknown { name, argc }));
                 out
             }
-            Instr::HostCall { name, argc, site } => {
-                let mut out = nums(name, &|name| Instr::HostCall { name, argc, site });
-                out.extend(nums(argc, &|argc| Instr::HostCall { name, argc, site }));
-                out.extend(nums(site, &|site| Instr::HostCall { name, argc, site }));
+            Instr::HostCall { name, argc } => {
+                let mut out = nums(name, &|name| Instr::HostCall { name, argc });
+                out.extend(nums(argc, &|argc| Instr::HostCall { name, argc }));
                 out
             }
             Instr::MakeList(count) => nums(count, &Instr::MakeList),

@@ -373,13 +373,10 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                         cp.names[name as usize].clone()
                     )));
                 }
-                Instr::HostCall { name, argc, site } => {
+                Instr::HostCall { name, argc } => {
                     let vals = stack.split_off(stack.len() - argc as usize);
                     self.host_calls += 1;
-                    let out =
-                        vtry!(self
-                            .host
-                            .host_call_site(site, &cp.names[name as usize], &vals));
+                    let out = vtry!(self.host.host_call(&cp.names[name as usize], &vals));
                     stack.push(out);
                 }
                 Instr::MakeList(n) => {

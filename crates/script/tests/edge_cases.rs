@@ -303,3 +303,41 @@ fn hostile_deep_value_trees_rejected_by_from_value() {
         Err(ScriptError::MalformedProgram(_))
     ));
 }
+
+#[test]
+fn value_tree_depth_limit_is_exact() {
+    // A `return` statement (node 1) over `n - 2` unary `not`s around a
+    // literal: `n` nested nodes in all.
+    let tree = |n: usize| {
+        let mut expr = Value::list([Value::from("lit"), Value::Bool(true)]);
+        for _ in 0..n - 2 {
+            expr = Value::list([Value::from("un"), Value::from("not"), expr]);
+        }
+        Value::map([
+            ("params", Value::list([])),
+            (
+                "body",
+                Value::list([Value::list([Value::from("return"), expr])]),
+            ),
+        ])
+    };
+    let limit = mrom_script::MAX_EXPR_DEPTH;
+    // At the limit: decodes, runs, and re-encodes to the same tree.
+    let at_limit = Program::from_value(&tree(limit)).expect("a tree at the limit decodes");
+    assert_eq!(at_limit.to_value(), tree(limit));
+    let out = Evaluator::new(&mut NullHost).run(&at_limit, &[]).unwrap();
+    assert_eq!(out, Value::Bool(limit.is_multiple_of(2)));
+    // One level deeper: the decoder's error, not the evaluator's.
+    match Program::from_value(&tree(limit + 1)) {
+        Err(ScriptError::MalformedProgram(detail)) => {
+            assert!(
+                detail.contains("node nesting exceeds the limit of 64"),
+                "{detail}"
+            );
+        }
+        other => panic!("expected MalformedProgram, got {other:?}"),
+    }
+    // Decoding leaves no state behind: the at-limit tree still decodes
+    // after a rejection.
+    assert!(Program::from_value(&tree(limit)).is_ok());
+}
