@@ -56,11 +56,6 @@ impl InterfaceDef {
     pub fn lookup(&self, name: &str) -> Option<&OperationDef> {
         self.operations.get(name)
     }
-
-    /// Operation names, sorted.
-    pub fn operation_names(&self) -> Vec<&str> {
-        self.operations.keys().map(String::as_str).collect()
-    }
 }
 
 /// The (mutable) interface repository — dynamic changes here are the one
@@ -90,11 +85,6 @@ impl InterfaceRepository {
         self.interfaces
             .get(name)
             .ok_or_else(|| BaselineError::NotFound(format!("interface {name:?}")))
-    }
-
-    /// Registered interface names, sorted.
-    pub fn interface_names(&self) -> Vec<&str> {
-        self.interfaces.keys().map(String::as_str).collect()
     }
 }
 

@@ -62,16 +62,6 @@ pub enum AdmissionPolicy {
     Strict,
 }
 
-/// Host-surface names whose implementation goes through the *object* meta
-/// ACL (`check_meta` / tower manipulation): statically unsatisfiable when
-/// that ACL is [`Acl::Nobody`].
-const OBJECT_META_GATED: &[&str] = &[
-    "add_data_item",
-    "delete_data_item",
-    "add_method",
-    "delete_method",
-];
-
 impl MromObject {
     /// Runs the full admission analysis over every script body this object
     /// carries (method bodies, pre-, and post-procedures in both
@@ -282,19 +272,17 @@ fn cross_check_manifest(
         }
     }
 
-    // Structural mutation through the object meta ACL: statically dead
-    // when that ACL is Nobody.
+    // Operations through the object meta ACL: statically dead when that
+    // ACL is Nobody.
     if matches!(obj.meta_acl(), Acl::Nobody) {
-        for op in &manifest.meta_used {
-            if OBJECT_META_GATED.contains(&op.as_str()) {
-                out.push(diag(
-                    DiagnosticKind::AclUnsatisfiable,
-                    format!(
-                        "self.{op} needs the object meta ACL, which is Acl::Nobody: no \
-                         principal can ever satisfy it"
-                    ),
-                ));
-            }
+        for op in &manifest.meta_gated {
+            out.push(diag(
+                DiagnosticKind::AclUnsatisfiable,
+                format!(
+                    "self.{op} needs the object meta ACL, which is Acl::Nobody: no \
+                     principal can ever satisfy it"
+                ),
+            ));
         }
     }
 }

@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 
+use mrom_script::surface::Touches;
 use mrom_script::{solve_effects, EffectSignature, LocalEffects};
 use mrom_value::Value;
 
@@ -37,55 +38,41 @@ pub(crate) fn local_effects(body: &MethodBody) -> LocalEffects {
     }
 }
 
-/// Synthesized local effects of a reflective meta-operation. These are
-/// host-implemented but *not* opaque: their semantics are part of the
-/// model, so the signature can be exact where a native closure would
-/// poison everything.
+/// Synthesized local effects of a reflective meta-operation, read off
+/// its row of the call surface. These are host-implemented but *not*
+/// opaque: their semantics are part of the model, so the signature can be
+/// exact where a native closure would poison everything.
 fn meta_local(op: MetaOp) -> LocalEffects {
-    // The accessors take the item/method *name as an argument*, so the
-    // touched sets are unknown statically: mark the dynamic flag of the
-    // matching namespace rather than naming items.
+    let row = op.row();
     let mut l = LocalEffects {
-        constant_writes_only: true,
         local_fuel: Some(0),
         ..LocalEffects::default()
     };
-    match op {
-        MetaOp::GetDataItem => l.manifest.dynamic_data = true,
-        MetaOp::SetDataItem => {
+    l.manifest.structural = row.structural;
+    // The accessors take the item/method *name as an argument*, so the
+    // touched sets are unknown statically: mark the dynamic flag of the
+    // matching namespace rather than naming items.
+    match row.touches {
+        Touches::DataRead | Touches::DataCreate | Touches::DataDelete => {
+            l.manifest.dynamic_data = true;
+        }
+        Touches::DataWrite => {
             l.manifest.dynamic_data = true;
             // The stored value is caller-supplied: never provably constant.
-            l.constant_writes_only = false;
-        }
-        MetaOp::AddDataItem | MetaOp::DeleteDataItem => {
-            l.manifest.dynamic_data = true;
-            l.manifest.meta_used.insert(structural_name(op).to_owned());
-        }
-        // Reading a method body is reflective but effect-free.
-        MetaOp::GetMethod => {}
-        MetaOp::SetMethod | MetaOp::AddMethod | MetaOp::DeleteMethod => {
-            l.manifest.meta_used.insert(structural_name(op).to_owned());
+            l.manifest.computed_writes = true;
         }
         // `invoke(name, args)` with a caller-supplied name: dynamic
         // dispatch — the solver joins every method in the object.
-        MetaOp::Invoke => l.manifest.dynamic_methods = true,
-        // Pure host-side reads of derived state.
-        MetaOp::GetStats | MetaOp::GetEffects | MetaOp::GetTelemetry => {}
+        Touches::MethodInvoke => l.manifest.dynamic_methods = true,
+        // Method references are reflective but name no data; creating,
+        // replacing or deleting one is structural, which the row says.
+        Touches::MethodRef
+        | Touches::MethodCreate
+        | Touches::DataProbe
+        | Touches::MethodProbe
+        | Touches::Nothing => {}
     }
     l
-}
-
-/// The script-surface name of a structural meta-op (the spelling the
-/// solver's structural-op table uses).
-fn structural_name(op: MetaOp) -> &'static str {
-    match op {
-        MetaOp::AddDataItem => "add_data_item",
-        MetaOp::DeleteDataItem => "delete_data_item",
-        MetaOp::SetMethod => "set_method",
-        MetaOp::AddMethod => "add_method",
-        MetaOp::DeleteMethod => "delete_method",
-        _ => unreachable!("not a structural meta-op"),
-    }
 }
 
 /// Computes the interprocedural effect signature of every method the

@@ -40,10 +40,12 @@
 
 use std::marker::PhantomData;
 
+use mrom_script::surface::{host_op, HostOp, HostRow};
 use mrom_script::{Evaluator, HostContext, Program, ScriptError, Vm};
 use mrom_value::{ObjectId, Value};
 
 use crate::admission::AdmissionPolicy;
+use crate::container::Section;
 use crate::error::MromError;
 use crate::method::{MetaOp, Method, MethodBody};
 use crate::object::MromObject;
@@ -677,7 +679,8 @@ fn run_body<E: Engine>(
 // Meta-operations
 // ---------------------------------------------------------------------------
 
-fn want_arity(op: MetaOp, args: &[Value], allowed: &[usize]) -> Result<(), MromError> {
+fn want_arity(op: MetaOp, args: &[Value]) -> Result<(), MromError> {
+    let allowed = op.row().arities;
     if allowed.contains(&args.len()) {
         Ok(())
     } else {
@@ -714,19 +717,15 @@ fn perform_meta<E: Engine>(
     limits: &InvokeLimits,
 ) -> Result<Value, MromError> {
     mrom_obs::meta_op(object.id(), op.method_name());
+    want_arity(op, args)?;
     match op {
-        MetaOp::GetDataItem => {
-            want_arity(op, args, &[1])?;
-            object.data_descriptor(principal, want_name(op, args, 0)?)
-        }
+        MetaOp::GetDataItem => object.data_descriptor(principal, want_name(op, args, 0)?),
         MetaOp::SetDataItem => {
-            want_arity(op, args, &[2])?;
             let name = want_name(op, args, 0)?;
             object.set_data_item(principal, name, &args[1])?;
             Ok(Value::Null)
         }
         MetaOp::AddDataItem => {
-            want_arity(op, args, &[2, 3])?;
             let name = want_name(op, args, 0)?;
             if args.len() == 2 {
                 object.add_data(principal, name, args[1].clone())?;
@@ -739,34 +738,26 @@ fn perform_meta<E: Engine>(
             Ok(Value::Null)
         }
         MetaOp::DeleteDataItem => {
-            want_arity(op, args, &[1])?;
             object.delete_data(principal, want_name(op, args, 0)?)?;
             Ok(Value::Null)
         }
-        MetaOp::GetMethod => {
-            want_arity(op, args, &[1])?;
-            object.method_descriptor(principal, want_name(op, args, 0)?)
-        }
+        MetaOp::GetMethod => object.method_descriptor(principal, want_name(op, args, 0)?),
         MetaOp::SetMethod => {
-            want_arity(op, args, &[2])?;
             let name = want_name(op, args, 0)?;
             object.set_method_with_policy(principal, name, &args[1], limits.admission)?;
             Ok(Value::Null)
         }
         MetaOp::AddMethod => {
-            want_arity(op, args, &[2])?;
             let name = want_name(op, args, 0)?;
             let method = method_from_arg(&args[1])?;
             object.add_method_with_policy(principal, name, method, limits.admission)?;
             Ok(Value::Null)
         }
         MetaOp::DeleteMethod => {
-            want_arity(op, args, &[1])?;
             object.delete_method(principal, want_name(op, args, 0)?)?;
             Ok(Value::Null)
         }
         MetaOp::Invoke => {
-            want_arity(op, args, &[1, 2])?;
             let name = want_name(op, args, 0)?;
             // Borrow the argument list straight out of the meta-call frame
             // — rebuilding it per tower level was the dominant allocation
@@ -793,12 +784,8 @@ fn perform_meta<E: Engine>(
                 limits,
             )
         }
-        MetaOp::GetStats => {
-            want_arity(op, args, &[0])?;
-            Ok(crate::stats::stats_value(object.id()))
-        }
+        MetaOp::GetStats => Ok(crate::stats::stats_value(object.id())),
         MetaOp::GetEffects => {
-            want_arity(op, args, &[0, 1])?;
             let table = object.effects();
             match args.first() {
                 None => Ok(crate::effects::effects_value(&table)),
@@ -815,10 +802,7 @@ fn perform_meta<E: Engine>(
                 ))),
             }
         }
-        MetaOp::GetTelemetry => {
-            want_arity(op, args, &[0])?;
-            Ok(crate::stats::telemetry_value(object.id()))
-        }
+        MetaOp::GetTelemetry => Ok(crate::stats::telemetry_value(object.id())),
     }
 }
 
@@ -875,87 +859,50 @@ impl<E: Engine> ScriptHost<'_, E> {
 impl<E: Engine> HostContext for ScriptHost<'_, E> {
     fn host_call(&mut self, name: &str, args: &[Value]) -> Result<Value, ScriptError> {
         let self_id = self.object.id();
-        let result: Result<Value, MromError> = match name {
-            // Ordinary value access.
-            "get" => match args {
-                [Value::Str(item)] => self.object.read_data(self_id, item),
-                _ => Err(MromError::BadDescriptor("self.get expects (name)".into())),
-            },
-            "set" => match args {
-                [Value::Str(item), v] => self
+        let usage = |row: &HostRow| MromError::BadDescriptor(row.usage());
+        let result: Result<Value, MromError> = match host_op(name) {
+            // Everything outside the call surface goes to the world.
+            None => self.world.world_call(self_id, name, args),
+            // The meta-methods check their own argument counts: they are
+            // also invoked directly, by name.
+            Some(HostRow {
+                op: HostOp::Meta(op),
+                ..
+            }) => self.meta(*op, args),
+            Some(row) if !row.accepts(args.len()) => Err(usage(row)),
+            Some(row) => match (row.op, args) {
+                // Ordinary value access.
+                (HostOp::Get, [Value::Str(item)]) => self.object.read_data(self_id, item),
+                (HostOp::Set, [Value::Str(item), v]) => self
                     .object
                     .write_data(self_id, item, v.clone())
                     .map(|()| Value::Null),
-                _ => Err(MromError::BadDescriptor(
-                    "self.set expects (name, value)".into(),
-                )),
-            },
-            // The nine meta-methods, snake_cased for script ergonomics.
-            "get_data_item" => self.meta(MetaOp::GetDataItem, args),
-            "set_data_item" => self.meta(MetaOp::SetDataItem, args),
-            "add_data_item" => self.meta(MetaOp::AddDataItem, args),
-            "delete_data_item" => self.meta(MetaOp::DeleteDataItem, args),
-            "get_method" => self.meta(MetaOp::GetMethod, args),
-            "set_method" => self.meta(MetaOp::SetMethod, args),
-            "add_method" => self.meta(MetaOp::AddMethod, args),
-            "delete_method" => self.meta(MetaOp::DeleteMethod, args),
-            "invoke" => self.meta(MetaOp::Invoke, args),
-            "get_stats" => self.meta(MetaOp::GetStats, args),
-            "get_effects" => self.meta(MetaOp::GetEffects, args),
-            "get_telemetry" => self.meta(MetaOp::GetTelemetry, args),
-            // Tower manipulation.
-            "install_meta_invoke" => match args {
-                [Value::Str(m)] => self
+                // Tower manipulation.
+                (HostOp::InstallMetaInvoke, [Value::Str(m)]) => self
                     .object
                     .install_meta_invoke(self_id, m)
                     .map(|()| Value::Null),
-                _ => Err(MromError::BadDescriptor(
-                    "self.install_meta_invoke expects (method_name)".into(),
-                )),
-            },
-            "uninstall_meta_invoke" => match args {
-                [] => self
+                (HostOp::UninstallMetaInvoke, _) => self
                     .object
                     .uninstall_meta_invoke(self_id)
                     .map(|popped| popped.map_or(Value::Null, Value::from)),
-                _ => Err(MromError::BadDescriptor(
-                    "self.uninstall_meta_invoke expects no arguments".into(),
-                )),
+                // Self-representation.
+                (HostOp::Id, _) => Ok(Value::ObjectRef(self_id)),
+                (HostOp::Origin, _) => Ok(Value::ObjectRef(self.object.origin())),
+                (HostOp::Class, _) => Ok(Value::from(self.object.class_name())),
+                (HostOp::Caller, _) => Ok(Value::ObjectRef(self.invocation_caller)),
+                (HostOp::Describe, _) => Ok(self.object.describe(self_id)),
+                (HostOp::HasData, [Value::Str(item)]) => {
+                    Ok(Value::Bool(self.object.has_data(self_id, item)))
+                }
+                (HostOp::HasMethod, [Value::Str(m)]) => {
+                    Ok(Value::Bool(self.object.has_method(self_id, m)))
+                }
+                (HostOp::ListData, _) => Ok(names(self.object.list_data(self_id))),
+                (HostOp::ListMethods, _) => Ok(names(self.object.list_methods(self_id))),
+                // A name argument that is not a string.
+                _ => Err(usage(row)),
             },
-            // Self-representation.
-            "id" => Ok(Value::ObjectRef(self_id)),
-            "origin" => Ok(Value::ObjectRef(self.object.origin())),
-            "class" => Ok(Value::from(self.object.class_name())),
-            "caller" => Ok(Value::ObjectRef(self.invocation_caller)),
-            "describe" => Ok(self.object.describe(self_id)),
-            "has_data" => match args {
-                [Value::Str(item)] => Ok(Value::Bool(self.object.has_data(self_id, item))),
-                _ => Err(MromError::BadDescriptor(
-                    "self.has_data expects (name)".into(),
-                )),
-            },
-            "has_method" => match args {
-                [Value::Str(m)] => Ok(Value::Bool(self.object.has_method(self_id, m))),
-                _ => Err(MromError::BadDescriptor(
-                    "self.has_method expects (name)".into(),
-                )),
-            },
-            "list_data" => Ok(Value::List(
-                self.object
-                    .list_data(self_id)
-                    .into_iter()
-                    .map(|(n, _)| Value::Str(n))
-                    .collect(),
-            )),
-            "list_methods" => Ok(Value::List(
-                self.object
-                    .list_methods(self_id)
-                    .into_iter()
-                    .map(|(n, _)| Value::Str(n))
-                    .collect(),
-            )),
-            // Everything else goes to the world.
-            other => self.world.world_call(self_id, other, args),
         };
         if let Err(e @ MromError::AdmissionRejected { .. }) = result {
             let lossy = ScriptError::Host(e.to_string());
@@ -964,6 +911,11 @@ impl<E: Engine> HostContext for ScriptHost<'_, E> {
         }
         result.map_err(ScriptError::from)
     }
+}
+
+/// The item names of a `list_data`/`list_methods` listing.
+fn names(items: Vec<(String, Section)>) -> Value {
+    Value::List(items.into_iter().map(|(n, _)| Value::Str(n)).collect())
 }
 
 #[cfg(test)]

@@ -19,109 +19,9 @@ use crate::security::Acl;
 /// refuses to serialize it.
 pub type NativeFn = dyn Fn(&mut CallEnv<'_>, &[Value]) -> Result<Value, MromError> + Send + Sync;
 
-/// The nine reflective meta-operations the paper requires every object to
-/// carry within itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MetaOp {
-    /// `getDataItem(name)` → descriptor map.
-    GetDataItem,
-    /// `setDataItem(name, descriptor)` — change item properties/value.
-    SetDataItem,
-    /// `addDataItem(name, value-or-descriptor)`.
-    AddDataItem,
-    /// `deleteDataItem(name)`.
-    DeleteDataItem,
-    /// `getMethod(name)` → descriptor map.
-    GetMethod,
-    /// `setMethod(name, descriptor)` — replace body, attach pre/post, ACLs.
-    SetMethod,
-    /// `addMethod(name, descriptor-or-program)`.
-    AddMethod,
-    /// `deleteMethod(name)`.
-    DeleteMethod,
-    /// `invoke(name, args)` — the most important meta-method.
-    Invoke,
-    /// `getStats()` → live behavioural counters for this object from the
-    /// observability layer. A reproduction extension (not in the paper's
-    /// nine): self-representation applied to *behaviour*, answering "what
-    /// did my invocations do" with the same machinery that answers
-    /// structural questions.
-    GetStats,
-    /// `getEffects()` / `getEffects(name)` → interprocedural effect
-    /// signatures for this object's methods, computed by the static
-    /// analyzer over the method call graph. A reproduction extension
-    /// (not in the paper's nine): self-representation applied to
-    /// *future* behaviour — what a method may read, write, and call —
-    /// answering it with the same reflective machinery that answers
-    /// structural questions.
-    GetEffects,
-    /// `getTelemetry()` → the windowed telemetry snapshot of the
-    /// recording thread: per-object invocation profiles, the
-    /// site-to-site call matrix, and per-link delivery windows. A
-    /// reproduction extension (not in the paper's nine): the flight
-    /// recorder's aggregate view surfaced through the same reflective
-    /// door as `getStats`, so a mobile object can ask "what is hot
-    /// here" wherever it lands.
-    GetTelemetry,
-}
-
-impl MetaOp {
-    /// All meta-operations in declaration order: the paper's nine plus
-    /// the `getStats`, `getEffects`, and `getTelemetry` introspection
-    /// extensions.
-    pub const ALL: [MetaOp; 12] = [
-        MetaOp::GetDataItem,
-        MetaOp::SetDataItem,
-        MetaOp::AddDataItem,
-        MetaOp::DeleteDataItem,
-        MetaOp::GetMethod,
-        MetaOp::SetMethod,
-        MetaOp::AddMethod,
-        MetaOp::DeleteMethod,
-        MetaOp::Invoke,
-        MetaOp::GetStats,
-        MetaOp::GetEffects,
-        MetaOp::GetTelemetry,
-    ];
-
-    /// The method name under which the operation is registered in the
-    /// object (camelCase, matching the paper's spelling).
-    pub fn method_name(&self) -> &'static str {
-        match self {
-            MetaOp::GetDataItem => "getDataItem",
-            MetaOp::SetDataItem => "setDataItem",
-            MetaOp::AddDataItem => "addDataItem",
-            MetaOp::DeleteDataItem => "deleteDataItem",
-            MetaOp::GetMethod => "getMethod",
-            MetaOp::SetMethod => "setMethod",
-            MetaOp::AddMethod => "addMethod",
-            MetaOp::DeleteMethod => "deleteMethod",
-            MetaOp::Invoke => "invoke",
-            MetaOp::GetStats => "getStats",
-            MetaOp::GetEffects => "getEffects",
-            MetaOp::GetTelemetry => "getTelemetry",
-        }
-    }
-
-    /// Inverse of [`MetaOp::method_name`].
-    pub fn from_method_name(name: &str) -> Option<MetaOp> {
-        MetaOp::ALL.into_iter().find(|op| op.method_name() == name)
-    }
-
-    /// Does this operation *mutate* object structure? (Mutating meta-ops
-    /// are guarded by the meta ACL; introspective ones by the read ACL.)
-    pub fn is_mutating(&self) -> bool {
-        matches!(
-            self,
-            MetaOp::SetDataItem
-                | MetaOp::AddDataItem
-                | MetaOp::DeleteDataItem
-                | MetaOp::SetMethod
-                | MetaOp::AddMethod
-                | MetaOp::DeleteMethod
-        )
-    }
-}
+/// The reflective meta-operations, described beside the script call
+/// surface they are part of.
+pub use mrom_script::surface::MetaOp;
 
 /// A method (or procedure) body.
 #[derive(Clone)]
@@ -157,11 +57,6 @@ impl MethodBody {
     /// Propagates script parse errors.
     pub fn script(source: &str) -> Result<MethodBody, MromError> {
         Ok(MethodBody::Script(Arc::new(Program::parse(source)?)))
-    }
-
-    /// Wraps an already-parsed program.
-    pub fn from_program(p: Program) -> MethodBody {
-        MethodBody::Script(Arc::new(p))
     }
 
     /// `true` if the body can be serialized into a migration image.
@@ -473,22 +368,6 @@ fn bad_acl(e: ValueError) -> MromError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn meta_op_names_round_trip() {
-        for op in MetaOp::ALL {
-            assert_eq!(MetaOp::from_method_name(op.method_name()), Some(op));
-        }
-        assert_eq!(MetaOp::from_method_name("frob"), None);
-    }
-
-    #[test]
-    fn mutating_classification() {
-        assert!(MetaOp::AddMethod.is_mutating());
-        assert!(MetaOp::SetDataItem.is_mutating());
-        assert!(!MetaOp::GetMethod.is_mutating());
-        assert!(!MetaOp::Invoke.is_mutating());
-    }
 
     #[test]
     fn body_mobility() {

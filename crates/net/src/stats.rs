@@ -66,20 +66,6 @@ impl NetStats {
         }
     }
 
-    /// Integer-deterministic variant of [`NetStats::delivery_ratio_for`]:
-    /// delivered messages per thousand attempts on the directed link
-    /// `(src, dst)`, or `None` when the link never carried traffic —
-    /// callers that want "quiet means healthy" can default to 1000.
-    /// Being all-integer, the figure is safe to compare and report in
-    /// byte-deterministic artifacts.
-    #[must_use]
-    pub fn delivery_permille_for(&self, src: NodeId, dst: NodeId) -> Option<u64> {
-        let delivered = self.per_link.get(&(src, dst)).map_or(0, |(n, _)| *n);
-        let dropped = self.per_link_dropped.get(&(src, dst)).copied().unwrap_or(0);
-        let total = delivered + dropped;
-        (total > 0).then(|| delivered.saturating_mul(1000) / total)
-    }
-
     /// Every directed link whose delivery ratio fell below
     /// `threshold_permille` among links that carried at least
     /// `min_attempts` messages, in deterministic order: the cumulative

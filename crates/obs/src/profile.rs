@@ -59,23 +59,6 @@ pub struct ObjectProfile {
 }
 
 impl ObjectProfile {
-    /// The site issuing the most remote invocations of this object,
-    /// with its request count (ties broken toward the lower site id, so
-    /// the answer is total and deterministic). `None` when no remote
-    /// caller was recorded.
-    #[must_use]
-    pub fn dominant_remote_caller(&self) -> Option<(NodeId, u64)> {
-        self.remote_callers
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-            .map(|(site, n)| (*site, *n))
-    }
-
-    /// Total remote invocation requests recorded against this object.
-    #[must_use]
-    pub fn remote_requests(&self) -> u64 {
-        self.remote_callers.values().sum()
-    }
     /// Busy-collision rate per thousand invocations (integer, so the
     /// snapshot stays byte-deterministic).
     #[must_use]
@@ -243,14 +226,6 @@ impl TelemetrySnapshot {
         all.sort_by(|a, b| b.1.invocations.cmp(&a.1.invocations).then(a.0.cmp(&b.0)));
         all.truncate(k);
         all
-    }
-
-    /// Invocations *executed at* `node` inside the window — the
-    /// diagonal of the call matrix, the per-site load figure the
-    /// Advisor's shedding policy compares against the fleet mean.
-    #[must_use]
-    pub fn site_load(&self, node: NodeId) -> u64 {
-        self.calls.get(&(node, node)).copied().unwrap_or(0)
     }
 
     /// Links whose windowed delivery ratio fell below

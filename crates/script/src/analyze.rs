@@ -33,13 +33,14 @@
 //! The object-level cross-check (pass 4 of the admission pipeline) lives in
 //! `mrom-core`, which knows the owning object's items and ACLs.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
 use mrom_value::Value;
 
 use crate::ast::{Expr, Program, Stmt};
 use crate::parser::MAX_EXPR_DEPTH;
+use crate::surface::{builtin_named, host_op, Touches};
 
 /// Default node-count budget: far above any real method body, low enough
 /// that a host prices a megabyte of mobile AST as hostile.
@@ -217,9 +218,15 @@ pub struct HostManifest {
     pub methods_referenced: BTreeSet<String>,
     /// Methods created (`self.add_method`).
     pub methods_created: BTreeSet<String>,
-    /// Reflective meta-methods exercised, by host-surface name
-    /// (`"add_method"`, `"invoke"`, ...).
-    pub meta_used: BTreeSet<String>,
+    /// Literal `self.invoke` call sites per callee name (the counts the
+    /// interprocedural fuel bound multiplies by).
+    pub invoke_sites: BTreeMap<String, u64>,
+    /// Some call changes the object's structure: its row of
+    /// [`HOST_OPS`](crate::surface::HOST_OPS) is `structural`.
+    pub structural: bool,
+    /// The operations called that go through the object meta ACL (their
+    /// rows are `meta_gated`).
+    pub meta_gated: BTreeSet<&'static str>,
     /// `self.*` names outside the host surface, routed to the world hook.
     pub world_calls: BTreeSet<String>,
     /// Total number of `self.*` call sites.
@@ -228,6 +235,9 @@ pub struct HostManifest {
     pub dynamic_data: bool,
     /// A method access used a computed (non-literal) name.
     pub dynamic_methods: bool,
+    /// Some data write (`self.set`, `self.set_data_item`) stores a
+    /// computed value, so re-running the body may store different bytes.
+    pub computed_writes: bool,
 }
 
 impl HostManifest {
@@ -249,11 +259,16 @@ impl HostManifest {
             .extend(other.methods_referenced.iter().cloned());
         self.methods_created
             .extend(other.methods_created.iter().cloned());
-        self.meta_used.extend(other.meta_used.iter().cloned());
+        for (callee, n) in &other.invoke_sites {
+            *self.invoke_sites.entry(callee.clone()).or_insert(0) += n;
+        }
+        self.structural |= other.structural;
+        self.meta_gated.extend(&other.meta_gated);
         self.world_calls.extend(other.world_calls.iter().cloned());
         self.host_call_sites += other.host_call_sites;
         self.dynamic_data |= other.dynamic_data;
         self.dynamic_methods |= other.dynamic_methods;
+        self.computed_writes |= other.computed_writes;
     }
 }
 
@@ -636,7 +651,7 @@ impl ScopeCheck<'_> {
                 for a in args {
                     self.expr(a, path);
                 }
-                match builtin_arities(name) {
+                match builtin_named(name).map(|b| b.arities) {
                     None => self.diagnostics.push(Diagnostic::new(
                         DiagnosticKind::UnknownBuiltin,
                         path.render(),
@@ -669,78 +684,9 @@ impl ScopeCheck<'_> {
     }
 }
 
-/// The argument counts each builtin accepts (mirrors the evaluator's
-/// dispatch table exactly).
-fn builtin_arities(name: &str) -> Option<&'static [usize]> {
-    Some(match name {
-        "len" | "typeof" | "str" | "int" | "float" | "bool" | "pop" | "last" | "keys"
-        | "values" | "upper" | "lower" | "trim" | "abs" | "fail" | "bytes" | "objectref" => &[1],
-        "coerce" | "push" | "contains" | "remove" | "split" | "join" | "min" | "max" => &[2],
-        "set" | "substr" => &[3],
-        "range" => &[1, 2],
-        _ => return None,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Pass 2: host-call manifest
 // ---------------------------------------------------------------------------
-
-/// What a known host call touches.
-enum HostTarget {
-    DataRead,
-    DataWrite,
-    DataCreate,
-    DataDelete,
-    DataProbe,
-    MethodInvoke,
-    MethodRef,
-    MethodCreate,
-    MethodProbe,
-    None,
-}
-
-struct HostSig {
-    arities: &'static [usize],
-    target: HostTarget,
-    /// Which reflective meta-method the call exercises, if any.
-    meta: bool,
-}
-
-/// The `self.*` surface `mrom-core`'s script bridge serves (anything else
-/// is forwarded to the world hook).
-fn host_signature(name: &str) -> Option<HostSig> {
-    fn sig(arities: &'static [usize], target: HostTarget, meta: bool) -> Option<HostSig> {
-        Some(HostSig {
-            arities,
-            target,
-            meta,
-        })
-    }
-    match name {
-        "get" => sig(&[1], HostTarget::DataRead, false),
-        "set" => sig(&[2], HostTarget::DataWrite, false),
-        "get_data_item" => sig(&[1], HostTarget::DataRead, true),
-        "set_data_item" => sig(&[2], HostTarget::DataWrite, true),
-        "add_data_item" => sig(&[2, 3], HostTarget::DataCreate, true),
-        "delete_data_item" => sig(&[1], HostTarget::DataDelete, true),
-        "get_method" => sig(&[1], HostTarget::MethodRef, true),
-        "set_method" => sig(&[2], HostTarget::MethodRef, true),
-        "add_method" => sig(&[2], HostTarget::MethodCreate, true),
-        "delete_method" => sig(&[1], HostTarget::MethodRef, true),
-        "invoke" => sig(&[1, 2], HostTarget::MethodInvoke, true),
-        "install_meta_invoke" => sig(&[1], HostTarget::MethodRef, false),
-        "uninstall_meta_invoke" => sig(&[0], HostTarget::None, false),
-        "id" | "origin" | "class" | "caller" | "describe" | "list_data" | "list_methods" => {
-            sig(&[0], HostTarget::None, false)
-        }
-        "get_stats" => sig(&[0], HostTarget::None, true),
-        "get_effects" => sig(&[0, 1], HostTarget::None, true),
-        "has_data" => sig(&[1], HostTarget::DataProbe, false),
-        "has_method" => sig(&[1], HostTarget::MethodProbe, false),
-        _ => None,
-    }
-}
 
 fn manifest_pass(program: &Program, diagnostics: &mut Vec<Diagnostic>) -> HostManifest {
     let mut m = HostManifest::default();
@@ -805,62 +751,57 @@ fn manifest_expr(e: &Expr, path: &Path, m: &mut HostManifest, diagnostics: &mut 
                 manifest_expr(a, path, m, diagnostics);
             }
             m.host_call_sites += 1;
-            let Some(sig) = host_signature(name) else {
+            let Some(row) = host_op(name) else {
                 m.world_calls.insert(name.clone());
                 return;
             };
-            if !sig.arities.contains(&args.len()) {
+            if !row.accepts(args.len()) {
                 diagnostics.push(Diagnostic::new(
                     DiagnosticKind::HostCallArity,
                     path.render(),
                     format!(
                         "self.{name} accepts {:?} arguments, got {}",
-                        sig.arities,
+                        row.arities,
                         args.len()
                     ),
                 ));
             }
-            if sig.meta {
-                m.meta_used.insert(name.clone());
+            m.structural |= row.structural;
+            if row.meta_gated {
+                m.meta_gated.insert(row.name);
             }
-            let literal_name = args.first().and_then(|a| match a {
-                Expr::Literal(Value::Str(s)) => Some(s.clone()),
+            let literal_name = match args.first() {
+                Some(Expr::Literal(Value::Str(s))) => Some(s),
                 _ => None,
-            });
-            let (set, dynamic): (Option<&mut BTreeSet<String>>, Option<&mut bool>) = match sig
-                .target
-            {
-                HostTarget::DataRead => (Some(&mut m.data_read), Some(&mut m.dynamic_data)),
-                HostTarget::DataWrite => (Some(&mut m.data_written), Some(&mut m.dynamic_data)),
-                HostTarget::DataCreate => (Some(&mut m.data_created), Some(&mut m.dynamic_data)),
-                HostTarget::DataDelete => (Some(&mut m.data_deleted), Some(&mut m.dynamic_data)),
-                HostTarget::DataProbe => (None, None),
-                HostTarget::MethodInvoke => {
-                    (Some(&mut m.methods_invoked), Some(&mut m.dynamic_methods))
-                }
-                HostTarget::MethodRef => (
-                    Some(&mut m.methods_referenced),
-                    Some(&mut m.dynamic_methods),
-                ),
-                HostTarget::MethodCreate => {
-                    (Some(&mut m.methods_created), Some(&mut m.dynamic_methods))
-                }
-                HostTarget::MethodProbe => (None, None),
-                HostTarget::None => (None, None),
             };
-            if let Some(set) = set {
-                match literal_name {
-                    Some(n) => {
-                        set.insert(n);
+            let (set, dynamic) = match row.touches {
+                Touches::DataRead => (&mut m.data_read, &mut m.dynamic_data),
+                Touches::DataWrite => {
+                    // A write whose value is computed may depend on prior
+                    // state: re-running it can store different bytes.
+                    if !matches!(args.get(1), Some(Expr::Literal(_))) {
+                        m.computed_writes = true;
                     }
-                    None => {
-                        if !args.is_empty() {
-                            if let Some(flag) = dynamic {
-                                *flag = true;
-                            }
-                        }
-                    }
+                    (&mut m.data_written, &mut m.dynamic_data)
                 }
+                Touches::DataCreate => (&mut m.data_created, &mut m.dynamic_data),
+                Touches::DataDelete => (&mut m.data_deleted, &mut m.dynamic_data),
+                Touches::MethodInvoke => {
+                    if let Some(callee) = literal_name {
+                        *m.invoke_sites.entry(callee.clone()).or_insert(0) += 1;
+                    }
+                    (&mut m.methods_invoked, &mut m.dynamic_methods)
+                }
+                Touches::MethodRef => (&mut m.methods_referenced, &mut m.dynamic_methods),
+                Touches::MethodCreate => (&mut m.methods_created, &mut m.dynamic_methods),
+                Touches::DataProbe | Touches::MethodProbe | Touches::Nothing => return,
+            };
+            match literal_name {
+                Some(n) => {
+                    set.insert(n.clone());
+                }
+                None if !args.is_empty() => *dynamic = true,
+                None => {}
             }
         }
     }
@@ -1082,8 +1023,13 @@ mod tests {
         assert!(m.methods_created.contains("extra"));
         assert!(m.methods_referenced.contains("mi"));
         assert!(m.world_calls.contains("charge_account"));
-        assert!(m.meta_used.contains("invoke"));
-        assert!(m.meta_used.contains("add_method"));
+        assert!(m.structural, "add_method and install_meta_invoke");
+        assert_eq!(
+            m.meta_gated,
+            BTreeSet::from(["add_data_item", "add_method", "install_meta_invoke"])
+        );
+        assert_eq!(m.invoke_sites.get("greet"), Some(&1));
+        assert!(m.computed_writes, "v + 1 is computed");
         assert_eq!(m.host_call_sites, 8);
         assert!(!m.dynamic_data);
         assert!(!m.dynamic_methods);

@@ -275,12 +275,6 @@ impl Program {
         )
     }
 
-    /// True when the bytecode cache is already populated (admission ran,
-    /// or the program executed at least once under the VM engine).
-    pub fn is_compiled(&self) -> bool {
-        self.compiled.get().is_some()
-    }
-
     /// This body's effect facts ([`crate::effects::LocalEffects`]),
     /// extracted and cached on first use.
     #[must_use]

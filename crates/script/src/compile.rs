@@ -48,9 +48,8 @@ use std::collections::{BTreeMap, HashMap};
 use mrom_value::Value;
 
 use crate::ast::{BinaryOp, Expr, Program, Stmt, UnaryOp};
-use crate::eval::{
-    alloc_surcharge, call_surcharge, out_surcharge, BuiltinId, HOST_CALL_FUEL, STEP_FUEL,
-};
+use crate::eval::{alloc_surcharge, call_surcharge, out_surcharge, HOST_CALL_FUEL, STEP_FUEL};
+use crate::surface::BuiltinId;
 
 /// One bytecode instruction. Jump operands are instruction indices; pool
 /// operands index [`CompiledProgram`]'s constant / name tables.
@@ -233,11 +232,6 @@ impl CompiledProgram {
     /// `compile`, which always emits at least a return).
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
-    }
-
-    /// Number of resolved local-variable slots.
-    pub fn local_count(&self) -> u32 {
-        self.n_locals
     }
 
     /// Static upper bound on the fuel one run can burn, read off the

@@ -36,20 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use mrom_value::Value;
 
 use crate::analyze::{analyze_program, HostManifest};
-use crate::ast::{Expr, Program, Stmt};
-
-/// Host-surface names whose use mutates object *structure* (the shape
-/// of the data/method sections or the meta-invoke tower), as opposed to
-/// writing a data item in place.
-const STRUCTURAL_OPS: &[&str] = &[
-    "add_data_item",
-    "delete_data_item",
-    "add_method",
-    "set_method",
-    "delete_method",
-    "install_meta_invoke",
-    "uninstall_meta_invoke",
-];
+use crate::ast::Program;
 
 /// Per-body effect facts, before interprocedural closure.
 ///
@@ -57,15 +44,9 @@ const STRUCTURAL_OPS: &[&str] = &[
 /// the call graph into [`EffectSignature`]s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocalEffects {
-    /// The body's `self.*` capability surface.
+    /// The body's `self.*` capability surface, with its constant-write
+    /// and literal invoke-site facts.
     pub manifest: HostManifest,
-    /// Every data write (`self.set` / `self.set_data_item`) stores a
-    /// literal value — re-running the body writes the same bytes.
-    /// Vacuously true for a body with no writes.
-    pub constant_writes_only: bool,
-    /// Literal `self.invoke` call sites per callee name (site counts,
-    /// used by the interprocedural fuel bound).
-    pub invoke_counts: BTreeMap<String, u64>,
     /// Static fuel bound of this body alone; `None` when it loops.
     pub local_fuel: Option<u64>,
     /// The body is opaque to analysis (a native closure): assume the
@@ -75,20 +56,12 @@ pub struct LocalEffects {
 
 impl LocalEffects {
     /// Extracts local effects from a script body: the analyzer's host
-    /// manifest and static fuel bound, plus a literal-argument walk for
-    /// constant-write and invoke-site facts.
+    /// manifest and static fuel bound.
     #[must_use]
     pub fn of_program(program: &Program) -> LocalEffects {
         let report = analyze_program(program);
-        let mut constant_writes_only = true;
-        let mut invoke_counts = BTreeMap::new();
-        for stmt in program.body() {
-            walk_stmt(stmt, &mut constant_writes_only, &mut invoke_counts);
-        }
         LocalEffects {
             manifest: report.manifest,
-            constant_writes_only,
-            invoke_counts,
             local_fuel: report.static_fuel,
             opaque: false,
         }
@@ -101,7 +74,6 @@ impl LocalEffects {
     pub fn opaque() -> LocalEffects {
         LocalEffects {
             opaque: true,
-            constant_writes_only: false,
             ..LocalEffects::default()
         }
     }
@@ -111,93 +83,8 @@ impl LocalEffects {
     #[must_use]
     pub fn pure_native() -> LocalEffects {
         LocalEffects {
-            constant_writes_only: true,
             local_fuel: Some(0),
             ..LocalEffects::default()
-        }
-    }
-}
-
-fn walk_stmt(
-    stmt: &Stmt,
-    constant_writes_only: &mut bool,
-    invoke_counts: &mut BTreeMap<String, u64>,
-) {
-    let mut on_expr = |e: &Expr| walk_expr(e, constant_writes_only, invoke_counts);
-    match stmt {
-        Stmt::Let(_, e) | Stmt::Expr(e) | Stmt::Return(Some(e)) => on_expr(e),
-        Stmt::Assign(target, e) => {
-            on_expr(target);
-            on_expr(e);
-        }
-        Stmt::If(cond, then_body, else_body) => {
-            on_expr(cond);
-            for s in then_body.iter().chain(else_body) {
-                walk_stmt(s, constant_writes_only, invoke_counts);
-            }
-        }
-        Stmt::While(cond, body) => {
-            on_expr(cond);
-            for s in body {
-                walk_stmt(s, constant_writes_only, invoke_counts);
-            }
-        }
-        Stmt::For(_, iter, body) => {
-            on_expr(iter);
-            for s in body {
-                walk_stmt(s, constant_writes_only, invoke_counts);
-            }
-        }
-        Stmt::Return(None) | Stmt::Break | Stmt::Continue => {}
-    }
-}
-
-fn walk_expr(
-    expr: &Expr,
-    constant_writes_only: &mut bool,
-    invoke_counts: &mut BTreeMap<String, u64>,
-) {
-    match expr {
-        Expr::Literal(_) | Expr::Var(_) => {}
-        Expr::Unary(_, a) => walk_expr(a, constant_writes_only, invoke_counts),
-        Expr::Binary(_, a, b) | Expr::Index(a, b) => {
-            walk_expr(a, constant_writes_only, invoke_counts);
-            walk_expr(b, constant_writes_only, invoke_counts);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                walk_expr(a, constant_writes_only, invoke_counts);
-            }
-        }
-        Expr::HostCall(name, args) => {
-            for a in args {
-                walk_expr(a, constant_writes_only, invoke_counts);
-            }
-            match name.as_str() {
-                // A write whose value is computed may depend on prior
-                // state — re-running it can store different bytes.
-                "set" | "set_data_item" if !matches!(args.get(1), Some(Expr::Literal(_))) => {
-                    *constant_writes_only = false;
-                }
-                "invoke" => {
-                    if let Some(Expr::Literal(Value::Str(callee))) = args.first() {
-                        *invoke_counts.entry(callee.to_string()).or_insert(0) += 1;
-                    }
-                    // Computed callees surface as `dynamic_methods` in
-                    // the manifest; `solve` joins every method then.
-                }
-                _ => {}
-            }
-        }
-        Expr::ListExpr(items) => {
-            for item in items {
-                walk_expr(item, constant_writes_only, invoke_counts);
-            }
-        }
-        Expr::MapExpr(entries) => {
-            for (_, v) in entries {
-                walk_expr(v, constant_writes_only, invoke_counts);
-            }
         }
     }
 }
@@ -288,22 +175,16 @@ struct State {
 impl State {
     fn seed(local: &LocalEffects) -> State {
         let m = &local.manifest;
-        let structural = !m.data_created.is_empty()
-            || !m.data_deleted.is_empty()
-            || !m.methods_created.is_empty()
-            || m.meta_used
-                .iter()
-                .any(|op| STRUCTURAL_OPS.contains(&op.as_str()));
         State {
             reads: m.data_read.clone(),
             writes: m.data_written.clone(),
-            structural,
+            structural: m.structural,
             world_calls: m.world_calls.clone(),
             calls: m.methods_invoked.clone(),
             dynamic: m.dynamic_data || m.dynamic_methods,
             dispatch: m.dynamic_methods,
             opaque: local.opaque,
-            constant_writes_only: local.constant_writes_only,
+            constant_writes_only: !m.computed_writes,
         }
     }
 
@@ -514,7 +395,7 @@ fn fuel_of(
     }
     on_stack.insert(name.to_owned());
     let mut total = local.local_fuel;
-    for (callee, &count) in &local.invoke_counts {
+    for (callee, &count) in &local.manifest.invoke_sites {
         let callee_fuel = fuel_of(callee, methods, memo, on_stack);
         total = match (total, callee_fuel) {
             (Some(t), Some(c)) => c.checked_mul(count).and_then(|x| t.checked_add(x)),

@@ -6,6 +6,7 @@ use mrom_value::{Value, ValueError, ValueKind};
 
 use crate::ast::{BinaryOp, Expr, Program, Stmt, UnaryOp};
 use crate::error::ScriptError;
+use crate::surface::BuiltinId;
 
 /// Default fuel budget: generous for real method bodies, small enough that
 /// a hostile infinite loop dies in well under a millisecond of wall time
@@ -15,9 +16,10 @@ pub const DEFAULT_FUEL: u64 = 1_000_000;
 /// The interface through which a running script reaches its embedding
 /// object (`self.name(...)` calls).
 ///
-/// `mrom-core` implements this to expose the MROM meta-methods —
-/// `self.invoke`, `self.get_data`, `self.set_data`, `self.add_method`, ... —
-/// which is how mobile code performs reflection.
+/// `mrom-core` implements this to expose the operations of
+/// [`HOST_OPS`](crate::surface::HOST_OPS) — `self.get`, `self.set`,
+/// `self.invoke`, `self.add_method`, ... — which is how mobile code
+/// performs reflection.
 pub trait HostContext {
     /// Handles `self.name(args...)`.
     ///
@@ -708,120 +710,6 @@ pub(crate) fn alloc_surcharge(op: BinaryOp, lhs: &Value, rhs: &Value) -> u64 {
 // Builtins
 // ---------------------------------------------------------------------------
 
-/// Identifies one of the pure builtins. The compiler resolves builtin
-/// names to ids at compile time; the interpreter resolves per call. Both
-/// dispatch through [`call_builtin`], so semantics cannot drift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BuiltinId {
-    Len,
-    Typeof,
-    Coerce,
-    Str,
-    Int,
-    Float,
-    Bool,
-    Push,
-    Pop,
-    Last,
-    Contains,
-    Keys,
-    Values,
-    Set,
-    Remove,
-    Range,
-    Substr,
-    Split,
-    Join,
-    Upper,
-    Lower,
-    Trim,
-    Abs,
-    Min,
-    Max,
-    Fail,
-    Bytes,
-    ObjectRef,
-}
-
-impl BuiltinId {
-    pub(crate) fn from_name(name: &str) -> Option<BuiltinId> {
-        Some(match name {
-            "len" => BuiltinId::Len,
-            "typeof" => BuiltinId::Typeof,
-            "coerce" => BuiltinId::Coerce,
-            "str" => BuiltinId::Str,
-            "int" => BuiltinId::Int,
-            "float" => BuiltinId::Float,
-            "bool" => BuiltinId::Bool,
-            "push" => BuiltinId::Push,
-            "pop" => BuiltinId::Pop,
-            "last" => BuiltinId::Last,
-            "contains" => BuiltinId::Contains,
-            "keys" => BuiltinId::Keys,
-            "values" => BuiltinId::Values,
-            "set" => BuiltinId::Set,
-            "remove" => BuiltinId::Remove,
-            "range" => BuiltinId::Range,
-            "substr" => BuiltinId::Substr,
-            "split" => BuiltinId::Split,
-            "join" => BuiltinId::Join,
-            "upper" => BuiltinId::Upper,
-            "lower" => BuiltinId::Lower,
-            "trim" => BuiltinId::Trim,
-            "abs" => BuiltinId::Abs,
-            "min" => BuiltinId::Min,
-            "max" => BuiltinId::Max,
-            "fail" => BuiltinId::Fail,
-            "bytes" => BuiltinId::Bytes,
-            "objectref" => BuiltinId::ObjectRef,
-            _ => return None,
-        })
-    }
-
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            BuiltinId::Len => "len",
-            BuiltinId::Typeof => "typeof",
-            BuiltinId::Coerce => "coerce",
-            BuiltinId::Str => "str",
-            BuiltinId::Int => "int",
-            BuiltinId::Float => "float",
-            BuiltinId::Bool => "bool",
-            BuiltinId::Push => "push",
-            BuiltinId::Pop => "pop",
-            BuiltinId::Last => "last",
-            BuiltinId::Contains => "contains",
-            BuiltinId::Keys => "keys",
-            BuiltinId::Values => "values",
-            BuiltinId::Set => "set",
-            BuiltinId::Remove => "remove",
-            BuiltinId::Range => "range",
-            BuiltinId::Substr => "substr",
-            BuiltinId::Split => "split",
-            BuiltinId::Join => "join",
-            BuiltinId::Upper => "upper",
-            BuiltinId::Lower => "lower",
-            BuiltinId::Trim => "trim",
-            BuiltinId::Abs => "abs",
-            BuiltinId::Min => "min",
-            BuiltinId::Max => "max",
-            BuiltinId::Fail => "fail",
-            BuiltinId::Bytes => "bytes",
-            BuiltinId::ObjectRef => "objectref",
-        }
-    }
-}
-
-fn arity(name: &str, args: &[Value], expected: usize) -> Result<(), ScriptError> {
-    if args.len() != expected {
-        return Err(ScriptError::BuiltinArgs {
-            name: name.into(),
-            detail: format!("expected {expected} arguments, got {}", args.len()),
-        });
-    }
-    Ok(())
-}
-
 fn want_str<'a>(name: &str, v: &'a Value) -> Result<&'a str, ScriptError> {
     v.as_str().ok_or_else(|| ScriptError::BuiltinArgs {
         name: name.into(),
@@ -839,10 +727,16 @@ fn want_int(name: &str, v: &Value) -> Result<i64, ScriptError> {
 /// Dispatches a pure builtin call. The `id` is pre-resolved; callers burn
 /// [`call_surcharge`] (and any [`out_surcharge`]) before dispatching.
 pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value, ScriptError> {
-    let name = id.name();
+    let row = id.row();
+    let name = row.name;
+    if !row.arities.contains(&args.len()) {
+        return Err(ScriptError::BuiltinArgs {
+            name: name.into(),
+            detail: row.arity_detail(args.len()),
+        });
+    }
     match id {
         BuiltinId::Len => {
-            arity(name, &args, 1)?;
             let n = match &args[0] {
                 Value::Str(s) => s.chars().count(),
                 Value::Bytes(b) => b.len(),
@@ -857,12 +751,8 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             };
             Ok(Value::Int(n as i64))
         }
-        BuiltinId::Typeof => {
-            arity(name, &args, 1)?;
-            Ok(Value::Str(args[0].kind().name().to_owned()))
-        }
+        BuiltinId::Typeof => Ok(Value::Str(args[0].kind().name().to_owned())),
         BuiltinId::Coerce => {
-            arity(name, &args, 2)?;
             let kind_name = want_str(name, &args[1])?;
             let kind = ValueKind::from_name(kind_name).ok_or_else(|| ScriptError::BuiltinArgs {
                 name: name.into(),
@@ -871,24 +761,11 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             let v = args.swap_remove(0);
             Ok(v.coerce(kind)?)
         }
-        BuiltinId::Str => {
-            arity(name, &args, 1)?;
-            Ok(args.swap_remove(0).coerce(ValueKind::Str)?)
-        }
-        BuiltinId::Int => {
-            arity(name, &args, 1)?;
-            Ok(args.swap_remove(0).coerce(ValueKind::Int)?)
-        }
-        BuiltinId::Float => {
-            arity(name, &args, 1)?;
-            Ok(args.swap_remove(0).coerce(ValueKind::Float)?)
-        }
-        BuiltinId::Bool => {
-            arity(name, &args, 1)?;
-            Ok(args.swap_remove(0).coerce(ValueKind::Bool)?)
-        }
+        BuiltinId::Str => Ok(args.swap_remove(0).coerce(ValueKind::Str)?),
+        BuiltinId::Int => Ok(args.swap_remove(0).coerce(ValueKind::Int)?),
+        BuiltinId::Float => Ok(args.swap_remove(0).coerce(ValueKind::Float)?),
+        BuiltinId::Bool => Ok(args.swap_remove(0).coerce(ValueKind::Bool)?),
         BuiltinId::Push => {
-            arity(name, &args, 2)?;
             let v = args.pop().expect("arity 2");
             let mut list = args.pop().expect("arity 2");
             match list.as_list_mut() {
@@ -903,7 +780,6 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             }
         }
         BuiltinId::Pop => {
-            arity(name, &args, 1)?;
             let mut list = args.pop().expect("arity 1");
             match list.as_list_mut() {
                 Some(items) => {
@@ -919,26 +795,20 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
                 }),
             }
         }
-        BuiltinId::Last => {
-            arity(name, &args, 1)?;
-            match &args[0] {
-                Value::List(items) => {
-                    items
-                        .last()
-                        .cloned()
-                        .ok_or_else(|| ScriptError::BuiltinArgs {
-                            name: name.into(),
-                            detail: "empty list has no last element".into(),
-                        })
-                }
-                other => Err(ScriptError::BuiltinArgs {
+        BuiltinId::Last => match &args[0] {
+            Value::List(items) => items
+                .last()
+                .cloned()
+                .ok_or_else(|| ScriptError::BuiltinArgs {
                     name: name.into(),
-                    detail: format!("expected a list, got {}", other.kind()),
+                    detail: "empty list has no last element".into(),
                 }),
-            }
-        }
+            other => Err(ScriptError::BuiltinArgs {
+                name: name.into(),
+                detail: format!("expected a list, got {}", other.kind()),
+            }),
+        },
         BuiltinId::Contains => {
-            arity(name, &args, 2)?;
             let needle = &args[1];
             let found = match &args[0] {
                 Value::List(items) => items.contains(needle),
@@ -959,28 +829,21 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             };
             Ok(Value::Bool(found))
         }
-        BuiltinId::Keys => {
-            arity(name, &args, 1)?;
-            match &args[0] {
-                Value::Map(m) => Ok(Value::List(m.keys().cloned().map(Value::Str).collect())),
-                other => Err(ScriptError::BuiltinArgs {
-                    name: name.into(),
-                    detail: format!("expected a map, got {}", other.kind()),
-                }),
-            }
-        }
-        BuiltinId::Values => {
-            arity(name, &args, 1)?;
-            match args.swap_remove(0) {
-                Value::Map(m) => Ok(Value::List(m.into_values().collect())),
-                other => Err(ScriptError::BuiltinArgs {
-                    name: name.into(),
-                    detail: format!("expected a map, got {}", other.kind()),
-                }),
-            }
-        }
+        BuiltinId::Keys => match &args[0] {
+            Value::Map(m) => Ok(Value::List(m.keys().cloned().map(Value::Str).collect())),
+            other => Err(ScriptError::BuiltinArgs {
+                name: name.into(),
+                detail: format!("expected a map, got {}", other.kind()),
+            }),
+        },
+        BuiltinId::Values => match args.swap_remove(0) {
+            Value::Map(m) => Ok(Value::List(m.into_values().collect())),
+            other => Err(ScriptError::BuiltinArgs {
+                name: name.into(),
+                detail: format!("expected a map, got {}", other.kind()),
+            }),
+        },
         BuiltinId::Set => {
-            arity(name, &args, 3)?;
             let v = args.pop().expect("arity 3");
             let key = args.pop().expect("arity 3");
             let mut m = args.pop().expect("arity 3");
@@ -1009,7 +872,6 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             Ok(m)
         }
         BuiltinId::Remove => {
-            arity(name, &args, 2)?;
             let key = args.pop().expect("arity 2");
             let mut m = args.pop().expect("arity 2");
             match (&mut m, key) {
@@ -1037,15 +899,10 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             Ok(m)
         }
         BuiltinId::Range => {
-            let (lo, hi) = match args.len() {
-                1 => (0, want_int(name, &args[0])?),
-                2 => (want_int(name, &args[0])?, want_int(name, &args[1])?),
-                n => {
-                    return Err(ScriptError::BuiltinArgs {
-                        name: name.into(),
-                        detail: format!("expected 1 or 2 arguments, got {n}"),
-                    })
-                }
+            let (lo, hi) = match &args[..] {
+                [hi] => (0, want_int(name, hi)?),
+                [lo, hi] => (want_int(name, lo)?, want_int(name, hi)?),
+                _ => unreachable!("range accepts 1 or 2 arguments"),
             };
             let count = hi.saturating_sub(lo);
             if count > 1 << 20 {
@@ -1057,7 +914,6 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             Ok(Value::List((lo..hi).map(Value::Int).collect()))
         }
         BuiltinId::Substr => {
-            arity(name, &args, 3)?;
             let s = want_str(name, &args[0])?;
             let start = want_int(name, &args[1])?;
             let count = want_int(name, &args[2])?;
@@ -1066,7 +922,6 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             Ok(Value::Str(s.chars().skip(start).take(count).collect()))
         }
         BuiltinId::Split => {
-            arity(name, &args, 2)?;
             let s = want_str(name, &args[0])?;
             let sep = want_str(name, &args[1])?;
             if sep.is_empty() {
@@ -1080,7 +935,6 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             ))
         }
         BuiltinId::Join => {
-            arity(name, &args, 2)?;
             let sep = want_str(name, &args[1])?.to_owned();
             match &args[0] {
                 Value::List(items) => {
@@ -1101,31 +955,18 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
                 }),
             }
         }
-        BuiltinId::Upper => {
-            arity(name, &args, 1)?;
-            Ok(Value::Str(want_str(name, &args[0])?.to_uppercase()))
-        }
-        BuiltinId::Lower => {
-            arity(name, &args, 1)?;
-            Ok(Value::Str(want_str(name, &args[0])?.to_lowercase()))
-        }
-        BuiltinId::Trim => {
-            arity(name, &args, 1)?;
-            Ok(Value::Str(want_str(name, &args[0])?.trim().to_owned()))
-        }
-        BuiltinId::Abs => {
-            arity(name, &args, 1)?;
-            match &args[0] {
-                Value::Int(i) => checked_int(i.checked_abs(), "abs"),
-                Value::Float(x) => Ok(Value::Float(x.abs())),
-                other => Err(ScriptError::BuiltinArgs {
-                    name: name.into(),
-                    detail: format!("expected a number, got {}", other.kind()),
-                }),
-            }
-        }
+        BuiltinId::Upper => Ok(Value::Str(want_str(name, &args[0])?.to_uppercase())),
+        BuiltinId::Lower => Ok(Value::Str(want_str(name, &args[0])?.to_lowercase())),
+        BuiltinId::Trim => Ok(Value::Str(want_str(name, &args[0])?.trim().to_owned())),
+        BuiltinId::Abs => match &args[0] {
+            Value::Int(i) => checked_int(i.checked_abs(), "abs"),
+            Value::Float(x) => Ok(Value::Float(x.abs())),
+            other => Err(ScriptError::BuiltinArgs {
+                name: name.into(),
+                detail: format!("expected a number, got {}", other.kind()),
+            }),
+        },
         BuiltinId::Min | BuiltinId::Max => {
-            arity(name, &args, 2)?;
             let ord = compare(&args[0], &args[1]).ok_or_else(|| ScriptError::BuiltinArgs {
                 name: name.into(),
                 detail: format!("cannot compare {} with {}", args[0].kind(), args[1].kind()),
@@ -1142,7 +983,6 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             })
         }
         BuiltinId::Fail => {
-            arity(name, &args, 1)?;
             let msg = match &args[0] {
                 Value::Str(s) => s.clone(),
                 other => other.to_string(),
@@ -1150,7 +990,6 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             Err(ScriptError::Raised(msg))
         }
         BuiltinId::Bytes => {
-            arity(name, &args, 1)?;
             let hex = want_str(name, &args[0])?;
             if hex.len() % 2 != 0 {
                 return Err(ScriptError::BuiltinArgs {
@@ -1168,7 +1007,6 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             })
         }
         BuiltinId::ObjectRef => {
-            arity(name, &args, 1)?;
             let s = want_str(name, &args[0])?;
             s.parse()
                 .map(Value::ObjectRef)

@@ -34,7 +34,8 @@
 //!   side-effecting goes through the *host interface* — calls of the form
 //!   `self.name(...)` are routed to the embedding object, which is how
 //!   scripts reach the MROM meta-methods (`self.invoke("m", [...])`,
-//!   `self.set_data("x", v)`, ...).
+//!   `self.set("x", v)`, ...). [`surface`] describes every such call and
+//!   every builtin once.
 //! * Execution is *fuel-metered*: every evaluation step burns fuel, so a
 //!   hostile or buggy mobile method cannot hold a host hostage. Fuel
 //!   exhaustion is an error, not a hang.
@@ -69,6 +70,7 @@ mod error;
 mod eval;
 mod lexer;
 mod parser;
+pub mod surface;
 pub mod verify;
 mod vm;
 

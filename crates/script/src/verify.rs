@@ -662,7 +662,7 @@ fn flow_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
 mod tests {
     use super::*;
     use crate::ast::{Program, UnaryOp};
-    use crate::eval::BuiltinId;
+    use crate::surface::BuiltinId;
 
     fn compiled(src: &str) -> CompiledProgram {
         Program::parse(src)

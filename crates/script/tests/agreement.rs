@@ -4,7 +4,8 @@
 //! runs, and the host calls it makes at runtime must be a subset of the
 //! surface the manifest predicted.
 
-use mrom_script::analyze::{analyze_program, Severity};
+use mrom_script::analyze::{analyze_program, DiagnosticKind, Severity};
+use mrom_script::surface::{BUILTINS, HOST_OPS};
 use mrom_script::{Evaluator, HostContext, Program, ScriptError};
 use mrom_value::Value;
 use proptest::prelude::*;
@@ -106,6 +107,65 @@ fn example_scripts_on_disk_stay_clean_and_runnable() {
         if let Err(e) = ev.run(&p, &[Value::Int(1)]) {
             panic!("{name}: runtime: {e}");
         }
+    }
+}
+
+#[test]
+fn builtin_arity_verdicts_match_the_evaluator() {
+    // Every builtin at 0..=4 string arguments: the analyzer's
+    // `BuiltinArity` fires exactly when the evaluator refuses the count.
+    for builtin in &BUILTINS {
+        for argc in 0..=4 {
+            let args = vec!["\"7\""; argc].join(", ");
+            let src = format!("return {}({args});", builtin.name);
+            let p = Program::parse(&src).expect("parse");
+            let flagged = analyze_program(&p)
+                .diagnostics
+                .iter()
+                .any(|d| d.kind == DiagnosticKind::BuiltinArity);
+            let mut host = Recorder::default();
+            let refused = matches!(
+                Evaluator::with_fuel(&mut host, 100_000).run(&p, &[]),
+                Err(ScriptError::BuiltinArgs { ref detail, .. }) if detail.contains(" arguments, got ")
+            );
+            assert_eq!(flagged, refused, "{src}");
+        }
+    }
+}
+
+#[test]
+fn script_doc_lists_the_host_table() {
+    // docs/SCRIPT.md shows every `self.*` row, marking structural ones
+    // with ¹ and meta-ACL-gated ones with ² right after the call.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/SCRIPT.md");
+    let doc = std::fs::read_to_string(path).expect("read SCRIPT.md");
+    let start = doc.find("## The host interface").expect("host section");
+    let doc = &doc[start..];
+    for row in &HOST_OPS {
+        let call = format!("{}(", row.name);
+        let at = doc
+            .match_indices(&call)
+            .map(|(i, _)| i)
+            .find(|&i| matches!(doc[..i].chars().last(), Some('.' | ' ')))
+            .unwrap_or_else(|| panic!("SCRIPT.md lacks {call}"));
+        let close = at + doc[at..].find(')').expect("closing paren");
+        let marks: String = doc[close + 1..]
+            .chars()
+            .skip_while(|&c| c == '`')
+            .take_while(|c| matches!(c, '¹' | '²'))
+            .collect();
+        assert_eq!(
+            marks.contains('¹'),
+            row.structural,
+            "{} structural mark",
+            row.name
+        );
+        assert_eq!(
+            marks.contains('²'),
+            row.meta_gated,
+            "{} meta ACL mark",
+            row.name
+        );
     }
 }
 
