@@ -1,13 +1,13 @@
-//! E15 — register bytecode VM vs tree-walking interpreter (PR 6).
+//! E15 — register bytecode VM vs tree-walking interpreter.
 //!
 //! Script bodies are the mobile representation of MROM behaviour, so their
-//! execution speed bounds every script-bodied invocation. PR 6 compiles
-//! admitted bodies to register bytecode at admission time; E15 measures
-//! the same programs under both engines: loop-heavy numeric work (where
+//! execution speed bounds every script-bodied invocation. Admission
+//! compiles each body to register bytecode; E15 measures the same
+//! programs under both engines: loop-heavy numeric work (where
 //! tree-walking overhead dominates), a straight-line body (dispatch cost
 //! floor), and full `invoke` round-trips whose `self.get`/`self.set`
-//! traffic exercises the inline data caches. Compilation itself is also
-//! priced, since admission pays it once per admitted body.
+//! traffic goes through the one `host_call` path. Compilation itself is
+//! also priced, since admission pays it once per admitted body.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

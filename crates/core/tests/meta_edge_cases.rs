@@ -383,6 +383,36 @@ fn meta_mutability_deleting_the_invoke_meta_method() {
     ));
 }
 
+/// A body that renames an item changes the item set, so replaying it
+/// cannot give the same outcome: its verdict must say so, or an
+/// idempotent-only retry would re-post an applied call.
+#[test]
+fn renaming_set_data_item_is_structural_and_not_idempotent() {
+    let (mut obj, mut gen) = subject();
+    let me = obj.id();
+    let mut world = NoWorld;
+    obj.add_data(me, "p", Value::Int(3)).unwrap();
+    obj.add_method(
+        me,
+        "rename_p",
+        Method::public(
+            MethodBody::script("self.set_data_item(\"p\", {\"rename\": \"q\"}); return 1;")
+                .unwrap(),
+        ),
+    )
+    .unwrap();
+    let sig = &mrom_core::object_effects(&obj)["rename_p"];
+    assert!(sig.structural, "{sig:?}");
+    assert!(!sig.idempotent, "{sig:?}");
+
+    let caller = gen.next_id();
+    assert_eq!(
+        invoke(&mut obj, &mut world, caller, "rename_p", &[]).unwrap(),
+        Value::Int(1)
+    );
+    assert!(invoke(&mut obj, &mut world, caller, "rename_p", &[]).is_err());
+}
+
 #[test]
 fn script_rename_via_set_data_item() {
     let (mut obj, mut gen) = subject();

@@ -40,7 +40,7 @@ use mrom_value::Value;
 
 use crate::ast::{Expr, Program, Stmt};
 use crate::parser::MAX_EXPR_DEPTH;
-use crate::surface::{builtin_named, host_op, Touches};
+use crate::surface::{builtin_named, host_op, HostOp, MetaOp, Touches};
 
 /// Default node-count budget: far above any real method body, low enough
 /// that a host prices a megabyte of mobile AST as hostile.
@@ -766,7 +766,7 @@ fn manifest_expr(e: &Expr, path: &Path, m: &mut HostManifest, diagnostics: &mut 
                     ),
                 ));
             }
-            m.structural |= row.structural;
+            m.structural |= row.structural || renames(row.op, args);
             if row.meta_gated {
                 m.meta_gated.insert(row.name);
             }
@@ -804,6 +804,20 @@ fn manifest_expr(e: &Expr, path: &Path, m: &mut HostManifest, diagnostics: &mut 
                 None => {}
             }
         }
+    }
+}
+
+/// A `self.set_data_item` call whose descriptor may rename the item, which
+/// changes the object's item set: a map with a `rename` key, or a
+/// descriptor that is not a map written out in the body.
+fn renames(op: HostOp, args: &[Expr]) -> bool {
+    if op != HostOp::Meta(MetaOp::SetDataItem) {
+        return false;
+    }
+    match args.get(1) {
+        Some(Expr::Literal(Value::Map(m))) => m.contains_key("rename"),
+        Some(Expr::MapExpr(entries)) => entries.iter().any(|(k, _)| k == "rename"),
+        _ => true,
     }
 }
 
@@ -1033,6 +1047,22 @@ mod tests {
         assert_eq!(m.host_call_sites, 8);
         assert!(!m.dynamic_data);
         assert!(!m.dynamic_methods);
+    }
+
+    #[test]
+    fn set_data_item_is_structural_when_it_may_rename() {
+        let structural = |src: &str| report(src).manifest.structural;
+        assert!(!structural("self.set_data_item(\"p\", {\"value\": 2});"));
+        assert!(!structural(
+            "param v; self.set_data_item(\"p\", {\"value\": v});"
+        ));
+        assert!(structural(
+            "self.set_data_item(\"p\", {\"rename\": \"q\"});"
+        ));
+        assert!(structural(
+            "param n; self.set_data_item(\"p\", {\"rename\": n});"
+        ));
+        assert!(structural("param d; self.set_data_item(\"p\", d);"));
     }
 
     #[test]

@@ -17,20 +17,11 @@
 //! sequence along any execution path equals the interpreter's burn
 //! sequence. The same `costs` are the admission analyzer's price list:
 //! [`CompiledProgram::static_fuel`] reads the static fuel bound off them
-//! as a longest path, so no second pricer exists. At runtime the VM does
-//! not burn per instruction: each basic block begins with a
-//! [`Instr::Charge`] that pre-pays the block's total static cost in one
-//! subtraction. Exactness is restored at the edges:
-//!
-//! * leaving a block early (taken jump, `return`, or a non-fuel error)
-//!   refunds the unexecuted suffix (`refunds[pc]`);
-//! * a `Charge` that cannot be paid switches the block to **lockstep**
-//!   mode, burning `costs[pc]` before each instruction so the run
-//!   exhausts at exactly the interpreter's instruction — having performed
-//!   exactly the interpreter's side-effect prefix;
-//! * dynamic (value-dependent) surcharges that cannot be paid refund the
-//!   suffix first and retry in lockstep, so a pre-charge can never cause
-//!   an early exhaustion the interpreter would not have hit.
+//! as a longest path, so no second pricer exists. At run time the VM
+//! burns `costs[pc]` before each instruction and the value-dependent
+//! surcharges where the interpreter burns them, so a run exhausts at
+//! exactly the interpreter's instruction, having performed exactly the
+//! interpreter's side-effect prefix. `costs` is the only fuel table.
 //!
 //! ## Variables
 //!
@@ -55,8 +46,6 @@ use crate::surface::BuiltinId;
 /// operands index [`CompiledProgram`]'s constant / name tables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Instr {
-    /// Basic-block header: pre-pays the block's static fuel total.
-    Charge(u32),
     /// No effect; exists to carry an attached fuel cost (e.g. a `while`
     /// statement's entry burn, which must land *before* the loop head).
     Nop,
@@ -79,7 +68,7 @@ pub(crate) enum Instr {
     Binary(BinaryOp),
     /// Fused `LoadLocal a; LoadLocal b; Binary op` (peephole). Fuel cost
     /// is the sum of the fused parts; safe because loads are effect-free
-    /// and every jump target is a `Charge`, never a fused interior pc.
+    /// and the fuser never puts a jump target at a fused interior pc.
     BinaryLL {
         /// Operator.
         op: BinaryOp,
@@ -199,19 +188,15 @@ pub(crate) enum Instr {
     ReturnNull,
 }
 
-/// A compiled program: flat bytecode plus its pools and fuel tables.
+/// A compiled program: flat bytecode plus its pools and fuel costs.
 ///
 /// Produced by [`Program::compiled`]; executed by [`crate::vm::Vm`].
 /// Immutable once built — sharing is by `Arc`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     pub(crate) instrs: Vec<Instr>,
-    /// Static fuel attached at each pc (burned via block pre-charge, or
-    /// per instruction in lockstep mode).
+    /// Static fuel attached at each pc, burned before the instruction.
     pub(crate) costs: Vec<u32>,
-    /// Unexecuted-suffix cost from each pc to its block's end; refunded
-    /// when control leaves the block early in pre-charged mode.
-    pub(crate) refunds: Vec<u32>,
     /// Literal pool.
     pub(crate) consts: Vec<Value>,
     /// Interned strings: variable/builtin/host names and map keys.
@@ -250,8 +235,8 @@ impl CompiledProgram {
         let konst = |i: u32| self.consts.get(i as usize).unwrap_or(SCALAR);
         // Forward-only jumps make pc order a topological order, so one
         // sweep suffices: the fuel spent so far and the operand stack
-        // flow along fallthrough edges and wait at jump targets (block
-        // leaders), where arrivals join.
+        // flow along fallthrough edges and wait at jump targets, where
+        // arrivals join.
         let mut waiting: BTreeMap<usize, FuelPath<'_>> = BTreeMap::new();
         let mut here = Some(FuelPath {
             fuel: 0,
@@ -267,15 +252,13 @@ impl CompiledProgram {
                     return None;
                 }
                 Instr::IterNew | Instr::IterNext { .. } | Instr::IterPop => return None,
-                Instr::Charge(_) => {
-                    if let Some(arrival) = waiting.remove(&pc) {
-                        here = Some(match here {
-                            Some(path) => path.join(arrival),
-                            None => arrival,
-                        });
-                    }
-                }
                 _ => {}
+            }
+            if let Some(arrival) = waiting.remove(&pc) {
+                here = Some(match here {
+                    Some(path) => path.join(arrival),
+                    None => arrival,
+                });
             }
             let Some(path) = here.as_mut() else {
                 continue;
@@ -347,14 +330,13 @@ impl CompiledProgram {
                 here = None;
             }
         }
-        // Compiler output ends in a return and jumps forward to block
-        // leaders, so every path has ended at a terminal by now.
+        // Compiler output ends in a return and jumps only forward, so
+        // every path has ended at a terminal by now.
         Some(bound)
     }
 
     /// Human-readable disassembly: constant pool, name pool, and one line
-    /// per instruction with its attached static fuel cost. Block headers
-    /// show the pre-charged total for the block.
+    /// per instruction with its attached static fuel cost.
     pub fn disassemble(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -384,7 +366,6 @@ impl CompiledProgram {
                 String::new()
             };
             let text = match *instr {
-                Instr::Charge(total) => format!("charge {total}  ; -- block --"),
                 Instr::Nop => "nop".into(),
                 Instr::LoadConst(i) => format!("load_const c{i}"),
                 Instr::LoadLocal(s) => format!("load_local {s}"),
@@ -489,18 +470,7 @@ fn wait<'a>(waiting: &mut BTreeMap<usize, FuelPath<'a>>, target: u32, path: Fuel
 /// control, malformed assignment targets — compile to instructions that
 /// raise the interpreter's exact runtime error).
 pub fn compile(program: &Program) -> CompiledProgram {
-    let mut c = Compiler {
-        instrs: Vec::new(),
-        costs: Vec::new(),
-        consts: Vec::new(),
-        names: Vec::new(),
-        frames: vec![HashMap::new()],
-        n_locals: 0,
-        pending: 0,
-        labels: Vec::new(),
-        charges: Vec::new(),
-        loops: Vec::new(),
-    };
+    let mut c = Compiler::new();
 
     // Root frame mirrors `Evaluator::run`: `args`, then each parameter
     // positionally (a later duplicate shadows an earlier one, exactly as
@@ -509,7 +479,6 @@ pub fn compile(program: &Program) -> CompiledProgram {
     debug_assert_eq!(args_slot, 0);
     let param_slots: Vec<u32> = program.params().iter().map(|p| c.declare(p)).collect();
 
-    c.start_block();
     c.stmts(program.body());
     c.emit(Instr::ReturnNull);
 
@@ -533,12 +502,24 @@ struct Compiler {
     pending: u64,
     /// Label id → instruction index (bound at `bind`).
     labels: Vec<Option<u32>>,
-    /// Indices of emitted `Charge` instructions, in order.
-    charges: Vec<usize>,
     loops: Vec<LoopCtx>,
 }
 
 impl Compiler {
+    fn new() -> Self {
+        Compiler {
+            instrs: Vec::new(),
+            costs: Vec::new(),
+            consts: Vec::new(),
+            names: Vec::new(),
+            frames: vec![HashMap::new()],
+            n_locals: 0,
+            pending: 0,
+            labels: Vec::new(),
+            loops: Vec::new(),
+        }
+    }
+
     // -- pools and frames ---------------------------------------------------
 
     fn declare(&mut self, name: &str) -> u32 {
@@ -617,20 +598,10 @@ impl Compiler {
         self.labels.len() - 1
     }
 
-    /// Binds `label` here and opens a new basic block (every jump target
-    /// is a block leader).
+    /// Binds `label` to the next instruction emitted.
     fn bind(&mut self, label: usize) {
         self.flush_pending();
         self.labels[label] = Some(self.instrs.len() as u32);
-        self.start_block();
-    }
-
-    /// Opens a basic block: emits a `Charge` placeholder whose total is
-    /// filled in by `finish`.
-    fn start_block(&mut self) {
-        debug_assert_eq!(self.pending, 0, "pending cost at block start");
-        let idx = self.emit(Instr::Charge(0));
-        self.charges.push(idx);
     }
 
     // -- statements ---------------------------------------------------------
@@ -663,7 +634,6 @@ impl Compiler {
                 let l_else = self.new_label();
                 let l_end = self.new_label();
                 self.emit(Instr::JumpIfFalse(l_else as u32));
-                self.start_block();
                 self.push_frame();
                 self.stmts(then_body);
                 self.pop_frame();
@@ -678,11 +648,10 @@ impl Compiler {
                 let l_cond = self.new_label();
                 let l_end = self.new_label();
                 // The statement's entry burn fires once, before the loop
-                // head; `bind` flushes it into a Nop in the current block.
+                // head; `bind` flushes it into a Nop.
                 self.bind(l_cond);
                 self.expr(cond);
                 self.emit(Instr::JumpIfFalse(l_end as u32));
-                self.start_block();
                 self.push_frame();
                 self.loops.push(LoopCtx {
                     head: l_cond,
@@ -828,7 +797,6 @@ impl Compiler {
                 self.expr(a);
                 let l_end = self.new_label();
                 self.emit(Instr::AndCheck(l_end as u32));
-                self.start_block();
                 self.expr(b);
                 self.emit(Instr::Truthy);
                 self.bind(l_end);
@@ -837,7 +805,6 @@ impl Compiler {
                 self.expr(a);
                 let l_end = self.new_label();
                 self.emit(Instr::OrCheck(l_end as u32));
-                self.start_block();
                 self.expr(b);
                 self.emit(Instr::Truthy);
                 self.bind(l_end);
@@ -910,21 +877,28 @@ impl Compiler {
     /// `Binary` that consumes them. Safe under the fuel model because the
     /// fused cost is the exact sum of the parts and nothing observable
     /// (host call, error, side effect) can occur between them; safe for
-    /// control flow because every jump target is a `Charge` instruction
-    /// (labels bind at block leaders), so no branch can land inside a
-    /// fused span. Runs before label resolution; labels and recorded
-    /// charge positions are remapped through `map`.
+    /// control flow because a window is fused only when none of its
+    /// instructions after the first is a bound label, so no branch can
+    /// land inside a fused span. Runs before label resolution; labels
+    /// are remapped through `map`.
     fn fuse(&mut self) {
         let old = std::mem::take(&mut self.instrs);
         let old_costs = std::mem::take(&mut self.costs);
+        let mut is_target = vec![false; old.len() + 1];
+        for &label in self.labels.iter().flatten() {
+            is_target[label as usize] = true;
+        }
         let mut map = vec![0u32; old.len() + 1];
         let mut instrs = Vec::with_capacity(old.len());
         let mut costs = Vec::with_capacity(old.len());
         let mut i = 0;
         while i < old.len() {
             let here = instrs.len() as u32;
+            // An `n`-instruction window starting at `i` that no jump can
+            // enter past its first instruction.
+            let closed = |n: usize| i + n <= old.len() && !is_target[i + 1..i + n].contains(&true);
             let mut fused = None;
-            if i + 2 < old.len() {
+            if closed(3) {
                 fused = match (old[i], old[i + 1], old[i + 2]) {
                     (Instr::LoadLocal(a), Instr::LoadLocal(b), Instr::Binary(op)) => {
                         Some((Instr::BinaryLL { op, a, b }, 3))
@@ -935,7 +909,7 @@ impl Compiler {
                     _ => None,
                 };
             }
-            if fused.is_none() && i + 1 < old.len() {
+            if fused.is_none() && closed(2) {
                 fused = match (old[i], old[i + 1]) {
                     (Instr::LoadLocal(b), Instr::Binary(op)) => {
                         Some((Instr::BinaryTL { op, b }, 2))
@@ -970,9 +944,6 @@ impl Compiler {
         for label in self.labels.iter_mut().flatten() {
             *label = map[*label as usize];
         }
-        for charge in &mut self.charges {
-            *charge = map[*charge] as usize;
-        }
     }
 
     fn finish(mut self, param_slots: Vec<u32>) -> CompiledProgram {
@@ -991,27 +962,9 @@ impl Compiler {
             }
         }
 
-        // Fill in block totals and per-pc suffix refunds.
-        let mut refunds = vec![0u32; self.instrs.len()];
-        for (bi, &start) in self.charges.iter().enumerate() {
-            let end = self
-                .charges
-                .get(bi + 1)
-                .copied()
-                .unwrap_or(self.instrs.len());
-            debug_assert_eq!(self.costs[start], 0, "Charge carries no attached cost");
-            let mut suffix = 0u64;
-            for pc in (start + 1..end).rev() {
-                refunds[pc] = u32::try_from(suffix).unwrap_or(u32::MAX);
-                suffix += u64::from(self.costs[pc]);
-            }
-            self.instrs[start] = Instr::Charge(u32::try_from(suffix).unwrap_or(u32::MAX));
-        }
-
         CompiledProgram {
             instrs: self.instrs,
             costs: self.costs,
-            refunds,
             consts: self.consts,
             names: self.names,
             n_locals: self.n_locals,
@@ -1029,21 +982,20 @@ mod tests {
     }
 
     #[test]
-    fn straight_line_body_is_one_block() {
-        let cp = compiled("let x = 1; return x + 2;");
-        // Exactly the leading block header.
-        let charges = cp
-            .instrs
-            .iter()
-            .filter(|i| matches!(i, Instr::Charge(_)))
-            .count();
-        assert_eq!(charges, 1);
+    fn straight_line_costs_sum_to_the_interpreter_burn() {
+        let src = "let x = 1; return x + 2;";
+        let cp = compiled(src);
+        let total: u32 = cp.costs.iter().sum();
         // Entry burns: 2 stmts + 4 exprs (1, x+2, x, 2) = 6.
-        assert_eq!(cp.instrs[0], Instr::Charge(6));
+        assert_eq!(total, 6);
+        let mut host = crate::eval::NullHost;
+        let mut interp = crate::eval::Evaluator::new(&mut host);
+        interp.run(&Program::parse(src).unwrap(), &[]).unwrap();
+        assert_eq!(u64::from(total), interp.fuel_used());
     }
 
     #[test]
-    fn loops_split_blocks_and_carry_entry_cost() {
+    fn while_entry_cost_lands_before_the_loop_head() {
         let cp = compiled("let i = 0; while (i < 3) { i = i + 1; }");
         // The while entry burn lands on a Nop *before* the loop head so
         // it fires once, not per iteration.
@@ -1053,14 +1005,6 @@ mod tests {
             .position(|i| matches!(i, Instr::Nop))
             .expect("entry-cost Nop");
         assert_eq!(cp.costs[nop_pc], 1);
-        assert!(
-            cp.instrs
-                .iter()
-                .filter(|i| matches!(i, Instr::Charge(_)))
-                .count()
-                >= 3,
-            "cond/body/exit blocks"
-        );
     }
 
     #[test]
@@ -1073,19 +1017,69 @@ mod tests {
     fn disassembly_mentions_pools_and_opcodes() {
         let cp = compiled("let x = \"hi\"; return len(x);");
         let text = cp.disassemble();
-        assert!(text.contains("charge"), "{text}");
+        assert!(text.contains("fuel"), "{text}");
         assert!(text.contains("call len"), "{text}");
         assert!(text.contains("\"hi\""), "{text}");
     }
 
+    /// `load_local; load_const; binary`, with `label` bound at
+    /// `label_at` when given, run through the fuser.
+    fn fused_window(label_at: Option<usize>) -> Compiler {
+        let mut c = Compiler::new();
+        let label = c.new_label();
+        for (pc, instr) in [
+            Instr::LoadLocal(0),
+            Instr::LoadConst(0),
+            Instr::Binary(BinaryOp::Add),
+            Instr::Return,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            if label_at == Some(pc) {
+                c.bind(label);
+            }
+            c.attach(1);
+            c.emit(instr);
+        }
+        c.fuse();
+        c
+    }
+
     #[test]
-    fn refunds_sum_suffixes_within_blocks() {
-        let cp = compiled("return 1 + 2;");
-        // Block: Charge, LoadConst(cost 3: stmt+binary+lhs), LoadConst(1),
-        // Binary(0), Return(0), ReturnNull(0).
-        assert_eq!(cp.instrs[0], Instr::Charge(4));
-        assert_eq!(cp.costs[1], 3);
-        assert_eq!(cp.refunds[1], 1);
-        assert_eq!(cp.refunds[2], 0);
+    fn fuser_never_fuses_across_a_jump_target() {
+        let c = fused_window(None);
+        assert_eq!(
+            c.instrs[0],
+            Instr::BinaryLC {
+                op: BinaryOp::Add,
+                a: 0,
+                c: 0
+            }
+        );
+        assert_eq!(c.costs[0], 3);
+
+        // A label on the `load_const` keeps the `load_local` apart; the
+        // label's own window may still fuse, and the label follows it.
+        let c = fused_window(Some(1));
+        assert_eq!(
+            c.instrs[..3],
+            [
+                Instr::LoadLocal(0),
+                Instr::BinaryTC {
+                    op: BinaryOp::Add,
+                    c: 0
+                },
+                Instr::Return
+            ]
+        );
+        assert_eq!(c.costs[..3], [1, 2, 1]);
+        assert_eq!(c.labels[0], Some(1));
+
+        // A label on the `binary` keeps all three apart.
+        let c = fused_window(Some(2));
+        assert_eq!(c.instrs[1], Instr::LoadConst(0));
+        assert_eq!(c.instrs[2], Instr::Binary(BinaryOp::Add));
+        assert_eq!(c.labels[0], Some(2));
     }
 }

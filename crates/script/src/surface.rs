@@ -103,18 +103,12 @@ impl MetaOp {
         MetaOp::ALL.into_iter().find(|op| op.method_name() == name)
     }
 
-    /// Does this operation *mutate* object structure? (Mutating meta-ops
-    /// are guarded by the meta ACL; introspective ones by the read ACL.)
+    /// Does this operation change the object: its structure (the row is
+    /// `structural`) or a data item in place (`set_data_item`)? Which
+    /// ACL guards each one is the row's `meta_gated` column, not this.
     pub fn is_mutating(&self) -> bool {
-        matches!(
-            self,
-            MetaOp::SetDataItem
-                | MetaOp::AddDataItem
-                | MetaOp::DeleteDataItem
-                | MetaOp::SetMethod
-                | MetaOp::AddMethod
-                | MetaOp::DeleteMethod
-        )
+        let row = self.row();
+        row.structural || row.touches == Touches::DataWrite
     }
 
     /// This operation's row of [`HOST_OPS`], the one place a meta-op is
@@ -443,10 +437,21 @@ mod tests {
 
     #[test]
     fn mutating_classification() {
-        assert!(MetaOp::AddMethod.is_mutating());
-        assert!(MetaOp::SetDataItem.is_mutating());
-        assert!(!MetaOp::GetMethod.is_mutating());
-        assert!(!MetaOp::Invoke.is_mutating());
+        let mutating: Vec<MetaOp> = MetaOp::ALL
+            .into_iter()
+            .filter(MetaOp::is_mutating)
+            .collect();
+        assert_eq!(
+            mutating,
+            [
+                MetaOp::SetDataItem,
+                MetaOp::AddDataItem,
+                MetaOp::DeleteDataItem,
+                MetaOp::SetMethod,
+                MetaOp::AddMethod,
+                MetaOp::DeleteMethod,
+            ]
+        );
     }
 
     #[test]

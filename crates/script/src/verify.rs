@@ -6,10 +6,8 @@
 //! ## What is proved
 //!
 //! * **Control flow is closed.** Every jump operand (including a
-//!   `for` loop's exhaustion target) lands in bounds *and* on a
-//!   block-leader `Charge` pc — the invariant that makes block
-//!   pre-charging and the peephole fuser sound. No reachable path can fall off the end of the instruction
-//!   array.
+//!   `for` loop's exhaustion target) lands in bounds. No reachable path
+//!   can fall off the end of the instruction array.
 //! * **Stack discipline.** A forward data-flow pass computes the operand
 //!   -stack and iterator-stack depth at every reachable pc and checks
 //!   that (a) no instruction pops more than is present, and (b) every
@@ -20,15 +18,16 @@
 //! * **Operands fit their instructions.** No binary instruction names
 //!   `&&` or `||` (those exist only as short-circuit checks), and every
 //!   indexed assignment carries at least one index.
-//! * **Fuel tables are canonical.** Each block's `Charge` total equals
-//!   the sum of its instructions' attached costs, and the refund table
-//!   holds the exact per-pc unexecuted-suffix sums — so pre-charge,
-//!   early-exit refund, and lockstep replay account for precisely the
-//!   same fuel along every path.
+//! * **Fuel bounds every run.** The `costs` table has one entry per
+//!   instruction, which the VM burns before the instruction runs. The
+//!   pcs that cost nothing form no cycle, except an empty `for` body: an
+//!   `IterNext` whose item edge leads straight to a jump back to it,
+//!   which ends when its iterator does. Every other loop burns fuel on
+//!   each pass.
 //!
 //! A program that passes [`verify`] cannot make the VM panic on stack
-//! underflow, index out of bounds, or a missing iterator, and cannot be
-//! over- or under-charged relative to its own cost table.
+//! underflow, index out of bounds, or a missing iterator, and cannot run
+//! forever on a finite budget.
 //!
 //! The compiled form never travels and is never stored: there is no path
 //! from bytes to a [`CompiledProgram`]. The AST is the only mobile
@@ -50,17 +49,13 @@ pub enum VerifyError {
     /// The program has no instructions (the compiler always emits at
     /// least a return).
     Empty,
-    /// `costs` / `refunds` are not the same length as `instrs`.
+    /// `costs` is not the same length as `instrs`.
     TableSizeMismatch {
         /// Instruction count.
         instrs: usize,
         /// Cost-table length.
         costs: usize,
-        /// Refund-table length.
-        refunds: usize,
     },
-    /// pc 0 is not a `Charge` — execution would start mid-block.
-    MissingEntryCharge,
     /// A non-terminal instruction sits at the last pc: execution would
     /// run off the end of the instruction array.
     FallOffEnd {
@@ -74,12 +69,11 @@ pub enum VerifyError {
         /// The out-of-range target.
         target: usize,
     },
-    /// A jump operand lands on a pc that is not a block-leader `Charge`.
-    JumpNotBlockLeader {
-        /// The jumping pc.
+    /// Some cycle of the control-flow graph burns no fuel, so a run could
+    /// loop forever on a finite budget.
+    UnmeteredLoop {
+        /// A zero-cost pc on, or reached from, that cycle.
         pc: usize,
-        /// The mid-block target.
-        target: usize,
     },
     /// A constant-pool operand is out of bounds.
     ConstOutOfBounds {
@@ -154,46 +148,14 @@ pub enum VerifyError {
         /// Conflicting depth.
         found: usize,
     },
-    /// A `Charge` pc carries an attached cost (block headers never do).
-    ChargeCost {
-        /// The offending `Charge` pc.
-        pc: usize,
-    },
-    /// A block's `Charge` total does not equal the sum of its
-    /// instructions' attached costs.
-    ChargeTotal {
-        /// The block's `Charge` pc.
-        pc: usize,
-        /// Total the `Charge` declares.
-        declared: u32,
-        /// Sum of the block's attached costs.
-        actual: u32,
-    },
-    /// A refund entry is not the unexecuted-suffix sum for its pc.
-    RefundMismatch {
-        /// The offending pc.
-        pc: usize,
-        /// Value in the refund table.
-        declared: u32,
-        /// The canonical suffix sum.
-        actual: u32,
-    },
 }
 
 impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VerifyError::Empty => write!(f, "empty instruction array"),
-            VerifyError::TableSizeMismatch {
-                instrs,
-                costs,
-                refunds,
-            } => write!(
-                f,
-                "fuel tables out of step: {instrs} instrs, {costs} costs, {refunds} refunds"
-            ),
-            VerifyError::MissingEntryCharge => {
-                write!(f, "pc 0 is not a Charge block header")
+            VerifyError::TableSizeMismatch { instrs, costs } => {
+                write!(f, "cost table out of step: {instrs} instrs, {costs} costs")
             }
             VerifyError::FallOffEnd { pc } => {
                 write!(f, "pc {pc}: non-terminal instruction at end of program")
@@ -201,11 +163,8 @@ impl fmt::Display for VerifyError {
             VerifyError::JumpOutOfBounds { pc, target } => {
                 write!(f, "pc {pc}: jump target {target} out of bounds")
             }
-            VerifyError::JumpNotBlockLeader { pc, target } => {
-                write!(
-                    f,
-                    "pc {pc}: jump target {target} is not a block-leader Charge"
-                )
+            VerifyError::UnmeteredLoop { pc } => {
+                write!(f, "pc {pc}: on or after a loop that burns no fuel")
             }
             VerifyError::ConstOutOfBounds { pc, index } => {
                 write!(f, "pc {pc}: constant index {index} out of bounds")
@@ -250,25 +209,6 @@ impl fmt::Display for VerifyError {
                 f,
                 "pc {pc}: inconsistent iterator depth at join ({expected} vs {found})"
             ),
-            VerifyError::ChargeCost { pc } => {
-                write!(f, "pc {pc}: Charge carries an attached cost")
-            }
-            VerifyError::ChargeTotal {
-                pc,
-                declared,
-                actual,
-            } => write!(
-                f,
-                "pc {pc}: Charge declares {declared} but block costs sum to {actual}"
-            ),
-            VerifyError::RefundMismatch {
-                pc,
-                declared,
-                actual,
-            } => write!(
-                f,
-                "pc {pc}: refund table holds {declared}, suffix sum is {actual}"
-            ),
         }
     }
 }
@@ -295,7 +235,8 @@ pub(crate) fn is_terminal(instr: Instr) -> bool {
 /// Verifies a compiled program against every invariant the VM assumes.
 ///
 /// Runs in time linear in the program size: one structural scan over all
-/// pcs (bounds, targets, terminality, fuel tables) plus one data-flow
+/// pcs (bounds, targets, terminality), one topological sort of the pcs
+/// that cost nothing, plus one data-flow
 /// pass over the reachable control-flow graph (stack and iterator
 /// depths). Unreachable instructions — the compiler emits some, e.g. a
 /// trailing `ReturnNull` after an explicit `return` — still get the
@@ -309,15 +250,11 @@ pub fn verify(cp: &CompiledProgram) -> Result<(), VerifyError> {
     if n == 0 {
         return Err(VerifyError::Empty);
     }
-    if cp.costs.len() != n || cp.refunds.len() != n {
+    if cp.costs.len() != n {
         return Err(VerifyError::TableSizeMismatch {
             instrs: n,
             costs: cp.costs.len(),
-            refunds: cp.refunds.len(),
         });
-    }
-    if !matches!(cp.instrs[0], Instr::Charge(_)) {
-        return Err(VerifyError::MissingEntryCharge);
     }
     for (index, &slot) in cp.param_slots.iter().enumerate() {
         if slot >= cp.n_locals {
@@ -329,7 +266,7 @@ pub fn verify(cp: &CompiledProgram) -> Result<(), VerifyError> {
     }
 
     structural_pass(cp)?;
-    fuel_pass(cp)?;
+    loop_pass(cp)?;
     flow_pass(cp)
 }
 
@@ -375,9 +312,6 @@ fn structural_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
         if target >= n {
             return Err(VerifyError::JumpOutOfBounds { pc, target });
         }
-        if !matches!(cp.instrs[target], Instr::Charge(_)) {
-            return Err(VerifyError::JumpNotBlockLeader { pc, target });
-        }
         Ok(())
     };
 
@@ -406,8 +340,7 @@ fn structural_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
             Instr::AssignPath { n_idx: 0, .. } | Instr::AssignPathUndef { n_idx: 0, .. } => {
                 return Err(VerifyError::EmptyAssignPath { pc });
             }
-            Instr::Charge(_)
-            | Instr::Nop
+            Instr::Nop
             | Instr::Pop
             | Instr::Unary(_)
             | Instr::Binary(_)
@@ -461,54 +394,67 @@ fn structural_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
     Ok(())
 }
 
-/// Recomputes the canonical fuel tables and compares: each block's
-/// `Charge` total must equal the sum of its attached costs, and each
-/// refund entry must be the exact unexecuted-suffix sum (saturated to
-/// `u32::MAX` exactly as the compiler saturates).
-fn fuel_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
+/// Sorts the pcs that cost nothing topologically (Kahn's algorithm); a
+/// pc left over sits on or after a cycle that burns no fuel. The one
+/// cycle allowed is an empty `for` body, `IterNext` at `pc` followed by
+/// `Jump(pc)`: its item edge is left out, because each pass over it
+/// takes an item from an iterator the cycle never replaces. Its
+/// exhaustion edge stays in, as does an item edge that is also the
+/// exhaustion edge. Runs after `structural_pass`, so every target is in
+/// bounds and every non-terminal pc has a successor.
+fn loop_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
     let n = cp.instrs.len();
-    let charges: Vec<usize> = (0..n)
-        .filter(|&pc| matches!(cp.instrs[pc], Instr::Charge(_)))
-        .collect();
-    // `verify` has already established `instrs[0]` is a Charge, so the
-    // blocks partition the whole program.
-    for (bi, &start) in charges.iter().enumerate() {
-        let end = charges.get(bi + 1).copied().unwrap_or(n);
-        if cp.costs[start] != 0 {
-            return Err(VerifyError::ChargeCost { pc: start });
-        }
-        if cp.refunds[start] != 0 {
-            return Err(VerifyError::RefundMismatch {
-                pc: start,
-                declared: cp.refunds[start],
-                actual: 0,
-            });
-        }
-        let mut suffix: u64 = 0;
-        for pc in (start + 1..end).rev() {
-            let expected = u32::try_from(suffix).unwrap_or(u32::MAX);
-            if cp.refunds[pc] != expected {
-                return Err(VerifyError::RefundMismatch {
-                    pc,
-                    declared: cp.refunds[pc],
-                    actual: expected,
-                });
+    let free = |pc: usize| cp.costs[pc] == 0;
+    // Every cycle takes a backward jump: without one between free pcs,
+    // no free cycle exists (the common, loop-free body).
+    let free_back_jump = |pc: usize| match cp.instrs[pc] {
+        Instr::Jump(t)
+        | Instr::JumpIfFalse(t)
+        | Instr::AndCheck(t)
+        | Instr::OrCheck(t)
+        | Instr::IterNext { end: t, .. } => t as usize <= pc && free(pc) && free(t as usize),
+        _ => false,
+    };
+    if !(0..n).any(free_back_jump) {
+        return Ok(());
+    }
+    let edges = |pc: usize| {
+        let next = Some(pc + 1);
+        let out = match cp.instrs[pc] {
+            instr if is_terminal(instr) => [None, None],
+            Instr::Jump(t) => [Some(t as usize), None],
+            Instr::JumpIfFalse(t) | Instr::AndCheck(t) | Instr::OrCheck(t) => {
+                [Some(t as usize), next]
             }
-            suffix += u64::from(cp.costs[pc]);
-        }
-        let actual = u32::try_from(suffix).unwrap_or(u32::MAX);
-        let Instr::Charge(declared) = cp.instrs[start] else {
-            unreachable!("charges holds only Charge pcs");
+            Instr::IterNext { end, .. }
+                if end as usize != pc + 1 && cp.instrs[pc + 1] == Instr::Jump(pc as u32) =>
+            {
+                [Some(end as usize), None]
+            }
+            Instr::IterNext { end, .. } => [Some(end as usize), next],
+            _ => [next, None],
         };
-        if declared != actual {
-            return Err(VerifyError::ChargeTotal {
-                pc: start,
-                declared,
-                actual,
-            });
+        out.into_iter().flatten().filter(move |&to| free(to))
+    };
+    let mut indegree = vec![0usize; n];
+    for pc in (0..n).filter(|&pc| free(pc)) {
+        for to in edges(pc) {
+            indegree[to] += 1;
         }
     }
-    Ok(())
+    let mut ready: Vec<usize> = (0..n).filter(|&pc| free(pc) && indegree[pc] == 0).collect();
+    while let Some(pc) = ready.pop() {
+        for to in edges(pc) {
+            indegree[to] -= 1;
+            if indegree[to] == 0 {
+                ready.push(to);
+            }
+        }
+    }
+    match (0..n).find(|&pc| indegree[pc] > 0) {
+        Some(pc) => Err(VerifyError::UnmeteredLoop { pc }),
+        None => Ok(()),
+    }
 }
 
 /// Forward data-flow over the reachable CFG: operand-stack and
@@ -568,7 +514,7 @@ fn flow_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
             }
         };
         match instr {
-            Instr::Charge(_) | Instr::Nop => {
+            Instr::Nop => {
                 merge(&mut state, &mut work, pc + 1, depth, iter)?;
             }
             Instr::LoadConst(_)
@@ -699,24 +645,6 @@ mod tests {
     // -- targeted structural tampering -------------------------------------
 
     #[test]
-    fn jump_into_block_interior_is_rejected() {
-        let mut cp = compiled("let x = 1; if (x) { x = 2; } return x;");
-        let jump_pc = cp
-            .instrs
-            .iter()
-            .position(|i| matches!(i, Instr::JumpIfFalse(_)))
-            .expect("if compiles to JumpIfFalse");
-        // Retarget to pc 1 — the entry block's first real instruction,
-        // never a block-leader Charge.
-        assert!(!matches!(cp.instrs[1], Instr::Charge(_)));
-        cp.instrs[jump_pc] = Instr::JumpIfFalse(1);
-        assert!(matches!(
-            verify(&cp),
-            Err(VerifyError::JumpNotBlockLeader { .. }) | Err(VerifyError::JumpOutOfBounds { .. })
-        ));
-    }
-
-    #[test]
     fn out_of_bounds_operands_are_rejected() {
         let mut cp = compiled("let x = 1; return x;");
         let load = cp
@@ -768,27 +696,51 @@ mod tests {
     }
 
     #[test]
-    fn tampered_fuel_tables_are_rejected() {
-        let mut cp = compiled("return 1 + 2;");
-        let Instr::Charge(total) = cp.instrs[0] else {
-            panic!("pc 0 must be Charge")
-        };
-        cp.instrs[0] = Instr::Charge(total + 1);
-        assert!(matches!(verify(&cp), Err(VerifyError::ChargeTotal { .. })));
+    fn loops_that_burn_no_fuel_are_rejected() {
+        // A jump to itself.
+        let mut cp = compiled("let x = 1; if (x) { x = 2; } return x;");
+        let pc = cp
+            .instrs
+            .iter()
+            .position(|i| matches!(i, Instr::Jump(_)))
+            .expect("the then-branch jumps past the else");
+        assert_eq!(cp.costs[pc], 0);
+        cp.instrs[pc] = Instr::Jump(pc as u32);
+        assert_eq!(verify(&cp), Err(VerifyError::UnmeteredLoop { pc }));
 
-        let mut cp = compiled("return 1 + 2;");
-        cp.refunds[1] = cp.refunds[1].wrapping_add(5);
+        // A `while` head that costs nothing.
+        let mut cp = compiled("while (true) { } return 1;");
+        let head = cp
+            .instrs
+            .iter()
+            .position(|i| matches!(i, Instr::LoadConst(_)))
+            .expect("the condition");
+        cp.costs[head] = 0;
         assert!(matches!(
             verify(&cp),
-            Err(VerifyError::RefundMismatch { .. })
+            Err(VerifyError::UnmeteredLoop { .. })
         ));
-    }
 
-    #[test]
-    fn missing_entry_charge_is_rejected() {
-        let mut cp = compiled("return 1;");
-        cp.instrs[0] = Instr::Nop;
-        assert!(matches!(verify(&cp), Err(VerifyError::MissingEntryCharge)));
+        // An empty `for` body verifies; pointing its exhaustion edge at
+        // the jump back makes it spin once the iterator runs dry.
+        let mut cp = compiled("for (i in [1, 2]) { } return 1;");
+        verify(&cp).expect("an empty for body ends with its iterator");
+        let pc = cp
+            .instrs
+            .iter()
+            .position(|i| matches!(i, Instr::IterNext { .. }))
+            .expect("for compiles to IterNext");
+        let Instr::IterNext { slot, .. } = cp.instrs[pc] else {
+            unreachable!("matched above")
+        };
+        cp.instrs[pc] = Instr::IterNext {
+            slot,
+            end: pc as u32 + 1,
+        };
+        assert!(matches!(
+            verify(&cp),
+            Err(VerifyError::UnmeteredLoop { .. })
+        ));
     }
 
     #[test]
@@ -844,7 +796,6 @@ mod tests {
                 .collect()
         };
         match instr {
-            Instr::Charge(t) => nums(t, &Instr::Charge),
             Instr::LoadConst(i) => nums(i, &Instr::LoadConst),
             Instr::LoadLocal(s) => nums(s, &Instr::LoadLocal),
             Instr::StoreLocal(s) => nums(s, &Instr::StoreLocal),
@@ -941,8 +892,8 @@ mod tests {
         }
     }
 
-    /// Every program that differs from `cp` in one instruction operand,
-    /// one `costs` entry or one `refunds` entry.
+    /// Every program that differs from `cp` in one instruction operand
+    /// or one `costs` entry.
     fn mutants(cp: &CompiledProgram) -> Vec<CompiledProgram> {
         let mut out = Vec::new();
         for pc in 0..cp.instrs.len() {
@@ -958,19 +909,12 @@ mod tests {
                     out.push(m);
                 }
             }
-            for v in [0, 1, cp.refunds[pc].wrapping_add(1), u32::MAX] {
-                if v != cp.refunds[pc] {
-                    let mut m = cp.clone();
-                    m.refunds[pc] = v;
-                    out.push(m);
-                }
-            }
         }
         out
     }
 
-    /// Hostile in-memory bytecode: each single-operand, single-cost or
-    /// single-refund mutant of the corpus and of seeded programs is
+    /// Hostile in-memory bytecode: each single-operand or single-cost
+    /// mutant of the corpus and of seeded programs is
     /// either rejected by [`verify`] or runs on the VM to a value or a
     /// structured error — never a panic — within its fuel.
     #[test]

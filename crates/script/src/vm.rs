@@ -10,23 +10,14 @@
 //!
 //! ## Fuel discipline
 //!
-//! Each basic block opens with [`Instr::Charge`], pre-paying the block's
-//! static cost in one subtraction — the source of the VM's speedup over
-//! per-node burning. Exactness at the edges:
-//!
-//! * a taken jump, a return, or a non-fuel error refunds the unexecuted
-//!   suffix of the block (`refunds[pc]`);
-//! * an unpayable `Charge` switches to **lockstep** mode — no error, no
-//!   fuel change — and lockstep burns `costs[pc]` before each
-//!   instruction, so exhaustion surfaces at exactly the interpreter's
-//!   instruction with exactly the interpreter's side-effect prefix;
-//! * value-dependent surcharges (argument size, allocation size) that
-//!   exceed remaining fuel first refund the suffix and drop to lockstep,
-//!   then retry — a pre-charge can never exhaust earlier than the
-//!   interpreter would.
-//!
-//! Refunds never follow a `FuelExhausted`: the failed burn has already
-//! pinned `fuel_used()` to the full budget, matching the interpreter.
+//! Before each instruction the VM burns that instruction's own static
+//! cost, `costs[pc]`, and a value-dependent surcharge (argument size,
+//! allocation size) is burned where the interpreter burns it. The
+//! compiler attaches each of the interpreter's burns to the instruction
+//! that performs it, so the burn sequence along any path is the
+//! interpreter's, and a run exhausts at exactly the interpreter's
+//! instruction with exactly its side-effect prefix. A failed burn pins
+//! `fuel_used()` to the full budget, as the interpreter's does.
 
 use std::collections::BTreeMap;
 
@@ -147,9 +138,6 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
         let mut stack: Vec<Value> = Vec::new();
         let mut iters: Vec<std::vec::IntoIter<Value>> = Vec::new();
         let mut pc: usize = 0;
-        // True while executing a block whose `Charge` could not be paid:
-        // fuel is burned per instruction, exactly as the interpreter does.
-        let mut lockstep = false;
 
         macro_rules! pop {
             () => {
@@ -158,87 +146,28 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     .expect("operand stack underflow: compiler invariant")
             };
         }
-        // Fallible step: on a non-fuel error, refund the block suffix the
-        // pre-charge paid for but which will now never execute.
-        macro_rules! vtry {
-            ($r:expr) => {
-                match $r {
-                    Ok(v) => v,
-                    Err(e) => {
-                        if !lockstep {
-                            self.fuel += u64::from(cp.refunds[pc]);
-                        }
-                        return Err(e);
-                    }
-                }
-            };
-        }
-        // Value-dependent surcharge: pay outright when fuel allows; else
-        // restore interpreter-exact fuel (refund the suffix, enter
-        // lockstep) and burn for real, which errors iff the interpreter's
-        // own burn would.
-        macro_rules! dyn_burn {
-            ($amount:expr) => {{
-                let amount: u64 = $amount;
-                if self.fuel >= amount {
-                    self.fuel -= amount;
-                } else {
-                    if !lockstep {
-                        self.fuel += u64::from(cp.refunds[pc]);
-                        lockstep = true;
-                    }
-                    self.burn(amount)?;
-                }
-            }};
-        }
-        // A taken branch skips the rest of the block; hand back its cost.
-        macro_rules! refund_jump {
-            () => {
-                if !lockstep {
-                    self.fuel += u64::from(cp.refunds[pc]);
-                }
-            };
-        }
 
         loop {
             let instr = cp.instrs[pc];
-            if let Instr::Charge(total) = instr {
-                let total = u64::from(total);
-                if self.fuel >= total {
-                    self.fuel -= total;
-                    lockstep = false;
-                } else {
-                    lockstep = true;
-                }
-                pc += 1;
-                continue;
-            }
-            if lockstep {
-                self.burn(u64::from(cp.costs[pc]))?;
-            }
+            self.burn(u64::from(cp.costs[pc]))?;
             match instr {
-                Instr::Charge(_) => unreachable!("handled above"),
                 Instr::Nop => {}
                 Instr::LoadConst(i) => stack.push(cp.consts[i as usize].clone()),
                 Instr::LoadLocal(s) => stack.push(locals[s as usize].clone()),
                 Instr::StoreLocal(s) => locals[s as usize] = pop!(),
                 Instr::LoadUndef(n) => {
-                    vtry!(Err::<(), _>(ScriptError::UndefinedVariable(
-                        cp.names[n as usize].clone()
-                    )));
+                    return Err(ScriptError::UndefinedVariable(cp.names[n as usize].clone()));
                 }
                 Instr::StoreUndef(n) => {
                     let _rhs = pop!();
-                    vtry!(Err::<(), _>(ScriptError::UndefinedVariable(
-                        cp.names[n as usize].clone()
-                    )));
+                    return Err(ScriptError::UndefinedVariable(cp.names[n as usize].clone()));
                 }
                 Instr::Pop => {
                     let _ = pop!();
                 }
                 Instr::Unary(op) => {
                     let v = pop!();
-                    let out = vtry!(unary(op, v));
+                    let out = unary(op, v)?;
                     stack.push(out);
                 }
                 Instr::Binary(op) => {
@@ -251,8 +180,8 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                             continue;
                         }
                     }
-                    dyn_burn!(alloc_surcharge(op, &lhs, &rhs));
-                    let out = vtry!(binary(op, lhs, rhs));
+                    self.burn(alloc_surcharge(op, &lhs, &rhs))?;
+                    let out = binary(op, lhs, rhs)?;
                     stack.push(out);
                 }
                 Instr::BinaryLL { op, a, b } => {
@@ -267,8 +196,8 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     }
                     let lhs = locals[a as usize].clone();
                     let rhs = locals[b as usize].clone();
-                    dyn_burn!(alloc_surcharge(op, &lhs, &rhs));
-                    let out = vtry!(binary(op, lhs, rhs));
+                    self.burn(alloc_surcharge(op, &lhs, &rhs))?;
+                    let out = binary(op, lhs, rhs)?;
                     stack.push(out);
                 }
                 Instr::BinaryLC { op, a, c } => {
@@ -283,8 +212,8 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     }
                     let lhs = locals[a as usize].clone();
                     let rhs = cp.consts[c as usize].clone();
-                    dyn_burn!(alloc_surcharge(op, &lhs, &rhs));
-                    let out = vtry!(binary(op, lhs, rhs));
+                    self.burn(alloc_surcharge(op, &lhs, &rhs))?;
+                    let out = binary(op, lhs, rhs)?;
                     stack.push(out);
                 }
                 Instr::BinaryTL { op, b } => {
@@ -297,8 +226,8 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                         }
                     }
                     let rhs = locals[b as usize].clone();
-                    dyn_burn!(alloc_surcharge(op, &lhs, &rhs));
-                    let out = vtry!(binary(op, lhs, rhs));
+                    self.burn(alloc_surcharge(op, &lhs, &rhs))?;
+                    let out = binary(op, lhs, rhs)?;
                     stack.push(out);
                 }
                 Instr::BinaryTC { op, c } => {
@@ -311,8 +240,8 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                         }
                     }
                     let rhs = cp.consts[c as usize].clone();
-                    dyn_burn!(alloc_surcharge(op, &lhs, &rhs));
-                    let out = vtry!(binary(op, lhs, rhs));
+                    self.burn(alloc_surcharge(op, &lhs, &rhs))?;
+                    let out = binary(op, lhs, rhs)?;
                     stack.push(out);
                 }
                 Instr::Truthy => {
@@ -320,14 +249,12 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     stack.push(Value::Bool(v.truthy()));
                 }
                 Instr::Jump(t) => {
-                    refund_jump!();
                     pc = t as usize;
                     continue;
                 }
                 Instr::JumpIfFalse(t) => {
                     let v = pop!();
                     if !v.truthy() {
-                        refund_jump!();
                         pc = t as usize;
                         continue;
                     }
@@ -336,7 +263,6 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     let v = pop!();
                     if !v.truthy() {
                         stack.push(Value::Bool(false));
-                        refund_jump!();
                         pc = t as usize;
                         continue;
                     }
@@ -345,7 +271,6 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     let v = pop!();
                     if v.truthy() {
                         stack.push(Value::Bool(true));
-                        refund_jump!();
                         pc = t as usize;
                         continue;
                     }
@@ -353,30 +278,25 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                 Instr::Index => {
                     let i = pop!();
                     let b = pop!();
-                    let out = vtry!(index(&b, &i));
+                    let out = index(&b, &i)?;
                     stack.push(out);
                 }
                 Instr::Call { builtin, argc } => {
                     let vals = stack.split_off(stack.len() - argc as usize);
-                    dyn_burn!(call_surcharge(&vals));
-                    let out = out_surcharge(builtin, &vals);
-                    if out > 0 {
-                        dyn_burn!(out);
-                    }
-                    let result = vtry!(call_builtin(builtin, vals));
+                    self.burn(call_surcharge(&vals))?;
+                    self.burn(out_surcharge(builtin, &vals))?;
+                    let result = call_builtin(builtin, vals)?;
                     stack.push(result);
                 }
                 Instr::CallUnknown { name, argc } => {
                     let vals = stack.split_off(stack.len() - argc as usize);
-                    dyn_burn!(call_surcharge(&vals));
-                    vtry!(Err::<(), _>(ScriptError::UnknownBuiltin(
-                        cp.names[name as usize].clone()
-                    )));
+                    self.burn(call_surcharge(&vals))?;
+                    return Err(ScriptError::UnknownBuiltin(cp.names[name as usize].clone()));
                 }
                 Instr::HostCall { name, argc } => {
                     let vals = stack.split_off(stack.len() - argc as usize);
                     self.host_calls += 1;
-                    let out = vtry!(self.host.host_call(&cp.names[name as usize], &vals));
+                    let out = self.host.host_call(&cp.names[name as usize], &vals)?;
                     stack.push(out);
                 }
                 Instr::MakeList(n) => {
@@ -401,29 +321,29 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     }
                     path.reverse();
                     let rhs = pop!();
-                    vtry!(write_path(&mut locals[root as usize], &path, rhs));
+                    write_path(&mut locals[root as usize], &path, rhs)?;
                 }
                 Instr::AssignPathUndef { name, n_idx } => {
                     for _ in 0..=n_idx {
                         let _ = pop!();
                     }
-                    vtry!(Err::<(), _>(ScriptError::UndefinedVariable(
-                        cp.names[name as usize].clone()
-                    )));
+                    return Err(ScriptError::UndefinedVariable(
+                        cp.names[name as usize].clone(),
+                    ));
                 }
                 Instr::AssignErrBadTarget => {
-                    vtry!(Err::<(), _>(ScriptError::BadIndex(
-                        "assignment target must be a variable or index chain".into()
-                    )));
+                    return Err(ScriptError::BadIndex(
+                        "assignment target must be a variable or index chain".into(),
+                    ));
                 }
                 Instr::AssignErrBadRoot => {
-                    vtry!(Err::<(), _>(ScriptError::BadIndex(
-                        "assignment target must be rooted at a variable".into()
-                    )));
+                    return Err(ScriptError::BadIndex(
+                        "assignment target must be rooted at a variable".into(),
+                    ));
                 }
                 Instr::IterNew => {
                     let v = pop!();
-                    let items = vtry!(iter_items(v));
+                    let items = iter_items(v)?;
                     iters.push(items.into_iter());
                 }
                 Instr::IterNext { slot, end } => {
@@ -433,7 +353,6 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     match it.next() {
                         Some(item) => locals[slot as usize] = item,
                         None => {
-                            refund_jump!();
                             pc = end as usize;
                             continue;
                         }
@@ -443,14 +362,12 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     iters.pop();
                 }
                 Instr::LoopControlErr => {
-                    vtry!(Err::<(), _>(ScriptError::StrayLoopControl));
+                    Err::<(), _>(ScriptError::StrayLoopControl)?;
                 }
                 Instr::Return => {
-                    refund_jump!();
                     return Ok(pop!());
                 }
                 Instr::ReturnNull => {
-                    refund_jump!();
                     return Ok(Value::Null);
                 }
             }

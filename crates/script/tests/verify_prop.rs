@@ -1,6 +1,6 @@
 //! Compiler/verifier agreement properties: every compiled form the
 //! compiler emits must pass independent bytecode verification. (Hostile
-//! bytecode — single-operand, cost and refund mutants of these same
+//! bytecode — single-operand and cost mutants of these same
 //! programs — is covered in-crate, next to the verifier, because only the
 //! crate can edit a compiled form.)
 //!

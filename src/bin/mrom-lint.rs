@@ -17,8 +17,8 @@
 //! anything else is treated as script source and analyzed in isolation.
 //!
 //! `--dump-bytecode` prints the compiled form the VM executes at admission
-//! time — the instruction stream, per-block fuel charges, constant pool and
-//! name pool — so a host operator can audit exactly what an admitted body
+//! time — the instruction stream with each instruction's fuel cost, constant
+//! pool and name pool — so a host operator can audit exactly what an admitted body
 //! will run.
 //!
 //! `--effects` prints the effect signature of every method (for images:
