@@ -236,9 +236,8 @@ pub(crate) fn is_terminal(instr: Instr) -> bool {
 ///
 /// Runs in time linear in the program size: one structural scan over all
 /// pcs (bounds, targets, terminality), one topological sort of the pcs
-/// that cost nothing, plus one data-flow
-/// pass over the reachable control-flow graph (stack and iterator
-/// depths). Unreachable instructions — the compiler emits some, e.g. a
+/// that cost nothing, plus one data-flow pass over the reachable
+/// control-flow graph (stack and iterator depths). Unreachable instructions — the compiler emits some, e.g. a
 /// trailing `ReturnNull` after an explicit `return` — still get the
 /// structural checks, but impose no depth constraints.
 ///

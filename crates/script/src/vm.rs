@@ -362,7 +362,7 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     iters.pop();
                 }
                 Instr::LoopControlErr => {
-                    Err::<(), _>(ScriptError::StrayLoopControl)?;
+                    return Err(ScriptError::StrayLoopControl);
                 }
                 Instr::Return => {
                     return Ok(pop!());

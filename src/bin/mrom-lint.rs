@@ -18,8 +18,8 @@
 //!
 //! `--dump-bytecode` prints the compiled form the VM executes at admission
 //! time — the instruction stream with each instruction's fuel cost, constant
-//! pool and name pool — so a host operator can audit exactly what an admitted body
-//! will run.
+//! pool and name pool — so a host operator can audit exactly what an
+//! admitted body will run.
 //!
 //! `--effects` prints the effect signature of every method (for images:
 //! the interprocedural fixpoint over the object's call graph; for loose
