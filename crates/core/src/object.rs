@@ -398,8 +398,8 @@ impl MromObject {
         item.apply_descriptor(&desc_rest)
             .map_err(|e| MromError::BadDescriptor(e.to_string()))?;
         if let Some(new_name) = rename {
-            if new_name != name
-                && (self.fixed_data.contains(&new_name) || self.ext_data.contains(&new_name))
+            let renamed = new_name != name;
+            if renamed && (self.fixed_data.contains(&new_name) || self.ext_data.contains(&new_name))
             {
                 return Err(MromError::DuplicateItem {
                     object: self.id,
@@ -408,10 +408,14 @@ impl MromObject {
             }
             self.ext_data.remove(name);
             self.ext_data.insert(new_name, item);
+            // Only a new name is structural: a value or ACL change leaves
+            // the item set as it was.
+            if renamed {
+                self.touch_structure();
+            }
         } else {
             self.ext_data.replace(name, item);
         }
-        self.touch_structure();
         Ok(())
     }
 

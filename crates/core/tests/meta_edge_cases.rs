@@ -413,6 +413,46 @@ fn renaming_set_data_item_is_structural_and_not_idempotent() {
     assert!(invoke(&mut obj, &mut world, caller, "rename_p", &[]).is_err());
 }
 
+/// The structural generation follows the item set: a value-only
+/// descriptor, which solves as not structural, leaves it alone, and a
+/// renaming one moves it.
+#[test]
+fn value_only_set_data_item_keeps_the_generation() {
+    let (mut obj, mut gen) = subject();
+    let me = obj.id();
+    let mut world = NoWorld;
+    obj.add_data(me, "p", Value::Int(1)).unwrap();
+    for (name, src) in [
+        (
+            "write_p",
+            "self.set_data_item(\"p\", {\"value\": 2}); return 1;",
+        ),
+        (
+            "rename_p",
+            "self.set_data_item(\"p\", {\"rename\": \"q\"}); return 1;",
+        ),
+    ] {
+        obj.add_method(me, name, Method::public(MethodBody::script(src).unwrap()))
+            .unwrap();
+    }
+    assert!(!mrom_core::object_effects(&obj)["write_p"].structural);
+
+    let caller = gen.next_id();
+    let before = obj.generation();
+    for _ in 0..2 {
+        assert_eq!(
+            invoke(&mut obj, &mut world, caller, "write_p", &[]).unwrap(),
+            Value::Int(1)
+        );
+    }
+    assert_eq!(obj.generation(), before);
+    assert_eq!(obj.read_data(me, "p").unwrap(), Value::Int(2));
+
+    invoke(&mut obj, &mut world, caller, "rename_p", &[]).unwrap();
+    assert!(obj.generation() > before);
+    assert!(obj.has_data(me, "q"));
+}
+
 #[test]
 fn script_rename_via_set_data_item() {
     let (mut obj, mut gen) = subject();

@@ -135,6 +135,17 @@ pub(crate) enum Instr {
         /// Argument count.
         argc: u32,
     },
+    /// Fused `LoadConst c; HostCall { name, argc: 1 }` (peephole): call
+    /// `self.names[name](consts[c])`, borrowing the constant rather than
+    /// cloning it onto the stack. Fuel cost is the sum of the parts; safe
+    /// because nothing observable happens between a constant load and the
+    /// host call's burn.
+    HostCallC {
+        /// Name-pool index of the host method.
+        name: u32,
+        /// Constant-pool index of the sole argument.
+        c: u32,
+    },
     /// Pop `n` values, push a list of them (in evaluation order).
     MakeList(u32),
     /// Pop `n` values, push a map pairing them with
@@ -205,6 +216,10 @@ pub struct CompiledProgram {
     pub(crate) n_locals: u32,
     /// Slot for each declared parameter, bound positionally at entry.
     pub(crate) param_slots: Vec<u32>,
+    /// The operand stack's high-water mark, so a run can allocate its
+    /// frame once. Only a capacity hint: a low value costs the VM a
+    /// reallocation, never a wrong result.
+    pub(crate) max_stack: u32,
 }
 
 impl CompiledProgram {
@@ -308,16 +323,9 @@ impl CompiledProgram {
                     wait(&mut waiting, t, taken);
                     (1, 0)
                 }
-                Instr::LoadLocal(_) | Instr::BinaryLL { .. } | Instr::BinaryLC { .. } => (0, 1),
-                Instr::StoreLocal(_) | Instr::Pop => (1, 0),
-                Instr::Unary(_) | Instr::Truthy | Instr::BinaryTL { .. } => (1, 1),
-                Instr::Index => (2, 1),
-                Instr::HostCall { argc, .. }
-                | Instr::MakeList(argc)
-                | Instr::MakeMap { n: argc, .. } => (argc as usize, 1),
-                Instr::AssignPath { n_idx, .. } => (n_idx as usize + 1, 0),
-                // No stack effect, or no successor.
-                _ => (0, 0),
+                // Anything else pushes only computed values; a terminal
+                // ends the path below whatever it pops.
+                _ => stack_effect(instr),
             };
             for _ in 0..pops {
                 path.pop();
@@ -392,6 +400,7 @@ impl CompiledProgram {
                     format!("call_unknown n{name} argc={argc}")
                 }
                 Instr::HostCall { name, argc } => format!("host_call n{name} argc={argc}"),
+                Instr::HostCallC { name, c } => format!("host_call_c n{name} c{c}"),
                 Instr::MakeList(n) => format!("make_list {n}"),
                 Instr::MakeMap { keys, n } => format!("make_map n{keys}.. n={n}"),
                 Instr::AssignPath { root, n_idx } => {
@@ -465,6 +474,49 @@ fn wait<'a>(waiting: &mut BTreeMap<usize, FuelPath<'a>>, target: u32, path: Fuel
     waiting.insert(target as usize, path);
 }
 
+/// The operand-stack effect `(pops, pushes)` of `instr` on its
+/// fall-through edge. An instruction that always raises counts as the
+/// construct it stands for (an undefined read pushes its value, an
+/// unknown builtin its result), so the compiler's running depth stays
+/// in step with the source; a taken short-circuit check pushes its
+/// result back, which only its jump target sees.
+fn stack_effect(instr: Instr) -> (usize, usize) {
+    match instr {
+        Instr::LoadConst(_)
+        | Instr::LoadLocal(_)
+        | Instr::LoadUndef(_)
+        | Instr::BinaryLL { .. }
+        | Instr::BinaryLC { .. }
+        | Instr::HostCallC { .. } => (0, 1),
+        Instr::StoreLocal(_)
+        | Instr::StoreUndef(_)
+        | Instr::Pop
+        | Instr::JumpIfFalse(_)
+        | Instr::AndCheck(_)
+        | Instr::OrCheck(_)
+        | Instr::IterNew
+        | Instr::Return => (1, 0),
+        Instr::Unary(_) | Instr::Truthy | Instr::BinaryTL { .. } | Instr::BinaryTC { .. } => (1, 1),
+        Instr::Binary(_) | Instr::Index => (2, 1),
+        Instr::Call { argc, .. }
+        | Instr::CallUnknown { argc, .. }
+        | Instr::HostCall { argc, .. }
+        | Instr::MakeList(argc)
+        | Instr::MakeMap { n: argc, .. } => (argc as usize, 1),
+        Instr::AssignPath { n_idx, .. } | Instr::AssignPathUndef { n_idx, .. } => {
+            (n_idx as usize + 1, 0)
+        }
+        Instr::Nop
+        | Instr::Jump(_)
+        | Instr::IterNext { .. }
+        | Instr::IterPop
+        | Instr::AssignErrBadTarget
+        | Instr::AssignErrBadRoot
+        | Instr::LoopControlErr
+        | Instr::ReturnNull => (0, 0),
+    }
+}
+
 /// Compiles `program` to bytecode. Total: every well-formed tree compiles
 /// (trees only expressible via [`Program::from_parts`] — stray loop
 /// control, malformed assignment targets — compile to instructions that
@@ -498,6 +550,10 @@ struct Compiler {
     /// Compile-time replay of the interpreter's scope frames.
     frames: Vec<HashMap<String, u32>>,
     n_locals: u32,
+    /// Operand-stack depth after the last emitted instruction, and its
+    /// high-water mark (fusion only lowers it).
+    depth: usize,
+    max_stack: usize,
     /// Fuel waiting to be attached to the next emitted instruction.
     pending: u64,
     /// Label id → instruction index (bound at `bind`).
@@ -514,6 +570,8 @@ impl Compiler {
             names: Vec::new(),
             frames: vec![HashMap::new()],
             n_locals: 0,
+            depth: 0,
+            max_stack: 0,
             pending: 0,
             labels: Vec::new(),
             loops: Vec::new(),
@@ -579,6 +637,9 @@ impl Compiler {
     fn emit(&mut self, instr: Instr) -> usize {
         let cost = u32::try_from(self.pending).unwrap_or(u32::MAX);
         self.pending = 0;
+        let (pops, pushes) = stack_effect(instr);
+        self.depth = self.depth.saturating_sub(pops) + pushes;
+        self.max_stack = self.max_stack.max(self.depth);
         self.costs.push(cost);
         self.instrs.push(instr);
         self.instrs.len() - 1
@@ -874,7 +935,8 @@ impl Compiler {
     // -- finalization -------------------------------------------------------
 
     /// Peephole pass: fuses `LoadLocal`/`LoadConst` operands into the
-    /// `Binary` that consumes them. Safe under the fuel model because the
+    /// `Binary` that consumes them, and a constant into the one-argument
+    /// `HostCall` that consumes it. Safe under the fuel model because the
     /// fused cost is the exact sum of the parts and nothing observable
     /// (host call, error, side effect) can occur between them; safe for
     /// control flow because a window is fused only when none of its
@@ -916,6 +978,9 @@ impl Compiler {
                     }
                     (Instr::LoadConst(c), Instr::Binary(op)) => {
                         Some((Instr::BinaryTC { op, c }, 2))
+                    }
+                    (Instr::LoadConst(c), Instr::HostCall { name, argc: 1 }) => {
+                        Some((Instr::HostCallC { name, c }, 2))
                     }
                     _ => None,
                 };
@@ -969,6 +1034,7 @@ impl Compiler {
             names: self.names,
             n_locals: self.n_locals,
             param_slots,
+            max_stack: u32::try_from(self.max_stack).unwrap_or(u32::MAX),
         }
     }
 }
@@ -1022,20 +1088,20 @@ mod tests {
         assert!(text.contains("\"hi\""), "{text}");
     }
 
-    /// `load_local; load_const; binary`, with `label` bound at
+    /// `load_local; load_const; binary; return`.
+    const BINARY_WINDOW: [Instr; 4] = [
+        Instr::LoadLocal(0),
+        Instr::LoadConst(0),
+        Instr::Binary(BinaryOp::Add),
+        Instr::Return,
+    ];
+
+    /// `window`, each instruction costing 1, with `label` bound at
     /// `label_at` when given, run through the fuser.
-    fn fused_window(label_at: Option<usize>) -> Compiler {
+    fn fused_window(window: &[Instr], label_at: Option<usize>) -> Compiler {
         let mut c = Compiler::new();
         let label = c.new_label();
-        for (pc, instr) in [
-            Instr::LoadLocal(0),
-            Instr::LoadConst(0),
-            Instr::Binary(BinaryOp::Add),
-            Instr::Return,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for (pc, &instr) in window.iter().enumerate() {
             if label_at == Some(pc) {
                 c.bind(label);
             }
@@ -1048,7 +1114,7 @@ mod tests {
 
     #[test]
     fn fuser_never_fuses_across_a_jump_target() {
-        let c = fused_window(None);
+        let c = fused_window(&BINARY_WINDOW, None);
         assert_eq!(
             c.instrs[0],
             Instr::BinaryLC {
@@ -1061,7 +1127,7 @@ mod tests {
 
         // A label on the `load_const` keeps the `load_local` apart; the
         // label's own window may still fuse, and the label follows it.
-        let c = fused_window(Some(1));
+        let c = fused_window(&BINARY_WINDOW, Some(1));
         assert_eq!(
             c.instrs[..3],
             [
@@ -1077,9 +1143,50 @@ mod tests {
         assert_eq!(c.labels[0], Some(1));
 
         // A label on the `binary` keeps all three apart.
-        let c = fused_window(Some(2));
+        let c = fused_window(&BINARY_WINDOW, Some(2));
         assert_eq!(c.instrs[1], Instr::LoadConst(0));
         assert_eq!(c.instrs[2], Instr::Binary(BinaryOp::Add));
         assert_eq!(c.labels[0], Some(2));
+    }
+
+    #[test]
+    fn one_argument_host_calls_borrow_their_constant() {
+        let src = "return self.get(\"k\");";
+        let cp = compiled(src);
+        assert_eq!(cp.instrs[0], Instr::HostCallC { name: 0, c: 0 });
+        // Statement, call and literal entry burns, then the host call's.
+        assert_eq!(u64::from(cp.costs[0]), 3 * STEP_FUEL + HOST_CALL_FUEL);
+        assert!(cp.disassemble().contains("host_call_c n0 c0"));
+
+        // Two arguments, or a computed one, stay a plain host call.
+        for src in [
+            "return self.f(\"k\", 1);",
+            "let k = \"k\"; return self.get(k);",
+        ] {
+            let cp = compiled(src);
+            assert!(
+                !cp.instrs
+                    .iter()
+                    .any(|i| matches!(i, Instr::HostCallC { .. })),
+                "{src}: {}",
+                cp.disassemble()
+            );
+        }
+
+        let window = [
+            Instr::LoadConst(0),
+            Instr::HostCall { name: 0, argc: 1 },
+            Instr::Return,
+        ];
+        let c = fused_window(&window, None);
+        assert_eq!(
+            c.instrs[..2],
+            [Instr::HostCallC { name: 0, c: 0 }, Instr::Return]
+        );
+        assert_eq!(c.costs[..2], [2, 1]);
+        // A label on the host call keeps the constant load apart.
+        let c = fused_window(&window, Some(1));
+        assert_eq!(c.instrs[..], window[..]);
+        assert_eq!(c.labels[0], Some(1));
     }
 }

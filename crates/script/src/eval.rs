@@ -21,7 +21,9 @@ pub const DEFAULT_FUEL: u64 = 1_000_000;
 /// `self.invoke`, `self.add_method`, ... — which is how mobile code
 /// performs reflection.
 pub trait HostContext {
-    /// Handles `self.name(args...)`.
+    /// Handles `self.name(args...)`. `args` is borrowed for the call
+    /// only: the VM lends a slice of its frame (or of its constant
+    /// pool), which it reuses once the call returns.
     ///
     /// # Errors
     ///

@@ -12,7 +12,8 @@
 //!   -stack and iterator-stack depth at every reachable pc and checks
 //!   that (a) no instruction pops more than is present, and (b) every
 //!   join point is reached with one consistent depth — exactly the
-//!   "compiler invariant" the VM's unchecked `pop!` assumes.
+//!   "compiler invariant" behind the VM's `pop!`, which panics rather
+//!   than pop into the locals below the operand stack.
 //! * **Pool and register bounds.** Constant, name, local-slot and
 //!   map-key operands index inside their tables.
 //! * **Operands fit their instructions.** No binary instruction names
@@ -266,7 +267,7 @@ pub fn verify(cp: &CompiledProgram) -> Result<(), VerifyError> {
 
     structural_pass(cp)?;
     loop_pass(cp)?;
-    flow_pass(cp)
+    flow_pass(cp).map(|_| ())
 }
 
 /// Bounds, jump-target, and terminality checks over **all** pcs.
@@ -373,6 +374,10 @@ fn structural_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
             Instr::CallUnknown { name, .. } | Instr::HostCall { name, .. } => {
                 check_name(pc, name)?;
             }
+            Instr::HostCallC { name, c } => {
+                check_name(pc, name)?;
+                check_const(pc, c)?;
+            }
             Instr::MakeMap { keys, n: count } => {
                 let end = keys as usize + count as usize;
                 if end > n_names {
@@ -457,8 +462,9 @@ fn loop_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
 }
 
 /// Forward data-flow over the reachable CFG: operand-stack and
-/// iterator-stack depth per pc, with exact-equality joins.
-fn flow_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
+/// iterator-stack depth per pc, with exact-equality joins. Returns the
+/// largest operand depth any reachable pc is entered with.
+fn flow_pass(cp: &CompiledProgram) -> Result<usize, VerifyError> {
     let n = cp.instrs.len();
     // (operand depth, iterator depth) on entry to each reachable pc.
     let mut state: Vec<Option<(usize, usize)>> = vec![None; n];
@@ -519,7 +525,8 @@ fn flow_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
             Instr::LoadConst(_)
             | Instr::LoadLocal(_)
             | Instr::BinaryLL { .. }
-            | Instr::BinaryLC { .. } => {
+            | Instr::BinaryLC { .. }
+            | Instr::HostCallC { .. } => {
                 merge(&mut state, &mut work, pc + 1, depth + 1, iter)?;
             }
             Instr::StoreLocal(_) | Instr::Pop => {
@@ -600,7 +607,12 @@ fn flow_pass(cp: &CompiledProgram) -> Result<(), VerifyError> {
             | Instr::LoopControlErr => {}
         }
     }
-    Ok(())
+    Ok(state
+        .iter()
+        .flatten()
+        .map(|&(depth, _)| depth)
+        .max()
+        .unwrap_or(0))
 }
 
 #[cfg(test)]
@@ -638,6 +650,30 @@ mod tests {
         for src in CORPUS {
             let cp = compiled(src);
             verify(&cp).unwrap_or_else(|e| panic!("{src:?} failed verification: {e}"));
+        }
+    }
+
+    /// The compiler's high-water mark sizes the VM's frame: it must
+    /// cover the deepest operand stack any reachable pc sees.
+    #[test]
+    fn max_stack_covers_every_reachable_depth() {
+        let programs = CORPUS
+            .iter()
+            .map(|src| compiled(src))
+            .chain((0..256).map(|seed| {
+                crate::test_programs::GenCtx::program(seed)
+                    .compiled()
+                    .as_ref()
+                    .clone()
+            }));
+        for cp in programs {
+            let deepest = flow_pass(&cp).expect("compiler output verifies");
+            assert!(
+                cp.max_stack as usize >= deepest,
+                "max_stack {} < depth {deepest}:\n{}",
+                cp.max_stack,
+                cp.disassemble()
+            );
         }
     }
 
@@ -854,6 +890,11 @@ mod tests {
             Instr::HostCall { name, argc } => {
                 let mut out = nums(name, &|name| Instr::HostCall { name, argc });
                 out.extend(nums(argc, &|argc| Instr::HostCall { name, argc }));
+                out
+            }
+            Instr::HostCallC { name, c } => {
+                let mut out = nums(name, &|name| Instr::HostCallC { name, c });
+                out.extend(nums(c, &|c| Instr::HostCallC { name, c }));
                 out
             }
             Instr::MakeList(count) => nums(count, &Instr::MakeList),

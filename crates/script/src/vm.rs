@@ -18,6 +18,18 @@
 //! interpreter's, and a run exhausts at exactly the interpreter's
 //! instruction with exactly its side-effect prefix. A failed burn pins
 //! `fuel_used()` to the full budget, as the interpreter's does.
+//!
+//! ## One frame per run
+//!
+//! A run keeps its locals and its operand stack in one frame, allocated
+//! once with room for `n_locals + max_stack` values: locals in
+//! `frame[..n_locals]`, the operand stack above them. Popping below the
+//! locals panics (a compiler invariant that [`crate::verify`] proves
+//! unreachable) rather than take a local. A host call borrows its
+//! arguments as a slice of the frame (`host_call_c` as a one-element
+//! slice of the constant pool), then truncates the frame and pushes the
+//! result. The frame dies with the run, so nested runs and error exits
+//! share nothing.
 
 use std::collections::BTreeMap;
 
@@ -127,24 +139,35 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
     /// [`ScriptError::FuelExhausted`] at precisely the point the
     /// interpreter would exhaust.
     pub fn run(&mut self, cp: &CompiledProgram, args: &[Value]) -> Result<Value, ScriptError> {
-        let mut locals: Vec<Value> = vec![Value::Null; cp.n_locals as usize];
-        if let Some(slot0) = locals.first_mut() {
+        let n_locals = cp.n_locals as usize;
+        let mut frame: Vec<Value> = Vec::with_capacity(n_locals + cp.max_stack as usize);
+        frame.resize(n_locals, Value::Null);
+        if let Some(slot0) = frame.first_mut() {
             *slot0 = Value::List(args.to_vec());
         }
         for (i, &slot) in cp.param_slots.iter().enumerate() {
-            locals[slot as usize] = args.get(i).cloned().unwrap_or(Value::Null);
+            frame[slot as usize] = args.get(i).cloned().unwrap_or(Value::Null);
         }
 
-        let mut stack: Vec<Value> = Vec::new();
         let mut iters: Vec<std::vec::IntoIter<Value>> = Vec::new();
         let mut pc: usize = 0;
 
-        macro_rules! pop {
-            () => {
-                stack
-                    .pop()
-                    .expect("operand stack underflow: compiler invariant")
+        // The frame index of the top `n` operands; never below the locals.
+        macro_rules! operands {
+            ($n:expr) => {
+                match frame.len().checked_sub($n as usize) {
+                    Some(at) if at >= n_locals => at,
+                    _ => underflow(),
+                }
             };
+        }
+        macro_rules! pop {
+            () => {{
+                if frame.len() <= n_locals {
+                    underflow();
+                }
+                frame.pop().unwrap_or_else(|| underflow())
+            }};
         }
 
         loop {
@@ -152,9 +175,9 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
             self.burn(u64::from(cp.costs[pc]))?;
             match instr {
                 Instr::Nop => {}
-                Instr::LoadConst(i) => stack.push(cp.consts[i as usize].clone()),
-                Instr::LoadLocal(s) => stack.push(locals[s as usize].clone()),
-                Instr::StoreLocal(s) => locals[s as usize] = pop!(),
+                Instr::LoadConst(i) => frame.push(cp.consts[i as usize].clone()),
+                Instr::LoadLocal(s) => frame.push(frame[s as usize].clone()),
+                Instr::StoreLocal(s) => frame[s as usize] = pop!(),
                 Instr::LoadUndef(n) => {
                     return Err(ScriptError::UndefinedVariable(cp.names[n as usize].clone()));
                 }
@@ -168,73 +191,72 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                 Instr::Unary(op) => {
                     let v = pop!();
                     let out = unary(op, v)?;
-                    stack.push(out);
+                    frame.push(out);
                 }
                 Instr::Binary(op) => {
                     let rhs = pop!();
                     let lhs = pop!();
                     if let (Value::Int(x), Value::Int(y)) = (&lhs, &rhs) {
                         if let Some(v) = int_binary(op, *x, *y) {
-                            stack.push(v);
+                            frame.push(v);
                             pc += 1;
                             continue;
                         }
                     }
                     self.burn(alloc_surcharge(op, &lhs, &rhs))?;
                     let out = binary(op, lhs, rhs)?;
-                    stack.push(out);
+                    frame.push(out);
                 }
                 Instr::BinaryLL { op, a, b } => {
-                    if let (Value::Int(x), Value::Int(y)) =
-                        (&locals[a as usize], &locals[b as usize])
+                    if let (Value::Int(x), Value::Int(y)) = (&frame[a as usize], &frame[b as usize])
                     {
                         if let Some(v) = int_binary(op, *x, *y) {
-                            stack.push(v);
+                            frame.push(v);
                             pc += 1;
                             continue;
                         }
                     }
-                    let lhs = locals[a as usize].clone();
-                    let rhs = locals[b as usize].clone();
+                    let lhs = frame[a as usize].clone();
+                    let rhs = frame[b as usize].clone();
                     self.burn(alloc_surcharge(op, &lhs, &rhs))?;
                     let out = binary(op, lhs, rhs)?;
-                    stack.push(out);
+                    frame.push(out);
                 }
                 Instr::BinaryLC { op, a, c } => {
                     if let (Value::Int(x), Value::Int(y)) =
-                        (&locals[a as usize], &cp.consts[c as usize])
+                        (&frame[a as usize], &cp.consts[c as usize])
                     {
                         if let Some(v) = int_binary(op, *x, *y) {
-                            stack.push(v);
+                            frame.push(v);
                             pc += 1;
                             continue;
                         }
                     }
-                    let lhs = locals[a as usize].clone();
+                    let lhs = frame[a as usize].clone();
                     let rhs = cp.consts[c as usize].clone();
                     self.burn(alloc_surcharge(op, &lhs, &rhs))?;
                     let out = binary(op, lhs, rhs)?;
-                    stack.push(out);
+                    frame.push(out);
                 }
                 Instr::BinaryTL { op, b } => {
                     let lhs = pop!();
-                    if let (Value::Int(x), Value::Int(y)) = (&lhs, &locals[b as usize]) {
+                    if let (Value::Int(x), Value::Int(y)) = (&lhs, &frame[b as usize]) {
                         if let Some(v) = int_binary(op, *x, *y) {
-                            stack.push(v);
+                            frame.push(v);
                             pc += 1;
                             continue;
                         }
                     }
-                    let rhs = locals[b as usize].clone();
+                    let rhs = frame[b as usize].clone();
                     self.burn(alloc_surcharge(op, &lhs, &rhs))?;
                     let out = binary(op, lhs, rhs)?;
-                    stack.push(out);
+                    frame.push(out);
                 }
                 Instr::BinaryTC { op, c } => {
                     let lhs = pop!();
                     if let (Value::Int(x), Value::Int(y)) = (&lhs, &cp.consts[c as usize]) {
                         if let Some(v) = int_binary(op, *x, *y) {
-                            stack.push(v);
+                            frame.push(v);
                             pc += 1;
                             continue;
                         }
@@ -242,11 +264,11 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     let rhs = cp.consts[c as usize].clone();
                     self.burn(alloc_surcharge(op, &lhs, &rhs))?;
                     let out = binary(op, lhs, rhs)?;
-                    stack.push(out);
+                    frame.push(out);
                 }
                 Instr::Truthy => {
                     let v = pop!();
-                    stack.push(Value::Bool(v.truthy()));
+                    frame.push(Value::Bool(v.truthy()));
                 }
                 Instr::Jump(t) => {
                     pc = t as usize;
@@ -262,7 +284,7 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                 Instr::AndCheck(t) => {
                     let v = pop!();
                     if !v.truthy() {
-                        stack.push(Value::Bool(false));
+                        frame.push(Value::Bool(false));
                         pc = t as usize;
                         continue;
                     }
@@ -270,7 +292,7 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                 Instr::OrCheck(t) => {
                     let v = pop!();
                     if v.truthy() {
-                        stack.push(Value::Bool(true));
+                        frame.push(Value::Bool(true));
                         pc = t as usize;
                         continue;
                     }
@@ -279,54 +301,60 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     let i = pop!();
                     let b = pop!();
                     let out = index(&b, &i)?;
-                    stack.push(out);
+                    frame.push(out);
                 }
                 Instr::Call { builtin, argc } => {
-                    let vals = stack.split_off(stack.len() - argc as usize);
+                    let vals = frame.split_off(operands!(argc));
                     self.burn(call_surcharge(&vals))?;
                     self.burn(out_surcharge(builtin, &vals))?;
                     let result = call_builtin(builtin, vals)?;
-                    stack.push(result);
+                    frame.push(result);
                 }
                 Instr::CallUnknown { name, argc } => {
-                    let vals = stack.split_off(stack.len() - argc as usize);
-                    self.burn(call_surcharge(&vals))?;
+                    let at = operands!(argc);
+                    self.burn(call_surcharge(&frame[at..]))?;
                     return Err(ScriptError::UnknownBuiltin(cp.names[name as usize].clone()));
                 }
                 Instr::HostCall { name, argc } => {
-                    let vals = stack.split_off(stack.len() - argc as usize);
+                    let at = operands!(argc);
                     self.host_calls += 1;
-                    let out = self.host.host_call(&cp.names[name as usize], &vals)?;
-                    stack.push(out);
+                    let out = self
+                        .host
+                        .host_call(&cp.names[name as usize], &frame[at..])?;
+                    frame.truncate(at);
+                    frame.push(out);
+                }
+                Instr::HostCallC { name, c } => {
+                    self.host_calls += 1;
+                    let out = self.host.host_call(
+                        &cp.names[name as usize],
+                        std::slice::from_ref(&cp.consts[c as usize]),
+                    )?;
+                    frame.push(out);
                 }
                 Instr::MakeList(n) => {
-                    let vals = stack.split_off(stack.len() - n as usize);
-                    stack.push(Value::List(vals));
+                    let vals = frame.split_off(operands!(n));
+                    frame.push(Value::List(vals));
                 }
                 Instr::MakeMap { keys, n } => {
-                    let vals = stack.split_off(stack.len() - n as usize);
+                    let at = operands!(n);
                     let mut m = BTreeMap::new();
-                    for (i, v) in vals.into_iter().enumerate() {
+                    for (i, v) in frame.drain(at..).enumerate() {
                         m.insert(cp.names[keys as usize + i].clone(), v);
                     }
-                    stack.push(Value::Map(m));
+                    frame.push(Value::Map(m));
                 }
                 Instr::AssignPath { root, n_idx } => {
-                    // Stack: rhs, then indices outermost-first. Popping
-                    // yields innermost-first; reversing restores the
-                    // interpreter's path orientation for `write_path`.
-                    let mut path = Vec::with_capacity(n_idx as usize);
-                    for _ in 0..n_idx {
-                        path.push(pop!());
-                    }
-                    path.reverse();
-                    let rhs = pop!();
-                    write_path(&mut locals[root as usize], &path, rhs)?;
+                    // Operands: rhs, then indices outermost-first, which is
+                    // the interpreter's path orientation for `write_path`.
+                    let at = operands!(n_idx + 1);
+                    let (locals, operands) = frame.split_at_mut(at);
+                    let rhs = std::mem::take(&mut operands[0]);
+                    write_path(&mut locals[root as usize], &operands[1..], rhs)?;
+                    frame.truncate(at);
                 }
                 Instr::AssignPathUndef { name, n_idx } => {
-                    for _ in 0..=n_idx {
-                        let _ = pop!();
-                    }
+                    frame.truncate(operands!(n_idx + 1));
                     return Err(ScriptError::UndefinedVariable(
                         cp.names[name as usize].clone(),
                     ));
@@ -351,7 +379,7 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                         .last_mut()
                         .expect("iterator stack: compiler invariant");
                     match it.next() {
-                        Some(item) => locals[slot as usize] = item,
+                        Some(item) => frame[slot as usize] = item,
                         None => {
                             pc = end as usize;
                             continue;
@@ -374,6 +402,14 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
             pc += 1;
         }
     }
+}
+
+/// An instruction popped more operands than sit above the locals: a
+/// compiler invariant, which [`crate::verify`]'s depth pass proves.
+#[cold]
+#[inline(never)]
+fn underflow() -> ! {
+    panic!("operand stack underflow: compiler invariant")
 }
 
 #[cfg(test)]
@@ -492,15 +528,47 @@ mod tests {
         }
     }
 
+    /// Records every host call and answers each with its ordinal.
+    struct Recorder(Vec<(String, Vec<Value>)>);
+
+    impl HostContext for Recorder {
+        fn host_call(&mut self, name: &str, args: &[Value]) -> Result<Value, ScriptError> {
+            self.0.push((name.to_owned(), args.to_vec()));
+            Ok(Value::Int(self.0.len() as i64))
+        }
+    }
+
+    #[test]
+    fn fused_host_call_exhausts_like_the_interpreter_at_every_budget() {
+        let p = Program::parse("return self.get(\"count\");").unwrap();
+        let cp = p.compiled();
+        let mut budget = 0;
+        let full = loop {
+            let mut r1 = Recorder(Vec::new());
+            let mut interp = Evaluator::with_fuel(&mut r1, budget);
+            let a = interp.run(&p, &[]);
+            let mut r2 = Recorder(Vec::new());
+            let mut vm = Vm::with_fuel(&mut r2, budget);
+            let b = vm.run(&cp, &[]);
+            assert_eq!(a, b, "result drift at budget {budget}");
+            assert_eq!(interp.fuel_used(), vm.fuel_used(), "fuel drift at {budget}");
+            assert_eq!(
+                interp.host_calls(),
+                vm.host_calls(),
+                "count drift at {budget}"
+            );
+            assert_eq!(r1.0, r2.0, "host-call trace drift at budget {budget}");
+            if b.is_ok() {
+                break budget;
+            }
+            assert!(r2.0.is_empty(), "an exhausted run called the host");
+            budget += 1;
+        };
+        assert_eq!(full, 11, "statement, call, literal and host-call burns");
+    }
+
     #[test]
     fn host_call_traces_agree() {
-        struct Recorder(Vec<(String, Vec<Value>)>);
-        impl HostContext for Recorder {
-            fn host_call(&mut self, name: &str, args: &[Value]) -> Result<Value, ScriptError> {
-                self.0.push((name.to_owned(), args.to_vec()));
-                Ok(Value::Int(self.0.len() as i64))
-            }
-        }
         let src = "let a = self.first(1, \"two\"); let b = self.second(a); return b;";
         let p = Program::parse(src).unwrap();
         let mut r1 = Recorder(Vec::new());
