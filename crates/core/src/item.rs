@@ -1,6 +1,6 @@
 //! Data items: named, ACL-guarded, optionally type-constrained value slots.
 
-use mrom_value::wire::{self, MapValue};
+use mrom_value::wire::{self, MapValue, Sink};
 use mrom_value::{Value, ValueError, ValueKind};
 
 use crate::security::{Acl, TypeConstraint};
@@ -158,7 +158,7 @@ impl DataItem {
 
     /// Appends the wire body of [`DataItem::descriptor`] without building
     /// it (migration images), keys in canonical order.
-    pub(crate) fn write_descriptor(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_descriptor<S: Sink>(&self, out: &mut S) {
         wire::write_map_header(4, out);
         wire::write_str("constraint", out);
         self.constraint.write_value(out);

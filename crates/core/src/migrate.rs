@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mrom_value::wire::{self, MapValue, ValidatedSpan};
+use mrom_value::wire::{self, MapValue, Sink, ValidatedSpan};
 use mrom_value::{ObjectId, Value, ValueError};
 
 use crate::admission::AdmissionPolicy;
@@ -34,6 +34,9 @@ use crate::table::{CodeTable, MethodTable};
 
 /// Format discriminator embedded in every image.
 pub const IMAGE_FORMAT: &str = "mrom-object@1";
+
+/// The number of top-level fields in an image map.
+const IMAGE_FIELDS: usize = 10;
 
 impl MromObject {
     /// Serializes the object to a self-contained migration image.
@@ -61,14 +64,15 @@ impl MromObject {
 
     /// The image bytes, written field by field: byte-identical to
     /// `wire::encode(&self.image_value()?)`, with the fixed methods copied
-    /// from their shared table's encoding. Unchecked by ACLs — for
-    /// substrates that already mediated access.
+    /// from their shared table's encoding. The buffer is allocated once,
+    /// at the exact length that the same writer counts in a first pass.
+    /// Unchecked by ACLs — for substrates that already mediated access.
     ///
     /// # Errors
     ///
     /// [`MromError::NotMobile`] when any method carries a native body.
     pub fn image_bytes(&self) -> Result<Vec<u8>, MromError> {
-        let (fixed_data, fixed_methods, ext_data, ext_methods) = self.raw_parts();
+        let (_, fixed_methods, _, ext_methods) = self.raw_parts();
         let not_mobile = |item: &str| MromError::NotMobile {
             object: self.id(),
             item: item.to_owned(),
@@ -78,32 +82,38 @@ impl MromObject {
         if let Some((name, _)) = ext_methods.iter().find(|(_, m)| !m.is_mobile()) {
             return Err(not_mobile(name));
         }
-        let data_hint: usize = fixed_data
-            .iter()
-            .chain(ext_data.iter())
-            .map(|(n, item)| n.len() + size_hint(item.value()))
-            .sum();
-        let mut w = wire::MapWriter::framed(10, 256 + fixed.len() + data_hint);
+        // Built once for both passes (none for the usual empty section).
+        let ext: Vec<Value> = ext_methods.iter().map(|(_, m)| m.descriptor()).collect();
+        let mut len = wire::MapWriter::over(wire::Len::default(), IMAGE_FIELDS);
+        self.write_image(fixed, &ext, &mut len);
+        let mut w = wire::MapWriter::framed(IMAGE_FIELDS, len.finish().0);
+        self.write_image(fixed, &ext, &mut w);
+        Ok(w.finish())
+    }
+
+    /// Writes the image's fields into `w`, given the fixed section's
+    /// encoding and the extensible methods' descriptors in name order.
+    fn write_image<S: Sink>(&self, fixed: &[u8], ext: &[Value], w: &mut wire::MapWriter<S>) {
+        let (fixed_data, _, ext_data, ext_methods) = self.raw_parts();
         wire::write_str_value(self.class_name(), w.entry("class"));
         write_data(ext_data.len(), ext_data.iter(), w.entry("ext_data"));
         let out = w.entry("ext_methods");
-        wire::write_map_header(ext_methods.len(), out);
-        for (name, m) in ext_methods.iter() {
+        wire::write_map_header(ext.len(), out);
+        for ((name, _), desc) in ext_methods.iter().zip(ext) {
             wire::write_str(name, out);
-            wire::encode_value(&m.descriptor(), out);
+            wire::encode_value(desc, out);
         }
         write_data(fixed_data.len(), fixed_data.iter(), w.entry("fixed_data"));
         w.entry("fixed_methods").extend_from_slice(fixed);
         wire::write_str_value(IMAGE_FORMAT, w.entry("format"));
         wire::write_object_ref_value(self.id(), w.entry("id"));
-        wire::encode_value(&self.meta_acl().to_value(), w.entry("meta_acl"));
+        self.meta_acl().write_value(w.entry("meta_acl"));
         wire::write_object_ref_value(self.origin(), w.entry("origin"));
         let out = w.entry("tower");
         wire::write_list_header(self.tower().len(), out);
         for name in self.tower() {
             wire::write_str_value(name, out);
         }
-        Ok(w.finish())
     }
 
     /// The image as a [`Value`] tree (before byte encoding): the reference
@@ -538,25 +548,15 @@ fn methods_of<C: FromIterator<(String, Method)>>(key: &str, v: &Value) -> Result
 }
 
 /// Appends a data section's wire body: a map of item descriptors.
-fn write_data<'a>(
+fn write_data<'a, S: Sink>(
     len: usize,
     items: impl Iterator<Item = (&'a str, &'a DataItem)>,
-    out: &mut Vec<u8>,
+    out: &mut S,
 ) {
     wire::write_map_header(len, out);
     for (name, item) in items {
         wire::write_str(name, out);
         item.write_descriptor(out);
-    }
-}
-
-/// A rough encoded size of a data value, for the image buffer's initial
-/// capacity: exact for the byte and string payloads that dominate.
-fn size_hint(v: &Value) -> usize {
-    16 + match v {
-        Value::Bytes(b) => b.len(),
-        Value::Str(s) => s.len(),
-        other => other.tree_size() * 8,
     }
 }
 

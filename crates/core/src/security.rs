@@ -16,7 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use mrom_value::wire::{self, MapValue};
+use mrom_value::wire::{self, MapValue, Sink};
 use mrom_value::ObjectId;
 use mrom_value::{Value, ValueError, ValueKind};
 
@@ -163,7 +163,7 @@ impl Acl {
     }
 
     /// Appends the wire body of [`Acl::to_value`] without building it.
-    pub(crate) fn write_value(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_value<S: Sink>(&self, out: &mut S) {
         match self {
             Acl::Public => wire::write_str_value("public", out),
             Acl::Origin => wire::write_str_value("origin", out),
@@ -261,15 +261,14 @@ impl TypeConstraint {
     }
 
     /// Appends the wire body of [`TypeConstraint::to_value`] without
-    /// building it.
-    pub(crate) fn write_value(&self, out: &mut Vec<u8>) {
-        match self {
-            TypeConstraint::Any => wire::write_str_value("any", out),
-            TypeConstraint::Exact(k) => wire::write_str_value(&format!("exact:{}", k.name()), out),
-            TypeConstraint::Coerce(k) => {
-                wire::write_str_value(&format!("coerce:{}", k.name()), out);
-            }
-        }
+    /// building it (or its string).
+    pub(crate) fn write_value<S: Sink>(&self, out: &mut S) {
+        let (mode, kind) = match self {
+            TypeConstraint::Any => return wire::write_str_value("any", out),
+            TypeConstraint::Exact(k) => ("exact:", k.name()),
+            TypeConstraint::Coerce(k) => ("coerce:", k.name()),
+        };
+        wire::write_str_parts_value(&[mode, kind], out);
     }
 
     /// Reads a constraint straight from the wire. The outer error is the

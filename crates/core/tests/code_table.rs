@@ -16,7 +16,9 @@
 //!   missing or of the wrong type. The table-free decoder
 //!   (`from_image_with_policy`) must agree too.
 //! * **Encoder.** `image_bytes()` equals `wire::encode(&image_value())`,
-//!   and a native body fails both with the same `NotMobile` item.
+//!   and a native body fails both with the same `NotMobile` item. Its
+//!   buffer is allocated at the image's exact length (capacity equals
+//!   length) for every specimen, under every payload shape.
 
 use std::collections::BTreeMap;
 
@@ -602,6 +604,75 @@ proptest! {
         let got = obj.image_bytes();
         prop_assert!(matches!(got, Err(MromError::NotMobile { .. })), "{:?}", got);
         prop_assert_eq!(got.err(), obj.image_value().err());
+    }
+}
+
+/// The `cargo` payload in one of four shapes of about `n` bytes or
+/// items: bytes, a string, a list of ints of every varint width, or maps
+/// nested `n % 24` deep around lists and strings.
+fn payload(shape: u8, n: usize) -> Value {
+    match shape % 4 {
+        0 => Value::Bytes(vec![7; n]),
+        1 => Value::Str("é".repeat(n / 2)),
+        2 => Value::List(
+            (0..n as i64)
+                .map(|i| Value::Int((i - 150).wrapping_mul(1 << (i % 60))))
+                .collect(),
+        ),
+        _ => {
+            let mut v = Value::list([Value::Int(n as i64), Value::from("leaf")]);
+            for depth in 0..n % 24 {
+                v = Value::map([
+                    ("inner", v),
+                    ("k", Value::Int(depth as i64)),
+                    ("s", Value::Str("x".repeat(depth))),
+                ]);
+            }
+            v
+        }
+    }
+}
+
+/// `image_bytes` of `obj` with its `cargo` payload replaced, checked to
+/// be the reference encoding in a buffer of exactly its length.
+fn assert_exactly_sized(mut obj: MromObject, shape: u8, n: usize) -> Result<(), TestCaseError> {
+    let me = obj.id();
+    obj.write_data(me, "cargo", payload(shape, n)).unwrap();
+    let got = obj.image_bytes().unwrap();
+    prop_assert_eq!(
+        got.capacity(),
+        got.len(),
+        "shape {} n {}: spare capacity",
+        shape,
+        n
+    );
+    prop_assert_eq!(got, wire::encode(&obj.image_value().unwrap()));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn image_bytes_are_sized_exactly(
+        spec in object_spec(),
+        shape in any::<u8>(),
+        n in 0usize..600,
+    ) {
+        let mut gen = IdGenerator::new(NodeId(0x7b0));
+        assert_exactly_sized(build(&spec, &mut gen), shape, n)?;
+    }
+}
+
+/// The same over the specimen with every value kind, ACL variant and
+/// type constraint, at payload sizes around the varint length steps.
+#[test]
+fn rich_image_is_sized_exactly_under_every_payload_shape() {
+    let mut gen = IdGenerator::new(NodeId(0x7b1));
+    for shape in 0..4 {
+        for n in [0, 1, 63, 64, 127, 128, 200, 2048, 16_383, 16_384, 65_536] {
+            assert_exactly_sized(build(&rich_spec(), &mut gen), shape, n).unwrap();
+        }
     }
 }
 

@@ -46,6 +46,16 @@ fn cell_class() -> ClassSpec {
                  return n + self.invoke(\"countdown\", [n - 1]);",
             ),
         )
+        // Arrival hooks that fail after reading their context, one with
+        // `args` left unbound and one that reads it.
+        .fixed_method(
+            "on_arrival",
+            script("param ctx; return [ctx[\"from\"], self.get(\"absent\")];"),
+        )
+        .fixed_method(
+            "on_arrival_args",
+            script("param ctx; return [args, ctx, args[0][\"from\"] + \"x\"];"),
+        )
         .fixed_method(
             "relay",
             script("param other; return [self.send(other, \"bump\", []), self.get(\"count\")];"),
@@ -92,6 +102,28 @@ fn failed_runs_leave_nothing_for_the_next_run() {
         after,
         [Ok(Value::Int(1)), Ok(Value::Int(2)), Ok(Value::Int(2))]
     );
+}
+
+#[test]
+fn a_failed_arrival_hook_leaves_nothing_for_the_next_run() {
+    let mut rt = runtime();
+    let used = rt.create("cell").unwrap();
+    let fresh = rt.create("cell").unwrap();
+    let ctx = Value::map([
+        ("from", Value::Int(3)),
+        ("hops", Value::list([Value::Int(1), Value::from("lan")])),
+    ]);
+
+    assert!(matches!(
+        rt.invoke_as_system(used, "on_arrival", std::slice::from_ref(&ctx)),
+        Err(MromError::Script(ScriptError::Host(_)))
+    ));
+    assert!(matches!(
+        rt.invoke_as_system(used, "on_arrival_args", &[ctx]),
+        Err(MromError::Script(ScriptError::TypeMismatch { .. }))
+    ));
+    assert_eq!(rt.poison_cause(used), None);
+    assert_eq!(bump_and_peek(&mut rt, used), bump_and_peek(&mut rt, fresh));
 }
 
 #[test]

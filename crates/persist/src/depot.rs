@@ -68,7 +68,7 @@ impl<S: BlobStore> Depot<S> {
 
     /// `true` when an image for `id` is stored.
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.store.keys().iter().any(|k| k == &id.to_string())
+        self.store.contains(&id.to_string())
     }
 
     /// Bootstraps the object stored under `id`.

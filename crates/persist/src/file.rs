@@ -268,6 +268,10 @@ impl BlobStore for FileStore {
     fn keys(&self) -> Vec<String> {
         self.index.keys().cloned().collect()
     }
+
+    fn contains(&self, key: &str) -> bool {
+        self.index.contains_key(key)
+    }
 }
 
 #[cfg(test)]

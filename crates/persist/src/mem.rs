@@ -52,11 +52,11 @@ impl BlobStore for MemStore {
     }
 
     fn put_owned(&mut self, key: &str, data: Vec<u8>) -> Result<(), PersistError> {
-        // A received image is exactly sized and is kept as it is. An
-        // encoder's buffer (a checkpoint's) has spare capacity; keeping
-        // those, as they are or shrunk in place, left a checkpointing
-        // host's heap larger than exact copies do, so its bytes are
-        // copied into an exact buffer, as `put` would.
+        // An exactly sized buffer is kept as it is: a received image, or
+        // a checkpoint's (`image_bytes` allocates the exact length). A
+        // buffer with spare capacity, kept as it is or shrunk in place,
+        // left a host's heap larger than exact copies do, so its bytes
+        // are copied into an exact buffer, as `put` would.
         let data = if data.capacity() == data.len() {
             data
         } else {
@@ -88,6 +88,10 @@ impl BlobStore for MemStore {
     fn keys(&self) -> Vec<String> {
         self.blobs.keys().cloned().collect()
     }
+
+    fn contains(&self, key: &str) -> bool {
+        self.blobs.contains_key(key)
+    }
 }
 
 #[cfg(test)]
@@ -104,9 +108,11 @@ mod tests {
         assert_eq!(s.get("missing").unwrap(), None);
         assert_eq!(s.keys(), ["a", "b"]);
         assert_eq!(s.len(), 2);
+        assert!(s.contains("a") && !s.contains("missing"));
         assert!(s.delete("a").unwrap());
         assert!(!s.delete("a").unwrap());
         assert_eq!(s.get("a").unwrap(), None);
+        assert!(!s.contains("a"));
     }
 
     #[test]

@@ -53,6 +53,12 @@ pub trait BlobStore {
     /// All live keys, sorted.
     fn keys(&self) -> Vec<String>;
 
+    /// `true` when a blob is stored under `key`. By default a scan of
+    /// [`BlobStore::keys`]; an indexed store answers from its index.
+    fn contains(&self, key: &str) -> bool {
+        self.keys().iter().any(|k| k == key)
+    }
+
     /// Number of live blobs.
     fn len(&self) -> usize {
         self.keys().len()

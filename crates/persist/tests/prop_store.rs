@@ -64,6 +64,9 @@ proptest! {
             }
             // Full-state agreement after every step.
             prop_assert_eq!(store.keys(), model.keys().cloned().collect::<Vec<_>>());
+            if let Op::Put(k, _) | Op::Delete(k) = op {
+                prop_assert_eq!(store.contains(k), model.contains_key(k));
+            }
             for (k, v) in &model {
                 let stored = store.get(k).expect("get");
                 prop_assert_eq!(stored.as_deref(), Some(v.as_slice()));

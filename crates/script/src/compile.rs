@@ -216,6 +216,11 @@ pub struct CompiledProgram {
     pub(crate) n_locals: u32,
     /// Slot for each declared parameter, bound positionally at entry.
     pub(crate) param_slots: Vec<u32>,
+    /// Whether any instruction reads slot 0, `args`: the VM builds the
+    /// argument list only then. A `param args` or a `let args` declares
+    /// a slot of its own, so a body that reads only those leaves it
+    /// `false`. [`crate::verify`] re-derives it from the instructions.
+    pub(crate) reads_args: bool,
     /// The operand stack's high-water mark, so a run can allocate its
     /// frame once. Only a capacity hint: a low value costs the VM a
     /// reallocation, never a wrong result.
@@ -350,9 +355,10 @@ impl CompiledProgram {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "; {} instrs, {} locals",
+            "; {} instrs, {} locals, args {}",
             self.instrs.len(),
-            self.n_locals
+            self.n_locals,
+            if self.reads_args { "read" } else { "unread" }
         );
         if !self.consts.is_empty() {
             let _ = writeln!(out, "; constants:");
@@ -528,7 +534,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
     // positionally (a later duplicate shadows an earlier one, exactly as
     // repeated `declare` calls overwrite).
     let args_slot = c.declare("args");
-    debug_assert_eq!(args_slot, 0);
+    debug_assert_eq!(args_slot, ARGS_SLOT);
     let param_slots: Vec<u32> = program.params().iter().map(|p| c.declare(p)).collect();
 
     c.stmts(program.body());
@@ -536,6 +542,9 @@ pub fn compile(program: &Program) -> CompiledProgram {
 
     c.finish(param_slots)
 }
+
+/// The local slot that holds `args`, the whole argument list.
+pub(crate) const ARGS_SLOT: u32 = 0;
 
 struct LoopCtx {
     head: usize,
@@ -556,6 +565,8 @@ struct Compiler {
     max_stack: usize,
     /// Fuel waiting to be attached to the next emitted instruction.
     pending: u64,
+    /// Whether a read of a name resolved to [`ARGS_SLOT`].
+    reads_args: bool,
     /// Label id → instruction index (bound at `bind`).
     labels: Vec<Option<u32>>,
     loops: Vec<LoopCtx>,
@@ -573,6 +584,7 @@ impl Compiler {
             depth: 0,
             max_stack: 0,
             pending: 0,
+            reads_args: false,
             labels: Vec::new(),
             loops: Vec::new(),
         }
@@ -804,6 +816,8 @@ impl Compiler {
                         Expr::Var(name) => {
                             match self.resolve(name) {
                                 Some(root) => {
+                                    // A path write updates the list in place.
+                                    self.reads_args |= root == ARGS_SLOT;
                                     self.emit(Instr::AssignPath { root, n_idx });
                                 }
                                 None => {
@@ -843,6 +857,7 @@ impl Compiler {
             }
             Expr::Var(name) => match self.resolve(name) {
                 Some(slot) => {
+                    self.reads_args |= slot == ARGS_SLOT;
                     self.emit(Instr::LoadLocal(slot));
                 }
                 None => {
@@ -1034,6 +1049,7 @@ impl Compiler {
             names: self.names,
             n_locals: self.n_locals,
             param_slots,
+            reads_args: self.reads_args,
             max_stack: u32::try_from(self.max_stack).unwrap_or(u32::MAX),
         }
     }

@@ -54,6 +54,12 @@ pub enum ScriptError {
     },
     /// Call stack (host re-entrancy) exceeded the limit.
     CallDepthExceeded(usize),
+    /// A value would nest deeper than
+    /// [`MAX_VALUE_DEPTH`](crate::MAX_VALUE_DEPTH) levels.
+    NestingTooDeep {
+        /// The nesting limit.
+        limit: usize,
+    },
     /// `break`/`continue` reached the top level outside a loop — a parse
     /// bug if it ever escapes the evaluator.
     StrayLoopControl,
@@ -90,6 +96,9 @@ impl fmt::Display for ScriptError {
             }
             ScriptError::CallDepthExceeded(limit) => {
                 write!(f, "call depth exceeded limit {limit}")
+            }
+            ScriptError::NestingTooDeep { limit } => {
+                write!(f, "value nesting exceeds the limit of {limit} levels")
             }
             ScriptError::StrayLoopControl => {
                 write!(f, "break or continue escaped all loops")

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use mrom_value::{Value, ValueError, ValueKind};
+use mrom_value::{wire, Value, ValueError, ValueKind};
 
 use crate::ast::{BinaryOp, Expr, Program, Stmt, UnaryOp};
 use crate::error::ScriptError;
@@ -12,6 +12,15 @@ use crate::surface::BuiltinId;
 /// a hostile infinite loop dies in well under a millisecond of wall time
 /// per invocation.
 pub const DEFAULT_FUEL: u64 = 1_000_000;
+
+/// The deepest a script value may nest: a scalar is one level, and each
+/// list or map around it one more. Both engines refuse to build a deeper
+/// value ([`ScriptError::NestingTooDeep`]), so no value a script holds
+/// can overflow the host's stack when it is cloned, compared, encoded or
+/// dropped. The bound is the wire decoder's depth budget less the two
+/// maps a data item's value sits in below an image's top level, so a
+/// value a script builds still decodes in a migration image.
+pub const MAX_VALUE_DEPTH: usize = wire::MAX_DEPTH - 2;
 
 /// The interface through which a running script reaches its embedding
 /// object (`self.name(...)` calls).
@@ -329,21 +338,21 @@ impl<'h, H: HostContext + ?Sized> Evaluator<'h, H> {
                 }
                 self.burn(HOST_CALL_FUEL)?;
                 self.host_calls += 1;
-                self.host.host_call(name, &vals)
+                nested_at_most(self.host.host_call(name, &vals)?, 0)
             }
             Expr::ListExpr(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for item in items {
                     out.push(self.eval(item, scopes)?);
                 }
-                Ok(Value::List(out))
+                nested_at_most(Value::List(out), 0)
             }
             Expr::MapExpr(entries) => {
                 let mut m = BTreeMap::new();
                 for (k, v) in entries {
                     m.insert(k.clone(), self.eval(v, scopes)?);
                 }
-                Ok(Value::Map(m))
+                nested_at_most(Value::Map(m), 0)
             }
         }
     }
@@ -421,17 +430,44 @@ impl Scopes {
     }
 }
 
-/// Writes `v` through a reversed index path (`path[last]` is the outermost
-/// index) into `root`.
-pub(crate) fn write_path(root: &mut Value, path: &[Value], v: Value) -> Result<(), ScriptError> {
-    let (idx, rest) = path.split_last().expect("path never empty");
-    let slot = slot_mut(root, idx)?;
-    if rest.is_empty() {
-        *slot = v;
-        Ok(())
-    } else {
-        write_path(slot, rest, v)
+/// `true` when `v` nests more than `levels` deep. Recurses at most
+/// `levels` times, however deep `v` is.
+fn deeper_than(v: &Value, levels: usize) -> bool {
+    let Some(inner) = levels.checked_sub(1) else {
+        return true;
+    };
+    match v {
+        Value::List(items) => items.iter().any(|item| deeper_than(item, inner)),
+        Value::Map(m) => m.values().any(|item| deeper_than(item, inner)),
+        _ => false,
     }
+}
+
+/// `v`, unless placing it `above` levels down in a container would nest
+/// it past [`MAX_VALUE_DEPTH`]. Every place where a script value can
+/// gain depth goes through here: list and map construction, path writes,
+/// the builtins that put an argument in a container, and host-call
+/// results (a `getDataItem` descriptor wraps the item's value).
+pub(crate) fn nested_at_most(v: Value, above: usize) -> Result<Value, ScriptError> {
+    if deeper_than(&v, MAX_VALUE_DEPTH.saturating_sub(above)) {
+        return Err(ScriptError::NestingTooDeep {
+            limit: MAX_VALUE_DEPTH,
+        });
+    }
+    Ok(v)
+}
+
+/// Writes `v` through a reversed index path (`path[last]` is the outermost
+/// index) into `root`. A `v` that would nest too deep there is refused
+/// before the path is walked.
+pub(crate) fn write_path(root: &mut Value, path: &[Value], v: Value) -> Result<(), ScriptError> {
+    let v = nested_at_most(v, path.len())?;
+    let mut slot = root;
+    for idx in path.iter().rev() {
+        slot = slot_mut(slot, idx)?;
+    }
+    *slot = v;
+    Ok(())
 }
 
 fn slot_mut<'a>(container: &'a mut Value, idx: &Value) -> Result<&'a mut Value, ScriptError> {
@@ -760,8 +796,12 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
                 name: name.into(),
                 detail: format!("unknown kind {kind_name:?}"),
             })?;
-            let v = args.swap_remove(0);
-            Ok(v.coerce(kind)?)
+            let v = args.swap_remove(0).coerce(kind)?;
+            // To a list, a scalar is wrapped and each map entry paired.
+            if kind == ValueKind::List {
+                return nested_at_most(v, 0);
+            }
+            Ok(v)
         }
         BuiltinId::Str => Ok(args.swap_remove(0).coerce(ValueKind::Str)?),
         BuiltinId::Int => Ok(args.swap_remove(0).coerce(ValueKind::Int)?),
@@ -772,7 +812,7 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             let mut list = args.pop().expect("arity 2");
             match list.as_list_mut() {
                 Some(items) => {
-                    items.push(v);
+                    items.push(nested_at_most(v, 1)?);
                     Ok(list)
                 }
                 None => Err(ScriptError::BuiltinArgs {
@@ -851,7 +891,7 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
             let mut m = args.pop().expect("arity 3");
             match (&mut m, key) {
                 (Value::Map(m), Value::Str(k)) => {
-                    m.insert(k, v);
+                    m.insert(k, nested_at_most(v, 1)?);
                 }
                 (Value::List(items), Value::Int(i)) => {
                     let i = usize::try_from(i)
@@ -862,7 +902,7 @@ pub(crate) fn call_builtin(id: BuiltinId, mut args: Vec<Value>) -> Result<Value,
                             items.len()
                         )));
                     }
-                    items[i] = v;
+                    items[i] = nested_at_most(v, 1)?;
                 }
                 (other, key) => {
                     return Err(ScriptError::BuiltinArgs {

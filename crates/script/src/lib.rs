@@ -91,7 +91,7 @@ pub use ast::{BinaryOp, Expr, Program, Stmt, UnaryOp};
 pub use compile::CompiledProgram;
 pub use effects::{solve as solve_effects, EffectSignature, LocalEffects};
 pub use error::ScriptError;
-pub use eval::{Evaluator, HostContext, NullHost, DEFAULT_FUEL};
+pub use eval::{Evaluator, HostContext, NullHost, DEFAULT_FUEL, MAX_VALUE_DEPTH};
 pub use lexer::{Token, TokenKind};
 pub use parser::MAX_EXPR_DEPTH;
 pub use verify::{verify, VerifyError};

@@ -19,6 +19,9 @@
 //! * **Operands fit their instructions.** No binary instruction names
 //!   `&&` or `||` (those exist only as short-circuit checks), and every
 //!   indexed assignment carries at least one index.
+//! * **`args` is bound exactly when read.** The program's `reads_args`
+//!   flag, which decides whether the VM builds the argument list into
+//!   slot 0, is `true` exactly when some instruction reads slot 0.
 //! * **Fuel bounds every run.** The `costs` table has one entry per
 //!   instruction, which the VM burns before the instruction runs. The
 //!   pcs that cost nothing form no cycle, except an empty `for` body: an
@@ -40,7 +43,7 @@
 use std::fmt;
 
 use crate::ast::BinaryOp;
-use crate::compile::{CompiledProgram, Instr};
+use crate::compile::{CompiledProgram, Instr, ARGS_SLOT};
 
 /// A structured verification failure. Each variant pins the defect to a
 /// pc (or table index) so a host can log exactly what was rejected.
@@ -108,6 +111,15 @@ pub enum VerifyError {
     EmptyAssignPath {
         /// The offending pc.
         pc: usize,
+    },
+    /// The `reads_args` flag disagrees with the instructions: the VM
+    /// would leave `args` unbound for a body that reads it, or build a
+    /// list that nothing reads.
+    ArgsFlagMismatch {
+        /// The flag the program carries.
+        declared: bool,
+        /// The first pc that reads slot 0, if any.
+        first_read: Option<usize>,
     },
     /// A parameter slot is ≥ the declared local count.
     ParamSlotOutOfBounds {
@@ -185,6 +197,13 @@ impl fmt::Display for VerifyError {
             VerifyError::EmptyAssignPath { pc } => {
                 write!(f, "pc {pc}: indexed assignment without an index")
             }
+            VerifyError::ArgsFlagMismatch {
+                declared,
+                first_read,
+            } => match first_read {
+                Some(pc) => write!(f, "pc {pc}: reads args, but reads_args is {declared}"),
+                None => write!(f, "no pc reads args, but reads_args is {declared}"),
+            },
             VerifyError::ParamSlotOutOfBounds { index, slot } => {
                 write!(f, "param {index}: slot {slot} out of bounds")
             }
@@ -233,6 +252,23 @@ pub(crate) fn is_terminal(instr: Instr) -> bool {
     )
 }
 
+/// Instructions that read `args`'s slot (a path write reads the list it
+/// updates).
+fn reads_args(instr: Instr) -> bool {
+    matches!(
+        instr,
+        Instr::LoadLocal(ARGS_SLOT)
+            | Instr::BinaryLL { a: ARGS_SLOT, .. }
+            | Instr::BinaryLL { b: ARGS_SLOT, .. }
+            | Instr::BinaryLC { a: ARGS_SLOT, .. }
+            | Instr::BinaryTL { b: ARGS_SLOT, .. }
+            | Instr::AssignPath {
+                root: ARGS_SLOT,
+                ..
+            }
+    )
+}
+
 /// Verifies a compiled program against every invariant the VM assumes.
 ///
 /// Runs in time linear in the program size: one structural scan over all
@@ -266,6 +302,13 @@ pub fn verify(cp: &CompiledProgram) -> Result<(), VerifyError> {
     }
 
     structural_pass(cp)?;
+    let first_read = cp.instrs.iter().position(|&instr| reads_args(instr));
+    if first_read.is_some() != cp.reads_args {
+        return Err(VerifyError::ArgsFlagMismatch {
+            declared: cp.reads_args,
+            first_read,
+        });
+    }
     loop_pass(cp)?;
     flow_pass(cp).map(|_| ())
 }
@@ -950,6 +993,9 @@ mod tests {
                 }
             }
         }
+        let mut flipped = cp.clone();
+        flipped.reads_args = !cp.reads_args;
+        out.push(flipped);
         out
     }
 
@@ -997,6 +1043,63 @@ mod tests {
             }
         }
         assert!(rejected > 0 && ran > 0, "rejected {rejected}, ran {ran}");
+    }
+
+    #[test]
+    fn args_flag_must_match_the_instructions() {
+        // Read directly, through each fused form, by a path write; and
+        // never, including under a `param args` or a root `let args`.
+        type ReadBy = fn(Instr) -> bool;
+        let reading: [(&str, ReadBy); 7] = [
+            ("return args;", |i| i == Instr::LoadLocal(0)),
+            ("param a; return args == a;", |i| {
+                matches!(i, Instr::BinaryLL { a: 0, b: 1, .. })
+            }),
+            ("param a; return a == args;", |i| {
+                matches!(i, Instr::BinaryLL { a: 1, b: 0, .. })
+            }),
+            ("return args == null;", |i| {
+                matches!(i, Instr::BinaryLC { a: 0, .. })
+            }),
+            ("return [1] + args;", |i| {
+                matches!(i, Instr::BinaryTL { b: 0, .. })
+            }),
+            ("args[0] = 1; return 0;", |i| {
+                matches!(i, Instr::AssignPath { root: 0, .. })
+            }),
+            ("return 1; return args;", |i| i == Instr::LoadLocal(0)),
+        ];
+        let unread = [
+            "return 1;",
+            "param args; return args;",
+            "let args = 2; return args;",
+            "param a; args = [a]; return a;",
+        ];
+        for (src, read_by) in reading
+            .iter()
+            .map(|&(s, f)| (s, Some(f)))
+            .chain(unread.iter().map(|&s| (s, None)))
+        {
+            let mut cp = compiled(src);
+            let reads = read_by.is_some();
+            assert_eq!(cp.reads_args, reads, "{src}");
+            assert_eq!(verify(&cp), Ok(()), "{src}");
+            if let Some(read_by) = read_by {
+                let pc = cp.instrs.iter().position(|&i| reads_args(i));
+                assert!(pc.is_some_and(|pc| read_by(cp.instrs[pc])), "{src}");
+            }
+            cp.reads_args = !reads;
+            match verify(&cp) {
+                Err(VerifyError::ArgsFlagMismatch {
+                    declared,
+                    first_read,
+                }) => {
+                    assert_eq!(declared, !reads, "{src}");
+                    assert_eq!(first_read.is_some(), reads, "{src}");
+                }
+                other => panic!("{src}: flipped flag verified as {other:?}"),
+            }
+        }
     }
 
     #[test]

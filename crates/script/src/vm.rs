@@ -23,7 +23,10 @@
 //!
 //! A run keeps its locals and its operand stack in one frame, allocated
 //! once with room for `n_locals + max_stack` values: locals in
-//! `frame[..n_locals]`, the operand stack above them. Popping below the
+//! `frame[..n_locals]`, the operand stack above them. Slot 0 holds the
+//! `args` list only when the body reads it (`reads_args`, which
+//! [`crate::verify`] checks against the instructions); otherwise the
+//! arguments are copied only into the parameters' slots. Popping below the
 //! locals panics (a compiler invariant that [`crate::verify`] proves
 //! unreachable) rather than take a local. A host call borrows its
 //! arguments as a slice of the frame (`host_call_c` as a one-element
@@ -38,8 +41,8 @@ use mrom_value::Value;
 use crate::compile::{CompiledProgram, Instr};
 use crate::error::ScriptError;
 use crate::eval::{
-    alloc_surcharge, binary, call_builtin, call_surcharge, index, iter_items, out_surcharge, unary,
-    write_path, HostContext, DEFAULT_FUEL,
+    alloc_surcharge, binary, call_builtin, call_surcharge, index, iter_items, nested_at_most,
+    out_surcharge, unary, write_path, HostContext, DEFAULT_FUEL,
 };
 
 /// Int⊗Int fast path for the binary arms: the exact result
@@ -142,8 +145,12 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
         let n_locals = cp.n_locals as usize;
         let mut frame: Vec<Value> = Vec::with_capacity(n_locals + cp.max_stack as usize);
         frame.resize(n_locals, Value::Null);
-        if let Some(slot0) = frame.first_mut() {
-            *slot0 = Value::List(args.to_vec());
+        // `args` is built only for a body that reads it; unread, slot 0
+        // stays `Null`, which no instruction observes.
+        if cp.reads_args {
+            if let Some(slot0) = frame.first_mut() {
+                *slot0 = Value::List(args.to_vec());
+            }
         }
         for (i, &slot) in cp.param_slots.iter().enumerate() {
             frame[slot as usize] = args.get(i).cloned().unwrap_or(Value::Null);
@@ -322,7 +329,7 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                         .host
                         .host_call(&cp.names[name as usize], &frame[at..])?;
                     frame.truncate(at);
-                    frame.push(out);
+                    frame.push(nested_at_most(out, 0)?);
                 }
                 Instr::HostCallC { name, c } => {
                     self.host_calls += 1;
@@ -330,11 +337,11 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                         &cp.names[name as usize],
                         std::slice::from_ref(&cp.consts[c as usize]),
                     )?;
-                    frame.push(out);
+                    frame.push(nested_at_most(out, 0)?);
                 }
                 Instr::MakeList(n) => {
                     let vals = frame.split_off(operands!(n));
-                    frame.push(Value::List(vals));
+                    frame.push(nested_at_most(Value::List(vals), 0)?);
                 }
                 Instr::MakeMap { keys, n } => {
                     let at = operands!(n);
@@ -342,7 +349,7 @@ impl<'h, H: HostContext + ?Sized> Vm<'h, H> {
                     for (i, v) in frame.drain(at..).enumerate() {
                         m.insert(cp.names[keys as usize + i].clone(), v);
                     }
-                    frame.push(Value::Map(m));
+                    frame.push(nested_at_most(Value::Map(m), 0)?);
                 }
                 Instr::AssignPath { root, n_idx } => {
                     // Operands: rhs, then indices outermost-first, which is

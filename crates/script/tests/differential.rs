@@ -204,6 +204,53 @@ fn params_and_args_agree() {
     }
 }
 
+/// The VM binds `args` only for a body that reads it: read directly,
+/// through each fused binary form, updated by a path write, or never,
+/// under a `param args` or a root-level `let args`. Results, errors,
+/// fuel and host-call traces must not tell the engines apart.
+#[test]
+fn args_binding_agrees() {
+    let bodies: &[&str] = &[
+        // Read directly, and after host calls.
+        "return args;",
+        "self.echo(1); return [len(args), args];",
+        "for (a in args) { self.echo(a); } return null;",
+        // Fused `binary_ll` (both sides), `binary_lc`, `binary_tl`.
+        "param a; return [args == a, a == args];",
+        "param a; return args + [a];",
+        "return args == null;",
+        "return [0] + args;",
+        "return args + 1;",
+        // Updated in place by a path write (and out of bounds on `[]`).
+        "args[0] = self.echo(\"x\"); return args;",
+        // Never read.
+        "return 1;",
+        "param a; return a;",
+        "param a; self.echo(a); return self.ping();",
+        "param a; args = [a, a]; return a;",
+        // `param args` and a root `let args` take slots of their own.
+        "param args; return args;",
+        "param a; param args; return [a, args];",
+        "let args = 5; return args;",
+        "param a; let args = [a]; return args + [a];",
+        "if (true) { let args = 1; } return args;",
+    ];
+    let arg_lists = [
+        vec![],
+        vec![Value::Int(1)],
+        vec![
+            Value::list([Value::Int(1)]),
+            Value::map([("k", Value::from("v"))]),
+        ],
+    ];
+    for text in bodies {
+        let p = src(text);
+        for args in &arg_lists {
+            agree_everywhere(&p, args, text);
+        }
+    }
+}
+
 #[test]
 fn malformed_trees_agree() {
     // Shapes only constructible via `from_parts` (the parser rejects

@@ -124,13 +124,27 @@ impl ObjectId {
     }
 }
 
+/// The length of an id's text form, `{node:016x}-{seq:08x}-{entropy:08x}`.
+const TEXT_LEN: usize = 34;
+
 impl fmt::Display for ObjectId {
+    /// Writes the 34-character text with one `write_str` from a stack
+    /// buffer, so `to_string` (a depot key) is one exact allocation.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:016x}-{:08x}-{:08x}",
-            self.node.0, self.seq, self.entropy
-        )
+        let mut buf = [b'-'; TEXT_LEN];
+        hex_into(&mut buf[..16], self.node.0);
+        hex_into(&mut buf[17..25], u64::from(self.seq));
+        hex_into(&mut buf[26..], u64::from(self.entropy));
+        f.write_str(std::str::from_utf8(&buf).map_err(|_| fmt::Error)?)
+    }
+}
+
+/// Fills `out` with the low `out.len()` hex digits of `x`, zero-padded,
+/// most significant first.
+fn hex_into(out: &mut [u8], mut x: u64) {
+    for digit in out.iter_mut().rev() {
+        *digit = b"0123456789abcdef"[(x & 0xf) as usize];
+        x >>= 4;
     }
 }
 
@@ -273,6 +287,49 @@ mod tests {
     fn system_id_is_stable() {
         assert_eq!(ObjectId::SYSTEM.node(), NodeId(0));
         assert_eq!(ObjectId::SYSTEM.seq(), 0);
+    }
+
+    /// The `format!` spelling the one-write `Display` replaced, kept as
+    /// its oracle.
+    fn oracle(id: ObjectId) -> String {
+        format!("{:016x}-{:08x}-{:08x}", id.node.0, id.seq, id.entropy)
+    }
+
+    #[test]
+    fn display_matches_the_format_oracle_and_round_trips() {
+        let mut ids = vec![
+            ObjectId::SYSTEM,
+            ObjectId::from_parts(NodeId(u64::MAX), u32::MAX, u32::MAX),
+            ObjectId::from_parts(NodeId(u64::MAX), 0, 0),
+            ObjectId::from_parts(NodeId(0), u32::MAX, 0),
+            ObjectId::from_parts(NodeId(0), 0, u32::MAX),
+            ObjectId::from_parts(NodeId(u64::from(u32::MAX)), u32::MAX, 1),
+        ];
+        let mut g = IdGenerator::with_seed(NodeId(0x0123_4567_89ab_cdef), 1997);
+        ids.extend((0..1000).map(|_| g.next_id()));
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..1000 {
+            // splitmix64: whole-range node, seq and entropy words.
+            let mut next = || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let (node, words) = (next(), next());
+            ids.push(ObjectId::from_parts(
+                NodeId(node),
+                (words >> 32) as u32,
+                words as u32,
+            ));
+        }
+        for id in ids {
+            let text = id.to_string();
+            assert_eq!(text, oracle(id));
+            assert_eq!((text.len(), text.capacity()), (TEXT_LEN, TEXT_LEN));
+            assert_eq!(text.parse::<ObjectId>().expect("parse"), id);
+        }
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub fn encode(value: &Value) -> Vec<u8> {
 ///
 /// Composite formats (migration images, network envelopes) embed many
 /// values in one buffer and frame the whole buffer once.
-pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
+pub fn encode_value<S: Sink + ?Sized>(value: &Value, out: &mut S) {
     match value {
         Value::Null => out.push(TAG_NULL),
         Value::Bool(b) => {
@@ -112,33 +112,43 @@ pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
 }
 
 /// Appends the body encoding of `Value::Int(i)` without building it.
-pub fn write_int_value(i: i64, out: &mut Vec<u8>) {
+pub fn write_int_value<S: Sink + ?Sized>(i: i64, out: &mut S) {
     out.push(TAG_INT);
     write_varint(zigzag(i), out);
 }
 
 /// Appends the body encoding of `Value::Str(s)` without building it.
-pub fn write_str_value(s: &str, out: &mut Vec<u8>) {
+pub fn write_str_value<S: Sink + ?Sized>(s: &str, out: &mut S) {
     out.push(TAG_STR);
     write_str(s, out);
 }
 
+/// Appends the body encoding of `Value::Str(parts.concat())` without
+/// building the string.
+pub fn write_str_parts_value<S: Sink + ?Sized>(parts: &[&str], out: &mut S) {
+    out.push(TAG_STR);
+    write_varint(parts.iter().map(|p| p.len()).sum::<usize>() as u64, out);
+    for part in parts {
+        out.extend_from_slice(part.as_bytes());
+    }
+}
+
 /// Appends the body encoding of `Value::Bytes(b)` without building it.
-pub fn write_bytes_value(b: &[u8], out: &mut Vec<u8>) {
+pub fn write_bytes_value<S: Sink + ?Sized>(b: &[u8], out: &mut S) {
     out.push(TAG_BYTES);
     write_varint(b.len() as u64, out);
     out.extend_from_slice(b);
 }
 
 /// Appends the body encoding of `Value::ObjectRef(id)` without building it.
-pub fn write_object_ref_value(id: ObjectId, out: &mut Vec<u8>) {
+pub fn write_object_ref_value<S: Sink + ?Sized>(id: ObjectId, out: &mut S) {
     out.push(TAG_OBJREF);
     out.extend_from_slice(&id.to_bytes());
 }
 
 /// Appends the header of a `Value::List` of `len` items; the caller then
 /// appends exactly `len` item bodies.
-pub fn write_list_header(len: usize, out: &mut Vec<u8>) {
+pub fn write_list_header<S: Sink + ?Sized>(len: usize, out: &mut S) {
     out.push(TAG_LIST);
     write_varint(len as u64, out);
 }
@@ -147,9 +157,59 @@ pub fn write_list_header(len: usize, out: &mut Vec<u8>) {
 /// appends exactly `len` (key via [`write_str`], value body) pairs in
 /// strictly increasing key order, the order that makes the encoding
 /// canonical.
-pub fn write_map_header(len: usize, out: &mut Vec<u8>) {
+pub fn write_map_header<S: Sink + ?Sized>(len: usize, out: &mut S) {
     out.push(TAG_MAP);
     write_varint(len as u64, out);
+}
+
+/// Where the `write_*` functions and [`encode_value`] put their bytes: a
+/// buffer (`Vec<u8>`), or a [`Len`] that only counts them, so the one
+/// writer of a layout yields both its encoding and its exact length.
+pub trait Sink {
+    /// Appends one byte.
+    fn push(&mut self, byte: u8);
+    /// Appends a run of bytes.
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+
+    #[inline]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
+/// A [`Sink`] that counts the bytes written to it: run a writer into a
+/// `Len` first and its buffer can be allocated at its exact size.
+///
+/// ```
+/// use mrom_value::{wire, Value};
+///
+/// let v = Value::list([Value::Int(300), Value::from("abc")]);
+/// let mut len = wire::Len::default();
+/// wire::encode_value(&v, &mut len);
+/// let mut out = Vec::with_capacity(len.0);
+/// wire::encode_value(&v, &mut out);
+/// assert_eq!((out.len(), out.capacity()), (len.0, len.0));
+/// ```
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Len(pub usize);
+
+impl Sink for Len {
+    #[inline]
+    fn push(&mut self, _byte: u8) {
+        self.0 += 1;
+    }
+
+    #[inline]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
 }
 
 /// Writes one framed map (magic + version + map body) entry by entry,
@@ -158,7 +218,11 @@ pub fn write_map_header(len: usize, out: &mut Vec<u8>) {
 ///
 /// Entries go in strictly increasing key order — the order in which a
 /// `Value::Map` iterates, which is what makes the encoding canonical —
-/// and exactly as many as announced. Debug builds assert both.
+/// and exactly as many as announced. Debug builds assert both. Keys are
+/// a message's fixed field names, so they are `'static`.
+///
+/// Over a [`Len`] ([`MapWriter::over`]) the same entry writes count the
+/// map's exact framed length instead.
 ///
 /// ```
 /// use mrom_value::{wire, Value};
@@ -170,18 +234,24 @@ pub fn write_map_header(len: usize, out: &mut Vec<u8>) {
 /// assert_eq!(m.finish(), wire::encode(&v));
 /// ```
 #[derive(Debug)]
-pub struct MapWriter {
-    out: Vec<u8>,
+pub struct MapWriter<S = Vec<u8>> {
+    out: S,
     left: usize,
-    /// Where the previous key sits in `out`, for the order assertion.
-    last_key: Option<(usize, usize)>,
+    /// The previous key, for the order assertion.
+    last_key: Option<&'static str>,
 }
 
 impl MapWriter {
     /// Starts a framed map of `entries` entries in a buffer of
     /// `capacity` bytes (a hint; the buffer grows as needed).
     pub fn framed(entries: usize, capacity: usize) -> MapWriter {
-        let mut out = Vec::with_capacity(capacity);
+        MapWriter::over(Vec::with_capacity(capacity), entries)
+    }
+}
+
+impl<S: Sink> MapWriter<S> {
+    /// Starts a framed map of `entries` entries in `out`.
+    pub fn over(mut out: S, entries: usize) -> MapWriter<S> {
         out.extend_from_slice(&MAGIC);
         out.push(VERSION);
         out.push(TAG_MAP);
@@ -193,28 +263,26 @@ impl MapWriter {
         }
     }
 
-    /// Writes the next key and returns the buffer to which the caller
+    /// Writes the next key and returns the sink to which the caller
     /// appends exactly one value body (with the `write_*_value` functions
     /// or [`encode_value`]).
-    pub fn entry(&mut self, key: &str) -> &mut Vec<u8> {
+    pub fn entry(&mut self, key: &'static str) -> &mut S {
         debug_assert!(
             self.left > 0,
             "map entry {key:?} beyond the announced count"
         );
         debug_assert!(
-            self.last_key
-                .is_none_or(|(at, len)| &self.out[at..at + len] < key.as_bytes()),
+            self.last_key.is_none_or(|last| last < key),
             "map key {key:?} out of canonical order"
         );
         self.left = self.left.saturating_sub(1);
-        write_varint(key.len() as u64, &mut self.out);
-        self.last_key = Some((self.out.len(), key.len()));
-        self.out.extend_from_slice(key.as_bytes());
+        self.last_key = Some(key);
+        write_str(key, &mut self.out);
         &mut self.out
     }
 
-    /// The finished buffer.
-    pub fn finish(self) -> Vec<u8> {
+    /// The finished sink: the buffer, or the counted length.
+    pub fn finish(self) -> S {
         debug_assert_eq!(self.left, 0, "map finished with entries missing");
         self.out
     }
@@ -791,7 +859,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Appends a LEB128 varint.
-pub fn write_varint(mut v: u64, out: &mut Vec<u8>) {
+pub fn write_varint<S: Sink + ?Sized>(mut v: u64, out: &mut S) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -813,7 +881,7 @@ fn unzigzag(u: u64) -> i64 {
 
 /// Convenience: encode a UTF-8 string field (varint length + bytes) into a
 /// composite buffer.
-pub fn write_str(s: &str, out: &mut Vec<u8>) {
+pub fn write_str<S: Sink + ?Sized>(s: &str, out: &mut S) {
     write_varint(s.len() as u64, out);
     out.extend_from_slice(s.as_bytes());
 }
