@@ -170,8 +170,8 @@ impl Acl {
             Acl::Nobody => wire::write_str_value("nobody", out),
             Acl::Only(ids) => {
                 wire::write_list_header(ids.len(), out);
-                for id in ids {
-                    wire::write_str_value(&id.to_string(), out);
+                for &id in ids {
+                    wire::write_id_str_value(id, out);
                 }
             }
         }

@@ -125,17 +125,25 @@ impl ObjectId {
 }
 
 /// The length of an id's text form, `{node:016x}-{seq:08x}-{entropy:08x}`.
-const TEXT_LEN: usize = 34;
+pub(crate) const TEXT_LEN: usize = 34;
+
+impl ObjectId {
+    /// The text form's bytes, built on the stack: ASCII hex digits and
+    /// two dashes.
+    pub(crate) fn text(&self) -> [u8; TEXT_LEN] {
+        let mut buf = [b'-'; TEXT_LEN];
+        hex_into(&mut buf[..16], self.node.0);
+        hex_into(&mut buf[17..25], u64::from(self.seq));
+        hex_into(&mut buf[26..], u64::from(self.entropy));
+        buf
+    }
+}
 
 impl fmt::Display for ObjectId {
     /// Writes the 34-character text with one `write_str` from a stack
     /// buffer, so `to_string` (a depot key) is one exact allocation.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut buf = [b'-'; TEXT_LEN];
-        hex_into(&mut buf[..16], self.node.0);
-        hex_into(&mut buf[17..25], u64::from(self.seq));
-        hex_into(&mut buf[26..], u64::from(self.entropy));
-        f.write_str(std::str::from_utf8(&buf).map_err(|_| fmt::Error)?)
+        f.write_str(std::str::from_utf8(&self.text()).map_err(|_| fmt::Error)?)
     }
 }
 

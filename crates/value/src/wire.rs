@@ -133,6 +133,14 @@ pub fn write_str_parts_value<S: Sink + ?Sized>(parts: &[&str], out: &mut S) {
     }
 }
 
+/// Appends the body encoding of `Value::Str(id.to_string())` without
+/// building the string.
+pub fn write_id_str_value<S: Sink + ?Sized>(id: ObjectId, out: &mut S) {
+    out.push(TAG_STR);
+    write_varint(crate::id::TEXT_LEN as u64, out);
+    out.extend_from_slice(&id.text());
+}
+
 /// Appends the body encoding of `Value::Bytes(b)` without building it.
 pub fn write_bytes_value<S: Sink + ?Sized>(b: &[u8], out: &mut S) {
     out.push(TAG_BYTES);
@@ -1073,6 +1081,16 @@ mod tests {
         let buf = [0xffu8; 11];
         let mut r = Reader::new(&buf);
         assert!(r.read_varint().is_err());
+    }
+
+    #[test]
+    fn id_text_is_written_as_its_string() {
+        let id = ObjectId::from_parts(crate::NodeId(u64::MAX - 7), 3, u32::MAX);
+        let mut out = Vec::new();
+        write_id_str_value(id, &mut out);
+        let mut want = Vec::new();
+        encode_value(&Value::Str(id.to_string()), &mut want);
+        assert_eq!(out, want);
     }
 
     #[test]
