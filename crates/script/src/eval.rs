@@ -448,13 +448,25 @@ fn deeper_than(v: &Value, levels: usize) -> bool {
 /// gain depth goes through here: list and map construction, path writes,
 /// the builtins that put an argument in a container, and host-call
 /// results (a `getDataItem` descriptor wraps the item's value).
+#[inline]
 pub(crate) fn nested_at_most(v: Value, above: usize) -> Result<Value, ScriptError> {
-    if deeper_than(&v, MAX_VALUE_DEPTH.saturating_sub(above)) {
-        return Err(ScriptError::NestingTooDeep {
-            limit: MAX_VALUE_DEPTH,
-        });
+    // A scalar is one level: only a container needs the walk.
+    let fits = match v {
+        Value::List(_) | Value::Map(_) => !deeper_than(&v, MAX_VALUE_DEPTH.saturating_sub(above)),
+        _ => above < MAX_VALUE_DEPTH,
+    };
+    if fits {
+        Ok(v)
+    } else {
+        Err(too_deep())
     }
-    Ok(v)
+}
+
+#[cold]
+fn too_deep() -> ScriptError {
+    ScriptError::NestingTooDeep {
+        limit: MAX_VALUE_DEPTH,
+    }
 }
 
 /// Writes `v` through a reversed index path (`path[last]` is the outermost
